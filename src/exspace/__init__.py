@@ -10,6 +10,7 @@ from .interp import Interpreter, Machine, RunResult, device_synchronize, run_pro
 from .sema import (
     HDC,
     ExecSpace,
+    Mode,
     SymbolTable,
     TraitConfig,
     Type,
@@ -19,7 +20,6 @@ from .sema import (
 )
 from .spacecheck import (
     Analysis,
-    Mode,
     analyze,
     check_unit,
     detect_arch_divergence,

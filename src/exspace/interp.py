@@ -13,27 +13,20 @@ from typing import Optional
 from .diagnostics import Diagnostic, SrcLoc
 from .sema import (
     DEVICE,
-    GLOBAL,
     HOST,
     HDC,
     ExecSpace,
-    OverloadError,
     SemaError,
     SubstFailure,
     SymbolTable,
-    TraitConfig,
     Type,
     builtin_spaces,
     compute_hdc,
-    effective_spaces,
     eval_const_expr,
-    resolve_overload,
     resolve_type,
-    struct_bindings,
 )
-from .spacecheck import Analysis
+from .spacecheck import Analysis, Instance
 from .syntax import nodes as n
-from .syntax.preprocess import DEVICE_PASS, HOST_PASS
 
 UB_EXIT = 101
 ABORT_EXIT = 134
@@ -95,43 +88,46 @@ def device_synchronize(m: Machine) -> int:
 
 
 class Interpreter:
-    def __init__(self, analysis: Analysis, cfg: TraitConfig = TraitConfig()):
+    """Executes the instances the check chose, one walk per side.
+
+    Host code runs the host walk's instances and device code the device
+    walk's.  Every call site executes the callee its instance recorded
+    during the walk; a site recorded as stray, or not recorded, is a UB
+    halt.
+    """
+
+    def __init__(self, analysis: Analysis):
         self.analysis = analysis
         self.profile = analysis.profile
-        self.mode = analysis.mode
-        self.cfg = cfg
         self.machine = Machine()
         self.notes: list[Diagnostic] = []
+        self.calls: dict = {}  # the call-site table of the executing instance
 
     # -- plumbing ---------------------------------------------------------
 
-    def _artifacts(self, side: ExecSpace):
-        kind = HOST_PASS if side is HOST else DEVICE_PASS
-        art = self.analysis.passes.get(kind)
-        if art is None:
+    def _walk(self, side: ExecSpace):
+        walk = self.analysis.walks.get(side)
+        if walk is None:
             raise UbHalt(
                 SrcLoc(self.analysis.path, 1, 1),
                 "no compiled code exists for this side",
             )
-        return art
+        return walk
 
     def _table(self) -> SymbolTable:
-        return self._artifacts(self.machine.side).table
+        return self._walk(self.machine.side).table
 
     # -- entry --------------------------------------------------------------
 
     def run(self) -> RunResult:
-        main = None
-        host = self.analysis.passes.get(HOST_PASS)
-        if host is not None:
-            for decl in host.table.overloads("main"):
-                main = decl
-        if main is None or main.body is None:
+        host = self.analysis.walks.get(HOST)
+        main = host and host.instances.get(host.main_key)
+        if main is None or main.decl.body is None:
             raise ValueError("the unit has no main function")
         ub = False
         code = 0
         try:
-            value = self._exec_function(main, {}, {}, [], main.loc)
+            value = self._exec_instance(main, [], main.decl.loc)
             if isinstance(value, bool):
                 code = int(value)
             elif isinstance(value, int):
@@ -155,18 +151,19 @@ class Interpreter:
 
     # -- functions ------------------------------------------------------------
 
-    def _exec_function(self, decl, bindings, owner_bindings, args, loc):
+    def _exec_instance(self, inst: Instance, args, loc):
+        decl = inst.decl
         if decl.body is None:
             raise UbHalt(loc, f'"{decl.display_name()}" has no body to execute')
-        env = dict(owner_bindings)
-        env.update(bindings)
-        locals_ = {}
-        for p, a in zip(decl.params, args):
-            locals_[p.name] = a
+        env = {**inst.owner_bindings, **inst.bindings}
+        locals_ = {p.name: a for p, a in zip(decl.params, args)}
+        outer, self.calls = self.calls, inst.calls
         try:
             self._exec_stmts(decl.body, env, locals_)
         except _Return as r:
             return r.value
+        finally:
+            self.calls = outer
         return None
 
     def _exec_stmts(self, stmts, env, locals_):
@@ -229,15 +226,13 @@ class Interpreter:
                 )
             )
             return
-        device = self._artifacts(DEVICE)
-        candidates = device.table.overloads(s.name)
-        if not candidates:
-            raise UbHalt(s.loc, f'no kernel named "{s.name}"')
-        sel = self._resolve_call(
-            s.name, candidates, s.targs, args, s.loc, env, DEVICE, device.table
-        )
-        if not sel.decl.spec.global_:
-            raise UbHalt(s.loc, f'"{s.name}" is not a __global__ function')
+        device = self._walk(DEVICE)
+        target = self._callee(s)
+        kernel = device.instances.get(target.key)
+        if kernel is None:
+            raise UbHalt(
+                s.loc, f'the device pass has no instance of "{target.display()}"'
+            )
         if not isinstance(grid, int) or not isinstance(block, int):
             raise UbHalt(s.loc, "the launch configuration must be integral")
         m.side = DEVICE
@@ -245,7 +240,7 @@ class Interpreter:
             for tid in range(max(grid, 0) * max(block, 0)):
                 m.thread_id = tid
                 try:
-                    self._exec_function(sel.decl, sel.bindings, {}, args, s.loc)
+                    self._exec_instance(kernel, args, s.loc)
                 except _Trap:
                     m.sticky_error = self.profile.trap_error_code()
                     break  # the trap abandons all remaining threads
@@ -255,50 +250,16 @@ class Interpreter:
 
     # -- calls ----------------------------------------------------------------------
 
-    def _resolve_call(self, name, candidates, targs, args, loc, env, side, table,
-                      owner_struct=None, owner_bindings=None, owner_type=None):
-        arg_types = [self._value_type(a) for a in args]
-        try:
-            return resolve_overload(
-                name, candidates, targs, arg_types, loc,
-                env=env, table=table, cfg=self.cfg, mode=self.mode,
-                context_side=side, owner_struct=owner_struct,
-                owner_bindings=owner_bindings, owner_type=owner_type,
-            )
-        except (OverloadError, SemaError, SubstFailure) as e:
-            raise UbHalt(loc, f"unresolvable call: {e}") from None
+    def _callee(self, node) -> Instance:
+        """The instance the check chose at this call site, else a UB halt."""
+        target = self.calls.get(id(node))
+        if isinstance(target, Instance):
+            return target
+        raise UbHalt(node.loc, target or "the check resolved no callee here")
 
-    @staticmethod
-    def _value_type(v) -> Optional[Type]:
-        if isinstance(v, bool):
-            return Type("bool")
-        if isinstance(v, int):
-            return Type("int")
-        if isinstance(v, StructVal):
-            return v.type
-        return None
-
-    def _invoke(self, sel, args, loc, owner_struct=None, owner_bindings=None):
-        owner_bindings = owner_bindings or {}
-        side = self.machine.side
-        merged = {**owner_bindings, **sel.bindings}
-        try:
-            spaces = effective_spaces(
-                sel.decl, merged, self.mode, side, self._table(), self.cfg, loc,
-                owner_struct=owner_struct,
-            )
-        except (SemaError, SubstFailure) as e:
-            raise UbHalt(loc, f"unresolvable execution space: {e}") from None
-        if spaces == GLOBAL:
-            raise UbHalt(loc, "a __global__ function was called directly")
-        relaxed_ok = self.profile.relaxed_constexpr and sel.decl.spec.constexpr
-        if side not in spaces and not relaxed_ok:
-            raise UbHalt(
-                loc,
-                f'"{sel.decl.display_name()}" is not compiled for '
-                f"{'host' if side is HOST else 'device'} code",
-            )
-        return self._exec_function(sel.decl, sel.bindings, owner_bindings, args, loc)
+    def _call(self, e, env, locals_):
+        args = [self._eval(a, env, locals_) for a in e.args]
+        return self._exec_instance(self._callee(e), args, e.loc)
 
     # -- expression evaluation --------------------------------------------------------
 
@@ -324,12 +285,12 @@ class Interpreter:
         if isinstance(e, n.HdcTrait):
             t = self._resolve_type(e.type, env, e.loc)
             try:
-                return compute_hdc(t, self._table(), self.cfg)
+                return compute_hdc(t, self._table(), self.analysis.cfg)
             except (SemaError, SubstFailure) as err:
                 raise UbHalt(e.loc, str(err)) from None
         if isinstance(e, n.MemberConst):
             try:
-                return eval_const_expr(e, env, self._table(), self.cfg)
+                return eval_const_expr(e, env, self._table(), self.analysis.cfg)
             except (SemaError, SubstFailure) as err:
                 raise UbHalt(e.loc, str(err)) from None
         if isinstance(e, n.UnaryExpr):
@@ -348,48 +309,15 @@ class Interpreter:
             if e.op == "<":
                 return lhs < rhs
         if isinstance(e, n.CallExpr):
-            return self._eval_call(e, env, locals_)
+            if id(e) not in self.calls:  # the walk records user calls only
+                return self._eval_builtin(e, env, locals_)
+            return self._call(e, env, locals_)
         if isinstance(e, n.MemberCallExpr):
-            recv = self._eval(e.recv, env, locals_)
-            return self._eval_member_call(e, recv, env, locals_)
+            self._eval(e.recv, env, locals_)  # for its halts; the walk chose the callee
+            return self._call(e, env, locals_)
         if isinstance(e, n.StaticCallExpr):
-            t = self._resolve_type(e.type, env, e.loc)
-            return self._eval_member_call(e, StructVal(t), env, locals_)
+            return self._call(e, env, locals_)
         raise TypeError(f"unknown expression {e!r}")
-
-    def _eval_call(self, e: n.CallExpr, env, locals_):
-        table = self._table()
-        candidates = table.overloads(e.name)
-        if not candidates:
-            return self._eval_builtin(e, env, locals_)
-        args = [self._eval(a, env, locals_) for a in e.args]
-        sel = self._resolve_call(
-            e.name, candidates, e.targs, args, e.loc, env, self.machine.side, table
-        )
-        return self._invoke(sel, args, e.loc)
-
-    def _eval_member_call(self, e, recv, env, locals_):
-        if not isinstance(recv, StructVal):
-            raise UbHalt(e.loc, "a member call needs a struct value")
-        table = self._table()
-        struct = table.struct(recv.type.name)
-        if struct is None:
-            raise UbHalt(e.loc, f'no struct named "{recv.type.name}"')
-        candidates = SymbolTable.member_functions(struct, e.name)
-        if not candidates:
-            raise UbHalt(
-                e.loc, f'type "{recv.type.display()}" has no member "{e.name}"'
-            )
-        args = [self._eval(a, env, locals_) for a in e.args]
-        owner_bindings = struct_bindings(struct, recv.type)
-        sel = self._resolve_call(
-            f"{recv.type.display()}::{e.name}", candidates, e.targs, args, e.loc,
-            env, self.machine.side, table,
-            owner_struct=struct, owner_bindings=owner_bindings,
-            owner_type=recv.type,
-        )
-        return self._invoke(sel, args, e.loc, owner_struct=struct,
-                            owner_bindings=owner_bindings)
 
     # -- builtins ---------------------------------------------------------------------
 
@@ -432,11 +360,11 @@ class Interpreter:
         raise _Abort()
 
 
-def run_program(analysis: Analysis, cfg: TraitConfig = TraitConfig()) -> RunResult:
+def run_program(analysis: Analysis) -> RunResult:
     """Execute a previously analyzed unit and capture its output.
 
     Callers gate on the check result; running an erroneous unit is allowed
     for exploration, and any dynamically reached stray call becomes a UB
     halt with the reserved exit code rather than an arbitrary value.
     """
-    return Interpreter(analysis, cfg).run()
+    return Interpreter(analysis).run()

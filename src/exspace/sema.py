@@ -34,6 +34,14 @@ DEVICE_ONLY = frozenset({DEVICE})
 BOTH_SIDES = frozenset({HOST, DEVICE})
 
 
+class Mode(Enum):
+    CLASSIC = "classic"
+    FIDELITY = "fidelity"
+    SOUND = "sound"
+    PROPOSAL1 = "proposal1"
+    PROPOSAL2 = "proposal2"
+
+
 @dataclass(frozen=True)
 class Type:
     """A fully resolved type: builtin or struct with bound HDC arguments."""
@@ -151,8 +159,6 @@ def signature_key(decl: n.FunctionDecl, include_spaces: bool) -> tuple:
 
 def resolve(ast: n.Ast, profile, mode) -> tuple[SymbolTable, list]:
     """Build the symbol table, diagnosing duplicates and undefined names."""
-    from .spacecheck import Mode  # cycle-free: enum only
-
     table = SymbolTable(ast)
     diags: list[Diagnostic] = []
     include_spaces = mode is Mode.PROPOSAL2
@@ -219,8 +225,6 @@ def resolve(ast: n.Ast, profile, mode) -> tuple[SymbolTable, list]:
 
 
 def _check_mode_gated_syntax(ast: n.Ast, mode) -> list:
-    from .spacecheck import Mode
-
     diags = []
     for item in ast.items:
         if isinstance(item, n.StructDecl):
@@ -511,8 +515,6 @@ def resolve_overload(
     candidates are dropped too, unless that would empty the set (the call
     then binds and the stray is reported by the caller).
     """
-    from .spacecheck import Mode
-
     viable: list[Selected] = []
     for decl in candidates:
         try:
@@ -684,8 +686,6 @@ def effective_spaces(
     mode lets undecorated callables inherit the calling space and struct
     decorations distribute to undecorated members.
     """
-    from .spacecheck import Mode
-
     spec = decl.spec
     if spec.global_:
         return GLOBAL

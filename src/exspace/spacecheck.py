@@ -11,18 +11,17 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Optional
 
 from .diagnostics import Diagnostic, SrcLoc, finish_diagnostics
-from .sema import (  # evaluate_conditional_spec is re-exported from here
+from .sema import (  # Mode and evaluate_conditional_spec are re-exported from here
     BOTH_SIDES,
     DEVICE,
     GLOBAL,
     HOST,
     HOST_ONLY,
     ExecSpace,
-    OverloadError,
+    Mode,
     Selected,
     SemaError,
     SubstFailure,
@@ -30,8 +29,10 @@ from .sema import (  # evaluate_conditional_spec is re-exported from here
     TraitConfig,
     Type,
     builtin_spaces,
+    compute_hdc,
     declared_spaces,
     effective_spaces,
+    eval_const_expr,
     evaluate_conditional_spec,
     resolve,
     resolve_overload,
@@ -48,14 +49,6 @@ from .syntax.preprocess import (
     PreprocessorError,
     preprocess,
 )
-
-
-class Mode(Enum):
-    CLASSIC = "classic"
-    FIDELITY = "fidelity"
-    SOUND = "sound"
-    PROPOSAL1 = "proposal1"
-    PROPOSAL2 = "proposal2"
 
 
 # Modes replicating the real compiler's habit of instantiating both sides
@@ -192,6 +185,10 @@ class Instance:
     key: tuple
     demand_key: tuple
     first_loc: SrcLoc
+    # id(call node) -> the callee Instance, or the reason a run halts there.
+    # Free calls to builtins get no entry.  Recursion makes this cyclic, so
+    # it stays out of repr and equality.
+    calls: dict = field(default_factory=dict, repr=False, compare=False)
 
     def display(self) -> str:
         name = self.decl.display_name()
@@ -400,36 +397,40 @@ class _Walk:
             self._emit("E1003", s.loc, "a kernel launch is not allowed from device code")
         candidates = self.table.overloads(s.name)
         if not candidates:
+            inst.calls[id(s)] = f'no kernel named "{s.name}"'
             return  # E0101 was already reported by resolve
-        sel = self._select(s.name, candidates, s.targs, arg_types, s.loc, env,
+        sel = self._select(inst, s, s.name, candidates, arg_types, env,
                            context_side=DEVICE)
         if sel is None:
             return
         if not sel.decl.spec.global_:
+            inst.calls[id(s)] = f'"{s.name}" is not a __global__ function'
             self._emit(
                 "E1004", s.loc, "only __global__ functions can be launched with <<< >>>"
             )
             return
         target = self._instantiate(sel.decl, sel.bindings, DEVICE, None, {}, None, s.loc)
-        if target is not None and inst.side is HOST:
+        inst.calls[id(s)] = target
+        if inst.side is HOST:
             self.launch_seeds.append(target.key)
 
-    def _select(self, name, candidates, targs, arg_types, loc, env, *,
+    def _select(self, inst, node, name, candidates, arg_types, env, *,
                 context_side, owner_struct=None, owner_bindings=None,
                 owner_type=None) -> Optional[Selected]:
         try:
             return resolve_overload(
-                name, candidates, targs, arg_types, loc,
+                name, candidates, node.targs, arg_types, node.loc,
                 env=env, table=self.table, cfg=self.cfg, mode=self.mode,
                 context_side=context_side, owner_struct=owner_struct,
                 owner_bindings=owner_bindings, owner_type=owner_type,
             )
-        except OverloadError as e:
-            self._emit_sema(e)
         except SemaError as e:
             self._emit_sema(e)
-        except SubstFailure:
-            self._emit("E1301", loc, f'no viable candidate for call to "{name}"')
+            reason = str(e)
+        except SubstFailure as e:
+            self._emit("E1301", node.loc, f'no viable candidate for call to "{name}"')
+            reason = str(e)
+        inst.calls[id(node)] = f"unresolvable call: {reason}"
         return None
 
     def _walk_expr(self, inst, e, env, locals_) -> Optional[Type]:
@@ -451,8 +452,6 @@ class _Walk:
         if isinstance(e, n.HdcTrait):
             try:
                 t = resolve_type(e.type, env, self.table)
-                from .sema import compute_hdc
-
                 compute_hdc(t, self.table, self.cfg)
             except SemaError as err:
                 self._emit_sema(err)
@@ -460,8 +459,6 @@ class _Walk:
                 pass
             return None
         if isinstance(e, n.MemberConst):
-            from .sema import eval_const_expr
-
             try:
                 eval_const_expr(e, env, self.table, self.cfg)
             except SemaError as err:
@@ -490,14 +487,14 @@ class _Walk:
         if not candidates:
             spaces = builtin_spaces(e.name, self.profile)
             if spaces is not None:
-                self._check_call(inst, e.loc, spaces, is_constexpr=False,
-                                 callee_decl=None)
+                if not self._compiled_for(inst.side, spaces, False):
+                    self._report_stray(inst, spaces, e.loc)
                 return Type("int") if e.name == "cudaDeviceSynchronize" else None
             return None  # E0101 was already reported by resolve
-        sel = self._select(e.name, candidates, e.targs, arg_types, e.loc, env,
+        sel = self._select(inst, e, e.name, candidates, arg_types, env,
                            context_side=inst.side)
         if sel is not None:
-            self._dispatch(inst, sel, e.loc)
+            self._dispatch(inst, e, sel)
         return None
 
     def _receiver_type(self, inst, recv, env, locals_) -> Optional[Type]:
@@ -514,8 +511,9 @@ class _Walk:
         recv_type = self._receiver_type(inst, e.recv, env, locals_)
         arg_types = [self._walk_expr(inst, a, env, locals_) for a in e.args]
         if recv_type is None:
+            inst.calls[id(e)] = "a member call needs a struct value"
             return None
-        self._member_dispatch(inst, recv_type, e.name, e.targs, arg_types, e.loc, env)
+        self._member_dispatch(inst, e, recv_type, arg_types, env)
         return None
 
     def _walk_static_call(self, inst, e: n.StaticCallExpr, env, locals_):
@@ -523,36 +521,35 @@ class _Walk:
         t = self._resolve_type_soft(e.type, env, e.loc)
         if t is None:
             return None
-        self._member_dispatch(inst, t, e.name, e.targs, arg_types, e.loc, env)
+        self._member_dispatch(inst, e, t, arg_types, env)
         return None
 
-    def _member_dispatch(self, inst, recv_type: Type, name, targs, arg_types, loc, env):
+    def _member_dispatch(self, inst, node, recv_type: Type, arg_types, env):
         struct = self.table.struct(recv_type.name)
-        if struct is None:
-            self._emit(
-                "E0101", loc, f'type "{recv_type.display()}" has no member "{name}"'
-            )
-            return
-        candidates = SymbolTable.member_functions(struct, name)
+        candidates = [] if struct is None else SymbolTable.member_functions(struct, node.name)
         if not candidates:
-            self._emit(
-                "E0101", loc, f'type "{recv_type.display()}" has no member "{name}"'
+            missing = f'type "{recv_type.display()}" has no member "{node.name}"'
+            self._emit("E0101", node.loc, missing)
+            # Only builtin types name no struct.
+            inst.calls[id(node)] = (
+                missing if struct is not None else "a member call needs a struct value"
             )
             return
         owner_bindings = struct_bindings(struct, recv_type)
         sel = self._select(
-            f"{recv_type.display()}::{name}", candidates, targs, arg_types, loc,
+            inst, node, f"{recv_type.display()}::{node.name}", candidates, arg_types,
             env, context_side=inst.side, owner_struct=struct,
             owner_bindings=owner_bindings, owner_type=recv_type,
         )
         if sel is not None:
-            self._dispatch(inst, sel, loc, owner_struct=struct,
+            self._dispatch(inst, node, sel, owner_struct=struct,
                            owner_bindings=owner_bindings, owner_type=recv_type)
 
     # -- call legality and demand --------------------------------------------
 
-    def _dispatch(self, inst, sel: Selected, loc: SrcLoc, *,
+    def _dispatch(self, inst, node, sel: Selected, *,
                   owner_struct=None, owner_bindings=None, owner_type=None):
+        loc = node.loc
         owner_bindings = owner_bindings or {}
         merged = {**owner_bindings, **sel.bindings}
         try:
@@ -560,30 +557,34 @@ class _Walk:
                 sel.decl, merged, self.mode, inst.side, self.table,
                 self.cfg, loc, owner_struct=owner_struct,
             )
-        except SemaError as e:
-            self._emit_sema(e)
+        except SemaError as err:
+            self._emit_sema(err)
+            inst.calls[id(node)] = f"unresolvable execution space: {err}"
             return
-        except SubstFailure:
+        except SubstFailure as err:
             self._emit("E0001", loc, "specifier predicate is not a constant")
+            inst.calls[id(node)] = f"unresolvable execution space: {err}"
             return
         if spaces == GLOBAL:
             self._emit(
                 "E1004", loc,
                 "a __global__ function must be launched with <<< >>>, not called directly",
             )
+            inst.calls[id(node)] = "a __global__ function was called directly"
             return
-        relaxed_ok = (
-            self.profile.relaxed_constexpr and sel.decl.spec.constexpr
-        )
-        legal = relaxed_ok or inst.side in spaces
+        legal = self._compiled_for(inst.side, spaces, sel.decl.spec.constexpr)
         demanded_side = inst.side if legal else (HOST if HOST in spaces else DEVICE)
         callee = self._instantiate(
             sel.decl, sel.bindings, demanded_side,
             owner_struct, owner_bindings, owner_type, loc,
         )
-        if legal and callee is not None:
+        if legal:
+            inst.calls[id(node)] = callee
             self.edges.setdefault(inst.key, []).append(callee.key)
-        if not legal:
+        else:
+            inst.calls[id(node)] = (
+                f'"{sel.decl.display_name()}" is not compiled for {_SIDE_WORD[inst.side]} code'
+            )
             self._report_stray(inst, spaces, loc)
         if (
             self.mode in _NVCC_INSTANTIATION
@@ -595,11 +596,9 @@ class _Walk:
                 owner_bindings, owner_type, loc,
             )
 
-    def _check_call(self, inst, loc, callee_spaces, *, is_constexpr, callee_decl):
-        relaxed_ok = self.profile.relaxed_constexpr and is_constexpr
-        if relaxed_ok or inst.side in callee_spaces:
-            return
-        self._report_stray(inst, callee_spaces, loc)
+    def _compiled_for(self, side, callee_spaces, is_constexpr) -> bool:
+        """Whether a callee compiled for callee_spaces is callable from side."""
+        return (self.profile.relaxed_constexpr and is_constexpr) or side in callee_spaces
 
     def _report_stray(self, inst, callee_spaces, loc):
         callee_space = _space_of(callee_spaces)
@@ -675,6 +674,7 @@ class Analysis:
     all_diagnostics: list = field(default_factory=list)  # includes suppressed
     passes: dict = field(default_factory=dict)  # pass kind -> PassArtifacts
     walks: dict = field(default_factory=dict)  # native side -> _Walk
+    cfg: TraitConfig = TraitConfig()  # the trait configuration of the walks
 
     @property
     def has_errors(self) -> bool:
@@ -693,7 +693,7 @@ def analyze(
 ) -> Analysis:
     """Preprocess, parse, resolve, and space-check one unit for all passes."""
     diags: list[Diagnostic] = []
-    analysis = Analysis(path, profile, mode, [])
+    analysis = Analysis(path, profile, mode, [], cfg=cfg)
     specifier_mode = "keep"
     if profile.compiler == "plain":
         specifier_mode = "erase" if profile.erase_specifiers else "reject"

@@ -282,3 +282,30 @@ def test_determinism_byte_identical():
     assert first.stdout == second.stdout
     assert first.exit_code == second.exit_code
     assert [d.message for d in first.notes] == [d.message for d in second.notes]
+
+
+def test_launch_of_a_kernel_instance_only_the_host_pass_has_halts():
+    # The device pass never sees main, so it never instantiates k<S>; nvcc
+    # would not compile that kernel for the device either.
+    src = """struct S {
+  static constexpr HDC hdc = HDC::HstDev;
+};
+template< typename T >
+__global__
+void k( T t ) {
+  printf( "x" );
+}
+#ifndef __CUDA_ARCH__
+int main() {
+  k< S ><<< 1, 2 >>>( S{} );
+  return cudaDeviceSynchronize();
+}
+#endif
+"""
+    analysis = analyze(src, "h.mcu", NVCC, Mode.CLASSIC)
+    assert not analysis.all_diagnostics
+    result = run_program(analysis)
+    assert result.ub_halt
+    assert result.exit_code == UB_EXIT
+    assert result.stdout == b""
+    assert [(d.code, d.loc.line) for d in result.notes] == [("N0001", 11)]

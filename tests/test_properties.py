@@ -125,3 +125,22 @@ def test_instantiation_sets_agree_without_directives():
             host = set(analysis.walks[HOST].demands)
             device = set(analysis.walks[DEVICE].demands)
             assert host == device, seed
+
+
+def test_every_stray_halt_sits_at_a_check_diagnostic():
+    # Fidelity drops space diagnostics by design, so it is left out.  Pragmas
+    # only suppress, and all_diagnostics keeps suppressed entries.
+    halts = 0
+    for seed in range(300):
+        unit = gen_unit(random.Random(seed))
+        for mode in (Mode.CLASSIC, Mode.SOUND, Mode.PROPOSAL2):
+            for profile in (NVCC, RELAXED):
+                analysis = analyze(unit.with_pragmas, "g.mcu", profile, mode)
+                result = run_program(analysis)
+                if not result.ub_halt:
+                    continue
+                halts += 1
+                where = {(d.loc.line, d.loc.col) for d in analysis.all_diagnostics}
+                loc = result.notes[-1].loc
+                assert (loc.line, loc.col) in where, (seed, mode, profile)
+    assert halts > 500  # the property must actually exercise halts
