@@ -11,20 +11,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .diagnostics import Diagnostic, SrcLoc
-from .sema import (
-    DEVICE,
-    HOST,
-    HDC,
-    ExecSpace,
-    SemaError,
-    SubstFailure,
-    SymbolTable,
-    Type,
-    builtin_spaces,
-    compute_hdc,
-    eval_const_expr,
-    resolve_type,
-)
+from .sema import DEVICE, HOST, HDC, ExecSpace, Type, builtin_spaces
 from .spacecheck import Analysis, Instance
 from .syntax import nodes as n
 
@@ -60,6 +47,14 @@ class StructVal:
     type: Type
 
 
+def _default_value(t: Type):
+    if t.name == "int":
+        return 0
+    if t.name == "bool":
+        return False
+    return StructVal(t)
+
+
 class _Return(Exception):
     def __init__(self, value):
         self.value = value
@@ -93,7 +88,10 @@ class Interpreter:
     Host code runs the host walk's instances and device code the device
     walk's.  Every call site executes the callee its instance recorded
     during the walk; a site recorded as stray, or not recorded, is a UB
-    halt.
+    halt.  The run evaluates no type, trait or constant itself: a
+    temporary, a variable declaration, hdc< T >, T::member and a template
+    parameter used as a value read what the walk recorded in the site
+    table, and a failure recorded there is a UB halt.
     """
 
     def __init__(self, analysis: Analysis):
@@ -101,21 +99,7 @@ class Interpreter:
         self.profile = analysis.profile
         self.machine = Machine()
         self.notes: list[Diagnostic] = []
-        self.calls: dict = {}  # the call-site table of the executing instance
-
-    # -- plumbing ---------------------------------------------------------
-
-    def _walk(self, side: ExecSpace):
-        walk = self.analysis.walks.get(side)
-        if walk is None:
-            raise UbHalt(
-                SrcLoc(self.analysis.path, 1, 1),
-                "no compiled code exists for this side",
-            )
-        return walk
-
-    def _table(self) -> SymbolTable:
-        return self._walk(self.machine.side).table
+        self.sites: dict = {}  # the site table of the executing instance
 
     # -- entry --------------------------------------------------------------
 
@@ -155,68 +139,59 @@ class Interpreter:
         decl = inst.decl
         if decl.body is None:
             raise UbHalt(loc, f'"{decl.display_name()}" has no body to execute')
-        env = {**inst.owner_bindings, **inst.bindings}
         locals_ = {p.name: a for p, a in zip(decl.params, args)}
-        outer, self.calls = self.calls, inst.calls
+        outer, self.sites = self.sites, inst.sites
         try:
-            self._exec_stmts(decl.body, env, locals_)
+            self._exec_stmts(decl.body, locals_)
         except _Return as r:
             return r.value
         finally:
-            self.calls = outer
+            self.sites = outer
         return None
 
-    def _exec_stmts(self, stmts, env, locals_):
+    def _exec_stmts(self, stmts, locals_):
         for s in stmts:
-            self._exec_stmt(s, env, locals_)
+            self._exec_stmt(s, locals_)
 
-    def _exec_stmt(self, s, env, locals_):
+    def _exec_stmt(self, s, locals_):
         if isinstance(s, n.ExprStmt):
-            self._eval(s.expr, env, locals_)
+            self._eval(s.expr, locals_)
         elif isinstance(s, n.ReturnStmt):
-            raise _Return(self._eval(s.expr, env, locals_) if s.expr else None)
+            raise _Return(self._eval(s.expr, locals_) if s.expr else None)
         elif isinstance(s, n.VarDeclStmt):
-            locals_[s.name] = self._default_value(s.type, env, s.loc)
+            locals_[s.name] = _default_value(self._site(s))
         elif isinstance(s, n.IfStmt):
-            if self._eval(s.cond, env, locals_):
-                self._exec_stmts(s.then, env, dict(locals_))
+            if self._eval(s.cond, locals_):
+                self._exec_stmts(s.then, dict(locals_))
             elif s.orelse is not None:
-                self._exec_stmts(s.orelse, env, dict(locals_))
+                self._exec_stmts(s.orelse, dict(locals_))
         elif isinstance(s, n.ForStmt):
-            v = self._eval(s.init, env, locals_)
-            while v < self._eval(s.bound, env, locals_):
+            v = self._loop_bound(s, s.init, locals_)
+            while v < self._loop_bound(s, s.bound, locals_):
                 inner = dict(locals_)
                 inner[s.var] = v
-                self._exec_stmts(s.body, env, inner)
+                self._exec_stmts(s.body, inner)
                 v += 1
         elif isinstance(s, n.LaunchStmt):
-            self.launch_kernel(s, env, locals_)
+            self.launch_kernel(s, locals_)
         else:
             raise TypeError(f"unknown statement {s!r}")
 
-    def _default_value(self, tref, env, loc):
-        t = self._resolve_type(tref, env, loc)
-        if t.name == "int":
-            return 0
-        if t.name == "bool":
-            return False
-        return StructVal(t)
-
-    def _resolve_type(self, tref, env, loc) -> Type:
-        try:
-            return resolve_type(tref, env, self._table())
-        except (SemaError, SubstFailure) as e:
-            raise UbHalt(loc, f"unresolvable type: {e}") from None
+    def _loop_bound(self, s: n.ForStmt, e, locals_) -> int:
+        value = self._eval(e, locals_)
+        if not isinstance(value, int):
+            raise UbHalt(s.loc, "the start and bound of a for loop must be integral")
+        return value
 
     # -- kernel launches ---------------------------------------------------------
 
-    def launch_kernel(self, s: n.LaunchStmt, env, locals_):
+    def launch_kernel(self, s: n.LaunchStmt, locals_):
         m = self.machine
         if m.side is not HOST:
             raise UbHalt(s.loc, "a kernel launch from device code")
-        grid = self._eval(s.grid, env, locals_)
-        block = self._eval(s.block, env, locals_)
-        args = [self._eval(a, env, locals_) for a in s.args]
+        grid = self._eval(s.grid, locals_)
+        block = self._eval(s.block, locals_)
+        args = [self._eval(a, locals_) for a in s.args]
         if m.sticky_error != 0:
             self.notes.append(
                 Diagnostic.make(
@@ -226,8 +201,13 @@ class Interpreter:
                 )
             )
             return
-        device = self._walk(DEVICE)
-        target = self._callee(s)
+        device = self.analysis.walks.get(DEVICE)
+        if device is None:
+            raise UbHalt(
+                SrcLoc(self.analysis.path, 1, 1),
+                "no compiled code exists for this side",
+            )
+        target = self._site(s)
         kernel = device.instances.get(target.key)
         if kernel is None:
             raise UbHalt(
@@ -248,22 +228,22 @@ class Interpreter:
             m.side = HOST
             m.thread_id = None
 
-    # -- calls ----------------------------------------------------------------------
+    # -- the site table ---------------------------------------------------------------
 
-    def _callee(self, node) -> Instance:
-        """The instance the check chose at this call site, else a UB halt."""
-        target = self.calls.get(id(node))
-        if isinstance(target, Instance):
-            return target
-        raise UbHalt(node.loc, target or "the check resolved no callee here")
+    def _site(self, node):
+        """What the walk recorded at node: a callee, type or value, else a UB halt."""
+        recorded = self.sites.get(id(node), "the check resolved no callee here")
+        if isinstance(recorded, str):
+            raise UbHalt(node.loc, recorded)
+        return recorded
 
-    def _call(self, e, env, locals_):
-        args = [self._eval(a, env, locals_) for a in e.args]
-        return self._exec_instance(self._callee(e), args, e.loc)
+    def _call(self, e, locals_):
+        args = [self._eval(a, locals_) for a in e.args]
+        return self._exec_instance(self._site(e), args, e.loc)
 
     # -- expression evaluation --------------------------------------------------------
 
-    def _eval(self, e, env, locals_):
+    def _eval(self, e, locals_):
         if isinstance(e, n.IntLit):
             return e.value
         if isinstance(e, n.BoolLit):
@@ -277,31 +257,20 @@ class Interpreter:
         if isinstance(e, n.NameRef):
             if e.name in locals_:
                 return locals_[e.name]
-            if e.name in env and not isinstance(env[e.name], Type):
-                return env[e.name]
-            raise UbHalt(e.loc, f'undefined name "{e.name}"')
+            return self._site(e)
         if isinstance(e, n.TempObj):
-            return StructVal(self._resolve_type(e.type, env, e.loc))
-        if isinstance(e, n.HdcTrait):
-            t = self._resolve_type(e.type, env, e.loc)
-            try:
-                return compute_hdc(t, self._table(), self.analysis.cfg)
-            except (SemaError, SubstFailure) as err:
-                raise UbHalt(e.loc, str(err)) from None
-        if isinstance(e, n.MemberConst):
-            try:
-                return eval_const_expr(e, env, self._table(), self.analysis.cfg)
-            except (SemaError, SubstFailure) as err:
-                raise UbHalt(e.loc, str(err)) from None
+            return StructVal(self._site(e))
+        if isinstance(e, (n.HdcTrait, n.MemberConst)):
+            return self._site(e)
         if isinstance(e, n.UnaryExpr):
-            return not self._eval(e.operand, env, locals_)
+            return not self._eval(e.operand, locals_)
         if isinstance(e, n.BinaryExpr):
-            lhs = self._eval(e.lhs, env, locals_)
+            lhs = self._eval(e.lhs, locals_)
             if e.op == "&&":
-                return bool(lhs) and bool(self._eval(e.rhs, env, locals_))
+                return bool(lhs) and bool(self._eval(e.rhs, locals_))
             if e.op == "||":
-                return bool(lhs) or bool(self._eval(e.rhs, env, locals_))
-            rhs = self._eval(e.rhs, env, locals_)
+                return bool(lhs) or bool(self._eval(e.rhs, locals_))
+            rhs = self._eval(e.rhs, locals_)
             if e.op == "==":
                 return lhs == rhs
             if e.op == "!=":
@@ -309,25 +278,25 @@ class Interpreter:
             if e.op == "<":
                 return lhs < rhs
         if isinstance(e, n.CallExpr):
-            if id(e) not in self.calls:  # the walk records user calls only
-                return self._eval_builtin(e, env, locals_)
-            return self._call(e, env, locals_)
+            if id(e) not in self.sites:  # the walk records user calls only
+                return self._eval_builtin(e, locals_)
+            return self._call(e, locals_)
         if isinstance(e, n.MemberCallExpr):
-            self._eval(e.recv, env, locals_)  # for its halts; the walk chose the callee
-            return self._call(e, env, locals_)
+            self._eval(e.recv, locals_)  # for its halts; the walk chose the callee
+            return self._call(e, locals_)
         if isinstance(e, n.StaticCallExpr):
-            return self._call(e, env, locals_)
+            return self._call(e, locals_)
         raise TypeError(f"unknown expression {e!r}")
 
     # -- builtins ---------------------------------------------------------------------
 
-    def _eval_builtin(self, e: n.CallExpr, env, locals_):
+    def _eval_builtin(self, e: n.CallExpr, locals_):
         m = self.machine
         name = e.name
         spaces = builtin_spaces(name, self.profile)
         if spaces is None:
             raise UbHalt(e.loc, f'undefined name "{name}"')
-        args = [self._eval(a, env, locals_) for a in e.args]
+        args = [self._eval(a, locals_) for a in e.args]
         if m.side not in spaces:
             raise UbHalt(
                 e.loc,
@@ -337,6 +306,8 @@ class Interpreter:
         if name == "printf":
             fmt = args[0]
             if len(args) > 1:
+                if not isinstance(args[1], int):
+                    raise UbHalt(e.loc, "the %d argument of printf must be integral")
                 fmt = fmt.replace("%d", str(int(args[1])), 1)
             m.out.extend(fmt.encode())
             return len(fmt)

@@ -185,10 +185,14 @@ class Instance:
     key: tuple
     demand_key: tuple
     first_loc: SrcLoc
-    # id(call node) -> the callee Instance, or the reason a run halts there.
-    # Free calls to builtins get no entry.  Recursion makes this cyclic, so
-    # it stays out of repr and equality.
-    calls: dict = field(default_factory=dict, repr=False, compare=False)
+    # The site table: id(node) -> what a run of this instance finds there,
+    # or the reason (a str; no recorded value is a str) it halts there.
+    # Call sites map to the callee Instance; free calls to builtins get no
+    # entry.  TempObj and VarDeclStmt map to their Type, HdcTrait and
+    # MemberConst to their value, and a NameRef that is not a local to the
+    # value of its template parameter.  Recursion makes this cyclic, so it
+    # stays out of repr and equality.
+    sites: dict = field(default_factory=dict, repr=False, compare=False)
 
     def display(self) -> str:
         name = self.decl.display_name()
@@ -357,14 +361,26 @@ class _Walk:
             locals_[p.name] = self._resolve_type_soft(p.type, env, p.loc)
         self._walk_stmts(inst, inst.decl.body, env, locals_)
 
-    def _resolve_type_soft(self, tref: n.TypeRef, env, loc) -> Optional[Type]:
+    def _resolve_type_soft(self, tref: n.TypeRef, env, loc,
+                           inst=None, node=None) -> Optional[Type]:
+        """resolve_type with its failure diagnosed.
+
+        Given the node a run evaluates the type at, the type, or the reason
+        the run halts there, goes into inst's site table.
+        """
         try:
-            return resolve_type(tref, env, self.table)
-        except SemaError as e:
-            self._emit_sema(e)
-        except SubstFailure:
-            self._emit("E0101", loc, f'"{tref.name}" does not name a type here')
-        return None
+            t = resolve_type(tref, env, self.table)
+        except (SemaError, SubstFailure) as e:
+            if isinstance(e, SemaError):
+                self._emit_sema(e)
+            else:
+                self._emit("E0101", loc, f'"{tref.name}" does not name a type here')
+            t, recorded = None, f"unresolvable type: {e}"
+        else:
+            recorded = t
+        if node is not None:
+            inst.sites[id(node)] = recorded
+        return t
 
     def _walk_stmts(self, inst, stmts, env, locals_):
         for s in stmts:
@@ -374,7 +390,7 @@ class _Walk:
                 if s.expr is not None:
                     self._walk_expr(inst, s.expr, env, locals_)
             elif isinstance(s, n.VarDeclStmt):
-                locals_[s.name] = self._resolve_type_soft(s.type, env, s.loc)
+                locals_[s.name] = self._resolve_type_soft(s.type, env, s.loc, inst, s)
             elif isinstance(s, n.IfStmt):
                 self._walk_expr(inst, s.cond, env, locals_)
                 self._walk_stmts(inst, s.then, env, dict(locals_))
@@ -397,20 +413,20 @@ class _Walk:
             self._emit("E1003", s.loc, "a kernel launch is not allowed from device code")
         candidates = self.table.overloads(s.name)
         if not candidates:
-            inst.calls[id(s)] = f'no kernel named "{s.name}"'
+            inst.sites[id(s)] = f'no kernel named "{s.name}"'
             return  # E0101 was already reported by resolve
         sel = self._select(inst, s, s.name, candidates, arg_types, env,
                            context_side=DEVICE)
         if sel is None:
             return
         if not sel.decl.spec.global_:
-            inst.calls[id(s)] = f'"{s.name}" is not a __global__ function'
+            inst.sites[id(s)] = f'"{s.name}" is not a __global__ function'
             self._emit(
                 "E1004", s.loc, "only __global__ functions can be launched with <<< >>>"
             )
             return
         target = self._instantiate(sel.decl, sel.bindings, DEVICE, None, {}, None, s.loc)
-        inst.calls[id(s)] = target
+        inst.sites[id(s)] = target
         if inst.side is HOST:
             self.launch_seeds.append(target.key)
 
@@ -430,7 +446,7 @@ class _Walk:
         except SubstFailure as e:
             self._emit("E1301", node.loc, f'no viable candidate for call to "{name}"')
             reason = str(e)
-        inst.calls[id(node)] = f"unresolvable call: {reason}"
+        inst.sites[id(node)] = f"unresolvable call: {reason}"
         return None
 
     def _walk_expr(self, inst, e, env, locals_) -> Optional[Type]:
@@ -443,28 +459,40 @@ class _Walk:
         if isinstance(e, n.NameRef):
             if e.name in locals_:
                 return locals_[e.name]
-            if e.name in env:
-                return None  # an HDC parameter used as a value
-            self._emit("E0101", e.loc, f'undefined name "{e.name}"')
+            bound = env.get(e.name)
+            if bound is None:
+                reason = f'undefined name "{e.name}"'
+            elif isinstance(bound, Type):
+                reason = f'"{e.name}" names a type, not a value'
+            else:
+                inst.sites[id(e)] = bound  # an HDC parameter used as a value
+                return None
+            self._emit("E0101", e.loc, reason)
+            inst.sites[id(e)] = reason
             return None
         if isinstance(e, n.TempObj):
-            return self._resolve_type_soft(e.type, env, e.loc)
+            return self._resolve_type_soft(e.type, env, e.loc, inst, e)
         if isinstance(e, n.HdcTrait):
+            t = None
             try:
                 t = resolve_type(e.type, env, self.table)
-                compute_hdc(t, self.table, self.cfg)
-            except SemaError as err:
-                self._emit_sema(err)
-            except SubstFailure:
-                pass
+                value = compute_hdc(t, self.table, self.cfg)
+            except (SemaError, SubstFailure) as err:
+                if isinstance(err, SemaError):
+                    self._emit_sema(err)
+                value = str(err) if t is not None else f"unresolvable type: {err}"
+            inst.sites[id(e)] = value
             return None
         if isinstance(e, n.MemberConst):
             try:
-                eval_const_expr(e, env, self.table, self.cfg)
+                value = eval_const_expr(e, env, self.table, self.cfg)
             except SemaError as err:
                 self._emit_sema(err)
-            except SubstFailure as sf:
-                self._emit("E0101", e.loc, str(sf) or "unresolved member constant")
+                value = str(err)
+            except SubstFailure as err:
+                self._emit("E0101", e.loc, str(err) or "unresolved member constant")
+                value = str(err)
+            inst.sites[id(e)] = value
             return None
         if isinstance(e, n.UnaryExpr):
             self._walk_expr(inst, e.operand, env, locals_)
@@ -511,7 +539,7 @@ class _Walk:
         recv_type = self._receiver_type(inst, e.recv, env, locals_)
         arg_types = [self._walk_expr(inst, a, env, locals_) for a in e.args]
         if recv_type is None:
-            inst.calls[id(e)] = "a member call needs a struct value"
+            inst.sites[id(e)] = "a member call needs a struct value"
             return None
         self._member_dispatch(inst, e, recv_type, arg_types, env)
         return None
@@ -531,7 +559,7 @@ class _Walk:
             missing = f'type "{recv_type.display()}" has no member "{node.name}"'
             self._emit("E0101", node.loc, missing)
             # Only builtin types name no struct.
-            inst.calls[id(node)] = (
+            inst.sites[id(node)] = (
                 missing if struct is not None else "a member call needs a struct value"
             )
             return
@@ -559,18 +587,18 @@ class _Walk:
             )
         except SemaError as err:
             self._emit_sema(err)
-            inst.calls[id(node)] = f"unresolvable execution space: {err}"
+            inst.sites[id(node)] = f"unresolvable execution space: {err}"
             return
         except SubstFailure as err:
             self._emit("E0001", loc, "specifier predicate is not a constant")
-            inst.calls[id(node)] = f"unresolvable execution space: {err}"
+            inst.sites[id(node)] = f"unresolvable execution space: {err}"
             return
         if spaces == GLOBAL:
             self._emit(
                 "E1004", loc,
                 "a __global__ function must be launched with <<< >>>, not called directly",
             )
-            inst.calls[id(node)] = "a __global__ function was called directly"
+            inst.sites[id(node)] = "a __global__ function was called directly"
             return
         legal = self._compiled_for(inst.side, spaces, sel.decl.spec.constexpr)
         demanded_side = inst.side if legal else (HOST if HOST in spaces else DEVICE)
@@ -579,10 +607,10 @@ class _Walk:
             owner_struct, owner_bindings, owner_type, loc,
         )
         if legal:
-            inst.calls[id(node)] = callee
+            inst.sites[id(node)] = callee
             self.edges.setdefault(inst.key, []).append(callee.key)
         else:
-            inst.calls[id(node)] = (
+            inst.sites[id(node)] = (
                 f'"{sel.decl.display_name()}" is not compiled for {_SIDE_WORD[inst.side]} code'
             )
             self._report_stray(inst, spaces, loc)
@@ -674,7 +702,6 @@ class Analysis:
     all_diagnostics: list = field(default_factory=list)  # includes suppressed
     passes: dict = field(default_factory=dict)  # pass kind -> PassArtifacts
     walks: dict = field(default_factory=dict)  # native side -> _Walk
-    cfg: TraitConfig = TraitConfig()  # the trait configuration of the walks
 
     @property
     def has_errors(self) -> bool:
@@ -693,7 +720,7 @@ def analyze(
 ) -> Analysis:
     """Preprocess, parse, resolve, and space-check one unit for all passes."""
     diags: list[Diagnostic] = []
-    analysis = Analysis(path, profile, mode, [], cfg=cfg)
+    analysis = Analysis(path, profile, mode, [])
     specifier_mode = "keep"
     if profile.compiler == "plain":
         specifier_mode = "erase" if profile.erase_specifiers else "reject"

@@ -102,13 +102,17 @@ class _Parser:
         )
         return n.Ast(items, has_main, file)
 
+    def parse_pragma(self):
+        """The pragma preceding a declaration, if any."""
+        if self.peek().kind != "pragma":
+            return None
+        tok = self.advance()
+        if tok.text not in ("hd_warning_disable", "nv_exec_check_disable"):
+            raise ParseError(tok.loc, f"unknown pragma {tok.text!r}")
+        return tok.text
+
     def parse_item(self):
-        pragma = None
-        if self.peek().kind == "pragma":
-            tok = self.advance()
-            if tok.text not in ("hd_warning_disable", "nv_exec_check_disable"):
-                raise ParseError(tok.loc, f"unknown pragma {tok.text!r}")
-            pragma = tok.text
+        pragma = self.parse_pragma()
         if self.at("enum"):
             if pragma:
                 raise self.err("a pragma must precede a function")
@@ -174,7 +178,7 @@ class _Parser:
                 default = None
                 if self.at("="):
                     self.advance()
-                    default = self.parse_targ_expr()
+                    default = self.parse_expr()
                 params.append(n.TemplateParam("hdc", name.text, default, loc=name.loc))
                 n_hdc += 1
             else:
@@ -254,12 +258,7 @@ class _Parser:
         return n.StructDecl(name.text, tparams, spec, members, kw, loc=name.loc)
 
     def parse_member(self):
-        pragma = None
-        if self.peek().kind == "pragma":
-            tok = self.advance()
-            if tok.text not in ("hd_warning_disable", "nv_exec_check_disable"):
-                raise ParseError(tok.loc, f"unknown pragma {tok.text!r}")
-            pragma = tok.text
+        pragma = self.parse_pragma()
         tparams = []
         requires = None
         if self.at("template"):
@@ -378,19 +377,16 @@ class _Parser:
             self.advance()
             return n.TypeRef(t.text, [], loc=t.loc)
         if self.at("HDC") and self.at("::", 1):
-            return self.parse_targ_expr()
+            return self.parse_expr()
         if self.at("hdc") and self.at("<", 1):
-            return self.parse_targ_expr()
+            return self.parse_expr()
         if t.kind == "int" or t.text in ("true", "false", "!", "("):
-            return self.parse_targ_expr()
+            return self.parse_expr()
         name = self.expect_ident("template argument")
         if self.at("<"):
             return n.TypeRef(name.text, self.parse_targ_list(), loc=name.loc)
         # A bare name: a type, or an HDC constant; resolution decides.
         return n.TypeRef(name.text, [], loc=name.loc)
-
-    def parse_targ_expr(self):
-        return self.parse_expr()
 
     # -- statements -------------------------------------------------------------
 
@@ -531,7 +527,7 @@ class _Parser:
                 break
         return args
 
-    def _finish_call_suffix(self, loc):
+    def _finish_call_suffix(self):
         self.expect("(")
         args = self.parse_call_args()
         self.expect(")")
@@ -544,8 +540,8 @@ class _Parser:
             targs = []
             if self.at("<"):
                 targs = self.parse_targ_list()
-            args = self._finish_call_suffix(name.loc)
-            recv = n.MemberCallExpr(recv, name.text, targs, args, loc=_expr_loc(recv))
+            args = self._finish_call_suffix()
+            recv = n.MemberCallExpr(recv, name.text, targs, args, loc=recv.loc)
         return recv
 
     def _validate_call(self, name: str, args: list, loc: SrcLoc):
@@ -605,7 +601,7 @@ class _Parser:
             self.advance()
             name = self.expect_ident("function name")
             qual = f"std::{name.text}"
-            args = self._finish_call_suffix(name.loc)
+            args = self._finish_call_suffix()
             self._validate_call(qual, args, t.loc)
             return n.CallExpr(qual, [], args, loc=t.loc)
         if t.kind != "ident" or t.text in KEYWORDS:
@@ -629,20 +625,16 @@ class _Parser:
                 mtargs = self.parse_targ_list()
             ty = n.TypeRef(name, targs, loc=t.loc)
             if self.at("("):
-                args = self._finish_call_suffix(member.loc)
+                args = self._finish_call_suffix()
                 return n.StaticCallExpr(ty, member.text, mtargs, args, loc=t.loc)
             return n.MemberConst(ty, member.text, loc=t.loc)
         if self.at("("):
-            args = self._finish_call_suffix(t.loc)
+            args = self._finish_call_suffix()
             self._validate_call(name, args, t.loc)
             return self._maybe_member_call(n.CallExpr(name, targs, args, loc=t.loc))
         if targs:
             raise self.err(f"unexpected template arguments on {name!r}")
         return self._maybe_member_call(n.NameRef(name, loc=t.loc))
-
-
-def _expr_loc(e) -> SrcLoc:
-    return e.loc
 
 
 def parse(text: str, file: str = "<unit>", specifier_mode: str = "keep") -> n.Ast:

@@ -225,3 +225,29 @@ def test_console_script_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert proc.stdout == "." * 24
+
+
+_NOT_INTEGRAL = "the %d argument of printf must be integral"
+
+
+@pytest.mark.parametrize(
+    "statement, reason",
+    [
+        pytest.param('printf( "%d", hdc< S > );', _NOT_INTEGRAL, id="trait"),
+        pytest.param('printf( "%d", f() );', _NOT_INTEGRAL, id="void"),
+        pytest.param('printf( "%d", "x" );', _NOT_INTEGRAL, id="string"),
+        pytest.param(
+            'for( int i = 0; i < S{}; ++i ) { printf( "." ); }',
+            "the start and bound of a for loop must be integral",
+            id="loop",
+        ),
+    ],
+)
+def test_run_halts_on_a_non_integral_value(tmp_path, capsys, statement, reason):
+    p = tmp_path / "value.mcu"
+    p.write_text(f"struct S {{}};\nvoid f() {{}}\nint main() {{\n  {statement}\n  return 0;\n}}\n")
+    assert main(["check", str(p)]) == 0
+    capsys.readouterr()
+    assert main(["run", str(p)]) == 101
+    out = capsys.readouterr().out
+    assert out == f"{p}:4:3: note[N0001]: execution halted on a stray call: {reason}\n"

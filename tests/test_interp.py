@@ -309,3 +309,130 @@ int main() {
     assert result.exit_code == UB_EXIT
     assert result.stdout == b""
     assert [(d.code, d.loc.line) for d in result.notes] == [("N0001", 11)]
+
+
+COMPILE_TIME_SRC = """struct S {
+  static constexpr HDC hdc = HDC::HstDev;
+  static constexpr int n = 3;
+  __host__ __device__ void call() {}
+};
+
+template< typename T, HDC P = HDC::HstDev >
+__host__ __device__
+void show() {
+  T t;
+  T{}.call();
+  if( hdc< T > == HDC::HstDev ) { printf( "a" ); }
+  if( T::hdc == HDC::HstDev ) { printf( "b" ); }
+  if( P == HDC::HstDev ) { printf( "c" ); }
+  printf( "%d", T::n );
+}
+
+template< typename T >
+__global__
+void kernel() {
+  S x;
+  show< T >();
+}
+
+int main() {
+  kernel< S ><<< 1, 2 >>>();
+  show< S >();
+  return cudaDeviceSynchronize();
+}
+"""
+
+
+def test_compile_time_expressions_run_on_host_and_device():
+    result = run(COMPILE_TIME_SRC)
+    assert result.stdout == b"abc3abc3abc3"  # two kernel threads, then the host call
+    assert result.exit_code == 0
+    assert not result.notes
+
+
+@pytest.mark.parametrize(
+    "statement, reason",
+    [
+        pytest.param(
+            "if( T::missing == 1 ) {}", '"S" has no member "missing"', id="member"
+        ),
+        pytest.param(
+            "Q{};", 'unresolvable type: E0101 f.mcu:7:3: undefined type "Q"', id="type"
+        ),
+    ],
+)
+def test_forced_run_halts_on_a_compile_time_failure(statement, reason):
+    src = f"""struct S {{}};
+template< typename T >
+void g() {{
+  printf( "a" );
+  T x;
+  printf( "%d", hdc< T > == HDC::Hst );
+  {statement}
+}}
+int main() {{
+  g< S >();
+  return 0;
+}}
+"""
+    analysis = analyze(src, "f.mcu")
+    assert [(d.code, d.loc.line) for d in analysis.diagnostics] == [("E0101", 7)]
+    result = run_program(analysis)
+    assert result.stdout == b"a1"
+    assert result.exit_code == UB_EXIT
+    assert [(d.code, d.loc.line) for d in result.notes] == [("N0001", 7)]
+    assert result.notes[0].message == f"execution halted on a stray call: {reason}"
+
+
+def test_type_parameter_used_as_a_value_is_rejected_and_halts():
+    src = """struct S {};
+template< typename T >
+int g() {
+  if( T == 1 ) {}
+  return 0;
+}
+int main() {
+  return g< S >();
+}
+"""
+    analysis = analyze(src, "t.mcu")
+    message = '"T" names a type, not a value'
+    assert [(d.code, d.loc.line, d.loc.col, d.message) for d in analysis.diagnostics] == [
+        ("E0101", 4, 7, message)
+    ]
+    result = run_program(analysis)
+    assert result.exit_code == UB_EXIT
+    assert [(d.loc.line, d.loc.col) for d in result.notes] == [(4, 7)]
+    assert result.notes[0].message == f"execution halted on a stray call: {message}"
+
+
+# Resolution and compile-time evaluation belong to the check; the
+# interpreter only reads what the walk recorded.
+_CHECK_ONLY_NAMES = {
+    "resolve_overload",
+    "effective_spaces",
+    "struct_bindings",
+    "resolve_type",
+    "compute_hdc",
+    "eval_const_expr",
+    "SymbolTable",
+    "SemaError",
+    "SubstFailure",
+    "OverloadError",
+}
+
+
+def test_interpreter_imports_no_resolution_or_evaluation():
+    import ast
+    from pathlib import Path
+
+    import exspace.interp
+
+    tree = ast.parse(Path(exspace.interp.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name.rsplit(".", 1)[-1] for alias in node.names)
+    assert not imported & _CHECK_ONLY_NAMES
