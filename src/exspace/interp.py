@@ -275,8 +275,6 @@ class Interpreter:
                 return lhs == rhs
             if e.op == "!=":
                 return lhs != rhs
-            if e.op == "<":
-                return lhs < rhs
         if isinstance(e, n.CallExpr):
             if id(e) not in self.sites:  # the walk records user calls only
                 return self._eval_builtin(e, locals_)

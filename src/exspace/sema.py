@@ -117,6 +117,7 @@ def builtin_spaces(name: str, profile) -> Optional[frozenset]:
 @dataclass
 class SymbolTable:
     ast: n.Ast
+    cfg: TraitConfig  # the one trait configuration every evaluation reads
     structs: dict = field(default_factory=dict)
     functions: dict = field(default_factory=dict)  # name -> [FunctionDecl]
 
@@ -157,9 +158,11 @@ def signature_key(decl: n.FunctionDecl, include_spaces: bool) -> tuple:
     return (decl.owner or "", decl.name, params, req, spaces)
 
 
-def resolve(ast: n.Ast, profile, mode) -> tuple[SymbolTable, list]:
+def resolve(
+    ast: n.Ast, profile, mode, cfg: TraitConfig = TraitConfig()
+) -> tuple[SymbolTable, list]:
     """Build the symbol table, diagnosing duplicates and undefined names."""
-    table = SymbolTable(ast)
+    table = SymbolTable(ast, cfg)
     diags: list[Diagnostic] = []
     include_spaces = mode is Mode.PROPOSAL2
     seen: dict[tuple, SrcLoc] = {}
@@ -203,11 +206,10 @@ def resolve(ast: n.Ast, profile, mode) -> tuple[SymbolTable, list]:
     diags.extend(_check_mode_gated_syntax(ast, mode))
     diags.extend(_check_free_call_names(ast, table, profile))
 
-    cfg = TraitConfig()
     for item in ast.items:
         if isinstance(item, n.StaticAssertDecl):
             try:
-                value = eval_const_expr(item.expr, {}, table, cfg)
+                value = eval_const_expr(item.expr, {}, table)
             except SubstFailure:
                 diags.append(
                     Diagnostic.make(
@@ -354,7 +356,7 @@ def resolve_type(tref: n.TypeRef, env: Bindings, table: SymbolTable) -> Type:
         if i < len(tref.targs):
             values.append(_targ_as_hdc(tref.targs[i], env, table))
         elif tp.default is not None:
-            values.append(eval_const_expr(tp.default, env, table, TraitConfig()))
+            values.append(eval_const_expr(tp.default, env, table))
         else:
             raise SemaError(
                 "E0001", tref.loc, f'missing template arguments for "{tref.name}"'
@@ -377,7 +379,7 @@ def _targ_as_hdc(targ, env: Bindings, table: SymbolTable):
                 return val
             raise SubstFailure("expected an HDC constant")
         raise SubstFailure(f'"{targ.name}" is not an HDC constant')
-    return eval_const_expr(targ, env, table, TraitConfig())
+    return eval_const_expr(targ, env, table)
 
 
 def targ_as_type(targ, env: Bindings, table: SymbolTable) -> Type:
@@ -386,10 +388,10 @@ def targ_as_type(targ, env: Bindings, table: SymbolTable) -> Type:
     raise SubstFailure("expected a type argument")
 
 
-def compute_hdc(t: Type, table: SymbolTable, cfg: TraitConfig) -> HDC:
+def compute_hdc(t: Type, table: SymbolTable) -> HDC:
     """The compatibility trait: the value of a static `hdc` member, else Hst."""
     if t.name in ("int", "bool"):
-        return HDC.HstDev if cfg.fundamentals_hstdev else HDC.Hst
+        return HDC.HstDev if table.cfg.fundamentals_hstdev else HDC.Hst
     struct = table.struct(t.name)
     if struct is None:
         raise SubstFailure(f'"{t.name}" has no compatibility value')
@@ -400,7 +402,7 @@ def compute_hdc(t: Type, table: SymbolTable, cfg: TraitConfig) -> HDC:
         raise SemaError(
             "E0103", mv.loc, f'member "hdc" of "{t.name}" is not an HDC constant'
         )
-    value = eval_const_expr(mv.value, struct_bindings(struct, t), table, cfg)
+    value = eval_const_expr(mv.value, struct_bindings(struct, t), table)
     if not isinstance(value, HDC):
         raise SemaError(
             "E0103", mv.loc, f'member "hdc" of "{t.name}" is not an HDC constant'
@@ -408,7 +410,7 @@ def compute_hdc(t: Type, table: SymbolTable, cfg: TraitConfig) -> HDC:
     return value
 
 
-def eval_const_expr(expr, env: Bindings, table: SymbolTable, cfg: TraitConfig):
+def eval_const_expr(expr, env: Bindings, table: SymbolTable):
     """Evaluate a compile-time expression to an HDC, bool, or int value.
 
     Unbound names and absent members raise SubstFailure so overload
@@ -431,7 +433,7 @@ def eval_const_expr(expr, env: Bindings, table: SymbolTable, cfg: TraitConfig):
         return val
     if isinstance(expr, n.HdcTrait):
         t = resolve_type(expr.type, env, table)
-        return compute_hdc(t, table, cfg)
+        return compute_hdc(t, table)
     if isinstance(expr, n.MemberConst):
         t = resolve_type(expr.type, env, table)
         struct = table.struct(t.name)
@@ -440,18 +442,18 @@ def eval_const_expr(expr, env: Bindings, table: SymbolTable, cfg: TraitConfig):
         mv = SymbolTable.member_var(struct, expr.name)
         if mv is None:
             raise SubstFailure(f'"{t.name}" has no member "{expr.name}"')
-        value = eval_const_expr(mv.value, struct_bindings(struct, t), table, cfg)
+        value = eval_const_expr(mv.value, struct_bindings(struct, t), table)
         if mv.type_name == "HDC" and not isinstance(value, HDC):
             raise SemaError("E0103", mv.loc, f'member "hdc" of "{t.name}" is not an HDC constant')
         return value
     if isinstance(expr, n.UnaryExpr):
-        val = eval_const_expr(expr.operand, env, table, cfg)
+        val = eval_const_expr(expr.operand, env, table)
         if not isinstance(val, bool):
             raise SubstFailure("operand of ! is not a boolean")
         return not val
     if isinstance(expr, n.BinaryExpr):
-        lhs = eval_const_expr(expr.lhs, env, table, cfg)
-        rhs = eval_const_expr(expr.rhs, env, table, cfg)
+        lhs = eval_const_expr(expr.lhs, env, table)
+        rhs = eval_const_expr(expr.rhs, env, table)
         if expr.op in ("==", "!="):
             if type(lhs) is not type(rhs):
                 raise SubstFailure("comparison between unrelated kinds")
@@ -460,10 +462,6 @@ def eval_const_expr(expr, env: Bindings, table: SymbolTable, cfg: TraitConfig):
             if not isinstance(lhs, bool) or not isinstance(rhs, bool):
                 raise SubstFailure("logical operands are not booleans")
             return (lhs and rhs) if expr.op == "&&" else (lhs or rhs)
-        if expr.op == "<":
-            if not isinstance(lhs, int) or not isinstance(rhs, int):
-                raise SubstFailure("ordering is defined on integers only")
-            return lhs < rhs
     raise SubstFailure(f"not a constant expression: {type(expr).__name__}")
 
 
@@ -475,7 +473,6 @@ def eval_const_expr(expr, env: Bindings, table: SymbolTable, cfg: TraitConfig):
 class Selected:
     decl: n.FunctionDecl
     bindings: Bindings
-    owner_type: Optional[Type] = None  # receiver struct instance for members
 
 
 def _candidate_env(bindings: Bindings, owner_struct, owner_bindings, table):
@@ -485,7 +482,7 @@ def _candidate_env(bindings: Bindings, owner_struct, owner_bindings, table):
         # Member constants of the enclosing struct are usable by name.
         for mv in owner_struct.member_vars():
             try:
-                env[mv.name] = eval_const_expr(mv.value, owner_bindings or {}, table, TraitConfig())
+                env[mv.name] = eval_const_expr(mv.value, owner_bindings or {}, table)
             except (SubstFailure, SemaError):
                 pass
     env.update(bindings)
@@ -501,12 +498,10 @@ def resolve_overload(
     *,
     env: Bindings,
     table: SymbolTable,
-    cfg: TraitConfig,
     mode,
     context_side: ExecSpace,
     owner_struct: Optional[n.StructDecl] = None,
     owner_bindings: Optional[Bindings] = None,
-    owner_type: Optional[Type] = None,
 ) -> Selected:
     """Select exactly one viable candidate, SFINAE-discarding the rest.
 
@@ -519,12 +514,11 @@ def resolve_overload(
     for decl in candidates:
         try:
             sel = _try_candidate(
-                decl, explicit_targs, arg_types, env, table, cfg,
+                decl, explicit_targs, arg_types, env, table,
                 owner_struct, owner_bindings,
             )
         except SubstFailure:
             continue
-        sel.owner_type = owner_type
         viable.append(sel)
     if mode is Mode.PROPOSAL2 and len(viable) > 1:
         compatible = [
@@ -550,7 +544,6 @@ def _try_candidate(
     arg_types: list,
     env: Bindings,
     table: SymbolTable,
-    cfg: TraitConfig,
     owner_struct,
     owner_bindings,
 ) -> Selected:
@@ -581,7 +574,7 @@ def _try_candidate(
         if tp.name in bindings:
             continue
         if tp.kind == "hdc" and tp.default is not None:
-            value = eval_const_expr(tp.default, cand_env, table, cfg)
+            value = eval_const_expr(tp.default, cand_env, table)
             if not isinstance(value, HDC):
                 raise SubstFailure("default is not an HDC constant")
             bindings[tp.name] = value
@@ -601,7 +594,7 @@ def _try_candidate(
         if want != at:
             raise SubstFailure("argument type mismatch")
     if decl.requires is not None:
-        ok = eval_const_expr(decl.requires, cand_env, table, cfg)
+        ok = eval_const_expr(decl.requires, cand_env, table)
         if not isinstance(ok, bool):
             raise SubstFailure("requires clause is not boolean")
         if not ok:
@@ -639,16 +632,16 @@ def declared_spaces(spec: n.SpecifierSet) -> frozenset:
 
 def evaluate_conditional_spec(
     spec: n.SpecifierSet, bindings: Bindings, table: SymbolTable,
-    cfg: TraitConfig, at_loc: SrcLoc, name: str,
+    at_loc: SrcLoc, name: str,
 ) -> frozenset:
     """Filter declared spaces through their predicates (conditional mode).
 
     An absent predicate counts as true; an empty result is E1401.
     """
     spaces = set()
-    if spec.host and _pred_true(spec.host_pred, bindings, table, cfg):
+    if spec.host and _pred_true(spec.host_pred, bindings, table):
         spaces.add(HOST)
-    if spec.device and _pred_true(spec.device_pred, bindings, table, cfg):
+    if spec.device and _pred_true(spec.device_pred, bindings, table):
         spaces.add(DEVICE)
     if not spaces:
         raise SemaError(
@@ -660,10 +653,10 @@ def evaluate_conditional_spec(
     return frozenset(spaces)
 
 
-def _pred_true(pred, bindings, table, cfg) -> bool:
+def _pred_true(pred, bindings, table) -> bool:
     if pred is None:
         return True
-    value = eval_const_expr(pred, bindings, table, cfg)
+    value = eval_const_expr(pred, bindings, table)
     if not isinstance(value, bool):
         raise SubstFailure("specifier predicate is not boolean")
     return value
@@ -675,7 +668,6 @@ def effective_spaces(
     mode,
     context_side: ExecSpace,
     table: SymbolTable,
-    cfg: TraitConfig,
     at_loc: SrcLoc,
     owner_struct: Optional[n.StructDecl] = None,
 ):
@@ -691,7 +683,7 @@ def effective_spaces(
         return GLOBAL
     if mode is Mode.PROPOSAL1 and spec.has_conditionals():
         env = _candidate_env(bindings, owner_struct, bindings, table)
-        return evaluate_conditional_spec(spec, env, table, cfg, at_loc, decl.display_name())
+        return evaluate_conditional_spec(spec, env, table, at_loc, decl.display_name())
     if mode is Mode.PROPOSAL2:
         if decl.name == "main" and decl.owner is None:
             return HOST_ONLY

@@ -177,13 +177,11 @@ def _e1501_message(caller_side: ExecSpace, callee_space: ExecSpace, from_hd: boo
 class Instance:
     decl: n.FunctionDecl
     bindings: dict
+    env: dict  # the receiver struct's bindings overlaid with bindings
     side: ExecSpace
     spaces: object  # frozenset of sides, or GLOBAL
-    owner_struct: Optional[n.StructDecl]
-    owner_bindings: dict
     owner_type: Optional[Type]
     key: tuple
-    demand_key: tuple
     first_loc: SrcLoc
     # The site table: id(node) -> what a run of this instance finds there,
     # or the reason (a str; no recorded value is a str) it halts there.
@@ -226,13 +224,12 @@ class _Walk:
     """One analysis over one pass's text, attributed to a native side."""
 
     def __init__(self, ast: n.Ast, table: SymbolTable, native_side: ExecSpace,
-                 mode: Mode, profile: CompileProfile, cfg: TraitConfig):
+                 mode: Mode, profile: CompileProfile):
         self.ast = ast
         self.table = table
         self.native = native_side
         self.mode = mode
         self.profile = profile
-        self.cfg = cfg
         self.diags: list[Diagnostic] = []
         self.pending: list[_Pending] = []
         self.instances: dict[tuple, Instance] = {}
@@ -278,10 +275,17 @@ class _Walk:
                 continue
             if self.mode is Mode.PROPOSAL2 and not self._p2_rooted(decl, owner):
                 continue
+            # A root's spaces never depend on the calling side: undecorated
+            # roots under propagation are main or take their struct's spaces.
+            spaces = self._spaces(decl, {}, HOST, owner, decl.loc)
+            if spaces is None:
+                continue
             owner_type = Type(owner.name) if owner is not None else None
-            sides = self._root_sides(decl, owner)
+            sides = (
+                [DEVICE] if spaces == GLOBAL else [s for s in (HOST, DEVICE) if s in spaces]
+            )
             for side in sides:
-                self._instantiate(decl, {}, side, owner, {}, owner_type, decl.loc)
+                self._instantiate(decl, {}, side, spaces, {}, owner_type, decl.loc)
 
     def _p2_rooted(self, decl: n.FunctionDecl, owner) -> bool:
         # Undecorated callables behave like templates under propagation:
@@ -292,21 +296,24 @@ class _Walk:
             return True
         return owner is not None and not owner.spec.undecorated
 
-    def _root_sides(self, decl: n.FunctionDecl, owner) -> list:
-        if decl.spec.global_:
-            return [DEVICE]
+    def _spaces(self, decl, bindings, side, owner_struct, loc, inst=None, node=None):
+        """effective_spaces with its failure diagnosed; None on failure.
+
+        Given the call node, the reason a run halts there goes into inst's
+        site table.
+        """
         try:
-            spaces = effective_spaces(
-                decl, {}, self.mode, HOST, self.table, self.cfg, decl.loc,
-                owner_struct=owner,
+            return effective_spaces(
+                decl, bindings, self.mode, side, self.table, loc, owner_struct=owner_struct,
             )
-        except SemaError as e:
-            self._emit_sema(e)
-            return []
-        except SubstFailure:
-            self._emit("E0001", decl.loc, "specifier predicate is not a constant")
-            return []
-        return [s for s in (HOST, DEVICE) if s in spaces]
+        except (SemaError, SubstFailure) as err:
+            if isinstance(err, SemaError):
+                self._emit_sema(err)
+            else:
+                self._emit("E0001", loc, "specifier predicate is not a constant")
+            if node is not None:
+                inst.sites[id(node)] = f"unresolvable execution space: {err}"
+            return None
 
     # -- instantiation ---------------------------------------------------------
 
@@ -315,33 +322,24 @@ class _Walk:
         decl: n.FunctionDecl,
         bindings: dict,
         side: ExecSpace,
-        owner_struct,
+        spaces,
         owner_bindings: dict,
         owner_type: Optional[Type],
         at_loc: SrcLoc,
-    ) -> Optional[Instance]:
-        merged = {**owner_bindings, **bindings}
-        try:
-            spaces = effective_spaces(
-                decl, merged, self.mode, side, self.table, self.cfg, at_loc,
-                owner_struct=owner_struct,
-            )
-        except SemaError as e:
-            self._emit_sema(e)
-            return None
-        except SubstFailure:
-            self._emit("E0001", at_loc, "specifier predicate is not a constant")
-            return None
+    ) -> Instance:
+        """The instance for side, made on first demand.
+
+        The caller has computed its spaces; only undecorated callees under
+        propagation take them from the calling side, and those are always
+        demanded on that side.
+        """
         sig = signature_key(decl, self.mode is Mode.PROPOSAL2)
-        owner_key = owner_type if owner_type is not None else None
-        demand_key = ("inst", sig, _bindings_key(bindings), owner_key)
+        demand_key = ("inst", sig, _bindings_key(bindings), owner_type)
         key = demand_key + (side,)
         if key in self.instances:
             return self.instances[key]
-        inst = Instance(
-            decl, bindings, side, spaces, owner_struct, owner_bindings,
-            owner_type, key, demand_key, at_loc,
-        )
+        env = {**owner_bindings, **bindings}
+        inst = Instance(decl, bindings, env, side, spaces, owner_type, key, at_loc)
         self.instances[key] = inst
         if decl.is_template or owner_type is not None:
             self.demands.setdefault(demand_key, (inst.display(), at_loc))
@@ -354,22 +352,19 @@ class _Walk:
     # -- body walking ------------------------------------------------------------
 
     def _walk_instance(self, inst: Instance):
-        env = dict(inst.owner_bindings)
-        env.update(inst.bindings)
         locals_: dict[str, Optional[Type]] = {}
         for p in inst.decl.params:
-            locals_[p.name] = self._resolve_type_soft(p.type, env, p.loc)
-        self._walk_stmts(inst, inst.decl.body, env, locals_)
+            locals_[p.name] = self._resolve_type_soft(inst, p.type, p.loc)
+        self._walk_stmts(inst, inst.decl.body, locals_)
 
-    def _resolve_type_soft(self, tref: n.TypeRef, env, loc,
-                           inst=None, node=None) -> Optional[Type]:
-        """resolve_type with its failure diagnosed.
+    def _resolve_type_soft(self, inst, tref: n.TypeRef, loc, node=None) -> Optional[Type]:
+        """resolve_type in inst's environment, with its failure diagnosed.
 
         Given the node a run evaluates the type at, the type, or the reason
         the run halts there, goes into inst's site table.
         """
         try:
-            t = resolve_type(tref, env, self.table)
+            t = resolve_type(tref, inst.env, self.table)
         except (SemaError, SubstFailure) as e:
             if isinstance(e, SemaError):
                 self._emit_sema(e)
@@ -382,41 +377,40 @@ class _Walk:
             inst.sites[id(node)] = recorded
         return t
 
-    def _walk_stmts(self, inst, stmts, env, locals_):
+    def _walk_stmts(self, inst, stmts, locals_):
         for s in stmts:
             if isinstance(s, n.ExprStmt):
-                self._walk_expr(inst, s.expr, env, locals_)
+                self._walk_expr(inst, s.expr, locals_)
             elif isinstance(s, n.ReturnStmt):
                 if s.expr is not None:
-                    self._walk_expr(inst, s.expr, env, locals_)
+                    self._walk_expr(inst, s.expr, locals_)
             elif isinstance(s, n.VarDeclStmt):
-                locals_[s.name] = self._resolve_type_soft(s.type, env, s.loc, inst, s)
+                locals_[s.name] = self._resolve_type_soft(inst, s.type, s.loc, s)
             elif isinstance(s, n.IfStmt):
-                self._walk_expr(inst, s.cond, env, locals_)
-                self._walk_stmts(inst, s.then, env, dict(locals_))
+                self._walk_expr(inst, s.cond, locals_)
+                self._walk_stmts(inst, s.then, dict(locals_))
                 if s.orelse is not None:
-                    self._walk_stmts(inst, s.orelse, env, dict(locals_))
+                    self._walk_stmts(inst, s.orelse, dict(locals_))
             elif isinstance(s, n.ForStmt):
-                self._walk_expr(inst, s.init, env, locals_)
-                self._walk_expr(inst, s.bound, env, locals_)
+                self._walk_expr(inst, s.init, locals_)
+                self._walk_expr(inst, s.bound, locals_)
                 inner = dict(locals_)
                 inner[s.var] = Type("int")
-                self._walk_stmts(inst, s.body, env, inner)
+                self._walk_stmts(inst, s.body, inner)
             elif isinstance(s, n.LaunchStmt):
-                self._walk_launch(inst, s, env, locals_)
+                self._walk_launch(inst, s, locals_)
 
-    def _walk_launch(self, inst, s: n.LaunchStmt, env, locals_):
-        self._walk_expr(inst, s.grid, env, locals_)
-        self._walk_expr(inst, s.block, env, locals_)
-        arg_types = [self._walk_expr(inst, a, env, locals_) for a in s.args]
+    def _walk_launch(self, inst, s: n.LaunchStmt, locals_):
+        self._walk_expr(inst, s.grid, locals_)
+        self._walk_expr(inst, s.block, locals_)
+        arg_types = [self._walk_expr(inst, a, locals_) for a in s.args]
         if inst.side is DEVICE:
             self._emit("E1003", s.loc, "a kernel launch is not allowed from device code")
         candidates = self.table.overloads(s.name)
         if not candidates:
             inst.sites[id(s)] = f'no kernel named "{s.name}"'
             return  # E0101 was already reported by resolve
-        sel = self._select(inst, s, s.name, candidates, arg_types, env,
-                           context_side=DEVICE)
+        sel = self._select(inst, s, s.name, candidates, arg_types, context_side=DEVICE)
         if sel is None:
             return
         if not sel.decl.spec.global_:
@@ -425,20 +419,19 @@ class _Walk:
                 "E1004", s.loc, "only __global__ functions can be launched with <<< >>>"
             )
             return
-        target = self._instantiate(sel.decl, sel.bindings, DEVICE, None, {}, None, s.loc)
+        target = self._instantiate(sel.decl, sel.bindings, DEVICE, GLOBAL, {}, None, s.loc)
         inst.sites[id(s)] = target
         if inst.side is HOST:
             self.launch_seeds.append(target.key)
 
-    def _select(self, inst, node, name, candidates, arg_types, env, *,
-                context_side, owner_struct=None, owner_bindings=None,
-                owner_type=None) -> Optional[Selected]:
+    def _select(self, inst, node, name, candidates, arg_types, *,
+                context_side, owner_struct=None, owner_bindings=None) -> Optional[Selected]:
         try:
             return resolve_overload(
                 name, candidates, node.targs, arg_types, node.loc,
-                env=env, table=self.table, cfg=self.cfg, mode=self.mode,
+                env=inst.env, table=self.table, mode=self.mode,
                 context_side=context_side, owner_struct=owner_struct,
-                owner_bindings=owner_bindings, owner_type=owner_type,
+                owner_bindings=owner_bindings,
             )
         except SemaError as e:
             self._emit_sema(e)
@@ -449,7 +442,7 @@ class _Walk:
         inst.sites[id(node)] = f"unresolvable call: {reason}"
         return None
 
-    def _walk_expr(self, inst, e, env, locals_) -> Optional[Type]:
+    def _walk_expr(self, inst, e, locals_) -> Optional[Type]:
         if isinstance(e, n.IntLit):
             return Type("int")
         if isinstance(e, (n.BoolLit, n.CudaArchRef)):
@@ -459,7 +452,7 @@ class _Walk:
         if isinstance(e, n.NameRef):
             if e.name in locals_:
                 return locals_[e.name]
-            bound = env.get(e.name)
+            bound = inst.env.get(e.name)
             if bound is None:
                 reason = f'undefined name "{e.name}"'
             elif isinstance(bound, Type):
@@ -471,12 +464,12 @@ class _Walk:
             inst.sites[id(e)] = reason
             return None
         if isinstance(e, n.TempObj):
-            return self._resolve_type_soft(e.type, env, e.loc, inst, e)
+            return self._resolve_type_soft(inst, e.type, e.loc, e)
         if isinstance(e, n.HdcTrait):
             t = None
             try:
-                t = resolve_type(e.type, env, self.table)
-                value = compute_hdc(t, self.table, self.cfg)
+                t = resolve_type(e.type, inst.env, self.table)
+                value = compute_hdc(t, self.table)
             except (SemaError, SubstFailure) as err:
                 if isinstance(err, SemaError):
                     self._emit_sema(err)
@@ -485,7 +478,7 @@ class _Walk:
             return None
         if isinstance(e, n.MemberConst):
             try:
-                value = eval_const_expr(e, env, self.table, self.cfg)
+                value = eval_const_expr(e, inst.env, self.table)
             except SemaError as err:
                 self._emit_sema(err)
                 value = str(err)
@@ -495,22 +488,22 @@ class _Walk:
             inst.sites[id(e)] = value
             return None
         if isinstance(e, n.UnaryExpr):
-            self._walk_expr(inst, e.operand, env, locals_)
+            self._walk_expr(inst, e.operand, locals_)
             return Type("bool")
         if isinstance(e, n.BinaryExpr):
-            self._walk_expr(inst, e.lhs, env, locals_)
-            self._walk_expr(inst, e.rhs, env, locals_)
+            self._walk_expr(inst, e.lhs, locals_)
+            self._walk_expr(inst, e.rhs, locals_)
             return Type("bool")
         if isinstance(e, n.CallExpr):
-            return self._walk_free_call(inst, e, env, locals_)
+            return self._walk_free_call(inst, e, locals_)
         if isinstance(e, n.MemberCallExpr):
-            return self._walk_member_call(inst, e, env, locals_)
+            return self._walk_member_call(inst, e, locals_)
         if isinstance(e, n.StaticCallExpr):
-            return self._walk_static_call(inst, e, env, locals_)
+            return self._walk_static_call(inst, e, locals_)
         raise TypeError(f"unknown expression {e!r}")
 
-    def _walk_free_call(self, inst, e: n.CallExpr, env, locals_):
-        arg_types = [self._walk_expr(inst, a, env, locals_) for a in e.args]
+    def _walk_free_call(self, inst, e: n.CallExpr, locals_):
+        arg_types = [self._walk_expr(inst, a, locals_) for a in e.args]
         candidates = self.table.overloads(e.name)
         if not candidates:
             spaces = builtin_spaces(e.name, self.profile)
@@ -519,14 +512,13 @@ class _Walk:
                     self._report_stray(inst, spaces, e.loc)
                 return Type("int") if e.name == "cudaDeviceSynchronize" else None
             return None  # E0101 was already reported by resolve
-        sel = self._select(inst, e, e.name, candidates, arg_types, env,
-                           context_side=inst.side)
+        sel = self._select(inst, e, e.name, candidates, arg_types, context_side=inst.side)
         if sel is not None:
             self._dispatch(inst, e, sel)
         return None
 
-    def _receiver_type(self, inst, recv, env, locals_) -> Optional[Type]:
-        t = self._walk_expr(inst, recv, env, locals_)
+    def _receiver_type(self, inst, recv, locals_) -> Optional[Type]:
+        t = self._walk_expr(inst, recv, locals_)
         if t is None and not isinstance(recv, (n.TempObj, n.NameRef)):
             self._emit(
                 "E0001",
@@ -535,24 +527,24 @@ class _Walk:
             )
         return t
 
-    def _walk_member_call(self, inst, e: n.MemberCallExpr, env, locals_):
-        recv_type = self._receiver_type(inst, e.recv, env, locals_)
-        arg_types = [self._walk_expr(inst, a, env, locals_) for a in e.args]
+    def _walk_member_call(self, inst, e: n.MemberCallExpr, locals_):
+        recv_type = self._receiver_type(inst, e.recv, locals_)
+        arg_types = [self._walk_expr(inst, a, locals_) for a in e.args]
         if recv_type is None:
             inst.sites[id(e)] = "a member call needs a struct value"
             return None
-        self._member_dispatch(inst, e, recv_type, arg_types, env)
+        self._member_dispatch(inst, e, recv_type, arg_types)
         return None
 
-    def _walk_static_call(self, inst, e: n.StaticCallExpr, env, locals_):
-        arg_types = [self._walk_expr(inst, a, env, locals_) for a in e.args]
-        t = self._resolve_type_soft(e.type, env, e.loc)
+    def _walk_static_call(self, inst, e: n.StaticCallExpr, locals_):
+        arg_types = [self._walk_expr(inst, a, locals_) for a in e.args]
+        t = self._resolve_type_soft(inst, e.type, e.loc)
         if t is None:
             return None
-        self._member_dispatch(inst, e, t, arg_types, env)
+        self._member_dispatch(inst, e, t, arg_types)
         return None
 
-    def _member_dispatch(self, inst, node, recv_type: Type, arg_types, env):
+    def _member_dispatch(self, inst, node, recv_type: Type, arg_types):
         struct = self.table.struct(recv_type.name)
         candidates = [] if struct is None else SymbolTable.member_functions(struct, node.name)
         if not candidates:
@@ -566,8 +558,7 @@ class _Walk:
         owner_bindings = struct_bindings(struct, recv_type)
         sel = self._select(
             inst, node, f"{recv_type.display()}::{node.name}", candidates, arg_types,
-            env, context_side=inst.side, owner_struct=struct,
-            owner_bindings=owner_bindings, owner_type=recv_type,
+            context_side=inst.side, owner_struct=struct, owner_bindings=owner_bindings,
         )
         if sel is not None:
             self._dispatch(inst, node, sel, owner_struct=struct,
@@ -580,18 +571,8 @@ class _Walk:
         loc = node.loc
         owner_bindings = owner_bindings or {}
         merged = {**owner_bindings, **sel.bindings}
-        try:
-            spaces = effective_spaces(
-                sel.decl, merged, self.mode, inst.side, self.table,
-                self.cfg, loc, owner_struct=owner_struct,
-            )
-        except SemaError as err:
-            self._emit_sema(err)
-            inst.sites[id(node)] = f"unresolvable execution space: {err}"
-            return
-        except SubstFailure as err:
-            self._emit("E0001", loc, "specifier predicate is not a constant")
-            inst.sites[id(node)] = f"unresolvable execution space: {err}"
+        spaces = self._spaces(sel.decl, merged, inst.side, owner_struct, loc, inst, node)
+        if spaces is None:
             return
         if spaces == GLOBAL:
             self._emit(
@@ -603,8 +584,7 @@ class _Walk:
         legal = self._compiled_for(inst.side, spaces, sel.decl.spec.constexpr)
         demanded_side = inst.side if legal else (HOST if HOST in spaces else DEVICE)
         callee = self._instantiate(
-            sel.decl, sel.bindings, demanded_side,
-            owner_struct, owner_bindings, owner_type, loc,
+            sel.decl, sel.bindings, demanded_side, spaces, owner_bindings, owner_type, loc,
         )
         if legal:
             inst.sites[id(node)] = callee
@@ -620,8 +600,7 @@ class _Walk:
             and (sel.decl.is_template or owner_type is not None)
         ):
             self._instantiate(
-                sel.decl, sel.bindings, self.native, owner_struct,
-                owner_bindings, owner_type, loc,
+                sel.decl, sel.bindings, self.native, spaces, owner_bindings, owner_type, loc,
             )
 
     def _compiled_for(self, side, callee_spaces, is_constexpr) -> bool:
@@ -735,13 +714,13 @@ def analyze(
         except ParseError as e:
             diags.append(Diagnostic.make("E0001", e.loc, e.message))
             continue
-        table, rdiags = resolve(ast, profile, mode)
+        table, rdiags = resolve(ast, profile, mode, cfg)
         diags.extend(rdiags)
         analysis.passes[pp.kind] = PassArtifacts(ptext, ast, table)
 
     for kind, art in analysis.passes.items():
         native = _PASS_SIDE[kind]
-        walk = _Walk(art.ast, art.table, native, mode, profile, cfg)
+        walk = _Walk(art.ast, art.table, native, mode, profile)
         walk.run()
         analysis.walks[native] = walk
         if mode is Mode.FIDELITY and native is HOST:

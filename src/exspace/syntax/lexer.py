@@ -42,6 +42,9 @@ _PUNCT = (
     "=",
 )
 
+# str.isdigit() also accepts characters such as superscripts that int() rejects.
+_DIGITS = frozenset("0123456789")
+
 
 def tokenize(text: str, file: str = "<unit>") -> list[Token]:
     toks: list[Token] = []
@@ -88,10 +91,10 @@ def tokenize(text: str, file: str = "<unit>") -> list[Token]:
             col += j + 1 - i
             i = j + 1
             continue
-        if c.isdigit():
+        if c in _DIGITS:
             start = loc()
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in _DIGITS:
                 j += 1
             toks.append(Token("int", text[i:j], start))
             col += j - i

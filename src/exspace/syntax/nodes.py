@@ -130,7 +130,7 @@ class UnaryExpr:
 
 @dataclass
 class BinaryExpr:
-    op: str  # == != && || <
+    op: str  # == != && ||
     lhs: "Expr"
     rhs: "Expr"
     loc: SrcLoc = _loc_field()

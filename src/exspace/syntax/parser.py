@@ -568,7 +568,11 @@ class _Parser:
         t = self.peek()
         if t.kind == "int":
             self.advance()
-            return n.IntLit(int(t.text), loc=t.loc)
+            try:
+                value = int(t.text)
+            except ValueError:  # more digits than int() converts
+                raise ParseError(t.loc, "integer literal is too long") from None
+            return n.IntLit(value, loc=t.loc)
         if t.kind == "string":
             self.advance()
             return n.StringLit(t.text, loc=t.loc)

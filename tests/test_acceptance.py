@@ -9,7 +9,6 @@ from exspace.sema import (
     DEVICE_ONLY,
     HOST_ONLY,
     HDC,
-    TraitConfig,
     Type,
     compute_hdc,
     resolve,
@@ -24,7 +23,6 @@ from exspace.syntax.parser import parse
 from exspace.syntax.preprocess import CompileProfile
 
 NVCC = CompileProfile()
-CFG = TraitConfig()
 
 
 @contextmanager
@@ -164,11 +162,11 @@ struct D {
 """
         table, diags = resolve(parse(src, "t.mcu"), NVCC, Mode.CLASSIC)
         assert diags == []
-        assert compute_hdc(Type("S"), table, CFG) is HDC.Hst
-        assert compute_hdc(Type("D"), table, CFG) is HDC.Dev
+        assert compute_hdc(Type("S"), table) is HDC.Hst
+        assert compute_hdc(Type("D"), table) is HDC.Dev
         rng = random.Random(7)
         for _ in range(50):
             name = "G" + "".join(rng.choices("abcdefghij", k=6))
             t2, d2 = resolve(parse(f"struct {name} {{}};", "g.mcu"), NVCC, Mode.CLASSIC)
             assert d2 == []
-            assert compute_hdc(Type(name), t2, CFG) is HDC.Hst
+            assert compute_hdc(Type(name), t2) is HDC.Hst

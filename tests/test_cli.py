@@ -251,3 +251,24 @@ def test_run_halts_on_a_non_integral_value(tmp_path, capsys, statement, reason):
     assert main(["run", str(p)]) == 101
     out = capsys.readouterr().out
     assert out == f"{p}:4:3: note[N0001]: execution halted on a stray call: {reason}\n"
+
+
+@pytest.mark.parametrize(
+    "literal, col, message",
+    [
+        pytest.param("1\u00b2", 19, "unexpected character '\u00b2'", id="superscript"),
+        pytest.param("9" * 5000, 18, "integer literal is too long", id="5000-digits"),
+    ],
+)
+def test_check_reports_a_bad_literal_without_a_traceback(tmp_path, literal, col, message):
+    p = tmp_path / "lit.mcu"
+    p.write_text(f"int f() {{ return {literal}; }}\n", encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-m", "exspace.cli", "check", str(p)],
+        capture_output=True,
+        text=True,
+        encoding="utf-8",
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == f"{p}:1:{col}: error[E0001]: {message}\n"
+    assert proc.stderr == ""

@@ -245,3 +245,17 @@ def test_parse_error_reports_expected_token():
         parse("struct S { void f() {}\n", "x.mcu")
     assert "expected" in exc.value.message
     assert exc.value.loc.line == 2
+
+
+def test_only_ascii_digits_lex_as_integers():
+    with pytest.raises(ParseError) as exc:
+        parse("int f() { return 1\u00b2; }", "d.mcu")
+    assert exc.value.message == "unexpected character '\u00b2'"
+    assert (exc.value.loc.line, exc.value.loc.col) == (1, 19)
+
+
+def test_integer_literal_beyond_int_conversion_is_a_parse_error():
+    with pytest.raises(ParseError) as exc:
+        parse("int f() { return " + "9" * 5000 + "; }", "d.mcu")
+    assert exc.value.message == "integer literal is too long"
+    assert (exc.value.loc.line, exc.value.loc.col) == (1, 18)

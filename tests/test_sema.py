@@ -24,7 +24,6 @@ from exspace.syntax.nodes import NOLOC, HdcLit
 from exspace.syntax.parser import parse
 from exspace.syntax.preprocess import CompileProfile
 
-CFG = TraitConfig()
 NVCC = CompileProfile()
 
 
@@ -112,33 +111,35 @@ def _table(src: str) -> SymbolTable:
 
 def test_hdc_of_declaring_struct():
     table = _table("struct D { static constexpr HDC hdc = HDC::Dev; };")
-    assert compute_hdc(Type("D"), table, CFG) is HDC.Dev
+    assert compute_hdc(Type("D"), table) is HDC.Dev
 
 
 def test_hdc_defaults_to_host_without_member():
     table = _table("struct S {};")
-    assert compute_hdc(Type("S"), table, CFG) is HDC.Hst
+    assert compute_hdc(Type("S"), table) is HDC.Hst
 
 
 def test_hdc_of_fundamentals():
     table = _table("")
-    assert compute_hdc(Type("int"), table, CFG) is HDC.Hst
-    assert compute_hdc(Type("bool"), table, CFG) is HDC.Hst
-    both = TraitConfig(fundamentals_hstdev=True)
-    assert compute_hdc(Type("int"), table, both) is HDC.HstDev
+    assert compute_hdc(Type("int"), table) is HDC.Hst
+    assert compute_hdc(Type("bool"), table) is HDC.Hst
+    both, diags = resolve(parse("", "t.mcu"), NVCC, Mode.CLASSIC,
+                          TraitConfig(fundamentals_hstdev=True))
+    assert diags == []
+    assert compute_hdc(Type("int"), both) is HDC.HstDev
 
 
 def test_hdc_member_of_wrong_type_is_an_error():
     table = _table("struct B { static constexpr bool hdc = true; };")
     with pytest.raises(SemaError) as exc:
-        compute_hdc(Type("B"), table, CFG)
+        compute_hdc(Type("B"), table)
     assert exc.value.code == "E0103"
 
 
 def test_hdc_member_bound_through_struct_parameter():
     table = _table("template< HDC x > struct S1 { static constexpr HDC hdc = x; };")
-    assert compute_hdc(Type("S1", (HDC.Dev,)), table, CFG) is HDC.Dev
-    assert compute_hdc(Type("S1", (HDC.HstDev,)), table, CFG) is HDC.HstDev
+    assert compute_hdc(Type("S1", (HDC.Dev,)), table) is HDC.Dev
+    assert compute_hdc(Type("S1", (HDC.HstDev,)), table) is HDC.HstDev
 
 
 # -- overload resolution -------------------------------------------------------
@@ -159,7 +160,7 @@ __host__ __device__ void f1s() {}
 def _resolve_call(table, name, targs, mode=Mode.CLASSIC, side=HOST, arg_types=()):
     return resolve_overload(
         name, table.overloads(name), targs, list(arg_types), NOLOC,
-        env={}, table=table, cfg=CFG, mode=mode, context_side=side,
+        env={}, table=table, mode=mode, context_side=side,
     )
 
 
@@ -285,13 +286,13 @@ void wrap() {}
     assert diags == []
     wrap = table.overloads("wrap")[0]
     spaces = evaluate_conditional_spec(
-        wrap.spec, {"T": Type("D")}, table, CFG, NOLOC, "wrap")
+        wrap.spec, {"T": Type("D")}, table, NOLOC, "wrap")
     assert spaces == DEVICE_ONLY
     assert evaluate_conditional_spec(
-        wrap.spec, {"T": Type("int")}, table, CFG, NOLOC, "wrap") == HOST_ONLY
+        wrap.spec, {"T": Type("int")}, table, NOLOC, "wrap") == HOST_ONLY
     with pytest.raises(SemaError) as exc:
         evaluate_conditional_spec(
-            wrap.spec, {"T": Type("HD")}, table, CFG, NOLOC, "wrap")
+            wrap.spec, {"T": Type("HD")}, table, NOLOC, "wrap")
     assert exc.value.code == "E1401"
 
 
@@ -304,12 +305,12 @@ void free_fn() {}
     assert diags == []
     s1 = table.struct("S1")
     member = s1.member_functions()[0]
-    spaces = effective_spaces(member, {}, Mode.PROPOSAL2, HOST, table, CFG,
+    spaces = effective_spaces(member, {}, Mode.PROPOSAL2, HOST, table,
                               NOLOC, owner_struct=s1)
     assert spaces == DEVICE_ONLY  # struct decoration distributes
     free = table.overloads("free_fn")[0]
-    assert effective_spaces(free, {}, Mode.PROPOSAL2, DEVICE, table, CFG, NOLOC) == DEVICE_ONLY
-    assert effective_spaces(free, {}, Mode.PROPOSAL2, HOST, table, CFG, NOLOC) == HOST_ONLY
+    assert effective_spaces(free, {}, Mode.PROPOSAL2, DEVICE, table, NOLOC) == DEVICE_ONLY
+    assert effective_spaces(free, {}, Mode.PROPOSAL2, HOST, table, NOLOC) == HOST_ONLY
 
 
 # -- memoization ----------------------------------------------------------------

@@ -1,7 +1,8 @@
 import pytest
 
 from exspace.diagnostics import Severity
-from exspace.sema import DEVICE, HOST, ExecSpace
+from exspace.interp import run_program
+from exspace.sema import BOTH_SIDES, DEVICE, HOST, HOST_ONLY, ExecSpace, TraitConfig
 from exspace.spacecheck import Mode, analyze, check_unit, legality
 from exspace.syntax.preprocess import CompileProfile
 
@@ -402,3 +403,44 @@ def test_e0001_diagnostic_from_parse_error():
 def test_e0002_diagnostic_from_preprocessor():
     got = codes('#error "boom"\n')
     assert [c for c, _ in got] == ["E0002"]
+
+
+# hdc< int > read by a static_assert, by a struct template default (Box), by
+# a member constant in a requires clause (P::k), by overload selection (f)
+# and by the run: one trait configuration governs all of them.
+_INT_TRAIT_UNIT = """template< HDC x = hdc< int > >
+struct Box { static constexpr HDC hdc = x; };
+struct P {
+  static constexpr HDC k = hdc< int >;
+  template< HDC y >
+  requires( k == y )
+  __host__ __device__ void g() { printf( "k" ); }
+};
+static_assert( hdc< int > == HDC::HstDev );
+template< typename T >
+requires( hdc< T > == HDC::HstDev )
+__host__ __device__ void f() { printf( "hd" ); }
+template< typename T >
+requires( hdc< T > == HDC::Hst )
+__host__ void f() { printf( "h" ); }
+int main() { f< int >(); f< Box >(); P{}.g< HDC::HstDev >(); return 0; }
+"""
+
+
+@pytest.mark.parametrize(
+    "hstdev, diags, f_box, f_spaces, stdout",
+    [
+        pytest.param(True, [], "f<Box<HstDev>>", BOTH_SIDES, b"hdhdk", id="hstdev"),
+        pytest.param(
+            False, [("E0104", 9), ("E1301", 16)], "f<Box<Hst>>", HOST_ONLY, b"hh", id="default"
+        ),
+    ],
+)
+def test_one_trait_configuration_governs_every_evaluation(
+    hstdev, diags, f_box, f_spaces, stdout
+):
+    analysis = analyze(_INT_TRAIT_UNIT, "c.mcu", cfg=TraitConfig(fundamentals_hstdev=hstdev))
+    assert [(d.code, d.loc.line) for d in analysis.all_diagnostics] == diags
+    chosen = {i.display(): i.spaces for i in analysis.walks[HOST].instances.values()}
+    assert chosen["f<int>"] == chosen[f_box] == f_spaces
+    assert run_program(analysis).stdout == stdout
