@@ -6,7 +6,7 @@ import os
 import sys
 from pathlib import Path
 
-from .corpus import run_corpus
+from .corpus import HeaderError, run_corpus
 from .diagnostics import format_diagnostic
 from .interp import run_program
 from .spacecheck import Mode, analyze
@@ -116,7 +116,7 @@ def cmd_corpus(args, parser) -> int:
     mode = Mode(args.mode)
     try:
         results, summary = run_corpus(Path(args.dir), mode, profile)
-    except FileNotFoundError as e:
+    except (FileNotFoundError, HeaderError) as e:
         print(f"exspace: {e}", file=sys.stderr)
         return 2
     for r in results:

@@ -84,7 +84,17 @@ def parse_expectations(text: str) -> list:
     return out
 
 
-def parse_header(text: str, default_mode: Mode, default_profile: CompileProfile) -> FileConfig:
+class HeaderError(ValueError):
+    """A //! directive that cannot be applied, as "<path>:<line>: <reason>"."""
+
+
+_VALUED = ("mode", "profile", "cuda-version", "expect-exit", "expect-stdout")
+_FLAGS = ("relaxed-constexpr", "erase-specifiers", "force")
+
+
+def parse_header(
+    text: str, default_mode: Mode, default_profile: CompileProfile, path: str = "<unit>"
+) -> FileConfig:
     mode = default_mode
     compiler = default_profile.compiler
     version = default_profile.cuda_version
@@ -93,30 +103,44 @@ def parse_header(text: str, default_mode: Mode, default_profile: CompileProfile)
     force = False
     expect_exit = None
     expect_stdout = None
-    for line in text.split("\n"):
+    profile_line = 0  # the last directive that set a profile field
+    for lineno, line in enumerate(text.split("\n"), start=1):
         m = _HEADER_RE.match(line)
         if not m:
             continue
         key, value = m.group("key"), m.group("value")
-        if key == "mode":
-            mode = Mode(value)
-        elif key == "profile":
-            compiler = value
-        elif key == "cuda-version":
-            version = int(value)
-        elif key == "relaxed-constexpr":
-            relaxed = True
-        elif key == "erase-specifiers":
-            erase = True
-        elif key == "force":
-            force = True
-        elif key == "expect-exit":
-            expect_exit = int(value)
-        elif key == "expect-stdout":
-            expect_stdout = _decode_stdout(value)
-        else:
-            raise ValueError(f"unknown corpus directive //! {key}")
-    profile = CompileProfile(compiler, version, relaxed, erase)
+        where = f"{path}:{lineno}"
+        if key not in _VALUED and key not in _FLAGS:
+            raise HeaderError(f"{where}: unknown corpus directive //! {key}")
+        if key in _VALUED and value is None:
+            raise HeaderError(f"{where}: //! {key} needs a value")
+        if key in _FLAGS and value is not None:
+            raise HeaderError(f"{where}: //! {key} takes no value")
+        if key in ("profile", "cuda-version", "relaxed-constexpr", "erase-specifiers"):
+            profile_line = lineno
+        try:
+            if key == "mode":
+                mode = Mode(value)
+            elif key == "profile":
+                compiler = value
+            elif key == "cuda-version":
+                version = int(value)
+            elif key == "relaxed-constexpr":
+                relaxed = True
+            elif key == "erase-specifiers":
+                erase = True
+            elif key == "force":
+                force = True
+            elif key == "expect-exit":
+                expect_exit = int(value)
+            elif key == "expect-stdout":
+                expect_stdout = _decode_stdout(value)
+        except ValueError:
+            raise HeaderError(f'{where}: invalid value "{value}" for //! {key}') from None
+    try:
+        profile = CompileProfile(compiler, version, relaxed, erase)
+    except ValueError as e:
+        raise HeaderError(f"{path}:{profile_line}: {e}") from None
     return FileConfig(mode, profile, force, expect_exit, expect_stdout)
 
 
@@ -124,7 +148,7 @@ def run_corpus_file(
     path: Path, default_mode: Mode, default_profile: CompileProfile
 ) -> CorpusResult:
     text = path.read_text(encoding="utf-8")
-    cfg = parse_header(text, default_mode, default_profile)
+    cfg = parse_header(text, default_mode, default_profile, str(path))
     expectations = parse_expectations(text)
     result = CorpusResult(str(path))
 

@@ -697,26 +697,38 @@ def analyze(
     mode: Mode = Mode.CLASSIC,
     cfg: TraitConfig = TraitConfig(),
 ) -> Analysis:
-    """Preprocess, parse, resolve, and space-check one unit for all passes."""
+    """Preprocess, parse, resolve, and space-check one unit for all passes.
+
+    Passes that preprocess to the same text share one PassArtifacts: that
+    text is parsed and resolved once, and both walks read the same AST and
+    symbol table.  resolve() is the only stage that mutates the AST, and it
+    runs once per text; the walks key what they record by node identity per
+    instance, so they can share nodes.
+    """
     diags: list[Diagnostic] = []
     analysis = Analysis(path, profile, mode, [])
     specifier_mode = "keep"
     if profile.compiler == "plain":
         specifier_mode = "erase" if profile.erase_specifiers else "reject"
+    front: dict[str, Optional[PassArtifacts]] = {}  # None: the text did not parse
     for pp in profile.passes():
         try:
             ptext = preprocess(text, pp, path)
         except PreprocessorError as e:
             diags.append(Diagnostic.make("E0002", e.loc, e.message))
             continue
-        try:
-            ast = parse(ptext, path, specifier_mode)
-        except ParseError as e:
-            diags.append(Diagnostic.make("E0001", e.loc, e.message))
-            continue
-        table, rdiags = resolve(ast, profile, mode, cfg)
-        diags.extend(rdiags)
-        analysis.passes[pp.kind] = PassArtifacts(ptext, ast, table)
+        if ptext not in front:
+            try:
+                ast = parse(ptext, path, specifier_mode)
+            except ParseError as e:
+                diags.append(Diagnostic.make("E0001", e.loc, e.message))
+                front[ptext] = None
+                continue
+            table, rdiags = resolve(ast, profile, mode, cfg)
+            diags.extend(rdiags)
+            front[ptext] = PassArtifacts(ptext, ast, table)
+        if front[ptext] is not None:
+            analysis.passes[pp.kind] = front[ptext]
 
     for kind, art in analysis.passes.items():
         native = _PASS_SIDE[kind]

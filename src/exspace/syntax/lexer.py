@@ -1,7 +1,11 @@
-"""Tokenizer for preprocessed MiniCU text."""
+"""Tokenizer for preprocessed MiniCU text.
+
+One compiled master pattern scans the text, after the "Writing a Tokenizer"
+recipe in the documentation of Python's ``re`` module.
+"""
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
 
 from ..diagnostics import SrcLoc
 
@@ -13,109 +17,76 @@ class LexError(Exception):
         self.message = message
 
 
-@dataclass(frozen=True)
 class Token:
-    kind: str  # ident | int | string | punct | pragma | eof
-    text: str
-    loc: SrcLoc
+    """One token; its SrcLoc is built only when .loc is read."""
+
+    __slots__ = ("kind", "text", "line", "col", "file")
+
+    def __init__(self, kind: str, text: str, line: int, col: int, file: str):
+        self.kind = kind  # ident | int | string | punct | pragma | eof
+        self.text = text
+        self.line = line
+        self.col = col
+        self.file = file
+
+    @property
+    def loc(self) -> SrcLoc:
+        return SrcLoc(self.file, self.line, self.col)
+
+    def __repr__(self):
+        return f"Token({self.kind!r}, {self.text!r}, {self.line}:{self.col})"
 
 
-_PUNCT = (
-    "<<<",
-    ">>>",
-    "::",
-    "==",
-    "!=",
-    "&&",
-    "||",
-    "++",
-    "{",
-    "}",
-    "(",
-    ")",
-    "<",
-    ">",
-    ",",
-    ";",
-    ".",
-    "!",
-    "=",
+# Alternatives are tried in order: longer punctuators before their prefixes.
+# The identifier start [^\W\d] also admits characters such as superscripts
+# and Roman numerals, which are numeric but not alphabetic; tokenize rejects
+# those after the match.  Only ASCII digits form integers: int() rejects the
+# other characters str.isdigit() accepts.
+_TOKEN_RE = re.compile(
+    r"""
+      (?P<space>[ \t\r\n]+)
+    | (?P<ident>[^\W\d]\w*)
+    | (?P<punct><<<|>>>|::|==|!=|&&|\|\||\+\+|[{}()<>,;.!=])
+    | (?P<int>[0-9]+)
+    | (?P<string>"[^"\n]*")
+    | (?P<pragma>\#[\w \t]*)
+    | (?P<bad>.)
+    """,
+    re.VERBOSE | re.DOTALL,
 )
-
-# str.isdigit() also accepts characters such as superscripts that int() rejects.
-_DIGITS = frozenset("0123456789")
 
 
 def tokenize(text: str, file: str = "<unit>") -> list[Token]:
     toks: list[Token] = []
+    append = toks.append
     line = 1
-    col = 1
-    i = 0
-    n = len(text)
-
-    def loc():
-        return SrcLoc(file, line, col)
-
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            line += 1
-            col = 1
-            i += 1
+    line_start = 0  # offset of the first character of the current line
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        start = m.start()
+        value = m.group()
+        if kind == "space":
+            if "\n" in value:
+                line += value.count("\n")
+                line_start = start + value.rindex("\n") + 1
             continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if c == "#":
+        col = start - line_start + 1
+        if kind == "ident":
+            c = value[0]
+            if not (c.isalpha() or c == "_"):
+                raise LexError(SrcLoc(file, line, col), f"unexpected character {c!r}")
+        elif kind == "string":
+            value = value[1:-1]
+        elif kind == "pragma":
             # Only #pragma survives preprocessing.
-            start = loc()
-            j = i + 1
-            while j < n and (text[j].isalnum() or text[j] == "_" or text[j] in " \t"):
-                j += 1
-            words = text[i + 1 : j].split()
-            if not words or words[0] != "pragma" or len(words) != 2:
-                raise LexError(start, "malformed #pragma directive")
-            toks.append(Token("pragma", words[1], start))
-            col += j - i
-            i = j
-            continue
-        if c == '"':
-            start = loc()
-            j = i + 1
-            while j < n and text[j] not in '"\n':
-                j += 1
-            if j >= n or text[j] != '"':
-                raise LexError(start, "unterminated string literal")
-            toks.append(Token("string", text[i + 1 : j], start))
-            col += j + 1 - i
-            i = j + 1
-            continue
-        if c in _DIGITS:
-            start = loc()
-            j = i
-            while j < n and text[j] in _DIGITS:
-                j += 1
-            toks.append(Token("int", text[i:j], start))
-            col += j - i
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            start = loc()
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            toks.append(Token("ident", text[i:j], start))
-            col += j - i
-            i = j
-            continue
-        for p in _PUNCT:
-            if text.startswith(p, i):
-                toks.append(Token("punct", p, loc()))
-                col += len(p)
-                i += len(p)
-                break
-        else:
-            raise LexError(loc(), f"unexpected character {c!r}")
-    toks.append(Token("eof", "", SrcLoc(file, line, col)))
+            words = value[1:].split()
+            if len(words) != 2 or words[0] != "pragma":
+                raise LexError(SrcLoc(file, line, col), "malformed #pragma directive")
+            value = words[1]
+        elif kind == "bad":
+            if value == '"':
+                raise LexError(SrcLoc(file, line, col), "unterminated string literal")
+            raise LexError(SrcLoc(file, line, col), f"unexpected character {value!r}")
+        append(Token(kind, value, line, col, file))
+    append(Token("eof", "", line, len(text) - line_start + 1, file))
     return toks

@@ -44,6 +44,13 @@ BUILTIN_ARITY = {
 }
 
 
+# Deepest syntactic nesting accepted: each block, expression, "!" operand and
+# template argument list opens one level.  Every stage after the parser
+# recurses over the tree, so the limit keeps all of them inside Python's
+# default recursion limit.
+MAX_NESTING = 64
+
+
 class ParseError(Exception):
     """E0001: the unit does not match the grammar."""
 
@@ -55,14 +62,16 @@ class ParseError(Exception):
 
 class _Parser:
     def __init__(self, toks: list[Token], specifier_mode: str):
-        self.toks = toks
+        # Lookahead is at most one token: a second EOF keeps peek(1) in range.
+        self.toks = toks + toks[-1:]
         self.pos = 0
+        self.depth = 0
         self.specifier_mode = specifier_mode  # keep | erase | reject
 
     # -- token plumbing ----------------------------------------------------
 
     def peek(self, ahead: int = 0) -> Token:
-        return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
+        return self.toks[self.pos + ahead]
 
     def at(self, text: str, ahead: int = 0) -> bool:
         t = self.peek(ahead)
@@ -90,6 +99,12 @@ class _Parser:
 
     def err(self, message: str) -> ParseError:
         return ParseError(self.peek().loc, message)
+
+    def nest(self):
+        """Open one nesting level at the next token; the caller closes it."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise self.err(f"nesting exceeds {MAX_NESTING} levels")
 
     # -- unit --------------------------------------------------------------
 
@@ -363,12 +378,14 @@ class _Parser:
         return n.TypeRef(name.text, targs, loc=name.loc)
 
     def parse_targ_list(self) -> list:
+        self.nest()
         self.expect("<")
         args = [self.parse_targ()]
         while self.at(","):
             self.advance()
             args.append(self.parse_targ())
         self.expect(">")
+        self.depth -= 1
         return args
 
     def parse_targ(self):
@@ -391,11 +408,13 @@ class _Parser:
     # -- statements -------------------------------------------------------------
 
     def parse_block(self) -> list:
+        self.nest()
         self.expect("{")
         stmts = []
         while not self.at("}"):
             stmts.append(self.parse_stmt())
         self.expect("}")
+        self.depth -= 1
         return stmts
 
     def parse_stmt(self):
@@ -455,14 +474,14 @@ class _Parser:
 
     def try_parse_ident_led_stmt(self):
         """Launches and variable declarations; None means plain expression."""
-        start = self.pos
+        start, depth = self.pos, self.depth
         name = self.advance()
         targs = []
         if self.at("<"):
             try:
                 targs = self.parse_targ_list()
             except ParseError:
-                self.pos = start
+                self.pos, self.depth = start, depth
                 return None
         if self.at("<<<"):
             self.advance()
@@ -487,7 +506,10 @@ class _Parser:
     # -- expressions -----------------------------------------------------------
 
     def parse_expr(self):
-        return self.parse_or()
+        self.nest()
+        expr = self.parse_or()
+        self.depth -= 1
+        return expr
 
     def parse_or(self):
         lhs = self.parse_and()
@@ -512,8 +534,11 @@ class _Parser:
 
     def parse_unary(self):
         if self.at("!"):
+            self.nest()
             loc = self.advance().loc
-            return n.UnaryExpr("!", self.parse_unary(), loc=loc)
+            expr = n.UnaryExpr("!", self.parse_unary(), loc=loc)
+            self.depth -= 1
+            return expr
         return self.parse_postfix()
 
     def parse_call_args(self) -> list:

@@ -7,6 +7,7 @@ line/column structure of the input so later diagnostics stay accurate.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from ..diagnostics import SrcLoc
@@ -95,54 +96,22 @@ def join_continuations(text: str) -> str:
     return "\n".join(out)
 
 
+# A string literal (ended by its quote or by the end of its line), a line
+# comment, or a block comment that runs to */ or to the end of the text.
+# Strings are matched only so that comment markers inside them survive.
+_COMMENT_RE = re.compile(r'"[^"\n]*"?|//[^\n]*|/\*.*?(?:\*/|\Z)', re.DOTALL)
+
+
+def _blank(m: re.Match) -> str:
+    s = m.group()
+    if s[0] == '"':
+        return s
+    return "\n".join(" " * len(part) for part in s.split("\n"))
+
+
 def strip_comments(text: str) -> str:
     """Blank out // and block comments, preserving lines and columns."""
-    out = []
-    i = 0
-    n = len(text)
-    in_string = False
-    in_block = False
-    in_line = False
-    while i < n:
-        c = text[i]
-        nxt = text[i + 1] if i + 1 < n else ""
-        if in_block:
-            if c == "*" and nxt == "/":
-                out.append("  ")
-                i += 2
-                in_block = False
-            else:
-                out.append(c if c == "\n" else " ")
-                i += 1
-        elif in_line:
-            if c == "\n":
-                out.append(c)
-                in_line = False
-            else:
-                out.append(" ")
-            i += 1
-        elif in_string:
-            out.append(c)
-            if c == '"' or c == "\n":
-                in_string = False
-            i += 1
-        else:
-            if c == '"':
-                in_string = True
-                out.append(c)
-                i += 1
-            elif c == "/" and nxt == "/":
-                out.append("  ")
-                i += 2
-                in_line = True
-            elif c == "/" and nxt == "*":
-                out.append("  ")
-                i += 2
-                in_block = True
-            else:
-                out.append(c)
-                i += 1
-    return "".join(out)
+    return _COMMENT_RE.sub(_blank, text)
 
 
 _CONDITIONALS = ("ifdef", "ifndef")

@@ -153,6 +153,31 @@ def test_corpus_failure_reported(tmp_path, capsys):
     assert "failed 1" in out
 
 
+@pytest.mark.parametrize(
+    "header, line, reason",
+    [
+        pytest.param("//! cuda-version: nine", 2, 'invalid value "nine" for //! cuda-version',
+                     id="cuda-version"),
+        pytest.param("//! mode: bogus", 2, 'invalid value "bogus" for //! mode', id="mode"),
+        pytest.param("//! mode", 2, "//! mode needs a value", id="mode-without-value"),
+        pytest.param("//! force: no", 2, "//! force takes no value", id="flag-with-value"),
+        pytest.param("//! expect-exit: zero", 2, 'invalid value "zero" for //! expect-exit',
+                     id="expect-exit"),
+        pytest.param("//! colour: red", 2, "unknown corpus directive //! colour",
+                     id="directive"),
+        pytest.param("//! profile: plain\n//! relaxed-constexpr", 3,
+                     "relaxed constexpr is an nvcc-only flag", id="profile"),
+    ],
+)
+def test_corpus_bad_header_exits_two(tmp_path, capsys, header, line, reason):
+    f = tmp_path / "bad.mcu"
+    f.write_text(f"int main() {{ return 0; }}\n{header}\n")
+    assert main(["corpus", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"exspace: {f}:{line}: {reason}\n"
+    assert captured.out == ""
+
+
 # -- formatting ----------------------------------------------------------------
 
 
@@ -258,6 +283,8 @@ def test_run_halts_on_a_non_integral_value(tmp_path, capsys, statement, reason):
     [
         pytest.param("1\u00b2", 19, "unexpected character '\u00b2'", id="superscript"),
         pytest.param("9" * 5000, 18, "integer literal is too long", id="5000-digits"),
+        pytest.param("(" * 3000 + "1" + ")" * 3000, 81, "nesting exceeds 64 levels",
+                     id="3000-parens"),
     ],
 )
 def test_check_reports_a_bad_literal_without_a_traceback(tmp_path, literal, col, message):

@@ -2,8 +2,10 @@ import itertools
 
 import pytest
 
+from exspace.interp import run_program
+from exspace.spacecheck import analyze
 from exspace.syntax import nodes as n
-from exspace.syntax.parser import ParseError, parse
+from exspace.syntax.parser import MAX_NESTING, ParseError, parse
 from exspace.syntax.preprocess import CompileProfile, preprocess
 from exspace.syntax import unparse
 
@@ -259,3 +261,51 @@ def test_integer_literal_beyond_int_conversion_is_a_parse_error():
         parse("int f() { return " + "9" * 5000 + "; }", "d.mcu")
     assert exc.value.message == "integer literal is too long"
     assert (exc.value.loc.line, exc.value.loc.col) == (1, 18)
+
+
+# Each shape nests one construct k deep in main.  The deepest k the parser
+# accepts depends on the levels the shape opens per step (two for a
+# template argument holding hdc<>) and on those around it (main's body, and
+# the statement's expression or block).
+_NESTED = {
+    "parens": (62, lambda k: "int main() { return " + "(" * k + "1" + ")" * k + "; }"),
+    "not": (62, lambda k: "int main() { if( " + "!" * k + "true ) {} return 0; }"),
+    "if": (63, lambda k: "int main() { " + "if( true ) { " * k + "}" * k + " return 0; }"),
+    "for": (63, lambda k: "int main() { " + "".join(
+        f"for( int i{j} = 0; i{j} < 1; ++i{j} ) {{ " for j in range(k)) + "}" * k
+        + " return 0; }"),
+    "call": (62, lambda k: "__host__ __device__ int f( int x ) { return x; }\n"
+             "int main() { return " + "f( " * k + "0" + " )" * k + "; }"),
+    "member-call": (62, lambda k: "struct S { __host__ __device__ int g( int x ) "
+                    "{ return x; } };\nint main() { return " + "S{}.g( " * k + "0"
+                    + " )" * k + "; }"),
+    "template-args": (31, lambda k: "template< HDC H > struct S "
+                      "{ static constexpr int n = 1; };\nint main() { return "
+                      + "S< hdc< " * k + "int" + " > >" * k + "::n; }"),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(_NESTED))
+def test_nesting_limit_holds_for_every_later_stage(shape):
+    deepest, make = _NESTED[shape]
+    with pytest.raises(ParseError) as exc:
+        parse(make(deepest + 1), "n.mcu")
+    assert exc.value.message == f"nesting exceeds {MAX_NESTING} levels"
+    # The deepest accepted unit also resolves, walks and runs.
+    analysis = analyze(make(deepest), "n.mcu")
+    assert analysis.diagnostics == []
+    run_program(analysis)
+
+
+def test_nesting_error_sits_at_the_token_that_passes_the_limit():
+    with pytest.raises(ParseError) as exc:
+        parse("int main() {\n  return " + "(" * 3000 + "1" + ")" * 3000 + ";\n}", "n.mcu")
+    # main's body is level 1, and the return expression opens level 2 at the
+    # first parenthesis, so parenthesis MAX_NESTING opens one level too many.
+    assert (exc.value.loc.line, exc.value.loc.col) == (2, 10 + MAX_NESTING - 1)
+
+
+def test_closed_levels_do_not_count_toward_the_limit():
+    stmt = ("if( !( f< S< hdc< int > > >( S{}.g( 1 ) ) == 1 ) ) { "
+            "for( int i = 0; i < 1; ++i ) { } }\n")
+    parse("int main() {\n" + stmt * (2 * MAX_NESTING) + "return 0; }\n", "n.mcu")

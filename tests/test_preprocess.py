@@ -134,6 +134,20 @@ def test_comment_markers_inside_strings_survive():
     assert "//not a comment" in out
 
 
+@pytest.mark.parametrize("src, expected", [
+    ("a/*/b\nc*/d", "a    \n   d"),  # "/*/" opens a block; the next "*/" ends it
+    ("a /* open\nb\n", "a        \n \n"),  # an unterminated block runs to the end
+    ('s( "//" ); // c', 's( "//" );     '),
+    ('s( "a /* b\nc */ d', 's( "a /* b\nc */ d'),  # a newline ends the string
+    ("a */ b", "a */ b"),  # no comment is open
+    ("x // a /* b\ny */", "x          \ny */"),  # a line comment hides an opener
+    ('/* "a */ b "c" // d\n', '         b "c"     \n'),
+    ("a//\r\nb", "a   \nb"),
+])
+def test_strip_comments_table(src, expected):
+    assert strip_comments(src) == expected
+
+
 def test_profile_invariants():
     with pytest.raises(ValueError):
         CompileProfile(compiler="plain", relaxed_constexpr=True)
