@@ -27,8 +27,6 @@ class ExecSpace(Enum):
 HOST = ExecSpace.Host
 DEVICE = ExecSpace.Device
 
-Side = ExecSpace  # restricted to HOST/DEVICE where used as a context
-
 HOST_ONLY = frozenset({HOST})
 DEVICE_ONLY = frozenset({DEVICE})
 BOTH_SIDES = frozenset({HOST, DEVICE})
@@ -228,9 +226,9 @@ def resolve(
 
 def _check_mode_gated_syntax(ast: n.Ast, mode) -> list:
     diags = []
-    for item in ast.items:
-        if isinstance(item, n.StructDecl):
-            if mode is not Mode.PROPOSAL2 and not item.spec.undecorated:
+    if mode is not Mode.PROPOSAL2:
+        for item in ast.items:
+            if isinstance(item, n.StructDecl) and not item.spec.undecorated:
                 diags.append(
                     Diagnostic.make(
                         "E0001",
@@ -238,91 +236,34 @@ def _check_mode_gated_syntax(ast: n.Ast, mode) -> list:
                         "struct-level execution-space specifiers require --mode=proposal2",
                     )
                 )
-            fns = item.member_functions()
-        else:
-            fns = [item] if isinstance(item, n.FunctionDecl) else []
-        if mode is not Mode.PROPOSAL1:
-            for fn in fns:
-                if fn.spec.has_conditionals():
-                    diags.append(
-                        Diagnostic.make(
-                            "E0001",
-                            fn.loc,
-                            "conditional execution-space specifiers require --mode=proposal1",
-                        )
+    if mode is not Mode.PROPOSAL1:
+        for fn, _ in ast.decls():
+            if fn.spec.has_conditionals():
+                diags.append(
+                    Diagnostic.make(
+                        "E0001",
+                        fn.loc,
+                        "conditional execution-space specifiers require --mode=proposal1",
                     )
+                )
     return diags
 
 
-def _walk_exprs(stmts):
-    for s in stmts:
-        if isinstance(s, n.ExprStmt):
-            yield s.expr
-        elif isinstance(s, n.ReturnStmt):
-            if s.expr is not None:
-                yield s.expr
-        elif isinstance(s, n.IfStmt):
-            yield s.cond
-            yield from _walk_exprs(s.then)
-            if s.orelse is not None:
-                yield from _walk_exprs(s.orelse)
-        elif isinstance(s, n.ForStmt):
-            yield s.init
-            yield s.bound
-            yield from _walk_exprs(s.body)
-        elif isinstance(s, n.LaunchStmt):
-            yield s.grid
-            yield s.block
-            yield from s.args
-            yield ("launch", s)
-
-
-def _subexprs(e):
-    yield e
-    if isinstance(e, (n.CallExpr, n.StaticCallExpr)):
-        for a in e.args:
-            yield from _subexprs(a)
-    elif isinstance(e, n.MemberCallExpr):
-        yield from _subexprs(e.recv)
-        for a in e.args:
-            yield from _subexprs(a)
-    elif isinstance(e, n.UnaryExpr):
-        yield from _subexprs(e.operand)
-    elif isinstance(e, n.BinaryExpr):
-        yield from _subexprs(e.lhs)
-        yield from _subexprs(e.rhs)
-
-
 def _check_free_call_names(ast: n.Ast, table: SymbolTable, profile) -> list:
+    """E0101 for every launch or free call of an unknown name in any body."""
     diags = []
-    bodies = []
-    for item in ast.items:
-        if isinstance(item, n.FunctionDecl) and item.body is not None:
-            bodies.append(item.body)
-        elif isinstance(item, n.StructDecl):
-            bodies.extend(m.body for m in item.member_functions() if m.body is not None)
-    for body in bodies:
-        for entry in _walk_exprs(body):
-            if isinstance(entry, tuple):
-                stmt = entry[1]
-                if not table.overloads(stmt.name):
-                    diags.append(
-                        Diagnostic.make(
-                            "E0101", stmt.loc, f'undefined name "{stmt.name}"'
-                        )
-                    )
+    for decl, _ in ast.decls():
+        for node in n.walk(decl.body or []):
+            if isinstance(node, n.LaunchStmt):
+                known = table.overloads(node.name)
+            elif isinstance(node, n.CallExpr):
+                known = table.overloads(node.name) or builtin_spaces(node.name, profile)
+            else:
                 continue
-            for sub in _subexprs(entry):
-                if isinstance(sub, n.CallExpr):
-                    if table.overloads(sub.name):
-                        continue
-                    if builtin_spaces(sub.name, profile) is not None:
-                        continue
-                    diags.append(
-                        Diagnostic.make(
-                            "E0101", sub.loc, f'undefined name "{sub.name}"'
-                        )
-                    )
+            if not known:
+                diags.append(
+                    Diagnostic.make("E0101", node.loc, f'undefined name "{node.name}"')
+                )
     return diags
 
 
@@ -603,20 +544,19 @@ def _try_candidate(
 
 
 def _space_compatible(decl: n.FunctionDecl, side: ExecSpace, owner_struct) -> bool:
-    spec = decl.spec
-    if spec.undecorated and owner_struct is not None and not owner_struct.spec.undecorated:
-        spec = owner_struct.spec
-    if spec.undecorated or spec.global_:
-        return True
-    declared = declared_spaces(spec)
-    return side in declared or declared == BOTH_SIDES
+    spec = member_spec(decl, owner_struct)
+    return spec.undecorated or spec.global_ or side in declared_spaces(spec)
 
 
 # --------------------------------------------------------------------------
 # Effective execution spaces
 
 
-GLOBAL = "global"
+def member_spec(decl: n.FunctionDecl, owner_struct) -> n.SpecifierSet:
+    """The specifiers that place decl: an undecorated member takes its struct's."""
+    if owner_struct is not None and decl.spec.undecorated and not owner_struct.spec.undecorated:
+        return owner_struct.spec
+    return decl.spec
 
 
 def declared_spaces(spec: n.SpecifierSet) -> frozenset:
@@ -671,7 +611,7 @@ def effective_spaces(
     at_loc: SrcLoc,
     owner_struct: Optional[n.StructDecl] = None,
 ):
-    """Spaces an instance is compiled for; GLOBAL for kernels.
+    """Spaces an instance is compiled for; ExecSpace.Global for kernels.
 
     Classic-family modes use the declared set with undecorated meaning
     host.  The conditional mode filters by predicate.  The propagation
@@ -680,16 +620,14 @@ def effective_spaces(
     """
     spec = decl.spec
     if spec.global_:
-        return GLOBAL
+        return ExecSpace.Global
     if mode is Mode.PROPOSAL1 and spec.has_conditionals():
         env = _candidate_env(bindings, owner_struct, bindings, table)
         return evaluate_conditional_spec(spec, env, table, at_loc, decl.display_name())
     if mode is Mode.PROPOSAL2:
         if decl.name == "main" and decl.owner is None:
             return HOST_ONLY
+        spec = member_spec(decl, owner_struct)
         if spec.undecorated:
-            if owner_struct is not None and not owner_struct.spec.undecorated:
-                return declared_spaces(owner_struct.spec)
             return frozenset({context_side})
-        return declared_spaces(spec)
     return declared_spaces(spec)

@@ -14,10 +14,9 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .diagnostics import Diagnostic, SrcLoc, finish_diagnostics
-from .sema import (  # Mode and evaluate_conditional_spec are re-exported from here
+from .sema import (  # Mode is re-exported from here
     BOTH_SIDES,
     DEVICE,
-    GLOBAL,
     HOST,
     HOST_ONLY,
     ExecSpace,
@@ -33,7 +32,7 @@ from .sema import (  # Mode and evaluate_conditional_spec are re-exported from h
     declared_spaces,
     effective_spaces,
     eval_const_expr,
-    evaluate_conditional_spec,
+    member_spec,
     resolve,
     resolve_overload,
     resolve_type,
@@ -89,10 +88,13 @@ def legality(
 ) -> Verdict:
     """The call-legality matrix; total over every argument combination.
 
-    caller_side is the side the call occurs on (host-device callers are
-    checked once per side, with caller_from_hd set).  Launches are legal
-    only host-to-global.  The relaxed-constexpr flag makes constexpr
-    callees callable from either side.
+    The walk takes every call and launch verdict from here.  caller_side is
+    the side the call occurs on (host-device callers are checked once per
+    side, with caller_from_hd set).  Launches are legal only host-to-global;
+    the walk asks a launch as two questions, whether its side may launch at
+    all and whether the target is launchable from the host.  The
+    relaxed-constexpr flag makes constexpr callees callable from either
+    side.
     """
     if caller_side not in (HOST, DEVICE):
         raise ValueError("the caller side must be host or device")
@@ -126,47 +128,30 @@ def legality(
 
 
 def _space_of(spaces) -> ExecSpace:
+    if spaces is ExecSpace.Global:
+        return spaces
     if spaces == BOTH_SIDES:
         return ExecSpace.HostDevice
-    if spaces == HOST_ONLY:
-        return HOST
-    return DEVICE
+    return HOST if spaces == HOST_ONLY else DEVICE
 
 
-_SIDE_WORD = {HOST: "host", DEVICE: "device"}
-
-
-def _stray_message(code: str, callee_space: ExecSpace) -> str:
-    callee_word = _SIDE_WORD.get(callee_space, "host device")
-    if code == "E1001":
-        return "calling a device function from a host function is not allowed"
-    if code == "E1002":
-        return "calling a host function from a device function is not allowed"
-    if code in ("W1101", "W1102"):
-        return f"calling a {callee_word} function from a host device function is not allowed"
-    if code == "E1101":
-        return (
-            "calling a host function from a host device function is not allowed; "
-            "the device path is reachable from a kernel launch"
+def _stray_message(code: str, caller_side: ExecSpace, callee_space: ExecSpace,
+                   from_hd: bool) -> str:
+    callee = callee_space.value
+    if code == "E1501":
+        where = (
+            f"a host device function on a reachable {caller_side.value} path"
+            if from_hd else f"{caller_side.value} code"
         )
-    if code == "E1102":
-        return (
-            "calling a device function from a host device function is not allowed; "
-            "the host path is reachable from main"
-        )
+        return f"stray call: calling a {callee} function from {where}"
+    caller = "a host device function" if from_hd else f"a {caller_side.value} function"
     if code == "W1502":
-        return f"calling a {callee_word} function from a host device function"
-    raise ValueError(code)
-
-
-def _e1501_message(caller_side: ExecSpace, callee_space: ExecSpace, from_hd: bool) -> str:
-    callee_word = _SIDE_WORD.get(callee_space, "host device")
-    if from_hd:
-        return (
-            f"stray call: calling a {callee_word} function from a host device "
-            f"function on a reachable {_SIDE_WORD[caller_side]} path"
-        )
-    return f"stray call: calling a {callee_word} function from {_SIDE_WORD[caller_side]} code"
+        return f"calling a {callee} function from {caller}"
+    reason = {
+        "E1101": "; the device path is reachable from a kernel launch",
+        "E1102": "; the host path is reachable from main",
+    }.get(code, "")
+    return f"calling a {callee} function from {caller} is not allowed{reason}"
 
 
 # --------------------------------------------------------------------------
@@ -179,7 +164,7 @@ class Instance:
     bindings: dict
     env: dict  # the receiver struct's bindings overlaid with bindings
     side: ExecSpace
-    spaces: object  # frozenset of sides, or GLOBAL
+    spaces: object  # frozenset of sides, or ExecSpace.Global
     owner_type: Optional[Type]
     key: tuple
     first_loc: SrcLoc
@@ -206,7 +191,7 @@ class Instance:
 
     @property
     def from_hd(self) -> bool:
-        return self.spaces != GLOBAL and len(self.spaces) == 2
+        return self.spaces == BOTH_SIDES
 
 
 @dataclass
@@ -250,7 +235,7 @@ class _Walk:
     # -- entry ----------------------------------------------------------------
 
     def run(self):
-        for decl, owner in self._all_decls():
+        for decl, owner in self.ast.decls():
             key = ("decl", signature_key(decl, self.mode is Mode.PROPOSAL2))
             self.demands.setdefault(key, (decl.display_name(), decl.loc))
         self._seed_roots()
@@ -259,16 +244,8 @@ class _Walk:
             self._walk_instance(inst)
         self._resolve_pending()
 
-    def _all_decls(self):
-        for item in self.ast.items:
-            if isinstance(item, n.FunctionDecl):
-                yield item, None
-            elif isinstance(item, n.StructDecl):
-                for m in item.member_functions():
-                    yield m, item
-
     def _seed_roots(self):
-        for decl, owner in self._all_decls():
+        for decl, owner in self.ast.decls():
             if decl.is_template or (owner is not None and owner.tparams):
                 continue
             if decl.body is None:
@@ -282,7 +259,8 @@ class _Walk:
                 continue
             owner_type = Type(owner.name) if owner is not None else None
             sides = (
-                [DEVICE] if spaces == GLOBAL else [s for s in (HOST, DEVICE) if s in spaces]
+                [DEVICE] if spaces is ExecSpace.Global
+                else [s for s in (HOST, DEVICE) if s in spaces]
             )
             for side in sides:
                 self._instantiate(decl, {}, side, spaces, {}, owner_type, decl.loc)
@@ -292,9 +270,7 @@ class _Walk:
         # they are instantiated on demand, in the calling space.
         if decl.name == "main" and owner is None:
             return True
-        if not decl.spec.undecorated:
-            return True
-        return owner is not None and not owner.spec.undecorated
+        return not member_spec(decl, owner).undecorated
 
     def _spaces(self, decl, bindings, side, owner_struct, loc, inst=None, node=None):
         """effective_spaces with its failure diagnosed; None on failure.
@@ -404,8 +380,9 @@ class _Walk:
         self._walk_expr(inst, s.grid, locals_)
         self._walk_expr(inst, s.block, locals_)
         arg_types = [self._walk_expr(inst, a, locals_) for a in s.args]
-        if inst.side is DEVICE:
-            self._emit("E1003", s.loc, "a kernel launch is not allowed from device code")
+        v = legality(inst.side, ExecSpace.Global, "launch")
+        if not v.ok:
+            self._emit(v.code, s.loc, "a kernel launch is not allowed from device code")
         candidates = self.table.overloads(s.name)
         if not candidates:
             inst.sites[id(s)] = f'no kernel named "{s.name}"'
@@ -413,13 +390,16 @@ class _Walk:
         sel = self._select(inst, s, s.name, candidates, arg_types, context_side=DEVICE)
         if sel is None:
             return
-        if not sel.decl.spec.global_:
+        spec = sel.decl.spec
+        target_space = ExecSpace.Global if spec.global_ else _space_of(declared_spaces(spec))
+        v = legality(HOST, target_space, "launch")
+        if not v.ok:
             inst.sites[id(s)] = f'"{s.name}" is not a __global__ function'
-            self._emit(
-                "E1004", s.loc, "only __global__ functions can be launched with <<< >>>"
-            )
+            self._emit(v.code, s.loc, "only __global__ functions can be launched with <<< >>>")
             return
-        target = self._instantiate(sel.decl, sel.bindings, DEVICE, GLOBAL, {}, None, s.loc)
+        target = self._instantiate(
+            sel.decl, sel.bindings, DEVICE, ExecSpace.Global, {}, None, s.loc
+        )
         inst.sites[id(s)] = target
         if inst.side is HOST:
             self.launch_seeds.append(target.key)
@@ -507,11 +487,11 @@ class _Walk:
         candidates = self.table.overloads(e.name)
         if not candidates:
             spaces = builtin_spaces(e.name, self.profile)
-            if spaces is not None:
-                if not self._compiled_for(inst.side, spaces, False):
-                    self._report_stray(inst, spaces, e.loc)
-                return Type("int") if e.name == "cudaDeviceSynchronize" else None
-            return None  # E0101 was already reported by resolve
+            if spaces is None:
+                return None  # E0101 was already reported by resolve
+            if not legality(inst.side, _space_of(spaces)).ok:
+                self._report_stray(inst, _space_of(spaces), e.loc)
+            return Type("int") if e.name == "cudaDeviceSynchronize" else None
         sel = self._select(inst, e, e.name, candidates, arg_types, context_side=inst.side)
         if sel is not None:
             self._dispatch(inst, e, sel)
@@ -574,26 +554,30 @@ class _Walk:
         spaces = self._spaces(sel.decl, merged, inst.side, owner_struct, loc, inst, node)
         if spaces is None:
             return
-        if spaces == GLOBAL:
+        callee_space = _space_of(spaces)
+        v = legality(
+            inst.side, callee_space, relaxed_constexpr=self.profile.relaxed_constexpr,
+            callee_is_constexpr=sel.decl.spec.constexpr,
+        )
+        if v.code == "E1004":
             self._emit(
-                "E1004", loc,
+                v.code, loc,
                 "a __global__ function must be launched with <<< >>>, not called directly",
             )
             inst.sites[id(node)] = "a __global__ function was called directly"
             return
-        legal = self._compiled_for(inst.side, spaces, sel.decl.spec.constexpr)
-        demanded_side = inst.side if legal else (HOST if HOST in spaces else DEVICE)
+        demanded_side = inst.side if v.ok else (HOST if HOST in spaces else DEVICE)
         callee = self._instantiate(
             sel.decl, sel.bindings, demanded_side, spaces, owner_bindings, owner_type, loc,
         )
-        if legal:
+        if v.ok:
             inst.sites[id(node)] = callee
             self.edges.setdefault(inst.key, []).append(callee.key)
         else:
             inst.sites[id(node)] = (
-                f'"{sel.decl.display_name()}" is not compiled for {_SIDE_WORD[inst.side]} code'
+                f'"{sel.decl.display_name()}" is not compiled for {inst.side.value} code'
             )
-            self._report_stray(inst, spaces, loc)
+            self._report_stray(inst, callee_space, loc)
         if (
             self.mode in _NVCC_INSTANTIATION
             and spaces == BOTH_SIDES
@@ -603,20 +587,30 @@ class _Walk:
                 sel.decl, sel.bindings, self.native, spaces, owner_bindings, owner_type, loc,
             )
 
-    def _compiled_for(self, side, callee_spaces, is_constexpr) -> bool:
-        """Whether a callee compiled for callee_spaces is callable from side."""
-        return (self.profile.relaxed_constexpr and is_constexpr) or side in callee_spaces
+    def _report_stray(self, inst, callee_space, loc):
+        """Report a call to a callee without code on inst's side.
 
-    def _report_stray(self, inst, callee_spaces, loc):
-        callee_space = _space_of(callee_spaces)
+        A host-device caller's verdict waits for reachability; any other
+        caller's is the mode-aware row of the matrix.
+        """
         if inst.from_hd:
             self.pending.append(_Pending(inst, callee_space, loc))
-            return
-        v = legality(inst.side, callee_space, mode=self.mode)
-        if v.code == "E1501":
-            self._emit(v.code, loc, _e1501_message(inst.side, callee_space, False))
         else:
-            self._emit(v.code, loc, _stray_message(v.code, callee_space))
+            self._emit_stray(inst, callee_space, loc, reachable=True)
+
+    def _emit_stray(self, inst, callee_space, loc, reachable):
+        v = legality(
+            inst.side, callee_space, caller_from_hd=inst.from_hd, mode=self.mode,
+            mismatched_side_reachable=reachable,
+        )
+        if v.ok:
+            return
+        d = Diagnostic.make(
+            v.code, loc, _stray_message(v.code, inst.side, callee_space, inst.from_hd)
+        )
+        if not d.is_error and inst.decl.spec.pragma_suppress:
+            d.suppressed = True
+        self.diags.append(d)
 
     # -- pending warnings, reachability, promotion ------------------------------
 
@@ -642,23 +636,7 @@ class _Walk:
         for pm in self.pending:
             if pm.caller.side is not self.native:
                 continue  # the other pass compiles that side
-            v = legality(
-                pm.caller.side,
-                pm.callee_space,
-                caller_from_hd=True,
-                mode=self.mode,
-                mismatched_side_reachable=pm.caller.key in reach,
-            )
-            if v.ok:
-                continue
-            if v.code == "E1501":
-                msg = _e1501_message(pm.caller.side, pm.callee_space, True)
-            else:
-                msg = _stray_message(v.code, pm.callee_space)
-            d = Diagnostic.make(v.code, pm.loc, msg)
-            if not d.is_error and pm.caller.decl.spec.pragma_suppress:
-                d.suppressed = True
-            self.diags.append(d)
+            self._emit_stray(pm.caller, pm.callee_space, pm.loc, pm.caller.key in reach)
 
 
 # --------------------------------------------------------------------------
@@ -791,21 +769,12 @@ def propagate_spaces(analysis: Analysis) -> dict:
     for walk in analysis.walks.values():
         for inst in walk.instances.values():
             spaces = inst.spaces
-            label = "global" if spaces == GLOBAL else frozenset(spaces)
-            out.setdefault(inst.display(), set())
-            if label == "global":
-                out[inst.display()].add(ExecSpace.Global)
-            else:
-                out[inst.display()].update(label)
+            out.setdefault(inst.display(), set()).update(
+                (spaces,) if spaces is ExecSpace.Global else spaces
+            )
     return {k: frozenset(v) for k, v in out.items()}
 
 
 def struct_member_spaces(struct: n.StructDecl) -> dict:
     """Declared member spaces with struct-level decoration distributed."""
-    out = {}
-    for m in struct.member_functions():
-        spec = m.spec
-        if spec.undecorated and not struct.spec.undecorated:
-            spec = struct.spec
-        out[m.name] = declared_spaces(spec)
-    return out
+    return {m.name: declared_spaces(member_spec(m, struct)) for m in struct.member_functions()}

@@ -328,6 +328,45 @@ class Ast:
     has_main: bool
     file: str = field(default="<unit>", compare=False)
 
+    def decls(self):
+        """Every function declaration with its struct, None for a free function."""
+        for item in self.items:
+            if isinstance(item, FunctionDecl):
+                yield item, None
+            elif isinstance(item, StructDecl):
+                for m in item.member_functions():
+                    yield m, item
+
+
+# What each node evaluates, in source order; other nodes evaluate nothing.
+_CHILDREN = {
+    ExprStmt: lambda s: [s.expr],
+    ReturnStmt: lambda s: [] if s.expr is None else [s.expr],
+    IfStmt: lambda s: [s.cond, *s.then, *(s.orelse or ())],
+    ForStmt: lambda s: [s.init, s.bound, *s.body],
+    LaunchStmt: lambda s: [s.grid, s.block, *s.args],
+    CallExpr: lambda e: e.args,
+    StaticCallExpr: lambda e: e.args,
+    MemberCallExpr: lambda e: [e.recv, *e.args],
+    UnaryExpr: lambda e: [e.operand],
+    BinaryExpr: lambda e: [e.lhs, e.rhs],
+}
+
+
+def walk(stmts: list):
+    """Pre-order over statements and the expressions they evaluate.
+
+    Types and template arguments are not entered: they are resolved, not
+    evaluated.
+    """
+    stack = stmts[::-1]
+    while stack:
+        node = stack.pop()
+        yield node
+        children = _CHILDREN.get(type(node))
+        if children is not None:
+            stack.extend(reversed(children(node)))
+
 
 # --------------------------------------------------------------------------
 # Canonical printer

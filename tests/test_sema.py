@@ -60,6 +60,61 @@ def test_undefined_free_call_is_reported():
     assert [d.code for d in diags] == ["E0101"]
 
 
+# The body goes into a function template and a member template; neither is
+# ever instantiated, so every E0101 comes from resolve's traversal.
+_UNINSTANTIATED = """__global__ void k( int a ) {}
+int f( int a ) { return a; }
+struct S { int g( int a ) { return a; } static int h( int a ) { return a; } };
+template< typename T > void t() { %(body)s }
+struct M { template< typename T > void m() { %(body)s } };
+"""
+_GONE = [("E0101", 'undefined name "gone"')] * 2
+
+
+@pytest.mark.parametrize(
+    "src, profile, expected",
+    [
+        *[
+            pytest.param(_UNINSTANTIATED % {"body": body}, NVCC, _GONE, id=body)
+            for body in [
+                "if( gone() ) {}",
+                "if( true ) { gone(); }",
+                "if( true ) {} else { gone(); }",
+                "for( int i = gone(); i < 1; ++i ) {}",
+                "for( int i = 0; i < gone(); ++i ) {}",
+                "for( int i = 0; i < 1; ++i ) { gone(); }",
+                "k<<< gone(), 1 >>>( 0 );",
+                "k<<< 1, gone() >>>( 0 );",
+                "k<<< 1, 1 >>>( gone() );",
+                "gone<<< 1, 1 >>>();",
+                "f( gone() );",
+                "gone().g( 0 );",
+                "S{}.g( gone() );",
+                "S::h( gone() );",
+                "return !gone();",
+                "return gone() == 1;",
+            ]
+        ],
+        pytest.param(
+            _UNINSTANTIATED % {"body": "printf<<< 1, 1 >>>();"}, NVCC,
+            [("E0101", 'undefined name "printf"')] * 2, id="printf-launch",
+        ),
+        pytest.param(
+            _UNINSTANTIATED % {"body": "__trap();"},
+            CompileProfile("plain", erase_specifiers=True),
+            [("E0101", 'undefined name "__trap"')] * 2, id="plain-trap",
+        ),
+        pytest.param(
+            "template< HDC x > void f() {}\nvoid p() { f< (gone()) >(); }\n", NVCC,
+            [("E1301", 'no viable candidate for call to "f"')], id="template-argument",
+        ),
+    ],
+)
+def test_undefined_names_are_found_wherever_a_body_evaluates(src, profile, expected):
+    analysis = analyze(src, "u.mcu", profile)
+    assert [(d.code, d.message) for d in analysis.all_diagnostics] == expected
+
+
 def test_duplicate_definitions():
     _, diags = build("void f() {}\nvoid f() {}")
     assert [d.code for d in diags] == ["E0102"]

@@ -3,7 +3,7 @@ import pytest
 from exspace.diagnostics import Severity
 from exspace.interp import run_program
 from exspace.sema import BOTH_SIDES, DEVICE, HOST, HOST_ONLY, ExecSpace, TraitConfig
-from exspace.spacecheck import Mode, analyze, check_unit, legality
+from exspace.spacecheck import Mode, Verdict, analyze, check_unit, legality
 from exspace.syntax.preprocess import CompileProfile
 
 GLOBAL = ExecSpace.Global
@@ -351,6 +351,26 @@ int main() { k(); return 0; }
     assert [c for c, _ in got] == ["E1003", "E1004"]
     non_global = "void f() {}\nint main() { f<<< 1, 1 >>>(); return 0; }\n"
     assert [c for c, _ in codes(non_global)] == ["E1004"]
+    # From the device, a launch of a host function breaks both launch rules
+    # at once; a launch of an unknown name is also undefined.
+    both = "void h() {}\n__device__ void d() { h<<< 1, 1 >>>(); }\n"
+    unknown = "__device__ void d() { nope<<< 1, 1 >>>(); }\n"
+    for mode in Mode:
+        got = [(d.code, d.loc.line, d.loc.col) for d in check_unit(both, "u.mcu", NVCC, mode)]
+        assert got == [("E1003", 2, 23), ("E1004", 2, 23)], mode
+        assert [c for c, _ in codes(unknown, mode)] == ["E0101", "E1003"], mode
+
+
+def test_the_walk_takes_every_verdict_from_the_legality_matrix(monkeypatch):
+    src = """__host__ void h() {}
+__device__ void dv() {}
+__global__ void k() {}
+__device__ void d() { h<<< 1, 1 >>>(); k(); h(); abort(); }
+__host__ void hh() { dv(); }
+"""
+    monkeypatch.setattr("exspace.spacecheck.legality", lambda *a, **kw: Verdict("ok"))
+    for mode in Mode:
+        assert analyze(src, "u.mcu", NVCC, mode).all_diagnostics == [], mode
 
 
 def test_fidelity_still_reports_host_pass_hard_errors():
