@@ -2,16 +2,16 @@
 
 Host statements run top to bottom; kernel launches run grid*block logical
 threads sequentially in thread order.  A trap latches a version-dependent
-sticky error that later launches observe.  A dynamically executed stray
-call never produces a value: it halts the run with a reserved exit code.
+sticky error that later launches observe.  Code runs on the side of the
+instance it belongs to.  A dynamically executed stray call never produces a
+value: it halts the run with a reserved exit code.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 from .diagnostics import Diagnostic, SrcLoc
-from .sema import DEVICE, HOST, HDC, ExecSpace, Type, builtin_spaces
+from .sema import DEVICE, HOST, HDC, Type
 from .spacecheck import Analysis, Instance
 from .syntax import nodes as n
 
@@ -23,9 +23,6 @@ ABORT_EXIT = 134
 class Machine:
     sticky_error: int = 0
     out: bytearray = field(default_factory=bytearray)
-    exit_status: Optional[int] = None
-    side: ExecSpace = HOST
-    thread_id: Optional[int] = None
 
 
 @dataclass
@@ -61,11 +58,12 @@ class _Return(Exception):
 
 
 class _Trap(Exception):
-    pass
+    """__trap, abort or a false release_assert stops the executing thread.
 
-
-class _Abort(Exception):
-    pass
+    Each builtin runs only on the side the check allows it on, so on the
+    device this is a trap, which its launch latches, and on the host an
+    abort, which ends the run.
+    """
 
 
 class UbHalt(Exception):
@@ -87,19 +85,20 @@ class Interpreter:
 
     Host code runs the host walk's instances and device code the device
     walk's.  Every call site executes the callee its instance recorded
-    during the walk; a site recorded as stray, or not recorded, is a UB
-    halt.  The run evaluates no type, trait or constant itself: a
-    temporary, a variable declaration, hdc< T >, T::member and a template
-    parameter used as a value read what the walk recorded in the site
-    table, and a failure recorded there is a UB halt.
+    during the walk, or the builtin the walk found available there; a site
+    recorded as stray, or not recorded, is a UB halt.  The run evaluates no
+    type, trait or constant itself: a temporary, a variable declaration,
+    hdc< T >, T::member and a template parameter used as a value read what
+    the walk recorded in the site table, and a failure recorded there is a
+    UB halt.
     """
 
     def __init__(self, analysis: Analysis):
         self.analysis = analysis
-        self.profile = analysis.profile
         self.machine = Machine()
         self.notes: list[Diagnostic] = []
-        self.sites: dict = {}  # the site table of the executing instance
+        self.inst = None  # the executing Instance
+        self.sites: dict = {}  # its site table
 
     # -- entry --------------------------------------------------------------
 
@@ -116,10 +115,6 @@ class Interpreter:
                 code = int(value)
             elif isinstance(value, int):
                 code = value
-        except _Return:
-            raise AssertionError("return escaped a function body")
-        except _Abort:
-            code = ABORT_EXIT
         except _Trap:
             code = ABORT_EXIT
         except UbHalt as u:
@@ -130,7 +125,6 @@ class Interpreter:
             )
             ub = True
             code = UB_EXIT
-        self.machine.exit_status = code
         return RunResult(code, bytes(self.machine.out), ub, self.notes)
 
     # -- functions ------------------------------------------------------------
@@ -140,13 +134,14 @@ class Interpreter:
         if decl.body is None:
             raise UbHalt(loc, f'"{decl.display_name()}" has no body to execute')
         locals_ = {p.name: a for p, a in zip(decl.params, args)}
-        outer, self.sites = self.sites, inst.sites
+        outer = self.inst, self.sites
+        self.inst, self.sites = inst, inst.sites
         try:
             self._exec_stmts(decl.body, locals_)
         except _Return as r:
             return r.value
         finally:
-            self.sites = outer
+            self.inst, self.sites = outer
         return None
 
     def _exec_stmts(self, stmts, locals_):
@@ -187,7 +182,7 @@ class Interpreter:
 
     def launch_kernel(self, s: n.LaunchStmt, locals_):
         m = self.machine
-        if m.side is not HOST:
+        if self.inst.side is not HOST:
             raise UbHalt(s.loc, "a kernel launch from device code")
         grid = self._eval(s.grid, locals_)
         block = self._eval(s.block, locals_)
@@ -215,18 +210,12 @@ class Interpreter:
             )
         if not isinstance(grid, int) or not isinstance(block, int):
             raise UbHalt(s.loc, "the launch configuration must be integral")
-        m.side = DEVICE
-        try:
-            for tid in range(max(grid, 0) * max(block, 0)):
-                m.thread_id = tid
-                try:
-                    self._exec_instance(kernel, args, s.loc)
-                except _Trap:
-                    m.sticky_error = self.profile.trap_error_code()
-                    break  # the trap abandons all remaining threads
-        finally:
-            m.side = HOST
-            m.thread_id = None
+        for _ in range(max(grid, 0) * max(block, 0)):
+            try:
+                self._exec_instance(kernel, args, s.loc)
+            except _Trap:
+                m.sticky_error = self.analysis.profile.trap_error_code()
+                break  # the trap abandons all remaining threads
 
     # -- the site table ---------------------------------------------------------------
 
@@ -239,7 +228,10 @@ class Interpreter:
 
     def _call(self, e, locals_):
         args = [self._eval(a, locals_) for a in e.args]
-        return self._exec_instance(self._site(e), args, e.loc)
+        callee = self._site(e)
+        if callee is None:
+            return self._eval_builtin(e, args)
+        return self._exec_instance(callee, args, e.loc)
 
     # -- expression evaluation --------------------------------------------------------
 
@@ -253,7 +245,7 @@ class Interpreter:
         if isinstance(e, n.HdcLit):
             return HDC[e.value]
         if isinstance(e, n.CudaArchRef):
-            return self.machine.side is DEVICE
+            return self.inst.side is DEVICE
         if isinstance(e, n.NameRef):
             if e.name in locals_:
                 return locals_[e.name]
@@ -275,32 +267,18 @@ class Interpreter:
                 return lhs == rhs
             if e.op == "!=":
                 return lhs != rhs
-        if isinstance(e, n.CallExpr):
-            if id(e) not in self.sites:  # the walk records user calls only
-                return self._eval_builtin(e, locals_)
+        if isinstance(e, (n.CallExpr, n.StaticCallExpr)):
             return self._call(e, locals_)
         if isinstance(e, n.MemberCallExpr):
             self._eval(e.recv, locals_)  # for its halts; the walk chose the callee
-            return self._call(e, locals_)
-        if isinstance(e, n.StaticCallExpr):
             return self._call(e, locals_)
         raise TypeError(f"unknown expression {e!r}")
 
     # -- builtins ---------------------------------------------------------------------
 
-    def _eval_builtin(self, e: n.CallExpr, locals_):
+    def _eval_builtin(self, e: n.CallExpr, args):
         m = self.machine
         name = e.name
-        spaces = builtin_spaces(name, self.profile)
-        if spaces is None:
-            raise UbHalt(e.loc, f'undefined name "{name}"')
-        args = [self._eval(a, locals_) for a in e.args]
-        if m.side not in spaces:
-            raise UbHalt(
-                e.loc,
-                f'"{name}" is not available in '
-                f"{'host' if m.side is HOST else 'device'} code",
-            )
         if name == "printf":
             fmt = args[0]
             if len(args) > 1:
@@ -309,24 +287,13 @@ class Interpreter:
                 fmt = fmt.replace("%d", str(int(args[1])), 1)
             m.out.extend(fmt.encode())
             return len(fmt)
-        if name == "release_assert":
-            self.release_assert(bool(args[0]))
-            return None
-        if name == "__trap":
-            raise _Trap()
-        if name in ("abort", "std::abort"):
-            raise _Abort()
         if name == "cudaDeviceSynchronize":
             return device_synchronize(m)
-        raise AssertionError(f"unhandled builtin {name}")
-
-    def release_assert(self, flag: bool):
-        """No-op when true; a device trap or a host abort when false."""
-        if flag:
-            return
-        if self.machine.side is DEVICE:
+        if name == "release_assert" and args[0]:
+            return None
+        if name in ("release_assert", "__trap", "abort", "std::abort"):
             raise _Trap()
-        raise _Abort()
+        raise AssertionError(f"unhandled builtin {name}")
 
 
 def run_program(analysis: Analysis) -> RunResult:

@@ -118,6 +118,7 @@ class SymbolTable:
     cfg: TraitConfig  # the one trait configuration every evaluation reads
     structs: dict = field(default_factory=dict)
     functions: dict = field(default_factory=dict)  # name -> [FunctionDecl]
+    keys: dict = field(default_factory=dict)  # id(FunctionDecl) -> its signature_key
 
     def struct(self, name: str) -> Optional[n.StructDecl]:
         return self.structs.get(name)
@@ -166,7 +167,7 @@ def resolve(
     seen: dict[tuple, SrcLoc] = {}
 
     def is_duplicate(decl: n.FunctionDecl) -> bool:
-        key = signature_key(decl, include_spaces)
+        key = table.keys[id(decl)] = signature_key(decl, include_spaces)
         if key in seen:
             diags.append(
                 Diagnostic.make(
@@ -187,6 +188,8 @@ def resolve(
                         "E0102", item.loc, f'duplicate definition of "{item.name}"'
                     )
                 )
+                for m in item.member_functions():  # Ast.decls() still yields them
+                    table.keys[id(m)] = signature_key(m, include_spaces)
                 continue
             table.structs[item.name] = item
             kept = []

@@ -36,7 +36,6 @@ from .sema import (  # Mode is re-exported from here
     resolve,
     resolve_overload,
     resolve_type,
-    signature_key,
     struct_bindings,
 )
 from .syntax import nodes as n
@@ -170,10 +169,10 @@ class Instance:
     first_loc: SrcLoc
     # The site table: id(node) -> what a run of this instance finds there,
     # or the reason (a str; no recorded value is a str) it halts there.
-    # Call sites map to the callee Instance; free calls to builtins get no
-    # entry.  TempObj and VarDeclStmt map to their Type, HdcTrait and
-    # MemberConst to their value, and a NameRef that is not a local to the
-    # value of its template parameter.  Recursion makes this cyclic, so it
+    # Call sites map to the callee Instance, and a free call of a builtin
+    # with code on the instance's side to None.  TempObj and VarDeclStmt map
+    # to their Type, HdcTrait and MemberConst to their value, and a NameRef
+    # that is not a local to the value of its template parameter.  Recursion makes this cyclic, so it
     # stays out of repr and equality.
     sites: dict = field(default_factory=dict, repr=False, compare=False)
 
@@ -229,15 +228,13 @@ class _Walk:
     def _emit(self, code: str, loc: SrcLoc, message: str):
         self.diags.append(Diagnostic.make(code, loc, message))
 
-    def _emit_sema(self, err: SemaError):
-        self.diags.append(err.diagnostic())
-
     # -- entry ----------------------------------------------------------------
 
     def run(self):
         for decl, owner in self.ast.decls():
-            key = ("decl", signature_key(decl, self.mode is Mode.PROPOSAL2))
-            self.demands.setdefault(key, (decl.display_name(), decl.loc))
+            self.demands.setdefault(
+                ("decl", self.table.keys[id(decl)]), (decl.display_name(), decl.loc)
+            )
         self._seed_roots()
         while self.queue:
             inst = self.queue.popleft()
@@ -272,24 +269,33 @@ class _Walk:
             return True
         return not member_spec(decl, owner).undecorated
 
-    def _spaces(self, decl, bindings, side, owner_struct, loc, inst=None, node=None):
-        """effective_spaces with its failure diagnosed; None on failure.
+    def _sema(self, inst, node, halt: str, failure: tuple, fn, *args, **kwargs):
+        """fn(*args, **kwargs) with its failure diagnosed; None on failure.
 
-        Given the call node, the reason a run halts there goes into inst's
-        site table.
+        A SemaError is reported as it is; a SubstFailure as the (code, loc,
+        message) diagnostic failure names, where a None message is the
+        failure's own text.  Given node, the value, or the reason a run halts
+        there (halt followed by the failure), goes into inst's site table.
         """
         try:
-            return effective_spaces(
-                decl, bindings, self.mode, side, self.table, loc, owner_struct=owner_struct,
-            )
+            value = recorded = fn(*args, **kwargs)
         except (SemaError, SubstFailure) as err:
             if isinstance(err, SemaError):
-                self._emit_sema(err)
+                self.diags.append(err.diagnostic())
             else:
-                self._emit("E0001", loc, "specifier predicate is not a constant")
-            if node is not None:
-                inst.sites[id(node)] = f"unresolvable execution space: {err}"
-            return None
+                code, loc, message = failure
+                self._emit(code, loc, message or str(err))
+            value, recorded = None, f"{halt}{err}"
+        if node is not None:
+            inst.sites[id(node)] = recorded
+        return value
+
+    def _spaces(self, decl, bindings, side, owner_struct, loc, inst=None, node=None):
+        return self._sema(
+            inst, node, "unresolvable execution space: ",
+            ("E0001", loc, "specifier predicate is not a constant"),
+            effective_spaces, decl, bindings, self.mode, side, self.table, loc, owner_struct,
+        )
 
     # -- instantiation ---------------------------------------------------------
 
@@ -309,8 +315,7 @@ class _Walk:
         propagation take them from the calling side, and those are always
         demanded on that side.
         """
-        sig = signature_key(decl, self.mode is Mode.PROPOSAL2)
-        demand_key = ("inst", sig, _bindings_key(bindings), owner_type)
+        demand_key = ("inst", self.table.keys[id(decl)], _bindings_key(bindings), owner_type)
         key = demand_key + (side,)
         if key in self.instances:
             return self.instances[key]
@@ -334,24 +339,11 @@ class _Walk:
         self._walk_stmts(inst, inst.decl.body, locals_)
 
     def _resolve_type_soft(self, inst, tref: n.TypeRef, loc, node=None) -> Optional[Type]:
-        """resolve_type in inst's environment, with its failure diagnosed.
-
-        Given the node a run evaluates the type at, the type, or the reason
-        the run halts there, goes into inst's site table.
-        """
-        try:
-            t = resolve_type(tref, inst.env, self.table)
-        except (SemaError, SubstFailure) as e:
-            if isinstance(e, SemaError):
-                self._emit_sema(e)
-            else:
-                self._emit("E0101", loc, f'"{tref.name}" does not name a type here')
-            t, recorded = None, f"unresolvable type: {e}"
-        else:
-            recorded = t
-        if node is not None:
-            inst.sites[id(node)] = recorded
-        return t
+        return self._sema(
+            inst, node, "unresolvable type: ",
+            ("E0101", loc, f'"{tref.name}" does not name a type here'),
+            resolve_type, tref, inst.env, self.table,
+        )
 
     def _walk_stmts(self, inst, stmts, locals_):
         for s in stmts:
@@ -406,21 +398,14 @@ class _Walk:
 
     def _select(self, inst, node, name, candidates, arg_types, *,
                 context_side, owner_struct=None, owner_bindings=None) -> Optional[Selected]:
-        try:
-            return resolve_overload(
-                name, candidates, node.targs, arg_types, node.loc,
-                env=inst.env, table=self.table, mode=self.mode,
-                context_side=context_side, owner_struct=owner_struct,
-                owner_bindings=owner_bindings,
-            )
-        except SemaError as e:
-            self._emit_sema(e)
-            reason = str(e)
-        except SubstFailure as e:
-            self._emit("E1301", node.loc, f'no viable candidate for call to "{name}"')
-            reason = str(e)
-        inst.sites[id(node)] = f"unresolvable call: {reason}"
-        return None
+        """The selected candidate; the caller records the callee at node."""
+        return self._sema(
+            inst, node, "unresolvable call: ",
+            ("E1301", node.loc, f'no viable candidate for call to "{name}"'),
+            resolve_overload, name, candidates, node.targs, arg_types, node.loc,
+            env=inst.env, table=self.table, mode=self.mode, context_side=context_side,
+            owner_struct=owner_struct, owner_bindings=owner_bindings,
+        )
 
     def _walk_expr(self, inst, e, locals_) -> Optional[Type]:
         if isinstance(e, n.IntLit):
@@ -446,26 +431,12 @@ class _Walk:
         if isinstance(e, n.TempObj):
             return self._resolve_type_soft(inst, e.type, e.loc, e)
         if isinstance(e, n.HdcTrait):
-            t = None
-            try:
-                t = resolve_type(e.type, inst.env, self.table)
-                value = compute_hdc(t, self.table)
-            except (SemaError, SubstFailure) as err:
-                if isinstance(err, SemaError):
-                    self._emit_sema(err)
-                value = str(err) if t is not None else f"unresolvable type: {err}"
-            inst.sites[id(e)] = value
+            t = self._resolve_type_soft(inst, e.type, e.loc, e)
+            if t is not None:
+                self._sema(inst, e, "", ("E0101", e.loc, None), compute_hdc, t, self.table)
             return None
         if isinstance(e, n.MemberConst):
-            try:
-                value = eval_const_expr(e, inst.env, self.table)
-            except SemaError as err:
-                self._emit_sema(err)
-                value = str(err)
-            except SubstFailure as err:
-                self._emit("E0101", e.loc, str(err) or "unresolved member constant")
-                value = str(err)
-            inst.sites[id(e)] = value
+            self._sema(inst, e, "", ("E0101", e.loc, None), eval_const_expr, e, inst.env, self.table)
             return None
         if isinstance(e, n.UnaryExpr):
             self._walk_expr(inst, e.operand, locals_)
@@ -487,9 +458,13 @@ class _Walk:
         candidates = self.table.overloads(e.name)
         if not candidates:
             spaces = builtin_spaces(e.name, self.profile)
-            if spaces is None:
-                return None  # E0101 was already reported by resolve
-            if not legality(inst.side, _space_of(spaces)).ok:
+            if spaces is None:  # resolve reported the E0101
+                inst.sites[id(e)] = f'undefined name "{e.name}"'
+                return None
+            if legality(inst.side, _space_of(spaces)).ok:
+                inst.sites[id(e)] = None
+            else:
+                inst.sites[id(e)] = f'"{e.name}" is not available in {inst.side.value} code'
                 self._report_stray(inst, _space_of(spaces), e.loc)
             return Type("int") if e.name == "cudaDeviceSynchronize" else None
         sel = self._select(inst, e, e.name, candidates, arg_types, context_side=inst.side)

@@ -384,6 +384,100 @@ int main() {{
     assert result.notes[0].message == f"execution halted on a stray call: {reason}"
 
 
+@pytest.mark.parametrize(
+    "src, message, reason",
+    [
+        pytest.param(
+            """template< HDC h >
+void f() {
+  if( hdc< h > == HDC::Hst ) {}
+}
+int main() {
+  f< HDC::Hst >();
+  return 0;
+}
+""",
+            '"h" does not name a type here',
+            "unresolvable type: h does not name a type",
+            id="hdc-parameter",
+        ),
+        pytest.param(
+            """int main() {
+  if( hdc< void > == HDC::Hst ) {}
+  return 0;
+}
+""",
+            '"void" has no compatibility value',
+            '"void" has no compatibility value',
+            id="void",
+        ),
+    ],
+)
+def test_check_rejects_the_hdc_trait_where_a_forced_run_halts(src, message, reason):
+    analysis = analyze(src, "h.mcu")
+    assert [(d.code, d.message) for d in analysis.diagnostics] == [("E0101", message)]
+    result = run_program(analysis)
+    assert result.exit_code == UB_EXIT
+    assert [d.message for d in result.notes] == [f"execution halted on a stray call: {reason}"]
+    assert result.notes[0].loc == analysis.diagnostics[0].loc
+
+
+@pytest.mark.parametrize(
+    "src, profile, stdout, reason",
+    [
+        pytest.param(
+            "int main() {\n  __trap();\n  return 0;\n}\n",
+            NVCC, b"", '"__trap" is not available in host code', id="trap-on-host",
+        ),
+        pytest.param(
+            """__device__ void d() {
+  abort();
+}
+__global__ void k() {
+  d();
+}
+int main() {
+  k<<< 1, 1 >>>();
+  return 0;
+}
+""",
+            NVCC, b"", '"abort" is not available in device code', id="abort-on-device",
+        ),
+        pytest.param(
+            "int main() {\n  return cudaDeviceSynchronize();\n}\n",
+            CompileProfile(compiler="plain"), b"",
+            'undefined name "cudaDeviceSynchronize"', id="sync-under-plain",
+        ),
+        pytest.param(
+            'int main() {\n  gone( printf( "x" ) );\n  return 0;\n}\n',
+            NVCC, b"x", 'undefined name "gone"', id="undefined-after-its-arguments",
+        ),
+        pytest.param(
+            """__global__ void k() {}
+__device__ void d() {
+  k<<< 1, 1 >>>();
+}
+__global__ void g() {
+  d();
+}
+int main() {
+  g<<< 1, 1 >>>();
+  return 0;
+}
+""",
+            NVCC, b"", "a kernel launch from device code", id="launch-on-device",
+        ),
+    ],
+)
+def test_forced_run_halts_where_the_check_rejected_a_call(src, profile, stdout, reason):
+    analysis = analyze(src, "b.mcu", profile)
+    assert analysis.has_errors
+    result = run_program(analysis)
+    assert result.exit_code == UB_EXIT
+    assert result.stdout == stdout
+    assert [d.message for d in result.notes] == [f"execution halted on a stray call: {reason}"]
+
+
 def test_type_parameter_used_as_a_value_is_rejected_and_halts():
     src = """struct S {};
 template< typename T >
@@ -419,6 +513,8 @@ _CHECK_ONLY_NAMES = {
     "SemaError",
     "SubstFailure",
     "OverloadError",
+    "builtin_spaces",
+    "BUILTIN_FUNCTIONS",
 }
 
 

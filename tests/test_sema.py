@@ -120,6 +120,10 @@ def test_duplicate_definitions():
     assert [d.code for d in diags] == ["E0102"]
     _, diags = build("struct S {};\nstruct S {};")
     assert [d.code for d in diags] == ["E0102"]
+    # The walk still sees the members of the struct that is dropped.
+    src = "struct S { void f() {} };\nstruct S { void g() {} };\nint main() { return 0; }"
+    for mode in Mode:
+        assert [d.code for d in analyze(src, "d.mcu", NVCC, mode).diagnostics] == ["E0102"]
 
 
 def test_space_only_overloads_are_duplicates_outside_propagation_mode():
