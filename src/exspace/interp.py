@@ -4,7 +4,8 @@ Host statements run top to bottom; kernel launches run grid*block logical
 threads sequentially in thread order.  A trap latches a version-dependent
 sticky error that later launches observe.  Code runs on the side of the
 instance it belongs to.  A dynamically executed stray call never produces a
-value: it halts the run with a reserved exit code.
+value: it halts the run with a reserved exit code.  Calls nested deeper than
+the Python stack allows halt it with a note and a reserved code of their own.
 """
 from __future__ import annotations
 
@@ -17,6 +18,7 @@ from .syntax import nodes as n
 
 UB_EXIT = 101
 ABORT_EXIT = 134
+STACK_EXIT = 139  # calls nested deeper than the interpreter's stack
 
 
 @dataclass
@@ -31,6 +33,8 @@ class RunResult:
     stdout: bytes
     ub_halt: bool
     notes: list
+    calls: int = 0  # user bodies entered from a call site; main and threads excluded
+    threads: int = 0  # kernel bodies started by launches
 
     def __post_init__(self):
         if self.ub_halt and self.exit_code != UB_EXIT:
@@ -50,11 +54,6 @@ def _default_value(t: Type):
     if t.name == "bool":
         return False
     return StructVal(t)
-
-
-class _Return(Exception):
-    def __init__(self, value):
-        self.value = value
 
 
 class _Trap(Exception):
@@ -91,14 +90,19 @@ class Interpreter:
     hdc< T >, T::member and a template parameter used as a value read what
     the walk recorded in the site table, and a failure recorded there is a
     UB halt.
+
+    Statements and expressions are executed by the handlers that _STMT and
+    _EVAL map their node class to.  Each handler takes the executing
+    Instance and the locals of its block; a statement handler returns
+    (value,) when a return statement ran and None otherwise.
     """
 
     def __init__(self, analysis: Analysis):
         self.analysis = analysis
         self.machine = Machine()
         self.notes: list[Diagnostic] = []
-        self.inst = None  # the executing Instance
-        self.sites: dict = {}  # its site table
+        self.calls = 0  # user bodies entered from a call site
+        self.threads = 0  # kernel bodies started by launches
 
     # -- entry --------------------------------------------------------------
 
@@ -110,7 +114,7 @@ class Interpreter:
         ub = False
         code = 0
         try:
-            value = self._exec_instance(main, [], main.decl.loc)
+            value = self._body(main, [], main.decl.loc)
             if isinstance(value, bool):
                 code = int(value)
             elif isinstance(value, int):
@@ -125,68 +129,89 @@ class Interpreter:
             )
             ub = True
             code = UB_EXIT
-        return RunResult(code, bytes(self.machine.out), ub, self.notes)
+        except RecursionError:
+            self.notes.append(
+                Diagnostic.make(
+                    "N0002",
+                    main.decl.loc,
+                    "execution halted: calls nest deeper than the interpreter's stack",
+                )
+            )
+            code = STACK_EXIT
+        return RunResult(
+            code, bytes(self.machine.out), ub, self.notes, self.calls, self.threads
+        )
 
-    # -- functions ------------------------------------------------------------
+    # -- bodies and statements ------------------------------------------------
 
-    def _exec_instance(self, inst: Instance, args, loc):
+    def _body(self, inst: Instance, args, loc):
+        # Bodies and blocks run their statements inline: each Python frame
+        # saved per call level is more levels of MiniCU calls before N0002.
         decl = inst.decl
         if decl.body is None:
             raise UbHalt(loc, f'"{decl.display_name()}" has no body to execute')
-        locals_ = {p.name: a for p, a in zip(decl.params, args)}
-        outer = self.inst, self.sites
-        self.inst, self.sites = inst, inst.sites
-        try:
-            self._exec_stmts(decl.body, locals_)
-        except _Return as r:
-            return r.value
-        finally:
-            self.inst, self.sites = outer
+        locals_ = {}
+        for p, a in zip(decl.params, args):
+            locals_[p.name] = a
+        for s in decl.body:
+            r = _STMT[type(s)](self, s, inst, locals_)
+            if r is not None:
+                return r[0]
         return None
 
-    def _exec_stmts(self, stmts, locals_):
-        for s in stmts:
-            self._exec_stmt(s, locals_)
+    def _expr_stmt(self, s: n.ExprStmt, inst, locals_):
+        e = s.expr
+        _EVAL[type(e)](self, e, inst, locals_)
 
-    def _exec_stmt(self, s, locals_):
-        if isinstance(s, n.ExprStmt):
-            self._eval(s.expr, locals_)
-        elif isinstance(s, n.ReturnStmt):
-            raise _Return(self._eval(s.expr, locals_) if s.expr else None)
-        elif isinstance(s, n.VarDeclStmt):
-            locals_[s.name] = _default_value(self._site(s))
-        elif isinstance(s, n.IfStmt):
-            if self._eval(s.cond, locals_):
-                self._exec_stmts(s.then, dict(locals_))
-            elif s.orelse is not None:
-                self._exec_stmts(s.orelse, dict(locals_))
-        elif isinstance(s, n.ForStmt):
-            v = self._loop_bound(s, s.init, locals_)
-            while v < self._loop_bound(s, s.bound, locals_):
-                inner = dict(locals_)
-                inner[s.var] = v
-                self._exec_stmts(s.body, inner)
-                v += 1
-        elif isinstance(s, n.LaunchStmt):
-            self.launch_kernel(s, locals_)
+    def _return(self, s: n.ReturnStmt, inst, locals_):
+        e = s.expr
+        return (None if e is None else _EVAL[type(e)](self, e, inst, locals_),)
+
+    def _var_decl(self, s: n.VarDeclStmt, inst, locals_):
+        locals_[s.name] = _default_value(self._site(s, inst))
+
+    def _if(self, s: n.IfStmt, inst, locals_):
+        c = s.cond
+        if _EVAL[type(c)](self, c, inst, locals_):
+            block = s.then
+        elif s.orelse is not None:
+            block = s.orelse
         else:
-            raise TypeError(f"unknown statement {s!r}")
+            return None
+        inner = dict(locals_)
+        for st in block:
+            r = _STMT[type(st)](self, st, inst, inner)
+            if r is not None:
+                return r
+        return None
 
-    def _loop_bound(self, s: n.ForStmt, e, locals_) -> int:
-        value = self._eval(e, locals_)
+    def _for(self, s: n.ForStmt, inst, locals_):
+        v = self._loop_bound(s, s.init, inst, locals_)
+        while v < self._loop_bound(s, s.bound, inst, locals_):
+            inner = dict(locals_)
+            inner[s.var] = v
+            for st in s.body:
+                r = _STMT[type(st)](self, st, inst, inner)
+                if r is not None:
+                    return r
+            v += 1
+        return None
+
+    def _loop_bound(self, s: n.ForStmt, e, inst, locals_) -> int:
+        value = _EVAL[type(e)](self, e, inst, locals_)
         if not isinstance(value, int):
             raise UbHalt(s.loc, "the start and bound of a for loop must be integral")
         return value
 
     # -- kernel launches ---------------------------------------------------------
 
-    def launch_kernel(self, s: n.LaunchStmt, locals_):
+    def launch_kernel(self, s: n.LaunchStmt, inst: Instance, locals_):
         m = self.machine
-        if self.inst.side is not HOST:
+        if inst.side is not HOST:
             raise UbHalt(s.loc, "a kernel launch from device code")
-        grid = self._eval(s.grid, locals_)
-        block = self._eval(s.block, locals_)
-        args = [self._eval(a, locals_) for a in s.args]
+        grid = _EVAL[type(s.grid)](self, s.grid, inst, locals_)
+        block = _EVAL[type(s.block)](self, s.block, inst, locals_)
+        args = [_EVAL[type(a)](self, a, inst, locals_) for a in s.args]
         if m.sticky_error != 0:
             self.notes.append(
                 Diagnostic.make(
@@ -202,7 +227,7 @@ class Interpreter:
                 SrcLoc(self.analysis.path, 1, 1),
                 "no compiled code exists for this side",
             )
-        target = self._site(s)
+        target = self._site(s, inst)
         kernel = device.instances.get(target.key)
         if kernel is None:
             raise UbHalt(
@@ -211,72 +236,79 @@ class Interpreter:
         if not isinstance(grid, int) or not isinstance(block, int):
             raise UbHalt(s.loc, "the launch configuration must be integral")
         for _ in range(max(grid, 0) * max(block, 0)):
+            self.threads += 1
             try:
-                self._exec_instance(kernel, args, s.loc)
+                self._body(kernel, args, s.loc)
             except _Trap:
                 m.sticky_error = self.analysis.profile.trap_error_code()
                 break  # the trap abandons all remaining threads
 
     # -- the site table ---------------------------------------------------------------
 
-    def _site(self, node):
-        """What the walk recorded at node: a callee, type or value, else a UB halt."""
-        recorded = self.sites.get(id(node), "the check resolved no callee here")
+    def _site(self, node, inst: Instance, locals_=None):
+        """What the walk recorded at node: a callee, type or value, else a UB halt.
+
+        It is also the handler of hdc< T > and T::member, hence locals_.
+        """
+        recorded = inst.sites.get(id(node), "the check resolved no callee here")
         if isinstance(recorded, str):
             raise UbHalt(node.loc, recorded)
         return recorded
 
-    def _call(self, e, locals_):
-        args = [self._eval(a, locals_) for a in e.args]
-        callee = self._site(e)
+    def _call(self, e, inst: Instance, locals_):
+        args = []
+        for a in e.args:
+            args.append(_EVAL[type(a)](self, a, inst, locals_))
+        callee = self._site(e, inst)
         if callee is None:
-            return self._eval_builtin(e, args)
-        return self._exec_instance(callee, args, e.loc)
+            return self._builtin(e, args)
+        self.calls += 1
+        return self._body(callee, args, e.loc)
 
-    # -- expression evaluation --------------------------------------------------------
+    def _member_call(self, e: n.MemberCallExpr, inst, locals_):
+        r = e.recv
+        _EVAL[type(r)](self, r, inst, locals_)  # for its halts; the walk chose the callee
+        return self._call(e, inst, locals_)
 
-    def _eval(self, e, locals_):
-        if isinstance(e, n.IntLit):
-            return e.value
-        if isinstance(e, n.BoolLit):
-            return e.value
-        if isinstance(e, n.StringLit):
-            return e.value
-        if isinstance(e, n.HdcLit):
-            return HDC[e.value]
-        if isinstance(e, n.CudaArchRef):
-            return self.inst.side is DEVICE
-        if isinstance(e, n.NameRef):
-            if e.name in locals_:
-                return locals_[e.name]
-            return self._site(e)
-        if isinstance(e, n.TempObj):
-            return StructVal(self._site(e))
-        if isinstance(e, (n.HdcTrait, n.MemberConst)):
-            return self._site(e)
-        if isinstance(e, n.UnaryExpr):
-            return not self._eval(e.operand, locals_)
-        if isinstance(e, n.BinaryExpr):
-            lhs = self._eval(e.lhs, locals_)
-            if e.op == "&&":
-                return bool(lhs) and bool(self._eval(e.rhs, locals_))
-            if e.op == "||":
-                return bool(lhs) or bool(self._eval(e.rhs, locals_))
-            rhs = self._eval(e.rhs, locals_)
-            if e.op == "==":
-                return lhs == rhs
-            if e.op == "!=":
-                return lhs != rhs
-        if isinstance(e, (n.CallExpr, n.StaticCallExpr)):
-            return self._call(e, locals_)
-        if isinstance(e, n.MemberCallExpr):
-            self._eval(e.recv, locals_)  # for its halts; the walk chose the callee
-            return self._call(e, locals_)
-        raise TypeError(f"unknown expression {e!r}")
+    # -- expressions ------------------------------------------------------------------
+
+    def _literal(self, e, inst, locals_):
+        return e.value
+
+    def _hdc_literal(self, e: n.HdcLit, inst, locals_):
+        return HDC[e.value]
+
+    def _cuda_arch(self, e: n.CudaArchRef, inst: Instance, locals_):
+        return inst.side is DEVICE
+
+    def _name(self, e: n.NameRef, inst, locals_):
+        if e.name in locals_:
+            return locals_[e.name]
+        return self._site(e, inst)
+
+    def _temporary(self, e: n.TempObj, inst, locals_):
+        return StructVal(self._site(e, inst))
+
+    def _not(self, e: n.UnaryExpr, inst, locals_):
+        return not _EVAL[type(e.operand)](self, e.operand, inst, locals_)
+
+    def _binary(self, e: n.BinaryExpr, inst, locals_):
+        lhs = _EVAL[type(e.lhs)](self, e.lhs, inst, locals_)
+        op = e.op
+        if op == "&&":
+            return bool(lhs) and bool(_EVAL[type(e.rhs)](self, e.rhs, inst, locals_))
+        if op == "||":
+            return bool(lhs) or bool(_EVAL[type(e.rhs)](self, e.rhs, inst, locals_))
+        rhs = _EVAL[type(e.rhs)](self, e.rhs, inst, locals_)
+        if op == "==":
+            return lhs == rhs
+        if op == "!=":
+            return lhs != rhs
+        raise TypeError(f"unknown operator {op!r}")
 
     # -- builtins ---------------------------------------------------------------------
 
-    def _eval_builtin(self, e: n.CallExpr, args):
+    def _builtin(self, e: n.CallExpr, args):
         m = self.machine
         name = e.name
         if name == "printf":
@@ -294,6 +326,35 @@ class Interpreter:
         if name in ("release_assert", "__trap", "abort", "std::abort"):
             raise _Trap()
         raise AssertionError(f"unhandled builtin {name}")
+
+
+_STMT = {
+    n.ExprStmt: Interpreter._expr_stmt,
+    n.ReturnStmt: Interpreter._return,
+    n.VarDeclStmt: Interpreter._var_decl,
+    n.IfStmt: Interpreter._if,
+    n.ForStmt: Interpreter._for,
+    # Looked up on the class at each launch, so that a wrapper installed
+    # there sees every launch statement, skipped launches included.
+    n.LaunchStmt: lambda self, s, inst, locals_: self.launch_kernel(s, inst, locals_),
+}
+
+_EVAL = {
+    n.IntLit: Interpreter._literal,
+    n.BoolLit: Interpreter._literal,
+    n.StringLit: Interpreter._literal,
+    n.HdcLit: Interpreter._hdc_literal,
+    n.CudaArchRef: Interpreter._cuda_arch,
+    n.NameRef: Interpreter._name,
+    n.TempObj: Interpreter._temporary,
+    n.HdcTrait: Interpreter._site,
+    n.MemberConst: Interpreter._site,
+    n.UnaryExpr: Interpreter._not,
+    n.BinaryExpr: Interpreter._binary,
+    n.CallExpr: Interpreter._call,
+    n.StaticCallExpr: Interpreter._call,
+    n.MemberCallExpr: Interpreter._member_call,
+}
 
 
 def run_program(analysis: Analysis) -> RunResult:

@@ -114,6 +114,16 @@ def test_run_refuses_errors_without_force(tmp_path, capsys):
     assert rc == 101
 
 
+def test_run_of_unbounded_recursion_prints_a_note_not_a_traceback(tmp_path, capsys):
+    p = tmp_path / "rec.mcu"
+    p.write_text("int f( int x ) { return f( x ); }\nint main() { return f( 1 ); }\n")
+    assert main(["run", str(p)]) == 139
+    captured = capsys.readouterr()
+    assert captured.out == (f"{p}:2:5: note[N0002]: execution halted: "
+                            "calls nest deeper than the interpreter's stack\n")
+    assert "Traceback" not in captured.err
+
+
 def test_run_trap_exit_codes(tmp_path):
     p = tmp_path / "trap.mcu"
     p.write_text(

@@ -1,7 +1,14 @@
+import random
+import sys
+from pathlib import Path
+
 import pytest
 
+from exspace.corpus import parse_header
+from exspace.diagnostics import format_diagnostic
 from exspace.interp import (
     ABORT_EXIT,
+    STACK_EXIT,
     UB_EXIT,
     Machine,
     RunResult,
@@ -10,6 +17,10 @@ from exspace.interp import (
 )
 from exspace.spacecheck import Mode, analyze
 from exspace.syntax.preprocess import CompileProfile
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "bench"))
+import gen  # noqa: E402
 
 NVCC = CompileProfile()
 
@@ -532,3 +543,90 @@ def test_interpreter_imports_no_resolution_or_evaluation():
         elif isinstance(node, ast.Import):
             imported.update(alias.name.rsplit(".", 1)[-1] for alias in node.names)
     assert not imported & _CHECK_ONLY_NAMES
+
+
+# -- the return protocol, call depth and the run's counts --------------------
+
+
+def test_early_return_inside_a_loop_inside_an_if_ends_the_body():
+    src = """int pick( int n ) {
+  if( n == 2 ) {
+    for( int i = 0; i < 4; ++i ) {
+      printf( "%d", i );
+      if( i == 1 ) {
+        return 7;
+      }
+      printf( ";" );
+    }
+    printf( "after the loop" );
+  }
+  printf( "after the if" );
+  return 0;
+}
+int main() {
+  return pick( 2 );
+}
+"""
+    result = run(src)
+    assert (result.exit_code, result.stdout) == (7, b"0;1")
+    assert (result.calls, result.threads) == (1, 0)
+
+
+def test_early_return_in_a_kernel_ends_only_its_thread():
+    src = """__global__ void k( int n ) {
+  if( n == 4 ) {
+    for( int i = 0; i < n; ++i ) {
+      printf( "%d", i );
+      if( i == 1 ) {
+        return;
+      }
+    }
+  }
+  printf( "!" );
+}
+int main() {
+  k<<< 1, 3 >>>( 4 );
+  printf( "|" );
+  return cudaDeviceSynchronize();
+}
+"""
+    result = run(src)
+    assert (result.exit_code, result.stdout) == (0, b"010101|")
+    assert (result.calls, result.threads) == (0, 3)
+
+
+def test_a_256_deep_host_chain_runs_to_its_value():
+    unit = gen._deep_chain(random.Random(0), "deep.mcu", 256)
+    result = run(unit.text, path=unit.path)
+    assert (result.exit_code, result.stdout) == (0, unit.run.stdout)
+    assert (result.calls, result.threads) == (256, 0)
+    assert not result.notes
+
+
+def test_unbounded_recursion_ends_in_a_note():
+    result = run("int f( int x ) { return f( x ); }\nint main() { return f( 1 ); }\n")
+    assert result.exit_code == STACK_EXIT
+    assert not result.ub_halt
+    assert [(d.code, str(d.loc)) for d in result.notes] == [("N0002", "r.mcu:2:5")]
+    assert result.notes[0].message == (
+        "execution halted: calls nest deeper than the interpreter's stack")
+    assert result.calls > 256
+
+
+@pytest.mark.parametrize("workload", ["chain", "fanout", "kernel"])
+def test_every_bench_unit_runs_to_its_answer(workload):
+    for unit in gen.make_cycle(workload, ROOT, 1):
+        result = run(unit.text, mode=Mode(unit.mode), path=unit.path)
+        want = unit.run
+        assert (result.exit_code, result.stdout, result.calls, result.threads) == (
+            want.exit_code, want.stdout, want.calls, want.threads), unit.path
+        assert [format_diagnostic(d, "machine") for d in result.notes] == want.notes
+
+
+def test_every_corpus_run_counts_its_calls_and_threads(corpus_dir):
+    for name, want in gen.CORPUS_RUNS.items():
+        text = (corpus_dir / name).read_text(encoding="utf-8")
+        cfg = parse_header(text, Mode.CLASSIC, NVCC, name)
+        result = run(text, cfg.profile, cfg.mode, name)
+        assert (result.exit_code, result.calls, result.threads) == (
+            want.exit_code, want.calls, want.threads), name
