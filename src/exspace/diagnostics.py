@@ -35,6 +35,7 @@ CODE_REGISTRY: dict[str, tuple[Severity, str]] = {
     "W1502": (Severity.WARNING, "host device function calls a one-sided function"),
     "N0001": (Severity.NOTE, "kernel launch skipped after device error"),
     "N0002": (Severity.NOTE, "run halted: calls nest too deep"),
+    "N0003": (Severity.NOTE, "run halted: a launch exceeds the thread budget"),
 }
 
 

@@ -5,7 +5,8 @@ threads sequentially in thread order.  A trap latches a version-dependent
 sticky error that later launches observe.  Code runs on the side of the
 instance it belongs to.  A dynamically executed stray call never produces a
 value: it halts the run with a reserved exit code.  Calls nested deeper than
-the Python stack allows halt it with a note and a reserved code of their own.
+the Python stack allows, and a launch of more threads than its budget, halt
+it with a note and a reserved code of their own.
 """
 from __future__ import annotations
 
@@ -19,6 +20,12 @@ from .syntax import nodes as n
 UB_EXIT = 101
 ABORT_EXIT = 134
 STACK_EXIT = 139  # calls nested deeper than the interpreter's stack
+BUDGET_EXIT = 152  # a launch over its thread budget (128 + SIGXCPU)
+
+# Threads one launch may run, grid * block, checked before the first runs.
+# The largest literal launch in the reference corpus and the benchmark's
+# pools runs 2,872.
+MAX_LAUNCH_THREADS = 1 << 20
 
 
 @dataclass
@@ -63,6 +70,15 @@ class _Trap(Exception):
     device this is a trap, which its launch latches, and on the host an
     abort, which ends the run.
     """
+
+
+class BudgetHalt(Exception):
+    """A launch asked for more threads than MAX_LAUNCH_THREADS."""
+
+    def __init__(self, loc: SrcLoc, threads: int):
+        super().__init__(f"{loc}: {threads} threads")
+        self.loc = loc
+        self.threads = threads
 
 
 class UbHalt(Exception):
@@ -138,6 +154,16 @@ class Interpreter:
                 )
             )
             code = STACK_EXIT
+        except BudgetHalt as b:
+            self.notes.append(
+                Diagnostic.make(
+                    "N0003",
+                    b.loc,
+                    f"execution halted: a launch of {b.threads} threads exceeds "
+                    f"the budget of {MAX_LAUNCH_THREADS} threads per launch",
+                )
+            )
+            code = BUDGET_EXIT
         return RunResult(
             code, bytes(self.machine.out), ub, self.notes, self.calls, self.threads
         )
@@ -235,7 +261,10 @@ class Interpreter:
             )
         if not isinstance(grid, int) or not isinstance(block, int):
             raise UbHalt(s.loc, "the launch configuration must be integral")
-        for _ in range(max(grid, 0) * max(block, 0)):
+        threads = max(grid, 0) * max(block, 0)
+        if threads > MAX_LAUNCH_THREADS:
+            raise BudgetHalt(s.loc, threads)
+        for _ in range(threads):
             self.threads += 1
             try:
                 self._body(kernel, args, s.loc)

@@ -1,7 +1,7 @@
 """Name resolution, the compatibility trait, and overload selection."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Optional
 
@@ -157,10 +157,22 @@ def signature_key(decl: n.FunctionDecl, include_spaces: bool) -> tuple:
     return (decl.owner or "", decl.name, params, req, spaces)
 
 
+def _unowned(struct: n.StructDecl) -> n.StructDecl:
+    """A copy of struct whose member functions have no owner."""
+    return replace(struct, declared=None, members=[
+        replace(m, owner=None) if isinstance(m, n.FunctionDecl) else m
+        for m in struct.declared
+    ])
+
+
 def resolve(
     ast: n.Ast, profile, mode, cfg: TraitConfig = TraitConfig()
 ) -> tuple[SymbolTable, list]:
-    """Build the symbol table, diagnosing duplicates and undefined names."""
+    """Build the symbol table, diagnosing duplicates and undefined names.
+
+    An item node may belong to the Ast of each compile pass; resolve writes
+    to it only what it writes in every pass.
+    """
     table = SymbolTable(ast, cfg)
     diags: list[Diagnostic] = []
     include_spaces = mode is Mode.PROPOSAL2
@@ -180,7 +192,7 @@ def resolve(
         seen[key] = decl.loc
         return False
 
-    for item in ast.items:
+    for i, item in enumerate(ast.items):
         if isinstance(item, n.StructDecl):
             if item.name in table.structs:
                 diags.append(
@@ -188,18 +200,20 @@ def resolve(
                         "E0102", item.loc, f'duplicate definition of "{item.name}"'
                     )
                 )
-                for m in item.member_functions():  # Ast.decls() still yields them
+                # Ast.decls() still yields the members of a dropped struct,
+                # all of them and with no owner.  The node may be another
+                # pass's kept struct, so this Ast gets a copy of its own.
+                item = ast.items[i] = _unowned(item)
+                for m in item.member_functions():
                     table.keys[id(m)] = signature_key(m, include_spaces)
                 continue
             table.structs[item.name] = item
-            kept = []
-            for m in item.members:
-                if isinstance(m, n.FunctionDecl):
-                    m.owner = item.name
-                    if is_duplicate(m):
-                        continue  # later phases see the first definition only
-                kept.append(m)
-            item.members = kept
+            # Later phases see the first definition only.  Reading the
+            # members as parsed makes this the same write in every pass.
+            item.members = [
+                m for m in item.declared
+                if not (isinstance(m, n.FunctionDecl) and is_duplicate(m))
+            ]
         elif isinstance(item, n.FunctionDecl):
             if not is_duplicate(item):
                 table.functions.setdefault(item.name, []).append(item)

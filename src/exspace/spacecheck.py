@@ -39,12 +39,14 @@ from .sema import (  # Mode is re-exported from here
     struct_bindings,
 )
 from .syntax import nodes as n
-from .syntax.parser import ParseError, parse
+from .syntax.lexer import pass_tokens, tokenize
+from .syntax.parser import ParsedItems, ParseError, parse
 from .syntax.preprocess import (
     DEVICE_PASS,
     HOST_PASS,
     CompileProfile,
     PreprocessorError,
+    prepare,
     preprocess,
 )
 
@@ -166,7 +168,6 @@ class Instance:
     spaces: object  # frozenset of sides, or ExecSpace.Global
     owner_type: Optional[Type]
     key: tuple
-    first_loc: SrcLoc
     # The site table: id(node) -> what a run of this instance finds there,
     # or the reason (a str; no recorded value is a str) it halts there.
     # Call sites map to the callee Instance, and a free call of a builtin
@@ -320,7 +321,7 @@ class _Walk:
         if key in self.instances:
             return self.instances[key]
         env = {**owner_bindings, **bindings}
-        inst = Instance(decl, bindings, env, side, spaces, owner_type, key, at_loc)
+        inst = Instance(decl, bindings, env, side, spaces, owner_type, key)
         self.instances[key] = inst
         if decl.is_template or owner_type is not None:
             self.demands.setdefault(demand_key, (inst.display(), at_loc))
@@ -477,7 +478,7 @@ class _Walk:
         if t is None and not isinstance(recv, (n.TempObj, n.NameRef)):
             self._emit(
                 "E0001",
-                getattr(recv, "loc", inst.first_loc),
+                recv.loc,
                 "a member-call receiver must be a variable or a temporary",
             )
         return t
@@ -652,36 +653,44 @@ def analyze(
 ) -> Analysis:
     """Preprocess, parse, resolve, and space-check one unit for all passes.
 
-    Passes that preprocess to the same text share one PassArtifacts: that
-    text is parsed and resolved once, and both walks read the same AST and
-    symbol table.  resolve() is the only stage that mutates the AST, and it
-    runs once per text; the walks key what they record by node identity per
-    instance, so they can share nodes.
+    The front end runs once per unit and once per item, not once per pass:
+    the unit is prepared and lexed once, each pass keeps the tokens on the
+    lines it keeps, and a pass reuses each top-level item node an earlier
+    pass parsed from the same tokens.  Passes that share every item share
+    one Ast, symbol table and resolve(); so does a parse failure both
+    passes reach from the same tokens, which is reported once.  resolve()
+    writes to a shared item only what it writes in every pass, and the
+    walks key what they record by node identity per instance, so they can
+    share nodes.
     """
     diags: list[Diagnostic] = []
     analysis = Analysis(path, profile, mode, [])
     specifier_mode = "keep"
     if profile.compiler == "plain":
         specifier_mode = "erase" if profile.erase_specifiers else "reject"
-    front: dict[str, Optional[PassArtifacts]] = {}  # None: the text did not parse
+    prepared = prepare(text)
+    tokens = tokenize(prepared, path)
+    seen = ParsedItems()
+    last = None  # the last pass's PassArtifacts, or the ParseError it failed with
     for pp in profile.passes():
         try:
-            ptext = preprocess(text, pp, path)
+            ptext = preprocess(prepared, pp, path)
         except PreprocessorError as e:
             diags.append(Diagnostic.make("E0002", e.loc, e.message))
             continue
-        if ptext not in front:
-            try:
-                ast = parse(ptext, path, specifier_mode)
-            except ParseError as e:
+        try:
+            ast = parse(pass_tokens(tokens, ptext), path, specifier_mode, seen)
+        except ParseError as e:
+            if e is not last:
                 diags.append(Diagnostic.make("E0001", e.loc, e.message))
-                front[ptext] = None
-                continue
+            last = e
+            continue
+        if isinstance(last, PassArtifacts) and last.ast is ast:
+            table = last.table
+        else:
             table, rdiags = resolve(ast, profile, mode, cfg)
             diags.extend(rdiags)
-            front[ptext] = PassArtifacts(ptext, ast, table)
-        if front[ptext] is not None:
-            analysis.passes[pp.kind] = front[ptext]
+        last = analysis.passes[pp.kind] = PassArtifacts(ptext, ast, table)
 
     for kind, art in analysis.passes.items():
         native = _PASS_SIDE[kind]

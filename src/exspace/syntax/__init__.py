@@ -1,7 +1,7 @@
 """Lexing, preprocessing, and parsing of MiniCU units."""
-from .lexer import LexError, Token, tokenize
+from .lexer import Token, pass_tokens, tokenize
 from .nodes import Ast, unparse
-from .parser import ParseError, parse
+from .parser import ParsedItems, ParseError, parse
 from .preprocess import (
     BUILTIN_MACROS,
     DEVICE_PASS,
@@ -9,6 +9,7 @@ from .preprocess import (
     CompileProfile,
     PpPass,
     PreprocessorError,
+    prepare,
     preprocess,
 )
 
@@ -18,12 +19,14 @@ __all__ = [
     "CompileProfile",
     "DEVICE_PASS",
     "HOST_PASS",
-    "LexError",
     "ParseError",
+    "ParsedItems",
     "PpPass",
     "PreprocessorError",
     "Token",
     "parse",
+    "pass_tokens",
+    "prepare",
     "preprocess",
     "tokenize",
     "unparse",

@@ -1,7 +1,11 @@
-"""Tokenizer for preprocessed MiniCU text.
+"""Tokenizer for prepared MiniCU text.
 
 One compiled master pattern scans the text, after the "Writing a Tokenizer"
-recipe in the documentation of Python's ``re`` module.
+recipe in the documentation of Python's ``re`` module.  A unit is lexed
+once for all its compile passes: every token lies on one line, so a pass's
+tokens are those on the lines it keeps (pass_tokens).  A lex error becomes
+an ``error`` token rather than an exception, so it fails only the passes
+that keep its line.
 """
 from __future__ import annotations
 
@@ -10,20 +14,15 @@ import re
 from ..diagnostics import SrcLoc
 
 
-class LexError(Exception):
-    def __init__(self, loc: SrcLoc, message: str):
-        super().__init__(f"{loc}: {message}")
-        self.loc = loc
-        self.message = message
-
-
 class Token:
     """One token; its SrcLoc is built only when .loc is read."""
 
     __slots__ = ("kind", "text", "line", "col", "file")
 
     def __init__(self, kind: str, text: str, line: int, col: int, file: str):
-        self.kind = kind  # ident | int | string | punct | pragma | eof
+        # ident | int | string | punct | pragma | eof, or error, whose text
+        # is the message
+        self.kind = kind
         self.text = text
         self.line = line
         self.col = col
@@ -41,7 +40,8 @@ class Token:
 # The identifier start [^\W\d] also admits characters such as superscripts
 # and Roman numerals, which are numeric but not alphabetic; tokenize rejects
 # those after the match.  Only ASCII digits form integers: int() rejects the
-# other characters str.isdigit() accepts.
+# other characters str.isdigit() accepts.  No token but space crosses a
+# newline.
 _TOKEN_RE = re.compile(
     r"""
       (?P<space>[ \t\r\n]+)
@@ -57,6 +57,11 @@ _TOKEN_RE = re.compile(
 
 
 def tokenize(text: str, file: str = "<unit>") -> list[Token]:
+    """Every token of text, then the end of input.
+
+    Each lex error is an ``error`` token at its first bad character; the
+    scan goes on after it.
+    """
     toks: list[Token] = []
     append = toks.append
     line = 1
@@ -74,19 +79,39 @@ def tokenize(text: str, file: str = "<unit>") -> list[Token]:
         if kind == "ident":
             c = value[0]
             if not (c.isalpha() or c == "_"):
-                raise LexError(SrcLoc(file, line, col), f"unexpected character {c!r}")
+                kind, value = "error", f"unexpected character {c!r}"
         elif kind == "string":
             value = value[1:-1]
         elif kind == "pragma":
             # Only #pragma survives preprocessing.
             words = value[1:].split()
             if len(words) != 2 or words[0] != "pragma":
-                raise LexError(SrcLoc(file, line, col), "malformed #pragma directive")
-            value = words[1]
+                kind, value = "error", "malformed #pragma directive"
+            else:
+                value = words[1]
         elif kind == "bad":
+            kind = "error"
             if value == '"':
-                raise LexError(SrcLoc(file, line, col), "unterminated string literal")
-            raise LexError(SrcLoc(file, line, col), f"unexpected character {value!r}")
+                value = "unterminated string literal"
+            else:
+                value = f"unexpected character {value!r}"
         append(Token(kind, value, line, col, file))
     append(Token("eof", "", line, len(text) - line_start + 1, file))
     return toks
+
+
+def pass_tokens(tokens: list[Token], text: str) -> list[Token]:
+    """The tokens one compile pass keeps, ending in its own end of input.
+
+    tokens is tokenize(prepared) and text that pass's preprocessed text,
+    which has the lines of prepared with the lines the pass drops blanked.
+    A line with tokens is kept exactly when it is not blank.  The end of
+    input is the one of tokens unless the pass blanked the last line.
+    """
+    lines = text.split("\n")
+    *body, eof = tokens
+    kept = [t for t in body if lines[t.line - 1]]
+    if eof.col > 1 and not lines[-1]:
+        eof = Token("eof", "", eof.line, 1, eof.file)
+    kept.append(eof)
+    return kept

@@ -295,9 +295,16 @@ class StructDecl:
     name: str
     tparams: list
     spec: SpecifierSet  # struct-level decoration (propagation extension)
-    members: list
+    members: list  # as parsed; resolve() drops duplicate member functions
     keyword: str = "struct"
+    # The members as parsed, which resolve() reads, so that it may run once
+    # per compile pass on an item both passes share.
+    declared: list = field(default=None, compare=False, repr=False)
     loc: SrcLoc = _loc_field()
+
+    def __post_init__(self):
+        if self.declared is None:
+            self.declared = self.members
 
     def member_functions(self) -> list:
         return [m for m in self.members if isinstance(m, FunctionDecl)]

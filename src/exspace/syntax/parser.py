@@ -1,8 +1,10 @@
 """Recursive-descent parser for preprocessed MiniCU units."""
 from __future__ import annotations
 
+from typing import Optional
+
 from ..diagnostics import SrcLoc
-from .lexer import LexError, Token, tokenize
+from .lexer import Token, tokenize
 from . import nodes as n
 
 KEYWORDS = {
@@ -60,6 +62,46 @@ class ParseError(Exception):
         self.message = message
 
 
+class ParsedItems:
+    """The top-level items parsed from the passes of one unit, by first token.
+
+    The passes of a unit keep tokens of one tokenize() result, so an item
+    both passes keep starts with the same Token object in both.  An item's
+    parse reads its own tokens and the one after it, nothing else; so when
+    a later pass reaches a recorded first token followed by the same
+    tokens, the recorded node, or ParseError, is its outcome too.  Each
+    pass has an end of input of its own, the same token wherever it sits at
+    the same place.
+    """
+
+    def __init__(self):
+        self.nodes: dict = {}  # first Token -> (its tokens, the next token, node)
+        self.failures: dict = {}  # first Token -> (tokens to the end, the end, ParseError)
+        self.ast: Optional[n.Ast] = None  # the last Ast parse() built
+
+    def reuse(self, toks: list, start: int):
+        """(node, next position) recorded for the item at toks[start], or None.
+
+        toks ends in its end of input twice (see _Parser); a recorded
+        failure is raised.
+        """
+        known = self.nodes.get(toks[start])
+        if known is not None:
+            body, after, node = known
+            end = start + len(body)
+            # body holds no end of input, so toks[end] exists when it matches
+            if toks[start:end] == body and _same(toks[end], after):
+                return node, end
+        failed = self.failures.get(toks[start])
+        if failed is not None and toks[start:-2] == failed[0] and _same(toks[-1], failed[1]):
+            raise failed[2]
+        return None
+
+
+def _same(a: Token, b: Token) -> bool:
+    return a is b or (a.kind == b.kind == "eof" and (a.line, a.col) == (b.line, b.col))
+
+
 class _Parser:
     def __init__(self, toks: list[Token], specifier_mode: str):
         # Lookahead is at most one token: a second EOF keeps peek(1) in range.
@@ -108,14 +150,43 @@ class _Parser:
 
     # -- unit --------------------------------------------------------------
 
-    def parse_unit(self, file: str) -> n.Ast:
+    def parse_unit(self, file: str, seen: ParsedItems) -> n.Ast:
+        toks = self.toks
         items = []
-        while self.peek().kind != "eof":
-            items.append(self.parse_item())
+        while toks[self.pos].kind != "eof":
+            start = self.pos
+            reused = seen.reuse(toks, start)
+            if reused is not None:
+                node, self.pos = reused
+            else:
+                try:
+                    node = self.parse_item()
+                except ParseError as e:
+                    err = self.first_lex_error(start) or e
+                    seen.failures[toks[start]] = (toks[start:-2], toks[-1], err)
+                    raise err from None
+                seen.nodes[toks[start]] = (toks[start:self.pos], toks[self.pos], node)
+            items.append(node)
+        last = seen.ast
+        if last is not None and len(last.items) == len(items) and all(
+            a is b for a, b in zip(last.items, items)
+        ):
+            return last  # every item is shared: so is the Ast
         has_main = any(
             isinstance(it, n.FunctionDecl) and it.name == "main" for it in items
         )
-        return n.Ast(items, has_main, file)
+        seen.ast = n.Ast(items, has_main, file)
+        return seen.ast
+
+    def first_lex_error(self, start: int) -> Optional[ParseError]:
+        """The first lex error from toks[start] on, which a pass reports first.
+
+        Items before start parsed, so they hold no error token.
+        """
+        for t in self.toks[start:]:
+            if t.kind == "error":
+                return ParseError(t.loc, t.text)
+        return None
 
     def parse_pragma(self):
         """The pragma preceding a declaration, if any."""
@@ -267,12 +338,12 @@ class _Parser:
         self.expect("{")
         members = []
         while not self.at("}"):
-            members.append(self.parse_member())
+            members.append(self.parse_member(name.text))
         self.expect("}")
         self.expect(";")
         return n.StructDecl(name.text, tparams, spec, members, kw, loc=name.loc)
 
-    def parse_member(self):
+    def parse_member(self, owner: str):
         pragma = self.parse_pragma()
         tparams = []
         requires = None
@@ -321,7 +392,7 @@ class _Parser:
             self.expect(";")
             return n.MemberVar(name.text, type_.name, value, loc=name.loc)
         self.pos -= 1  # put the member name back for parse_function
-        return self.parse_function(tparams, requires, spec, owner="member",
+        return self.parse_function(tparams, requires, spec, owner,
                                    ret=type_, is_static=is_static)
 
     def parse_function(self, tparams, requires, spec, owner,
@@ -361,7 +432,7 @@ class _Parser:
             self.expect(";", "a function body or ';'")
         return n.FunctionDecl(
             name.text, tparams, requires, spec, ret, params, body,
-            is_static=is_static, loc=loc,
+            is_static=is_static, owner=owner, loc=loc,
         )
 
     # -- types ----------------------------------------------------------------
@@ -666,15 +737,20 @@ class _Parser:
         return self._maybe_member_call(n.NameRef(name, loc=t.loc))
 
 
-def parse(text: str, file: str = "<unit>", specifier_mode: str = "keep") -> n.Ast:
-    """Parse one preprocessed unit into an AST.
+def parse(
+    source: str | list[Token],
+    file: str = "<unit>",
+    specifier_mode: str = "keep",
+    seen: Optional[ParsedItems] = None,
+) -> n.Ast:
+    """Parse one preprocessed unit, or one pass's tokens of it, into an AST.
 
     specifier_mode selects what happens to __host__/__device__/__global__
     tokens: "keep" records them, "erase" parses and discards them, and
-    "reject" treats them as parse errors.
+    "reject" treats them as parse errors.  Given the ParsedItems of the
+    unit's earlier passes, items they parsed from the same tokens are
+    reused, and the earlier Ast itself when every item is.  A lex error is
+    reported before any parse error.
     """
-    try:
-        toks = tokenize(text, file)
-    except LexError as e:
-        raise ParseError(e.loc, e.message) from None
-    return _Parser(toks, specifier_mode).parse_unit(file)
+    toks = tokenize(source, file) if isinstance(source, str) else source
+    return _Parser(toks, specifier_mode).parse_unit(file, seen or ParsedItems())

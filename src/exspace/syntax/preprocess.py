@@ -81,6 +81,8 @@ class CompileProfile:
 
 def join_continuations(text: str) -> str:
     """Splice backslash-newline before directive scanning, keeping line count."""
+    if "\\\n" not in text:
+        return text
     lines = text.split("\n")
     out = []
     i = 0
@@ -111,20 +113,34 @@ def _blank(m: re.Match) -> str:
 
 def strip_comments(text: str) -> str:
     """Blank out // and block comments, preserving lines and columns."""
+    if "//" not in text and "/*" not in text:
+        return text
     return _COMMENT_RE.sub(_blank, text)
+
+
+def prepare(text: str) -> str:
+    """The text every compile pass of a unit starts from.
+
+    Continuations are spliced and comments blanked, with lines and columns
+    kept.  Prepared text prepares to itself, at the cost of a scan for
+    continuation and comment markers when none is left outside a string
+    literal, so a caller that runs several passes prepares once and hands
+    the result to preprocess.
+    """
+    return strip_comments(join_continuations(text))
 
 
 _CONDITIONALS = ("ifdef", "ifndef")
 
 
 def preprocess(text: str, pp: PpPass, file: str = "<unit>") -> str:
-    """Resolve conditional directives for one pass.
+    """Resolve conditional directives for one pass of raw or prepared text.
 
     Inactive regions and directive lines become blank lines.  A #error in an
     active region raises PreprocessorError carrying its message text, as do
     unbalanced or unknown directives and unknown macro names.
     """
-    prepared = strip_comments(join_continuations(text))
+    prepared = prepare(text)
     out = []
     # Stack entries: (parent_active, taken_branch, else_seen, open_loc).
     stack: list[list] = []

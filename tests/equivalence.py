@@ -9,10 +9,15 @@ in all five modes.  Each output is the machine-format diagnostics,
 suppressed ones included and marked, then the exit code, stdout and notes
 of a forced run.
 
+A second set, the split group, holds units whose two pass texts differ:
+gen_unit units with #ifdef __CUDA_ARCH__ regions that change one token of
+a line, hold a lex error or a pragma only one pass keeps, or end the text.
+
     PYTHONPATH=src python tests/equivalence.py [--dump FILE]
 
-prints the number of outputs per input group and one sha256 over all of
-them; --dump writes the outputs themselves, for a diff of two trees.
+prints the number of outputs per input group, one sha256 over the first
+set and one over the split group; --dump writes the outputs themselves,
+for a diff of two trees.
 """
 from __future__ import annotations
 
@@ -20,6 +25,7 @@ import argparse
 import dataclasses
 import hashlib
 import random
+import re
 import sys
 from pathlib import Path
 
@@ -54,6 +60,51 @@ def inputs():
                 yield workload, unit.path, unit.text, CompileProfile()
 
 
+# Lines with a lex error: a stray character, an open string, a malformed
+# pragma, a numeric identifier start.
+_BAD_LINES = ["  int x = 1 @ 2;", '  printf( "open );', "#pragma", "#pragma a b", "  x\u00b2;"]
+_PRAGMAS = ["#pragma hd_warning_disable", "#pragma nv_exec_check_disable"]
+# One token and what it may turn into in the other pass.
+_SWAPS = {"Hst": "Dev", "Dev": "HstDev", "HstDev": "Hst", "__host__": "__device__",
+          "__device__": "__host__", "call": "value", "value": "call", "1": "2",
+          "2": "3", "3": "1", "S0": "S1", "S1": "S0", "w0": "w1", "void": "int"}
+_TOKEN = re.compile(r"\w+")
+_IF = ["#ifdef __CUDA_ARCH__", "#ifndef __CUDA_ARCH__"]
+
+
+def _one_token_apart(rng: random.Random, line: str) -> str:
+    spots = [m for m in _TOKEN.finditer(line) if m.group() in _SWAPS]
+    if not spots:
+        return line + " "
+    m = rng.choice(spots)
+    return line[:m.start()] + _SWAPS[m.group()] + line[m.end():]
+
+
+def gen_split(rng: random.Random) -> str:
+    """A gen_unit unit whose host and device pass texts differ."""
+    lines = gen_unit(rng).with_pragmas.split("\n")
+    bad_at = rng.randrange(len(lines)) if rng.random() < 0.4 else -1
+    out = []
+    for i, line in enumerate(lines):
+        if i == bad_at:  # a lex error only one pass keeps
+            out += [rng.choice(_IF), rng.choice(_BAD_LINES), "#endif"]
+        if line.startswith(("template", "__global__")) and rng.random() < 0.3:
+            out += [rng.choice(_IF), rng.choice(_PRAGMAS), "#endif"]
+        if line.strip() and rng.random() < 0.08:  # one token apart
+            out += [rng.choice(_IF), line, "#else", _one_token_apart(rng, line), "#endif"]
+        else:
+            out.append(line)
+    text = "\n".join(out)
+    if rng.random() < 0.2:  # end in a region, with or without a newline
+        text += "\n" + rng.choice(_IF) + "\n}\n#endif" + rng.choice(["", "\n", "\n  "])
+    return text
+
+
+def split_inputs():
+    for seed in range(300):
+        yield "split", f"split_{seed}.mcu", gen_split(random.Random(seed)), CompileProfile()
+
+
 def outputs(path: str, text: str, profile: CompileProfile):
     profiles = [profile]
     if profile.compiler == "nvcc" and not profile.relaxed_constexpr:
@@ -77,23 +128,25 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--dump", type=Path, help="also write every output to this file")
     args = ap.parse_args(argv)
-    digest = hashlib.sha256()
+    digests = {"": hashlib.sha256(), "split ": hashlib.sha256()}
     counts: dict[str, int] = {}
     dump = args.dump.open("w", encoding="utf-8") if args.dump else None
     try:
-        for group, path, text, profile in inputs():
-            for block in outputs(path, text, profile):
-                counts[group] = counts.get(group, 0) + 1
-                digest.update(block.encode())
-                if dump:
-                    dump.write(block)
+        for name, units in (("", inputs()), ("split ", split_inputs())):
+            for group, path, text, profile in units:
+                for block in outputs(path, text, profile):
+                    counts[group] = counts.get(group, 0) + 1
+                    digests[name].update(block.encode())
+                    if dump:
+                        dump.write(block)
     finally:
         if dump:
             dump.close()
     for group, count in counts.items():
         print(f"{group} {count}")
-    print(f"total {sum(counts.values())}")
-    print(f"sha256 {digest.hexdigest()}")
+    print(f"total {sum(counts.values()) - counts['split']}")
+    for name, digest in digests.items():
+        print(f"{name}sha256 {digest.hexdigest()}")
     return 0
 
 

@@ -1,6 +1,7 @@
 import re
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -121,6 +122,21 @@ def test_run_of_unbounded_recursion_prints_a_note_not_a_traceback(tmp_path, caps
     captured = capsys.readouterr()
     assert captured.out == (f"{p}:2:5: note[N0002]: execution halted: "
                             "calls nest deeper than the interpreter's stack\n")
+    assert "Traceback" not in captured.err
+
+
+def test_run_of_a_launch_over_the_thread_budget_halts_before_any_thread(tmp_path, capsys):
+    p = tmp_path / "big.mcu"
+    p.write_text('__global__ void k() { printf( "t" ); }\n'
+                 'int main() {\n  printf( "a" );\n  k<<< 100000, 100000 >>>();\n'
+                 '  return 0;\n}\n')
+    start = time.perf_counter()
+    assert main(["run", str(p)]) == 152
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == (f"a{p}:4:3: note[N0003]: execution halted: a launch of "
+                            "10000000000 threads exceeds the budget of 1048576 threads "
+                            "per launch\n")
     assert "Traceback" not in captured.err
 
 

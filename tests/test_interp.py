@@ -6,8 +6,10 @@ import pytest
 
 from exspace.corpus import parse_header
 from exspace.diagnostics import format_diagnostic
+from exspace import interp
 from exspace.interp import (
     ABORT_EXIT,
+    BUDGET_EXIT,
     STACK_EXIT,
     UB_EXIT,
     Machine,
@@ -611,6 +613,20 @@ def test_unbounded_recursion_ends_in_a_note():
     assert result.notes[0].message == (
         "execution halted: calls nest deeper than the interpreter's stack")
     assert result.calls > 256
+
+
+def test_a_launch_runs_up_to_its_thread_budget_and_no_further(monkeypatch):
+    monkeypatch.setattr(interp, "MAX_LAUNCH_THREADS", 6)
+    src = ('__global__ void k() { printf( "t" ); }\nint main() {\n'
+           '  k<<< 2, 3 >>>();\n  printf( "|" );\n  k<<< 7, 1 >>>();\n'
+           '  printf( "never" );\n  return 0;\n}\n')
+    result = run(src)
+    assert (result.exit_code, result.stdout, result.threads) == (BUDGET_EXIT, b"tttttt|", 6)
+    assert not result.ub_halt
+    assert [(d.code, str(d.loc), d.message) for d in result.notes] == [(
+        "N0003", "r.mcu:5:3",
+        "execution halted: a launch of 7 threads exceeds the budget of 6 threads per launch",
+    )]
 
 
 @pytest.mark.parametrize("workload", ["chain", "fanout", "kernel"])

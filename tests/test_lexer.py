@@ -2,7 +2,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from exspace.syntax.lexer import LexError, Token, tokenize
+from exspace.syntax.lexer import Token, tokenize
+from exspace.syntax.parser import ParseError, parse
 
 # Every character MiniCU uses, plus characters that probe the edges: a
 # superscript digit and a Roman numeral (numeric, not alphabetic), a
@@ -16,13 +17,12 @@ ALPHABET = (
 @settings(max_examples=400, derandomize=True, database=None, deadline=None)
 @given(st.text(alphabet=ALPHABET, max_size=120))
 def test_tokens_sit_where_they_were_read(text):
-    try:
-        toks = tokenize(text, "t")
-    except LexError:
-        return
+    toks = tokenize(text, "t")
     assert all(isinstance(t, Token) for t in toks)
     assert toks[-1].kind == "eof"
+    assert [t.kind for t in toks].count("eof") == 1
     lines = text.split("\n")
+    assert [(t.line, t.col) for t in toks] == sorted((t.line, t.col) for t in toks)
     for t in toks:
         if t.kind in ("ident", "int", "punct"):
             assert lines[t.line - 1][t.col - 1:].startswith(t.text), t
@@ -46,8 +46,12 @@ def test_identifiers_start_with_a_letter_or_underscore():
     ("#include x", 1, "malformed #pragma directive"),
 ])
 def test_lex_errors_name_the_first_bad_character(text, col, message):
-    with pytest.raises(LexError) as info:
-        tokenize(text, "t")
+    # The scan records the error as a token and goes on; a parse reports
+    # the first one.
+    first = next(t for t in tokenize(text, "t") if t.kind == "error")
+    assert (first.loc.line, first.loc.col, first.text) == (1, col, message)
+    with pytest.raises(ParseError) as info:
+        parse(text, "t")
     assert (info.value.loc.line, info.value.loc.col) == (1, col)
     assert info.value.message == message
 

@@ -1,16 +1,23 @@
-"""Passes that preprocess to one text share one AST and one symbol table.
+"""The front end runs once per unit and once per item, not once per pass.
 
-The second test traces the front end with the benchmark's own tracer, so a
-change that hides an entry point from it, or runs a stage more often than
-once per distinct pass text, fails here as well as in the benchmark.
+A unit is lexed once; each pass parses only the top-level items whose
+tokens differ from an earlier pass's, and passes that share every item
+share one AST and one symbol table.  The trace test runs the front end
+under the benchmark's own tracer, so a change that hides an entry point
+from it, or runs a stage more often than that, fails here as well as in
+the benchmark.
 """
 import sys
 from collections import Counter
 from pathlib import Path
 
+import pytest
+
 import exspace.corpus  # noqa: F401  (run_corpus_file is a traced entry point)
 from exspace import spacecheck
+from exspace.interp import run_program
 from exspace.spacecheck import analyze
+from exspace.syntax import parser
 from exspace.syntax.preprocess import DEVICE_PASS, HOST_PASS
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -70,7 +77,137 @@ def test_trace_sees_one_front_end_per_distinct_pass_text():
         finally:
             t.uninstall()
         counts[name] = Counter(span[0] for span in t.spans)
-    for stage in ("tokenize", "parse", "resolve"):
-        assert (counts["shared"][stage], counts["split"][stage]) == (1, 2), stage
+    # One lex per unit, one parse per pass (which reuses the items an earlier
+    # pass parsed from the same tokens), one resolve per distinct AST.
+    for stage, shared, split in (("tokenize", 1, 1), ("parse", 2, 2), ("resolve", 1, 2)):
+        assert (counts["shared"][stage], counts["split"][stage]) == (shared, split), stage
     assert counts["shared"]["preprocess"] == counts["split"]["preprocess"] == 2
     assert counts["shared"]["analyze"] == counts["split"]["analyze"] == 1
+
+
+def _raw_diagnostics(monkeypatch) -> list:
+    """The diagnostics analyze() collects, before deduplication."""
+    raw = []
+    finish = spacecheck.finish_diagnostics
+    monkeypatch.setattr(spacecheck, "finish_diagnostics",
+                        lambda diags: raw.extend(diags) or finish(diags))
+    return raw
+
+
+def test_an_item_is_parsed_once_unless_its_tokens_differ(monkeypatch):
+    parsed = []
+    parse_item = parser._Parser.parse_item
+    monkeypatch.setattr(parser._Parser, "parse_item",
+                        lambda self: parsed.append(self.peek().line) or parse_item(self))
+    split = analyze(SPLIT)
+    host, device = split.passes[HOST_PASS].ast, split.passes[DEVICE_PASS].ast
+    # The host pass parses all three items; the device pass only g, whose
+    # body differs.
+    assert parsed == [1, 2, 9, 2]
+    assert [a is b for a, b in zip(host.items, device.items)] == [True, False, True]
+    assert host is not device
+
+
+# Each line is kept by one pass only; at the parent commit, which lexed each
+# pass text on its own, the pass that keeps it reported the same E0001.
+_BAD_LINES = [
+    ("  return 1 @ 2;", 12, "unexpected character '@'"),
+    ("#pragma", 1, "malformed #pragma directive"),
+    ('  printf( "a );', 11, "unterminated string literal"),
+]
+
+
+@pytest.mark.parametrize("line, col, message", _BAD_LINES)
+@pytest.mark.parametrize("bad_pass", [DEVICE_PASS, HOST_PASS])
+def test_a_lex_error_fails_only_the_passes_that_keep_its_line(
+        monkeypatch, bad_pass, line, col, message):
+    device_line, host_line = (line, "  return 2;") if bad_pass == DEVICE_PASS \
+        else ("  return 2;", line)
+    text = ("__host__ __device__ int g() {\n#ifdef __CUDA_ARCH__\n"
+            f"{device_line}\n#else\n{host_line}\n#endif\n  return 1;\n}}\n"
+            "int main() { return g(); }\n")
+    raw = _raw_diagnostics(monkeypatch)
+    analysis = analyze(text, "l.mcu")
+    bad_line = 3 if bad_pass == DEVICE_PASS else 5
+    assert [(d.code, d.loc.line, d.loc.col, d.message) for d in raw] == [
+        ("E0001", bad_line, col, message)
+    ]
+    good_pass = HOST_PASS if bad_pass == DEVICE_PASS else DEVICE_PASS
+    assert list(analysis.passes) == [good_pass]
+
+
+def test_a_lex_error_both_passes_keep_is_reported_once(monkeypatch):
+    raw = _raw_diagnostics(monkeypatch)
+    analysis = analyze("int main() {\n#ifdef __CUDA_ARCH__\n#endif\n  return 1 @ 2;\n}\n")
+    assert [(d.code, d.loc.line, d.loc.col) for d in raw] == [("E0001", 4, 12)]
+    assert analysis.passes == {}
+
+
+def test_a_lex_error_comes_before_an_earlier_parse_error():
+    # As when each pass text was lexed before it was parsed.
+    analysis = analyze("int main() { return ( ; }\nint f() { return 1 @ 2; }\n")
+    assert [(d.loc.line, d.loc.col, d.message) for d in analysis.diagnostics] == [
+        (2, 20, "unexpected character '@'")
+    ]
+
+
+@pytest.mark.parametrize("directive", ["#ifdef", "#ifndef"])
+@pytest.mark.parametrize("tail, line, col", [
+    ("#endif", 5, 1),  # the last line is a directive, which both passes blank
+    ("#endif\n  ", 6, 3),  # both passes keep the last line
+])
+def test_end_of_input_keeps_its_location_in_the_pass_that_reaches_it(
+        directive, tail, line, col):
+    # Only one pass keeps the line that closes f; the other reaches the end
+    # of input inside f's body, where the prepared text ends elsewhere.
+    text = f"int main() {{ return 0; }}\nvoid f() {{\n{directive} __CUDA_ARCH__\n}}\n{tail}"
+    analysis = analyze(text, "e.mcu")
+    assert [(d.code, d.loc.line, d.loc.col, d.message) for d in analysis.diagnostics] == [
+        ("E0001", line, col, "expected an expression, found 'end of input'")
+    ]
+    assert list(analysis.passes) == [DEVICE_PASS if directive == "#ifdef" else HOST_PASS]
+
+
+def test_resolve_writes_a_shared_struct_the_same_in_both_passes(monkeypatch):
+    text = """struct S {
+  __host__ __device__ int f() { return 1; }
+  __host__ __device__ int f() { return 2; }
+};
+__host__ __device__ int g() {
+#ifdef __CUDA_ARCH__
+  return 2;
+#else
+  return S{}.f();
+#endif
+}
+int main() { return g(); }
+"""
+    raw = _raw_diagnostics(monkeypatch)
+    analysis = analyze(text, "d.mcu")
+    host, device = analysis.passes[HOST_PASS], analysis.passes[DEVICE_PASS]
+    struct = host.ast.items[0]
+    assert device.ast.items[0] is struct and host.table is not device.table
+    # Each pass reports the E0102, which the unit's output shows once.
+    assert [(d.code, d.loc.line) for d in raw] == [("E0102", 3)] * 2
+    assert [(d.code, d.loc.line) for d in analysis.all_diagnostics] == [("E0102", 3)]
+    members = [id(m) for m in struct.declared]
+    assert [host.table.keys[k] for k in members] == [device.table.keys[k] for k in members]
+    assert struct.members == struct.declared[:1]
+    assert run_program(analysis).exit_code == 1
+
+
+def test_a_struct_kept_in_one_pass_and_dropped_in_the_other():
+    # The second S is the host pass's only S and a duplicate in the device
+    # pass, where its member f has no owner, as at the parent commit.
+    text = ("#ifdef __CUDA_ARCH__\nstruct S { __host__ __device__ int f() { return 1; } };\n"
+            "#endif\nstruct S { __host__ __device__ int f() { return 2; } };\n"
+            "int main() { return S{}.f(); }\n")
+    assert [(d.code, d.loc.line) for d in analyze(text, "s.mcu").diagnostics] == [("E0102", 4)]
+    sound = analyze(text, "s.mcu", mode=spacecheck.Mode.SOUND)
+    assert [d.message for d in sound.diagnostics][1:] == [
+        'the instantiation of "f" must not depend on whether __CUDA_ARCH__ is defined'
+    ]
+    host, device = (sound.passes[p].ast.items[-2] for p in (HOST_PASS, DEVICE_PASS))
+    assert [m.owner for m in host.members] == ["S"]
+    assert [m.owner for m in device.members] == [None]
+    assert run_program(sound).exit_code == 2
