@@ -644,14 +644,9 @@ class Analysis:
 _PASS_SIDE = {HOST_PASS: HOST, DEVICE_PASS: DEVICE}
 
 
-def analyze(
-    text: str,
-    path: str = "<unit>",
-    profile: CompileProfile = CompileProfile(),
-    mode: Mode = Mode.CLASSIC,
-    cfg: TraitConfig = TraitConfig(),
-) -> Analysis:
-    """Preprocess, parse, resolve, and space-check one unit for all passes.
+def _front_end(text: str, path: str, profile: CompileProfile, mode: Mode,
+               cfg: TraitConfig, diags: list) -> dict:
+    """PassArtifacts by pass kind, for each pass that preprocesses and parses.
 
     The front end runs once per unit and once per item, not once per pass:
     the unit is prepared and lexed once, each pass keeps the tokens on the
@@ -661,16 +656,15 @@ def analyze(
     passes reach from the same tokens, which is reported once.  resolve()
     writes to a shared item only what it writes in every pass, and the
     walks key what they record by node identity per instance, so they can
-    share nodes.
+    share nodes.  The tokens are dropped before the walks.
     """
-    diags: list[Diagnostic] = []
-    analysis = Analysis(path, profile, mode, [])
     specifier_mode = "keep"
     if profile.compiler == "plain":
         specifier_mode = "erase" if profile.erase_specifiers else "reject"
     prepared = prepare(text)
     tokens = tokenize(prepared, path)
     seen = ParsedItems()
+    passes: dict[str, PassArtifacts] = {}
     last = None  # the last pass's PassArtifacts, or the ParseError it failed with
     for pp in profile.passes():
         try:
@@ -679,7 +673,7 @@ def analyze(
             diags.append(Diagnostic.make("E0002", e.loc, e.message))
             continue
         try:
-            ast = parse(pass_tokens(tokens, ptext), path, specifier_mode, seen)
+            ast = parse(pass_tokens(tokens, prepared, ptext), path, specifier_mode, seen)
         except ParseError as e:
             if e is not last:
                 diags.append(Diagnostic.make("E0001", e.loc, e.message))
@@ -690,7 +684,25 @@ def analyze(
         else:
             table, rdiags = resolve(ast, profile, mode, cfg)
             diags.extend(rdiags)
-        last = analysis.passes[pp.kind] = PassArtifacts(ptext, ast, table)
+        last = passes[pp.kind] = PassArtifacts(ptext, ast, table)
+    return passes
+
+
+def analyze(
+    text: str,
+    path: str = "<unit>",
+    profile: CompileProfile = CompileProfile(),
+    mode: Mode = Mode.CLASSIC,
+    cfg: TraitConfig = TraitConfig(),
+) -> Analysis:
+    """Preprocess, parse, resolve, and space-check one unit for all passes.
+
+    See _front_end for how the passes share the front end; each pass gets
+    its own walk.
+    """
+    diags: list[Diagnostic] = []
+    analysis = Analysis(path, profile, mode, [])
+    analysis.passes = _front_end(text, path, profile, mode, cfg, diags)
 
     for kind, art in analysis.passes.items():
         native = _PASS_SIDE[kind]

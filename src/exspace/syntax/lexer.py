@@ -100,7 +100,7 @@ def tokenize(text: str, file: str = "<unit>") -> list[Token]:
     return toks
 
 
-def pass_tokens(tokens: list[Token], text: str) -> list[Token]:
+def pass_tokens(tokens: list[Token], prepared: str, text: str) -> list[Token]:
     """The tokens one compile pass keeps, ending in its own end of input.
 
     tokens is tokenize(prepared) and text that pass's preprocessed text,
@@ -108,6 +108,8 @@ def pass_tokens(tokens: list[Token], text: str) -> list[Token]:
     A line with tokens is kept exactly when it is not blank.  The end of
     input is the one of tokens unless the pass blanked the last line.
     """
+    if text == prepared:
+        return tokens
     lines = text.split("\n")
     *body, eof = tokens
     kept = [t for t in body if lines[t.line - 1]]

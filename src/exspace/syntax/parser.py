@@ -75,7 +75,7 @@ class ParsedItems:
     """
 
     def __init__(self):
-        self.nodes: dict = {}  # first Token -> (its tokens, the next token, node)
+        self.nodes: dict = {}  # first Token -> (its tokens and the next one, node)
         self.failures: dict = {}  # first Token -> (tokens to the end, the end, ParseError)
         self.ast: Optional[n.Ast] = None  # the last Ast parse() built
 
@@ -87,10 +87,11 @@ class ParsedItems:
         """
         known = self.nodes.get(toks[start])
         if known is not None:
-            body, after, node = known
-            end = start + len(body)
-            # body holds no end of input, so toks[end] exists when it matches
-            if toks[start:end] == body and _same(toks[end], after):
+            span, node = known
+            end = start + len(span) - 1
+            if toks[start:end + 1] == span or (
+                toks[start:end] == span[:-1] and _same(toks[end], span[-1])
+            ):
                 return node, end
         failed = self.failures.get(toks[start])
         if failed is not None and toks[start:-2] == failed[0] and _same(toks[-1], failed[1]):
@@ -165,7 +166,7 @@ class _Parser:
                     err = self.first_lex_error(start) or e
                     seen.failures[toks[start]] = (toks[start:-2], toks[-1], err)
                     raise err from None
-                seen.nodes[toks[start]] = (toks[start:self.pos], toks[self.pos], node)
+                seen.nodes[toks[start]] = (toks[start:self.pos + 1], node)
             items.append(node)
         last = seen.ast
         if last is not None and len(last.items) == len(items) and all(
