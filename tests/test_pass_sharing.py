@@ -108,8 +108,8 @@ def test_an_item_is_parsed_once_unless_its_tokens_differ(monkeypatch):
     assert host is not device
 
 
-# Each line is kept by one pass only; at the parent commit, which lexed each
-# pass text on its own, the pass that keeps it reported the same E0001.
+# Each line is kept by one pass only, which reports the E0001 that lexing its
+# pass text on its own gives.
 _BAD_LINES = [
     ("  return 1 @ 2;", 12, "unexpected character '@'"),
     ("#pragma", 1, "malformed #pragma directive"),
@@ -198,7 +198,8 @@ int main() { return g(); }
 
 def test_a_struct_kept_in_one_pass_and_dropped_in_the_other():
     # The second S is the host pass's only S and a duplicate in the device
-    # pass, where its member f has no owner, as at the parent commit.
+    # pass, where its member f has no owner, like every member of a dropped
+    # struct.
     text = ("#ifdef __CUDA_ARCH__\nstruct S { __host__ __device__ int f() { return 1; } };\n"
             "#endif\nstruct S { __host__ __device__ int f() { return 2; } };\n"
             "int main() { return S{}.f(); }\n")
