@@ -16,12 +16,18 @@ class HDC(Enum):
     Dev = "Dev"
     HstDev = "HstDev"
 
+    # Members are singletons: identity is their equality, and an identity
+    # hash keeps Enum's Python-level __hash__ out of bindings and keys.
+    __hash__ = object.__hash__
+
 
 class ExecSpace(Enum):
     Host = "host"
     Device = "device"
     Global = "global"
     HostDevice = "host device"
+
+    __hash__ = object.__hash__  # as for HDC
 
 
 HOST = ExecSpace.Host

@@ -6,6 +6,13 @@ mismatches inside host-device callers are attributed to the analysis whose
 native side contains them.  That split reproduces the real two-step
 compilation: host-side bodies are what the host compiler sees, device-side
 bodies what the device front end sees.
+
+The two analyses of a unit share their bodies' resolution: an instance
+body is resolved (overloads, callee spaces, types and constants) once per
+symbol table and demand, and once per side too under PROPOSAL2, where
+those read the calling side.  Each instance replays the resolution with
+its own side, which decides its call verdicts, the callees it demands
+and the launch and stray bookkeeping, so the walks keep their instances.
 """
 from __future__ import annotations
 
@@ -167,14 +174,16 @@ class Instance:
     side: ExecSpace
     spaces: object  # frozenset of sides, or ExecSpace.Global
     owner_type: Optional[Type]
-    key: tuple
+    key: tuple  # (demand number, side), equal across the walks of one analyze
     # The site table: id(node) -> what a run of this instance finds there,
     # or the reason (a str; no recorded value is a str) it halts there.
     # Call sites map to the callee Instance, and a free call of a builtin
     # with code on the instance's side to None.  TempObj and VarDeclStmt map
     # to their Type, HdcTrait and MemberConst to their value, and a NameRef
-    # that is not a local to the value of its template parameter.  Recursion makes this cyclic, so it
-    # stays out of repr and equality.
+    # that is not a local to the value of its template parameter.  Entries
+    # no side decides are copied from the body's resolution; call, builtin
+    # and launch entries come from this instance's replay.  Recursion makes
+    # this cyclic, so it stays out of repr and equality.
     sites: dict = field(default_factory=dict, repr=False, compare=False)
 
     def display(self) -> str:
@@ -201,37 +210,70 @@ class _Pending:
     loc: SrcLoc
 
 
+class _Body:
+    """One instance body resolved once per symbol table and demand.
+
+    Under PROPOSAL2, where overload resolution and effective spaces read
+    the calling side, it is resolved once per side too.  sites holds the
+    site entries no side decides.  events holds, in walk order, the
+    resolution's diagnostics and one record per call, builtin call and
+    launch: a tuple of the _Walk method that replays it and its arguments.
+    """
+
+    __slots__ = ("decl", "env", "side", "sites", "events")
+
+    def __init__(self, inst: Instance):
+        self.decl = inst.decl
+        self.env = inst.env
+        self.side = inst.side  # the calling side, which only PROPOSAL2 reads
+        self.sites: dict = {}
+        self.events: list = []
+
+
 def _bindings_key(bindings: dict) -> tuple:
     return tuple(sorted(bindings.items(), key=lambda kv: kv[0]))
 
 
 class _Walk:
-    """One analysis over one pass's text, attributed to a native side."""
+    """One analysis over one pass's text, attributed to a native side.
+
+    The walks of one analyze share the interned demands and, per symbol
+    table, the resolved bodies; each instance replays its body's
+    resolution with its own side.
+    """
 
     def __init__(self, ast: n.Ast, table: SymbolTable, native_side: ExecSpace,
-                 mode: Mode, profile: CompileProfile):
+                 mode: Mode, profile: CompileProfile, interned: dict):
         self.ast = ast
         self.table = table
         self.native = native_side
         self.mode = mode
         self.profile = profile
+        self.interned = interned  # (signature key, bindings, owner type) -> demand
         self.diags: list[Diagnostic] = []
         self.pending: list[_Pending] = []
         self.instances: dict[tuple, Instance] = {}
         self.queue: deque = deque()
-        self.demands: dict[tuple, tuple] = {}  # key -> (display, loc)
+        self.demands: dict = {}  # ("decl", signature key) or demand -> (display, loc)
         self.edges: dict[tuple, list] = {}
         self.launch_seeds: list[tuple] = []
         self.main_key: Optional[tuple] = None
 
     # -- diagnostics helpers -------------------------------------------------
 
-    def _emit(self, code: str, loc: SrcLoc, message: str):
-        self.diags.append(Diagnostic.make(code, loc, message))
+    @staticmethod
+    def _emit(out: list, code: str, loc: SrcLoc, message: str):
+        out.append(Diagnostic.make(code, loc, message))
 
     # -- entry ----------------------------------------------------------------
 
-    def run(self):
+    def run(self, bodies: dict):
+        """Walk every demanded instance.
+
+        bodies holds the resolved bodies of this walk's symbol table by
+        demand (and side, under PROPOSAL2); analyze hands the same dict to
+        the other pass's walk when the passes share the table.
+        """
         for decl, owner in self.ast.decls():
             self.demands.setdefault(
                 ("decl", self.table.keys[id(decl)]), (decl.display_name(), decl.loc)
@@ -239,7 +281,7 @@ class _Walk:
         self._seed_roots()
         while self.queue:
             inst = self.queue.popleft()
-            self._walk_instance(inst)
+            self._walk_instance(inst, bodies)
         self._resolve_pending()
 
     def _seed_roots(self):
@@ -260,8 +302,9 @@ class _Walk:
                 [DEVICE] if spaces is ExecSpace.Global
                 else [s for s in (HOST, DEVICE) if s in spaces]
             )
+            demand = self._demand(decl, {}, owner_type)
             for side in sides:
-                self._instantiate(decl, {}, side, spaces, {}, owner_type, decl.loc)
+                self._instantiate(demand, decl, {}, side, spaces, {}, owner_type, decl.loc)
 
     def _p2_rooted(self, decl: n.FunctionDecl, owner) -> bool:
         # Undecorated callables behave like templates under propagation:
@@ -270,38 +313,52 @@ class _Walk:
             return True
         return not member_spec(decl, owner).undecorated
 
-    def _sema(self, inst, node, halt: str, failure: tuple, fn, *args, **kwargs):
+    def _sema(self, body, node, halt: str, failure: tuple, fn, *args, **kwargs):
         """fn(*args, **kwargs) with its failure diagnosed; None on failure.
 
         A SemaError is reported as it is; a SubstFailure as the (code, loc,
         message) diagnostic failure names, where a None message is the
-        failure's own text.  Given node, the value, or the reason a run halts
-        there (halt followed by the failure), goes into inst's site table.
+        failure's own text.  The diagnostic goes into body's events, or the
+        walk's diagnostics without a body.  Given node, the value, or the
+        reason a run halts there (halt followed by the failure), goes into
+        body's site entries.
         """
         try:
             value = recorded = fn(*args, **kwargs)
         except (SemaError, SubstFailure) as err:
+            out = self.diags if body is None else body.events
             if isinstance(err, SemaError):
-                self.diags.append(err.diagnostic())
+                out.append(err.diagnostic())
             else:
                 code, loc, message = failure
-                self._emit(code, loc, message or str(err))
+                self._emit(out, code, loc, message or str(err))
             value, recorded = None, f"{halt}{err}"
         if node is not None:
-            inst.sites[id(node)] = recorded
+            body.sites[id(node)] = recorded
         return value
 
-    def _spaces(self, decl, bindings, side, owner_struct, loc, inst=None, node=None):
+    def _spaces(self, decl, bindings, side, owner_struct, loc, body=None, node=None):
         return self._sema(
-            inst, node, "unresolvable execution space: ",
+            body, node, "unresolvable execution space: ",
             ("E0001", loc, "specifier predicate is not a constant"),
             effective_spaces, decl, bindings, self.mode, side, self.table, loc, owner_struct,
         )
 
     # -- instantiation ---------------------------------------------------------
 
+    def _demand(self, decl: n.FunctionDecl, bindings: dict,
+                owner_type: Optional[Type]) -> int:
+        """The number of (decl, bindings, owner_type), the same in every pass.
+
+        Numbered once per analyze, a demand keys instances and bodies
+        without hashing a Type or an enum in Python.
+        """
+        key = (self.table.keys[id(decl)], _bindings_key(bindings), owner_type)
+        return self.interned.setdefault(key, len(self.interned))
+
     def _instantiate(
         self,
+        demand: int,
         decl: n.FunctionDecl,
         bindings: dict,
         side: ExecSpace,
@@ -310,105 +367,120 @@ class _Walk:
         owner_type: Optional[Type],
         at_loc: SrcLoc,
     ) -> Instance:
-        """The instance for side, made on first demand.
+        """The instance of demand for side, made on first demand.
 
         The caller has computed its spaces; only undecorated callees under
         propagation take them from the calling side, and those are always
         demanded on that side.
         """
-        demand_key = ("inst", self.table.keys[id(decl)], _bindings_key(bindings), owner_type)
-        key = demand_key + (side,)
-        if key in self.instances:
-            return self.instances[key]
+        key = (demand, side)
+        inst = self.instances.get(key)
+        if inst is not None:
+            return inst
         env = {**owner_bindings, **bindings}
         inst = Instance(decl, bindings, env, side, spaces, owner_type, key)
         self.instances[key] = inst
-        if decl.is_template or owner_type is not None:
-            self.demands.setdefault(demand_key, (inst.display(), at_loc))
+        if (decl.is_template or owner_type is not None) and demand not in self.demands:
+            self.demands[demand] = (inst.display(), at_loc)
         if decl.name == "main" and decl.owner is None:
             self.main_key = key
         if decl.body is not None:
             self.queue.append(inst)
         return inst
 
-    # -- body walking ------------------------------------------------------------
+    # -- body resolution ---------------------------------------------------------
 
-    def _walk_instance(self, inst: Instance):
+    def _walk_instance(self, inst: Instance, bodies: dict):
+        """Replay inst's resolved body with inst's side.
+
+        A body is resolved for the first instance of its demand in this
+        table (for each side under PROPOSAL2); a demand whose declaration
+        differs, which only duplicate definitions make, is resolved anew.
+        """
+        key = inst.key if self.mode is Mode.PROPOSAL2 else inst.key[0]
+        body = bodies.get(key)
+        if body is None or body.decl is not inst.decl:
+            body = self._resolve_body(inst)
+            bodies.setdefault(key, body)
+        inst.sites.update(body.sites)
+        for event in body.events:
+            if type(event) is Diagnostic:
+                self.diags.append(event)
+            else:
+                event[0](self, inst, *event[1:])
+
+    def _resolve_body(self, inst: Instance) -> _Body:
+        body = _Body(inst)
         locals_: dict[str, Optional[Type]] = {}
         for p in inst.decl.params:
-            locals_[p.name] = self._resolve_type_soft(inst, p.type, p.loc)
-        self._walk_stmts(inst, inst.decl.body, locals_)
+            locals_[p.name] = self._resolve_type_soft(body, p.type, p.loc)
+        self._walk_stmts(body, inst.decl.body, locals_)
+        return body
 
-    def _resolve_type_soft(self, inst, tref: n.TypeRef, loc, node=None) -> Optional[Type]:
+    def _resolve_type_soft(self, body, tref: n.TypeRef, loc, node=None) -> Optional[Type]:
         return self._sema(
-            inst, node, "unresolvable type: ",
+            body, node, "unresolvable type: ",
             ("E0101", loc, f'"{tref.name}" does not name a type here'),
-            resolve_type, tref, inst.env, self.table,
+            resolve_type, tref, body.env, self.table,
         )
 
-    def _walk_stmts(self, inst, stmts, locals_):
+    def _walk_stmts(self, body, stmts, locals_):
         for s in stmts:
             if isinstance(s, n.ExprStmt):
-                self._walk_expr(inst, s.expr, locals_)
+                self._walk_expr(body, s.expr, locals_)
             elif isinstance(s, n.ReturnStmt):
                 if s.expr is not None:
-                    self._walk_expr(inst, s.expr, locals_)
+                    self._walk_expr(body, s.expr, locals_)
             elif isinstance(s, n.VarDeclStmt):
-                locals_[s.name] = self._resolve_type_soft(inst, s.type, s.loc, s)
+                locals_[s.name] = self._resolve_type_soft(body, s.type, s.loc, s)
             elif isinstance(s, n.IfStmt):
-                self._walk_expr(inst, s.cond, locals_)
-                self._walk_stmts(inst, s.then, dict(locals_))
+                self._walk_expr(body, s.cond, locals_)
+                self._walk_stmts(body, s.then, dict(locals_))
                 if s.orelse is not None:
-                    self._walk_stmts(inst, s.orelse, dict(locals_))
+                    self._walk_stmts(body, s.orelse, dict(locals_))
             elif isinstance(s, n.ForStmt):
-                self._walk_expr(inst, s.init, locals_)
-                self._walk_expr(inst, s.bound, locals_)
+                self._walk_expr(body, s.init, locals_)
+                self._walk_expr(body, s.bound, locals_)
                 inner = dict(locals_)
                 inner[s.var] = Type("int")
-                self._walk_stmts(inst, s.body, inner)
+                self._walk_stmts(body, s.body, inner)
             elif isinstance(s, n.LaunchStmt):
-                self._walk_launch(inst, s, locals_)
+                self._walk_launch(body, s, locals_)
 
-    def _walk_launch(self, inst, s: n.LaunchStmt, locals_):
-        self._walk_expr(inst, s.grid, locals_)
-        self._walk_expr(inst, s.block, locals_)
-        arg_types = [self._walk_expr(inst, a, locals_) for a in s.args]
-        v = legality(inst.side, ExecSpace.Global, "launch")
-        if not v.ok:
-            self._emit(v.code, s.loc, "a kernel launch is not allowed from device code")
+    def _walk_launch(self, body, s: n.LaunchStmt, locals_):
+        self._walk_expr(body, s.grid, locals_)
+        self._walk_expr(body, s.block, locals_)
+        arg_types = [self._walk_expr(body, a, locals_) for a in s.args]
+        body.events.append((_Walk._launch_from, s))
         candidates = self.table.overloads(s.name)
         if not candidates:
-            inst.sites[id(s)] = f'no kernel named "{s.name}"'
+            body.sites[id(s)] = f'no kernel named "{s.name}"'
             return  # E0101 was already reported by resolve
-        sel = self._select(inst, s, s.name, candidates, arg_types, context_side=DEVICE)
+        sel = self._select(body, s, s.name, candidates, arg_types, context_side=DEVICE)
         if sel is None:
             return
         spec = sel.decl.spec
         target_space = ExecSpace.Global if spec.global_ else _space_of(declared_spaces(spec))
         v = legality(HOST, target_space, "launch")
         if not v.ok:
-            inst.sites[id(s)] = f'"{s.name}" is not a __global__ function'
-            self._emit(v.code, s.loc, "only __global__ functions can be launched with <<< >>>")
+            body.sites[id(s)] = f'"{s.name}" is not a __global__ function'
+            self._emit(body.events, v.code, s.loc,
+                       "only __global__ functions can be launched with <<< >>>")
             return
-        target = self._instantiate(
-            sel.decl, sel.bindings, DEVICE, ExecSpace.Global, {}, None, s.loc
-        )
-        inst.sites[id(s)] = target
-        if inst.side is HOST:
-            self.launch_seeds.append(target.key)
+        body.events.append((_Walk._launch, s, sel, self._demand(sel.decl, sel.bindings, None)))
 
-    def _select(self, inst, node, name, candidates, arg_types, *,
+    def _select(self, body, node, name, candidates, arg_types, *,
                 context_side, owner_struct=None, owner_bindings=None) -> Optional[Selected]:
-        """The selected candidate; the caller records the callee at node."""
+        """The selected candidate; the replay records the callee at node."""
         return self._sema(
-            inst, node, "unresolvable call: ",
+            body, node, "unresolvable call: ",
             ("E1301", node.loc, f'no viable candidate for call to "{name}"'),
             resolve_overload, name, candidates, node.targs, arg_types, node.loc,
-            env=inst.env, table=self.table, mode=self.mode, context_side=context_side,
+            env=body.env, table=self.table, mode=self.mode, context_side=context_side,
             owner_struct=owner_struct, owner_bindings=owner_bindings,
         )
 
-    def _walk_expr(self, inst, e, locals_) -> Optional[Type]:
+    def _walk_expr(self, body, e, locals_) -> Optional[Type]:
         if isinstance(e, n.IntLit):
             return Type("int")
         if isinstance(e, (n.BoolLit, n.CudaArchRef)):
@@ -418,118 +490,141 @@ class _Walk:
         if isinstance(e, n.NameRef):
             if e.name in locals_:
                 return locals_[e.name]
-            bound = inst.env.get(e.name)
+            bound = body.env.get(e.name)
             if bound is None:
                 reason = f'undefined name "{e.name}"'
             elif isinstance(bound, Type):
                 reason = f'"{e.name}" names a type, not a value'
             else:
-                inst.sites[id(e)] = bound  # an HDC parameter used as a value
+                body.sites[id(e)] = bound  # an HDC parameter used as a value
                 return None
-            self._emit("E0101", e.loc, reason)
-            inst.sites[id(e)] = reason
+            self._emit(body.events, "E0101", e.loc, reason)
+            body.sites[id(e)] = reason
             return None
         if isinstance(e, n.TempObj):
-            return self._resolve_type_soft(inst, e.type, e.loc, e)
+            return self._resolve_type_soft(body, e.type, e.loc, e)
         if isinstance(e, n.HdcTrait):
-            t = self._resolve_type_soft(inst, e.type, e.loc, e)
+            t = self._resolve_type_soft(body, e.type, e.loc, e)
             if t is not None:
-                self._sema(inst, e, "", ("E0101", e.loc, None), compute_hdc, t, self.table)
+                self._sema(body, e, "", ("E0101", e.loc, None), compute_hdc, t, self.table)
             return None
         if isinstance(e, n.MemberConst):
-            self._sema(inst, e, "", ("E0101", e.loc, None), eval_const_expr, e, inst.env, self.table)
+            self._sema(body, e, "", ("E0101", e.loc, None), eval_const_expr, e, body.env, self.table)
             return None
         if isinstance(e, n.UnaryExpr):
-            self._walk_expr(inst, e.operand, locals_)
+            self._walk_expr(body, e.operand, locals_)
             return Type("bool")
         if isinstance(e, n.BinaryExpr):
-            self._walk_expr(inst, e.lhs, locals_)
-            self._walk_expr(inst, e.rhs, locals_)
+            self._walk_expr(body, e.lhs, locals_)
+            self._walk_expr(body, e.rhs, locals_)
             return Type("bool")
         if isinstance(e, n.CallExpr):
-            return self._walk_free_call(inst, e, locals_)
+            return self._walk_free_call(body, e, locals_)
         if isinstance(e, n.MemberCallExpr):
-            return self._walk_member_call(inst, e, locals_)
+            return self._walk_member_call(body, e, locals_)
         if isinstance(e, n.StaticCallExpr):
-            return self._walk_static_call(inst, e, locals_)
+            return self._walk_static_call(body, e, locals_)
         raise TypeError(f"unknown expression {e!r}")
 
-    def _walk_free_call(self, inst, e: n.CallExpr, locals_):
-        arg_types = [self._walk_expr(inst, a, locals_) for a in e.args]
+    def _walk_free_call(self, body, e: n.CallExpr, locals_):
+        arg_types = [self._walk_expr(body, a, locals_) for a in e.args]
         candidates = self.table.overloads(e.name)
         if not candidates:
             spaces = builtin_spaces(e.name, self.profile)
             if spaces is None:  # resolve reported the E0101
-                inst.sites[id(e)] = f'undefined name "{e.name}"'
+                body.sites[id(e)] = f'undefined name "{e.name}"'
                 return None
-            if legality(inst.side, _space_of(spaces)).ok:
-                inst.sites[id(e)] = None
-            else:
-                inst.sites[id(e)] = f'"{e.name}" is not available in {inst.side.value} code'
-                self._report_stray(inst, _space_of(spaces), e.loc)
+            body.events.append((_Walk._builtin, e, _space_of(spaces)))
             return Type("int") if e.name == "cudaDeviceSynchronize" else None
-        sel = self._select(inst, e, e.name, candidates, arg_types, context_side=inst.side)
+        sel = self._select(body, e, e.name, candidates, arg_types, context_side=body.side)
         if sel is not None:
-            self._dispatch(inst, e, sel)
+            self._dispatch(body, e, sel)
         return None
 
-    def _receiver_type(self, inst, recv, locals_) -> Optional[Type]:
-        t = self._walk_expr(inst, recv, locals_)
+    def _receiver_type(self, body, recv, locals_) -> Optional[Type]:
+        t = self._walk_expr(body, recv, locals_)
         if t is None and not isinstance(recv, (n.TempObj, n.NameRef)):
             self._emit(
+                body.events,
                 "E0001",
                 recv.loc,
                 "a member-call receiver must be a variable or a temporary",
             )
         return t
 
-    def _walk_member_call(self, inst, e: n.MemberCallExpr, locals_):
-        recv_type = self._receiver_type(inst, e.recv, locals_)
-        arg_types = [self._walk_expr(inst, a, locals_) for a in e.args]
+    def _walk_member_call(self, body, e: n.MemberCallExpr, locals_):
+        recv_type = self._receiver_type(body, e.recv, locals_)
+        arg_types = [self._walk_expr(body, a, locals_) for a in e.args]
         if recv_type is None:
-            inst.sites[id(e)] = "a member call needs a struct value"
+            body.sites[id(e)] = "a member call needs a struct value"
             return None
-        self._member_dispatch(inst, e, recv_type, arg_types)
+        self._member_dispatch(body, e, recv_type, arg_types)
         return None
 
-    def _walk_static_call(self, inst, e: n.StaticCallExpr, locals_):
-        arg_types = [self._walk_expr(inst, a, locals_) for a in e.args]
-        t = self._resolve_type_soft(inst, e.type, e.loc)
+    def _walk_static_call(self, body, e: n.StaticCallExpr, locals_):
+        arg_types = [self._walk_expr(body, a, locals_) for a in e.args]
+        t = self._resolve_type_soft(body, e.type, e.loc)
         if t is None:
             return None
-        self._member_dispatch(inst, e, t, arg_types)
+        self._member_dispatch(body, e, t, arg_types)
         return None
 
-    def _member_dispatch(self, inst, node, recv_type: Type, arg_types):
+    def _member_dispatch(self, body, node, recv_type: Type, arg_types):
         struct = self.table.struct(recv_type.name)
         candidates = [] if struct is None else SymbolTable.member_functions(struct, node.name)
         if not candidates:
             missing = f'type "{recv_type.display()}" has no member "{node.name}"'
-            self._emit("E0101", node.loc, missing)
+            self._emit(body.events, "E0101", node.loc, missing)
             # Only builtin types name no struct.
-            inst.sites[id(node)] = (
+            body.sites[id(node)] = (
                 missing if struct is not None else "a member call needs a struct value"
             )
             return
         owner_bindings = struct_bindings(struct, recv_type)
         sel = self._select(
-            inst, node, f"{recv_type.display()}::{node.name}", candidates, arg_types,
-            context_side=inst.side, owner_struct=struct, owner_bindings=owner_bindings,
+            body, node, f"{recv_type.display()}::{node.name}", candidates, arg_types,
+            context_side=body.side, owner_struct=struct, owner_bindings=owner_bindings,
         )
         if sel is not None:
-            self._dispatch(inst, node, sel, owner_struct=struct,
+            self._dispatch(body, node, sel, owner_struct=struct,
                            owner_bindings=owner_bindings, owner_type=recv_type)
 
-    # -- call legality and demand --------------------------------------------
-
-    def _dispatch(self, inst, node, sel: Selected, *,
+    def _dispatch(self, body, node, sel: Selected, *,
                   owner_struct=None, owner_bindings=None, owner_type=None):
-        loc = node.loc
         owner_bindings = owner_bindings or {}
         merged = {**owner_bindings, **sel.bindings}
-        spaces = self._spaces(sel.decl, merged, inst.side, owner_struct, loc, inst, node)
-        if spaces is None:
-            return
+        spaces = self._spaces(sel.decl, merged, body.side, owner_struct, node.loc, body, node)
+        if spaces is not None:
+            body.events.append((
+                _Walk._call, node, sel, spaces, owner_bindings, owner_type,
+                self._demand(sel.decl, sel.bindings, owner_type),
+            ))
+
+    # -- replay: call legality and demand ------------------------------------
+
+    def _launch_from(self, inst, s: n.LaunchStmt):
+        v = legality(inst.side, ExecSpace.Global, "launch")
+        if not v.ok:
+            self._emit(self.diags, v.code, s.loc,
+                       "a kernel launch is not allowed from device code")
+
+    def _launch(self, inst, s: n.LaunchStmt, sel: Selected, demand: int):
+        target = self._instantiate(
+            demand, sel.decl, sel.bindings, DEVICE, ExecSpace.Global, {}, None, s.loc
+        )
+        inst.sites[id(s)] = target
+        if inst.side is HOST:
+            self.launch_seeds.append(target.key)
+
+    def _builtin(self, inst, e: n.CallExpr, space: ExecSpace):
+        if legality(inst.side, space).ok:
+            inst.sites[id(e)] = None
+        else:
+            inst.sites[id(e)] = f'"{e.name}" is not available in {inst.side.value} code'
+            self._report_stray(inst, space, e.loc)
+
+    def _call(self, inst, node, sel: Selected, spaces, owner_bindings, owner_type, demand):
+        loc = node.loc
         callee_space = _space_of(spaces)
         v = legality(
             inst.side, callee_space, relaxed_constexpr=self.profile.relaxed_constexpr,
@@ -537,14 +632,14 @@ class _Walk:
         )
         if v.code == "E1004":
             self._emit(
-                v.code, loc,
+                self.diags, v.code, loc,
                 "a __global__ function must be launched with <<< >>>, not called directly",
             )
             inst.sites[id(node)] = "a __global__ function was called directly"
             return
         demanded_side = inst.side if v.ok else (HOST if HOST in spaces else DEVICE)
         callee = self._instantiate(
-            sel.decl, sel.bindings, demanded_side, spaces, owner_bindings, owner_type, loc,
+            demand, sel.decl, sel.bindings, demanded_side, spaces, owner_bindings, owner_type, loc,
         )
         if v.ok:
             inst.sites[id(node)] = callee
@@ -560,7 +655,8 @@ class _Walk:
             and (sel.decl.is_template or owner_type is not None)
         ):
             self._instantiate(
-                sel.decl, sel.bindings, self.native, spaces, owner_bindings, owner_type, loc,
+                demand, sel.decl, sel.bindings, self.native, spaces, owner_bindings, owner_type,
+                loc,
             )
 
     def _report_stray(self, inst, callee_space, loc):
@@ -655,8 +751,9 @@ def _front_end(text: str, path: str, profile: CompileProfile, mode: Mode,
     one Ast, symbol table and resolve(); so does a parse failure both
     passes reach from the same tokens, which is reported once.  resolve()
     writes to a shared item only what it writes in every pass, and the
-    walks key what they record by node identity per instance, so they can
-    share nodes.  The tokens are dropped before the walks.
+    walks key what they record by node identity per symbol table (a
+    resolved body) and per instance (its site table), so they can share
+    nodes.  The tokens are dropped before the walks.
     """
     specifier_mode = "keep"
     if profile.compiler == "plain":
@@ -698,16 +795,18 @@ def analyze(
     """Preprocess, parse, resolve, and space-check one unit for all passes.
 
     See _front_end for how the passes share the front end; each pass gets
-    its own walk.
+    its own walk, and the walks share the resolution of each body.
     """
     diags: list[Diagnostic] = []
     analysis = Analysis(path, profile, mode, [])
     analysis.passes = _front_end(text, path, profile, mode, cfg, diags)
 
+    interned: dict = {}  # demand numbers, one table per analyze so the passes agree
+    bodies: dict = {}  # id(symbol table) -> that table's resolved bodies
     for kind, art in analysis.passes.items():
         native = _PASS_SIDE[kind]
-        walk = _Walk(art.ast, art.table, native, mode, profile)
-        walk.run()
+        walk = _Walk(art.ast, art.table, native, mode, profile, interned)
+        walk.run(bodies.setdefault(id(art.table), {}))
         analysis.walks[native] = walk
         if mode is Mode.FIDELITY and native is HOST:
             diags.extend(d for d in walk.diags if d.code in _HARD_CODES)

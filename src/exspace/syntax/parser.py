@@ -71,13 +71,15 @@ class ParsedItems:
     a later pass reaches a recorded first token followed by the same
     tokens, the recorded node, or ParseError, is its outcome too.  Each
     pass has an end of input of its own, the same token wherever it sits at
-    the same place.
+    the same place.  A pass whose tokens are the very list the last Ast was
+    built from gets that Ast without a check per item.
     """
 
     def __init__(self):
         self.nodes: dict = {}  # first Token -> (its tokens and the next one, node)
         self.failures: dict = {}  # first Token -> (tokens to the end, the end, ParseError)
         self.ast: Optional[n.Ast] = None  # the last Ast parse() built
+        self.tokens: Optional[list] = None  # the token list ast was built from
 
     def reuse(self, toks: list, start: int):
         """(node, next position) recorded for the item at toks[start], or None.
@@ -754,4 +756,8 @@ def parse(
     reported before any parse error.
     """
     toks = tokenize(source, file) if isinstance(source, str) else source
-    return _Parser(toks, specifier_mode).parse_unit(file, seen or ParsedItems())
+    seen = seen or ParsedItems()
+    if toks is not seen.tokens:  # a list that built an Ast holds no lex error
+        _Parser(toks, specifier_mode).parse_unit(file, seen)
+        seen.tokens = toks
+    return seen.ast

@@ -13,11 +13,12 @@ A second set, the split group, holds units whose two pass texts differ:
 gen_unit units with #ifdef __CUDA_ARCH__ regions that change one token of
 a line, hold a lex error or a pragma only one pass keeps, or end the text.
 
-    PYTHONPATH=src python tests/equivalence.py [--dump FILE]
+    PYTHONPATH=src python tests/equivalence.py [--dump FILE] [--expect SHA SPLIT_SHA]
 
 prints the number of outputs per input group, one sha256 over the first
 set and one over the split group; --dump writes the outputs themselves,
-for a diff of two trees.
+for a diff of two trees.  --expect takes the two digests of the parent
+tree and exits 1, naming the set, when either differs.
 """
 from __future__ import annotations
 
@@ -127,6 +128,8 @@ def outputs(path: str, text: str, profile: CompileProfile):
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--dump", type=Path, help="also write every output to this file")
+    ap.add_argument("--expect", nargs=2, metavar=("SHA", "SPLIT_SHA"),
+                    help="the digests to match; exit 1 if either differs")
     args = ap.parse_args(argv)
     digests = {"": hashlib.sha256(), "split ": hashlib.sha256()}
     counts: dict[str, int] = {}
@@ -147,7 +150,17 @@ def main(argv=None) -> int:
     print(f"total {sum(counts.values()) - counts['split']}")
     for name, digest in digests.items():
         print(f"{name}sha256 {digest.hexdigest()}")
-    return 0
+    if args.expect is None:
+        return 0
+    labels = {"": "the first set", "split ": "the split group"}
+    differing = [
+        f"{labels[name]} differs: expected sha256 {want}"
+        for (name, digest), want in zip(digests.items(), args.expect)
+        if digest.hexdigest() != want
+    ]
+    for line in differing:
+        print(line)
+    return 1 if differing else 0
 
 
 if __name__ == "__main__":

@@ -108,6 +108,18 @@ def test_an_item_is_parsed_once_unless_its_tokens_differ(monkeypatch):
     assert host is not device
 
 
+def test_a_pass_with_the_earlier_token_list_checks_no_item(monkeypatch):
+    checked = []
+    reuse = parser.ParsedItems.reuse
+    monkeypatch.setattr(parser.ParsedItems, "reuse",
+                        lambda self, toks, at: checked.append(at) or reuse(self, toks, at))
+    shared = analyze(SHARED)
+    assert shared.passes[HOST_PASS].ast is shared.passes[DEVICE_PASS].ast
+    # The first pass looks for each of its three items; the second pass
+    # keeps every token, so it gets the first pass's Ast at once.
+    assert len(checked) == len(shared.passes[HOST_PASS].ast.items) == 3
+
+
 # Each line is kept by one pass only, which reports the E0001 that lexing its
 # pass text on its own gives.
 _BAD_LINES = [

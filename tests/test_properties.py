@@ -120,7 +120,7 @@ def test_preprocess_idempotent_over_generated_and_corpus(corpus_dir):
 def test_instantiation_sets_agree_without_directives():
     for seed in range(30):
         unit = gen_unit(random.Random(seed))
-        for mode in (Mode.CLASSIC, Mode.SOUND):
+        for mode in Mode:
             analysis = analyze(unit.without_pragmas, "g.mcu", NVCC, mode)
             host = set(analysis.walks[HOST].demands)
             device = set(analysis.walks[DEVICE].demands)

@@ -387,11 +387,11 @@ int main() { a(); b(); return 0; }
     analysis = analyze(src, "m.mcu")
     assert analysis.diagnostics == []
     for walk in analysis.walks.values():
-        keys = [k for k in walk.instances if k[0] == "inst"]
-        # one instance per (bindings, side), not one per call site
-        w_keys = [k for k in keys if "w" in str(k[1])]
-        assert len({k for k in w_keys}) == len(w_keys)
-        sides = {k[-1] for k in walk.instances}
+        # one instance per (demand, side), not one per call site
+        w_keys = [k for k, inst in walk.instances.items() if inst.decl.name == "w"]
+        assert len({demand for demand, _ in w_keys}) == 1
+        assert sorted(side.value for _, side in w_keys) == ["device", "host"]
+        sides = {side for _, side in walk.instances}
         assert sides <= {HOST, DEVICE}
 
 

@@ -1,9 +1,13 @@
+from collections import Counter
+
 import pytest
 
+from exspace import spacecheck
 from exspace.diagnostics import Severity
 from exspace.interp import run_program
 from exspace.sema import BOTH_SIDES, DEVICE, HOST, HOST_ONLY, ExecSpace, TraitConfig
 from exspace.spacecheck import Mode, Verdict, analyze, check_unit, legality
+from exspace.syntax import nodes as n
 from exspace.syntax.preprocess import CompileProfile
 
 GLOBAL = ExecSpace.Global
@@ -335,6 +339,27 @@ int main() { g(); return 0; }
     assert "E1302" not in classic
 
 
+def test_proposal2_resolves_each_side_of_a_host_device_body_on_its_own():
+    # The overload g's call selects depends on the calling side, so the
+    # host and device instances of g must not share one resolution.
+    src = """__host__ void f() { printf( "host;" ); }
+__device__ void f() { printf( "device;" ); }
+__host__ __device__ void g() { f(); }
+__global__ void k() { g(); }
+int main() {
+  g();
+  k<<< 1, 1 >>>();
+  cudaDeviceSynchronize();
+  g();
+  return 0;
+}
+"""
+    analysis = analyze(src, "p.mcu", NVCC, Mode.PROPOSAL2)
+    assert analysis.diagnostics == []
+    result = run_program(analysis)
+    assert (result.exit_code, result.stdout) == (0, b"host;device;host;")
+
+
 def test_proposal2_one_sided_stray_is_always_an_error():
     src = """__host__ struct H { void call() {} };
 __global__ void k() { H{}.call(); }
@@ -371,6 +396,68 @@ __host__ void hh() { dv(); }
     monkeypatch.setattr("exspace.spacecheck.legality", lambda *a, **kw: Verdict("ok"))
     for mode in Mode:
         assert analyze(src, "u.mcu", NVCC, mode).all_diagnostics == [], mode
+
+
+def test_a_body_is_resolved_once_per_demand_not_per_instance_and_pass(monkeypatch):
+    # One text for both passes, so one symbol table; each walk has host and
+    # device instances of mid< S > and leaf< S >.
+    src = """struct S {};
+template< typename T >
+__host__ __device__ int leaf() { return 1; }
+template< typename T >
+__host__ __device__ int mid() {
+  T x;
+  T{};
+  return leaf< T >();
+}
+__global__ void k() { mid< S >(); }
+int main() {
+  k<<< 1, 1 >>>();
+  mid< bool >();
+  return mid< S >();
+}
+"""
+    overloads, spaces = Counter(), Counter()
+    resolve_overload = spacecheck.resolve_overload
+    effective_spaces = spacecheck.effective_spaces
+
+    def count_overload(*args, **kwargs):
+        overloads[args[4], frozenset(kwargs["env"].items())] += 1  # site, caller's demand
+        return resolve_overload(*args, **kwargs)
+
+    def count_spaces(decl, bindings, *args):
+        if args[-2] != decl.loc:  # a call site, not a root
+            spaces[args[-2], frozenset(bindings.items())] += 1
+        return effective_spaces(decl, bindings, *args)
+
+    monkeypatch.setattr(spacecheck, "resolve_overload", count_overload)
+    monkeypatch.setattr(spacecheck, "effective_spaces", count_spaces)
+    analysis = analyze(src, "c.mcu")
+    assert analysis.diagnostics == []
+    # main's three sites, k's one and one in each of mid< S > and mid< bool >
+    assert len(overloads) == len(spaces) + 1 == 6  # a launch asks no spaces
+    assert set(overloads.values()) == set(spaces.values()) == {1}
+    mids = [i for w in analysis.walks.values() for i in w.instances.values()
+            if i.display() == "mid<S>"]
+    assert len(mids) == 4  # host and device instances in each walk
+
+    calls = (n.CallExpr, n.MemberCallExpr, n.StaticCallExpr, n.LaunchStmt)
+    compared = 0
+    for walk in analysis.walks.values():
+        by_demand = {}
+        for (demand, side), inst in walk.instances.items():
+            by_demand.setdefault(demand, {})[side] = inst
+        for sides in by_demand.values():
+            if len(sides) < 2:
+                continue
+            call_ids = {id(x) for x in n.walk(sides[HOST].decl.body) if isinstance(x, calls)}
+            host, device = (
+                {k: v for k, v in sides[side].sites.items() if k not in call_ids}
+                for side in (HOST, DEVICE)
+            )
+            assert host == device
+            compared += len(host)
+    assert compared
 
 
 def test_fidelity_still_reports_host_pass_hard_errors():
