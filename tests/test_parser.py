@@ -309,3 +309,45 @@ def test_closed_levels_do_not_count_toward_the_limit():
     stmt = ("if( !( f< S< hdc< int > > >( S{}.g( 1 ) ) == 1 ) ) { "
             "for( int i = 0; i < 1; ++i ) { } }\n")
     parse("int main() {\n" + stmt * (2 * MAX_NESTING) + "return 0; }\n", "n.mcu")
+
+
+def _shape(e):
+    """An expression tree as nested tuples, each operator with its column."""
+    if isinstance(e, n.BinaryExpr):
+        return (e.op, e.loc.col, _shape(e.lhs), _shape(e.rhs))
+    if isinstance(e, n.UnaryExpr):
+        return (e.op, e.loc.col, _shape(e.operand))
+    return e.name
+
+
+def _return_expr(expr: str):
+    src = f"bool f( bool a, bool b, bool c, bool d ) {{ return {expr}; }}"
+    return parse(src, "o.mcu").items[0].body[0].expr
+
+
+# The return expression starts at column 51.
+@pytest.mark.parametrize("expr, tree", [
+    ("a || b && c", ("||", 53, "a", ("&&", 58, "b", "c"))),
+    ("a && b || c && d", ("||", 58, ("&&", 53, "a", "b"), ("&&", 63, "c", "d"))),
+    ("a || b || c", ("||", 58, ("||", 53, "a", "b"), "c")),
+    ("a && b && c", ("&&", 58, ("&&", 53, "a", "b"), "c")),
+    ("!a == b", ("==", 54, ("!", 51, "a"), "b")),
+    ("a != b && !c", ("&&", 58, ("!=", 53, "a", "b"), ("!", 61, "c"))),
+    ("(a || b) && c", ("&&", 60, ("||", 54, "a", "b"), "c")),
+    ("!!a", ("!", 51, ("!", 52, "a"))),
+])
+def test_operator_trees(expr, tree):
+    assert _shape(_return_expr(expr)) == tree
+
+
+@pytest.mark.parametrize("expr, col, message", [
+    # A comparison takes two unary operands and does not chain.
+    ("a == b == c", 58, "expected ';', found '=='"),
+    ("a ||", 55, "expected an expression, found ';'"),
+    ("a && b !", 58, "expected ';', found '!'"),
+])
+def test_operator_errors(expr, col, message):
+    with pytest.raises(ParseError) as exc:
+        _return_expr(expr)
+    assert (exc.value.loc.line, exc.value.loc.col) == (1, col)
+    assert exc.value.message == message
