@@ -3,6 +3,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import itemgetter
 
 
 class Severity(Enum):
@@ -39,20 +40,32 @@ CODE_REGISTRY: dict[str, tuple[Severity, str]] = {
 }
 
 
-@dataclass(frozen=True, order=True)
-class SrcLoc:
-    """1-based position in a source file."""
+class SrcLoc(tuple):
+    """1-based position in a source file: the tuple (file, line, col).
 
-    file: str
-    line: int
-    col: int
+    Being a tuple, it is immutable, hashable and ordered by (file, line,
+    col), and it equals the plain tuple of the same three values.
+    """
 
-    def __post_init__(self):
-        if self.line < 1 or self.col < 1:
-            raise ValueError(f"source positions are 1-based: {self.line}:{self.col}")
+    __slots__ = ()
+
+    def __new__(cls, file: str, line: int, col: int):
+        if line < 1 or col < 1:
+            raise ValueError(f"source positions are 1-based: {line}:{col}")
+        return tuple.__new__(cls, (file, line, col))
+
+    def __getnewargs__(self):
+        return tuple(self)
+
+    file = property(itemgetter(0))
+    line = property(itemgetter(1))
+    col = property(itemgetter(2))
+
+    def __repr__(self):
+        return f"SrcLoc(file={self[0]!r}, line={self[1]!r}, col={self[2]!r})"
 
     def __str__(self):
-        return f"{self.file}:{self.line}:{self.col}"
+        return f"{self[0]}:{self[1]}:{self[2]}"
 
 
 @dataclass

@@ -1,11 +1,12 @@
 """Tokenizer for prepared MiniCU text.
 
-One compiled master pattern scans the text, after the "Writing a Tokenizer"
-recipe in the documentation of Python's ``re`` module.  A unit is lexed
-once for all its compile passes: every token lies on one line, so a pass's
-tokens are those on the lines it keeps (pass_tokens).  A lex error becomes
-an ``error`` token rather than an exception, so it fails only the passes
-that keep its line.
+The scan goes line by line, since no token crosses a newline.  Each match
+of one compiled pattern is a token together with the blanks before it, so
+the scan never stops on whitespace alone, and each distinct token text is
+classified once per unit.  A unit is lexed once for all its compile
+passes: a pass's tokens are those on the lines it keeps (pass_tokens).  A
+lex error becomes an ``error`` token rather than an exception, so it fails
+only the passes that keep its line.
 """
 from __future__ import annotations
 
@@ -17,16 +18,19 @@ from ..diagnostics import SrcLoc
 class Token:
     """One token; its SrcLoc is built only when .loc is read."""
 
-    __slots__ = ("kind", "text", "line", "col", "file")
+    __slots__ = ("kind", "text", "line", "col", "file", "tag")
 
-    def __init__(self, kind: str, text: str, line: int, col: int, file: str):
+    def __init__(self, kind: str, text: str, line: int, col: int, file: str, tag):
         # ident | int | string | punct | pragma | eof, or error, whose text
-        # is the message
+        # is the message.  tag is the text of an ident or punct token and
+        # None for every other kind: the parser matches keywords and
+        # punctuators by comparing tags alone.
         self.kind = kind
         self.text = text
         self.line = line
         self.col = col
         self.file = file
+        self.tag = tag
 
     @property
     def loc(self) -> SrcLoc:
@@ -36,24 +40,48 @@ class Token:
         return f"Token({self.kind!r}, {self.text!r}, {self.line}:{self.col})"
 
 
-# Alternatives are tried in order: longer punctuators before their prefixes.
-# The identifier start [^\W\d] also admits characters such as superscripts
-# and Roman numerals, which are numeric but not alphabetic; tokenize rejects
-# those after the match.  Only ASCII digits form integers: int() rejects the
-# other characters str.isdigit() accepts.  No token but space crosses a
-# newline.
+_BLANKS = " \t\r"
+_PUNCT = frozenset(("<<<", ">>>", "::", "==", "!=", "&&", "||", "++", *"{}()<>,;.!="))
+
+# Blanks, then one token.  Alternatives are tried in order: identifiers,
+# punctuators (longer ones before their prefixes), integers, strings,
+# pragmas, and any other character but a blank.  The identifier start
+# [^\W\d] also admits characters such as superscripts and Roman numerals,
+# which are numeric but not alphabetic; _classify rejects those.  Only
+# ASCII digits form integers: int() rejects the other characters
+# str.isdigit() accepts.
 _TOKEN_RE = re.compile(
-    r"""
-      (?P<space>[ \t\r\n]+)
-    | (?P<ident>[^\W\d]\w*)
-    | (?P<punct><<<|>>>|::|==|!=|&&|\|\||\+\+|[{}()<>,;.!=])
-    | (?P<int>[0-9]+)
-    | (?P<string>"[^"\n]*")
-    | (?P<pragma>\#[\w \t]*)
-    | (?P<bad>.)
-    """,
-    re.VERBOSE | re.DOTALL,
+    r"""([ \t\r]*)
+    ( [^\W\d]\w*
+    | <<<|>>>|::|==|!=|&&|\|\||\+\+|[{}()<>,;.!=]
+    | [0-9]+
+    | "[^"]*"
+    | \#[\w \t]*
+    | [^ \t\r] )""",
+    re.VERBOSE,
 )
+
+
+def _classify(text: str) -> tuple:
+    """(kind, token text, tag) of one matched token text."""
+    c = text[0]
+    if c.isalpha() or c == "_":
+        return "ident", text, text
+    if text in _PUNCT:
+        return "punct", text, text
+    if "0" <= c <= "9":
+        return "int", text, None
+    if c == '"':
+        if len(text) == 1:
+            return "error", "unterminated string literal", None
+        return "string", text[1:-1], None
+    if c == "#":
+        # Only #pragma survives preprocessing.
+        words = text[1:].split()
+        if len(words) != 2 or words[0] != "pragma":
+            return "error", "malformed #pragma directive", None
+        return "pragma", words[1], None
+    return "error", f"unexpected character {c!r}", None
 
 
 def tokenize(text: str, file: str = "<unit>") -> list[Token]:
@@ -64,39 +92,20 @@ def tokenize(text: str, file: str = "<unit>") -> list[Token]:
     """
     toks: list[Token] = []
     append = toks.append
-    line = 1
-    line_start = 0  # offset of the first character of the current line
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        start = m.start()
-        value = m.group()
-        if kind == "space":
-            if "\n" in value:
-                line += value.count("\n")
-                line_start = start + value.rindex("\n") + 1
-            continue
-        col = start - line_start + 1
-        if kind == "ident":
-            c = value[0]
-            if not (c.isalpha() or c == "_"):
-                kind, value = "error", f"unexpected character {c!r}"
-        elif kind == "string":
-            value = value[1:-1]
-        elif kind == "pragma":
-            # Only #pragma survives preprocessing.
-            words = value[1:].split()
-            if len(words) != 2 or words[0] != "pragma":
-                kind, value = "error", "malformed #pragma directive"
-            else:
-                value = words[1]
-        elif kind == "bad":
-            kind = "error"
-            if value == '"':
-                value = "unterminated string literal"
-            else:
-                value = f"unexpected character {value!r}"
-        append(Token(kind, value, line, col, file))
-    append(Token("eof", "", line, len(text) - line_start + 1, file))
+    findall = _TOKEN_RE.findall
+    classes: dict = {}  # token text -> _classify(text)
+    lines = text.split("\n")
+    for line, body in enumerate(lines, 1):
+        col = 1
+        # Trailing blanks are cut first: a match must end in a token.
+        for blanks, value in findall(body.rstrip(_BLANKS)):
+            col += len(blanks)
+            cls = classes.get(value)
+            if cls is None:
+                cls = classes[value] = _classify(value)
+            append(Token(cls[0], cls[1], line, col, file, cls[2]))
+            col += len(value)
+    append(Token("eof", "", len(lines), len(lines[-1]) + 1, file, None))
     return toks
 
 
@@ -114,6 +123,6 @@ def pass_tokens(tokens: list[Token], prepared: str, text: str) -> list[Token]:
     *body, eof = tokens
     kept = [t for t in body if lines[t.line - 1]]
     if eof.col > 1 and not lines[-1]:
-        eof = Token("eof", "", eof.line, 1, eof.file)
+        eof = Token("eof", "", eof.line, 1, eof.file, None)
     kept.append(eof)
     return kept

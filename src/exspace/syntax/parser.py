@@ -105,42 +105,44 @@ def _same(a: Token, b: Token) -> bool:
     return a is b or (a.kind == b.kind == "eof" and (a.line, a.col) == (b.line, b.col))
 
 
+def _unexpected(t: Token, what: str) -> ParseError:
+    found = t.text if t.kind != "eof" else "end of input"
+    return ParseError(t.loc, f"expected {what}, found {found!r}")
+
+
 class _Parser:
     def __init__(self, toks: list[Token], specifier_mode: str):
-        # Lookahead is at most one token: a second EOF keeps peek(1) in range.
+        # Lookahead from an end of input is at most one token: a second EOF
+        # keeps toks[pos + 1] in range.
         self.toks = toks + toks[-1:]
         self.pos = 0
         self.depth = 0
         self.specifier_mode = specifier_mode  # keep | erase | reject
 
     # -- token plumbing ----------------------------------------------------
+    # Keywords and punctuators are matched by Token.tag alone.  The hot
+    # paths read self.toks[self.pos] and step self.pos themselves; these
+    # helpers serve the rest.
 
     def peek(self, ahead: int = 0) -> Token:
         return self.toks[self.pos + ahead]
 
-    def at(self, text: str, ahead: int = 0) -> bool:
-        t = self.peek(ahead)
-        return t.text == text and t.kind in ("ident", "punct")
+    def at(self, tag: str, ahead: int = 0) -> bool:
+        return self.toks[self.pos + ahead].tag == tag
 
-    def advance(self) -> Token:
+    def expect(self, tag: str, what: str | None = None) -> Token:
         t = self.toks[self.pos]
-        if t.kind != "eof":
-            self.pos += 1
+        if t.tag != tag:
+            raise _unexpected(t, repr(what or tag))
+        self.pos += 1
         return t
 
-    def expect(self, text: str, what: str | None = None) -> Token:
-        t = self.peek()
-        if t.text != text or t.kind not in ("ident", "punct"):
-            found = t.text if t.kind != "eof" else "end of input"
-            raise ParseError(t.loc, f"expected {what or text!r}, found {found!r}")
-        return self.advance()
-
     def expect_ident(self, what: str = "identifier") -> Token:
-        t = self.peek()
-        if t.kind != "ident" or t.text in KEYWORDS:
-            found = t.text if t.kind != "eof" else "end of input"
-            raise ParseError(t.loc, f"expected {what}, found {found!r}")
-        return self.advance()
+        t = self.toks[self.pos]
+        if t.kind != "ident" or t.tag in KEYWORDS:
+            raise _unexpected(t, what)
+        self.pos += 1
+        return t
 
     def err(self, message: str) -> ParseError:
         return ParseError(self.peek().loc, message)
@@ -193,32 +195,30 @@ class _Parser:
 
     def parse_pragma(self):
         """The pragma preceding a declaration, if any."""
-        if self.peek().kind != "pragma":
+        tok = self.toks[self.pos]
+        if tok.kind != "pragma":
             return None
-        tok = self.advance()
+        self.pos += 1
         if tok.text not in ("hd_warning_disable", "nv_exec_check_disable"):
             raise ParseError(tok.loc, f"unknown pragma {tok.text!r}")
         return tok.text
 
     def parse_item(self):
         pragma = self.parse_pragma()
-        if self.at("enum"):
+        tag = self.toks[self.pos].tag
+        if tag == "enum" or tag == "static_assert":
             if pragma:
                 raise self.err("a pragma must precede a function")
-            return self.parse_enum_hdc()
-        if self.at("static_assert"):
-            if pragma:
-                raise self.err("a pragma must precede a function")
-            return self.parse_static_assert()
+            return self.parse_enum_hdc() if tag == "enum" else self.parse_static_assert()
         tparams = []
         requires = None
-        if self.at("template"):
+        if tag == "template":
             tparams = self.parse_template_header()
             if self.at("requires"):
                 requires = self.parse_requires_clause()
         spec = self.parse_specifiers()
         spec.pragma = pragma
-        if self.at("struct") or self.at("class"):
+        if self.toks[self.pos].tag in ("struct", "class"):
             if pragma:
                 raise self.err("a pragma must precede a function")
             if requires is not None:
@@ -253,31 +253,24 @@ class _Parser:
         self.expect("template")
         self.expect("<")
         params = []
-        n_type = n_hdc = 0
         while True:
-            t = self.peek()
-            if self.at("typename"):
-                self.advance()
-                name = self.expect_ident("template parameter name")
-                params.append(n.TemplateParam("type", name.text, None, loc=name.loc))
-                n_type += 1
-            elif self.at("HDC"):
-                self.advance()
-                name = self.expect_ident("template parameter name")
-                default = None
-                if self.at("="):
-                    self.advance()
-                    default = self.parse_expr()
-                params.append(n.TemplateParam("hdc", name.text, default, loc=name.loc))
-                n_hdc += 1
-            else:
+            t = self.toks[self.pos]
+            if t.tag != "typename" and t.tag != "HDC":
                 raise ParseError(t.loc, "expected 'typename' or 'HDC' template parameter")
-            if self.at(","):
-                self.advance()
-                continue
-            break
+            self.pos += 1
+            name = self.expect_ident("template parameter name")
+            default = None
+            if t.tag == "HDC" and self.at("="):
+                self.pos += 1
+                default = self.parse_expr()
+            kind = "hdc" if t.tag == "HDC" else "type"
+            params.append(n.TemplateParam(kind, name.text, default, loc=name.loc))
+            if not self.at(","):
+                break
+            self.pos += 1
         self.expect(">")
-        if n_type > 1 or n_hdc > 1:
+        kinds = [p.kind for p in params]
+        if kinds.count("type") > 1 or kinds.count("hdc") > 1:
             raise ParseError(
                 params[-1].loc,
                 "at most one type parameter and one HDC parameter are supported",
@@ -295,32 +288,30 @@ class _Parser:
         spec = n.SpecifierSet()
         seen = set()
         while True:
-            t = self.peek()
-            if t.text in SPECIFIER_TOKENS and t.kind == "ident":
+            t = self.toks[self.pos]
+            tag = t.tag
+            if tag in SPECIFIER_TOKENS:
                 if self.specifier_mode == "reject":
-                    raise ParseError(
-                        t.loc,
-                        f"{t.text} is not recognized by this compiler profile",
-                    )
-                if t.text in seen:
-                    raise ParseError(t.loc, f"duplicate specifier {t.text}")
-                seen.add(t.text)
-                self.advance()
+                    raise ParseError(t.loc, f"{tag} is not recognized by this compiler profile")
+                if tag in seen:
+                    raise ParseError(t.loc, f"duplicate specifier {tag}")
+                seen.add(tag)
+                self.pos += 1
                 pred = None
-                if t.text in ("__host__", "__device__") and self.at("("):
-                    self.advance()
+                if tag != "__global__" and self.at("("):
+                    self.pos += 1
                     pred = self.parse_expr()
                     self.expect(")")
                 if self.specifier_mode == "erase":
                     continue
-                if t.text == "__host__":
+                if tag == "__host__":
                     spec.host, spec.host_pred = True, pred
-                elif t.text == "__device__":
+                elif tag == "__device__":
                     spec.device, spec.device_pred = True, pred
                 else:
                     spec.global_ = True
-            elif self.at("constexpr"):
-                self.advance()
+            elif tag == "constexpr":
+                self.pos += 1
                 spec.constexpr = True
             else:
                 break
@@ -331,7 +322,8 @@ class _Parser:
     # -- declarations --------------------------------------------------------
 
     def parse_struct(self, tparams, spec):
-        kw = self.advance().text
+        kw = self.toks[self.pos].text
+        self.pos += 1
         name = self.expect_ident("struct name")
         if spec.constexpr or spec.global_:
             raise ParseError(name.loc, "invalid specifier on a struct")
@@ -340,7 +332,7 @@ class _Parser:
                 raise ParseError(tp.loc, "struct templates support only HDC parameters")
         self.expect("{")
         members = []
-        while not self.at("}"):
+        while self.toks[self.pos].tag != "}":
             members.append(self.parse_member(name.text))
         self.expect("}")
         self.expect(";")
@@ -358,13 +350,14 @@ class _Parser:
         is_static = False
         # static/constexpr/specifiers may appear in any order before the type.
         while True:
-            if self.at("static"):
-                self.advance()
+            tag = self.toks[self.pos].tag
+            if tag == "static":
+                self.pos += 1
                 is_static = True
-            elif self.at("constexpr"):
-                self.advance()
+            elif tag == "constexpr":
+                self.pos += 1
                 spec.constexpr = True
-            elif self.peek().text in SPECIFIER_TOKENS and self.peek().kind == "ident":
+            elif tag in SPECIFIER_TOKENS:
                 sub = self.parse_specifiers()
                 spec.host, spec.host_pred = spec.host or sub.host, sub.host_pred or spec.host_pred
                 spec.device, spec.device_pred = (
@@ -390,7 +383,7 @@ class _Parser:
                 raise ParseError(name.loc, "member constants must be static constexpr")
             if spec.host or spec.device:
                 raise ParseError(name.loc, "invalid specifier on a member constant")
-            self.advance()
+            self.pos += 1
             value = self.parse_expr()
             self.expect(";")
             return n.MemberVar(name.text, type_.name, value, loc=name.loc)
@@ -411,10 +404,9 @@ class _Parser:
                 ptype = self.parse_type()
                 pname = self.expect_ident("parameter name")
                 params.append(n.Param(ptype, pname.text, loc=pname.loc))
-                if self.at(","):
-                    self.advance()
-                    continue
-                break
+                if not self.at(","):
+                    break
+                self.pos += 1
         self.expect(")")
         if requires is not None and not tparams:
             raise ParseError(loc, "a requires clause needs a template header")
@@ -441,14 +433,12 @@ class _Parser:
     # -- types ----------------------------------------------------------------
 
     def parse_type(self) -> n.TypeRef:
-        t = self.peek()
-        if t.text in ("void", "int", "bool", "HDC") and t.kind == "ident":
-            self.advance()
+        t = self.toks[self.pos]
+        if t.tag in ("void", "int", "bool", "HDC"):
+            self.pos += 1
             return n.TypeRef(t.text, [], loc=t.loc)
         name = self.expect_ident("type name")
-        targs = []
-        if self.at("<"):
-            targs = self.parse_targ_list()
+        targs = self.parse_targ_list() if self.at("<") else []
         return n.TypeRef(name.text, targs, loc=name.loc)
 
     def parse_targ_list(self) -> list:
@@ -456,22 +446,20 @@ class _Parser:
         self.expect("<")
         args = [self.parse_targ()]
         while self.at(","):
-            self.advance()
+            self.pos += 1
             args.append(self.parse_targ())
         self.expect(">")
         self.depth -= 1
         return args
 
     def parse_targ(self):
-        t = self.peek()
-        if t.text in ("int", "bool") and t.kind == "ident":
-            self.advance()
-            return n.TypeRef(t.text, [], loc=t.loc)
-        if self.at("HDC") and self.at("::", 1):
-            return self.parse_expr()
-        if self.at("hdc") and self.at("<", 1):
-            return self.parse_expr()
-        if t.kind == "int" or t.text in ("true", "false", "!", "("):
+        t = self.toks[self.pos]
+        tag = t.tag
+        if tag == "int" or tag == "bool":
+            self.pos += 1
+            return n.TypeRef(tag, [], loc=t.loc)
+        if (t.kind == "int" or tag in ("true", "false", "!", "(")
+                or tag == "HDC" and self.at("::", 1) or tag == "hdc" and self.at("<", 1)):
             return self.parse_expr()
         name = self.expect_ident("template argument")
         if self.at("<"):
@@ -485,49 +473,48 @@ class _Parser:
         self.nest()
         self.expect("{")
         stmts = []
-        while not self.at("}"):
+        while self.toks[self.pos].tag != "}":
             stmts.append(self.parse_stmt())
         self.expect("}")
         self.depth -= 1
         return stmts
 
     def parse_stmt(self):
-        t = self.peek()
-        if self.at("return"):
-            self.advance()
-            expr = None
-            if not self.at(";"):
-                expr = self.parse_expr()
+        t = self.toks[self.pos]
+        tag = t.tag
+        if tag == "return":
+            self.pos += 1
+            expr = None if self.at(";") else self.parse_expr()
             self.expect(";")
             return n.ReturnStmt(expr, loc=t.loc)
-        if self.at("if"):
-            self.advance()
+        if tag == "if":
+            self.pos += 1
             self.expect("(")
             cond = self.parse_expr()
             self.expect(")")
             then = self.parse_block()
             orelse = None
             if self.at("else"):
-                self.advance()
+                self.pos += 1
                 orelse = self.parse_block()
             return n.IfStmt(cond, then, orelse, loc=t.loc)
-        if self.at("for"):
-            return self.parse_for()
-        if t.text in ("int", "bool") and t.kind == "ident":
-            self.advance()
+        if tag == "for":
+            return self.parse_for(t)
+        if tag == "int" or tag == "bool":
+            self.pos += 1
             name = self.expect_ident("variable name")
             self.expect(";")
-            return n.VarDeclStmt(n.TypeRef(t.text, [], loc=t.loc), name.text, loc=t.loc)
-        if t.kind == "ident" and t.text not in KEYWORDS:
-            stmt = self.try_parse_ident_led_stmt()
+            return n.VarDeclStmt(n.TypeRef(tag, [], loc=t.loc), name.text, loc=t.loc)
+        if t.kind == "ident" and tag not in KEYWORDS:
+            stmt = self.try_parse_ident_led_stmt(t)
             if stmt is not None:
                 return stmt
         expr = self.parse_expr()
         self.expect(";")
         return n.ExprStmt(expr, loc=t.loc)
 
-    def parse_for(self):
-        loc = self.expect("for").loc
+    def parse_for(self, t):
+        self.pos += 1
         self.expect("(")
         self.expect("int")
         var = self.expect_ident("loop variable").text
@@ -541,39 +528,38 @@ class _Parser:
         self.expect("++")
         v3 = self.expect_ident("loop variable").text
         if v2 != var or v3 != var:
-            raise ParseError(loc, "the loop condition and increment must use the loop variable")
+            raise ParseError(t.loc, "the loop condition and increment must use the loop variable")
         self.expect(")")
         body = self.parse_block()
-        return n.ForStmt(var, init, bound, body, loc=loc)
+        return n.ForStmt(var, init, bound, body, loc=t.loc)
 
-    def try_parse_ident_led_stmt(self):
+    def try_parse_ident_led_stmt(self, name: Token):
         """Launches and variable declarations; None means plain expression."""
+        toks = self.toks
         start, depth = self.pos, self.depth
-        name = self.advance()
+        self.pos += 1
         targs = []
-        if self.at("<"):
+        if toks[self.pos].tag == "<":
             try:
                 targs = self.parse_targ_list()
             except ParseError:
                 self.pos, self.depth = start, depth
                 return None
-        if self.at("<<<"):
-            self.advance()
+        nxt = toks[self.pos]
+        if nxt.tag == "<<<":
+            self.pos += 1
             grid = self.parse_expr()
             self.expect(",")
             block = self.parse_expr()
             self.expect(">>>")
-            self.expect("(")
             args = self.parse_call_args()
-            self.expect(")")
             self.expect(";")
             return n.LaunchStmt(name.text, targs, grid, block, args, loc=name.loc)
-        nxt = self.peek()
-        if nxt.kind == "ident" and nxt.text not in KEYWORDS:
-            var = self.advance()
+        if nxt.kind == "ident" and nxt.tag not in KEYWORDS:
+            self.pos += 1
             self.expect(";")
             ty = n.TypeRef(name.text, targs, loc=name.loc)
-            return n.VarDeclStmt(ty, var.text, loc=name.loc)
+            return n.VarDeclStmt(ty, nxt.text, loc=name.loc)
         self.pos = start
         return None
 
@@ -581,65 +567,59 @@ class _Parser:
 
     def parse_expr(self):
         self.nest()
-        expr = self.parse_or()
+        expr = self.parse_binary(1)
         self.depth -= 1
         return expr
 
-    def parse_or(self):
-        lhs = self.parse_and()
-        while self.at("||"):
-            loc = self.advance().loc
-            lhs = n.BinaryExpr("||", lhs, self.parse_and(), loc=loc)
-        return lhs
+    def parse_binary(self, min_prec: int):
+        """Operators of precedence min_prec and up, by precedence climbing.
 
-    def parse_and(self):
-        lhs = self.parse_cmp()
-        while self.at("&&"):
-            loc = self.advance().loc
-            lhs = n.BinaryExpr("&&", lhs, self.parse_cmp(), loc=loc)
-        return lhs
-
-    def parse_cmp(self):
+        || and && are left-associative, || the loosest; a comparison binds
+        tightest, takes two unary operands and does not chain.
+        """
+        toks = self.toks
         lhs = self.parse_unary()
-        if self.at("==") or self.at("!="):
-            op = self.advance()
-            return n.BinaryExpr(op.text, lhs, self.parse_unary(), loc=op.loc)
+        t = toks[self.pos]
+        if t.tag == "==" or t.tag == "!=":
+            self.pos += 1
+            lhs = n.BinaryExpr(t.tag, lhs, self.parse_unary(), loc=t.loc)
+            t = toks[self.pos]
+        prec = _LOGICAL_PREC.get(t.tag, 0)
+        while prec >= min_prec:
+            self.pos += 1
+            lhs = n.BinaryExpr(t.tag, lhs, self.parse_binary(prec + 1), loc=t.loc)
+            t = toks[self.pos]
+            prec = _LOGICAL_PREC.get(t.tag, 0)
         return lhs
 
     def parse_unary(self):
-        if self.at("!"):
-            self.nest()
-            loc = self.advance().loc
-            expr = n.UnaryExpr("!", self.parse_unary(), loc=loc)
-            self.depth -= 1
-            return expr
-        return self.parse_postfix()
+        t = self.toks[self.pos]
+        if t.tag != "!":
+            return self.parse_postfix()
+        self.nest()
+        self.pos += 1
+        expr = n.UnaryExpr("!", self.parse_unary(), loc=t.loc)
+        self.depth -= 1
+        return expr
 
     def parse_call_args(self) -> list:
+        """A parenthesized argument list."""
+        self.expect("(")
         args = []
         if not self.at(")"):
-            while True:
+            args.append(self.parse_expr())
+            while self.toks[self.pos].tag == ",":
+                self.pos += 1
                 args.append(self.parse_expr())
-                if self.at(","):
-                    self.advance()
-                    continue
-                break
-        return args
-
-    def _finish_call_suffix(self):
-        self.expect("(")
-        args = self.parse_call_args()
         self.expect(")")
         return args
 
     def _maybe_member_call(self, recv):
-        while self.at("."):
-            self.advance()
+        while self.toks[self.pos].tag == ".":
+            self.pos += 1
             name = self.expect_ident("member name")
-            targs = []
-            if self.at("<"):
-                targs = self.parse_targ_list()
-            args = self._finish_call_suffix()
+            targs = self.parse_targ_list() if self.at("<") else []
+            args = self.parse_call_args()
             recv = n.MemberCallExpr(recv, name.text, targs, args, loc=recv.loc)
         return recv
 
@@ -648,14 +628,9 @@ class _Parser:
             if not args or not isinstance(args[0], n.StringLit):
                 raise ParseError(loc, "printf needs a literal format string")
             fmt = args[0].value
-            rest = fmt
-            holes = 0
-            while "%" in rest:
-                idx = rest.index("%")
-                if rest[idx : idx + 2] != "%d":
-                    raise ParseError(loc, "printf supports only literal text and %d")
-                holes += 1
-                rest = rest[idx + 2 :]
+            holes = fmt.count("%")
+            if fmt.count("%d") != holes:  # some % does not start a %d
+                raise ParseError(loc, "printf supports only literal text and %d")
             if holes > 1:
                 raise ParseError(loc, "printf supports at most one %d")
             if len(args) - 1 != holes:
@@ -664,80 +639,92 @@ class _Parser:
             raise ParseError(loc, f"{name} takes exactly {BUILTIN_ARITY[name]} argument(s)")
 
     def parse_postfix(self):
-        t = self.peek()
+        toks = self.toks
+        t = toks[self.pos]
+        if t.kind != "ident" or t.tag in _NOT_PLAIN_NAMES:
+            node = self.parse_primary(t)
+            if node is not None:
+                return node
+        # A named primary: a variable, call, temporary object, or static member.
+        self.pos += 1
+        name = t.text
+        targs = self.parse_targ_list() if toks[self.pos].tag == "<" else []
+        tag = toks[self.pos].tag
+        if tag == "(":
+            args = self.parse_call_args()
+            self._validate_call(name, args, t.loc)
+            return self._maybe_member_call(n.CallExpr(name, targs, args, loc=t.loc))
+        if tag == "{":
+            self.pos += 1
+            self.expect("}")
+            obj = n.TempObj(n.TypeRef(name, targs, loc=t.loc), loc=t.loc)
+            return self._maybe_member_call(obj)
+        if tag == "::":
+            self.pos += 1
+            member = self.expect_ident("member name")
+            mtargs = self.parse_targ_list() if self.at("<") else []
+            ty = n.TypeRef(name, targs, loc=t.loc)
+            if self.at("("):
+                args = self.parse_call_args()
+                return n.StaticCallExpr(ty, member.text, mtargs, args, loc=t.loc)
+            return n.MemberConst(ty, member.text, loc=t.loc)
+        if targs:
+            raise self.err(f"unexpected template arguments on {name!r}")
+        return self._maybe_member_call(n.NameRef(name, loc=t.loc))
+
+    def parse_primary(self, t: Token):
+        """The literal or special primary at t, or None if t is a plain name."""
+        tag = t.tag
         if t.kind == "int":
-            self.advance()
+            self.pos += 1
             try:
                 value = int(t.text)
             except ValueError:  # more digits than int() converts
                 raise ParseError(t.loc, "integer literal is too long") from None
             return n.IntLit(value, loc=t.loc)
         if t.kind == "string":
-            self.advance()
+            self.pos += 1
             return n.StringLit(t.text, loc=t.loc)
-        if self.at("true") or self.at("false"):
-            self.advance()
-            return n.BoolLit(t.text == "true", loc=t.loc)
-        if self.at("("):
-            self.advance()
+        if tag == "true" or tag == "false":
+            self.pos += 1
+            return n.BoolLit(tag == "true", loc=t.loc)
+        if tag == "(":
+            self.pos += 1
             inner = self.parse_expr()
             self.expect(")")
             return self._maybe_member_call(inner)
-        if self.at("cuda_arch"):
-            self.advance()
+        if tag == "cuda_arch":
+            self.pos += 1
             return n.CudaArchRef(loc=t.loc)
-        if self.at("HDC") and self.at("::", 1):
-            self.advance()
-            self.advance()
-            val = self.advance()
-            if val.text not in HDC_VALUES:
+        nxt = self.toks[self.pos + 1].tag
+        if tag == "HDC" and nxt == "::":
+            val = self.toks[self.pos + 2]
+            if val.tag not in HDC_VALUES:
                 raise ParseError(val.loc, f"unknown HDC value {val.text!r}")
+            self.pos += 3
             return n.HdcLit(val.text, loc=t.loc)
-        if self.at("hdc") and self.at("<", 1):
-            self.advance()
-            self.expect("<")
+        if tag == "hdc" and nxt == "<":
+            self.pos += 2
             ty = self.parse_type()
             self.expect(">")
             return n.HdcTrait(ty, loc=t.loc)
-        if self.at("std") and self.at("::", 1):
-            self.advance()
-            self.advance()
+        if tag == "std" and nxt == "::":
+            self.pos += 2
             name = self.expect_ident("function name")
             qual = f"std::{name.text}"
-            args = self._finish_call_suffix()
+            args = self.parse_call_args()
             self._validate_call(qual, args, t.loc)
             return n.CallExpr(qual, [], args, loc=t.loc)
-        if t.kind != "ident" or t.text in KEYWORDS:
-            found = t.text if t.kind != "eof" else "end of input"
-            raise ParseError(t.loc, f"expected an expression, found {found!r}")
-        self.advance()
-        name = t.text
-        targs = []
-        if self.at("<"):
-            targs = self.parse_targ_list()
-        if self.at("{"):
-            self.advance()
-            self.expect("}")
-            obj = n.TempObj(n.TypeRef(name, targs, loc=t.loc), loc=t.loc)
-            return self._maybe_member_call(obj)
-        if self.at("::"):
-            self.advance()
-            member = self.expect_ident("member name")
-            mtargs = []
-            if self.at("<"):
-                mtargs = self.parse_targ_list()
-            ty = n.TypeRef(name, targs, loc=t.loc)
-            if self.at("("):
-                args = self._finish_call_suffix()
-                return n.StaticCallExpr(ty, member.text, mtargs, args, loc=t.loc)
-            return n.MemberConst(ty, member.text, loc=t.loc)
-        if self.at("("):
-            args = self._finish_call_suffix()
-            self._validate_call(name, args, t.loc)
-            return self._maybe_member_call(n.CallExpr(name, targs, args, loc=t.loc))
-        if targs:
-            raise self.err(f"unexpected template arguments on {name!r}")
-        return self._maybe_member_call(n.NameRef(name, loc=t.loc))
+        if t.kind == "ident" and tag not in KEYWORDS:
+            return None  # hdc or std as a plain name
+        raise _unexpected(t, "an expression")
+
+
+# The precedence of each binary operator that may chain; see parse_binary.
+_LOGICAL_PREC = {"||": 1, "&&": 2}
+
+# Identifier tags parse_postfix leaves to parse_primary.
+_NOT_PLAIN_NAMES = KEYWORDS | {"cuda_arch", "hdc", "std"}
 
 
 def parse(

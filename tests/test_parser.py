@@ -1,13 +1,15 @@
 import itertools
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from exspace.interp import run_program
 from exspace.spacecheck import analyze
 from exspace.syntax import nodes as n
 from exspace.syntax.parser import MAX_NESTING, ParseError, parse
-from exspace.syntax.preprocess import CompileProfile, preprocess
-from exspace.syntax import unparse
+from exspace.syntax.preprocess import CompileProfile, prepare, preprocess
+from exspace.syntax import tokenize, unparse
 
 KERNEL_UNIT = """__device__ void print() {
   printf( "." );
@@ -351,3 +353,67 @@ def test_operator_errors(expr, col, message):
         _return_expr(expr)
     assert (exc.value.loc.line, exc.value.loc.col) == (1, col)
     assert exc.value.message == message
+
+
+@pytest.mark.parametrize("text", ["(", "true", "x"])
+def test_a_string_is_not_a_template_argument(text):
+    # A string whose text spells a keyword or punctuator is still a string.
+    src = ("template< HDC H > struct S { static constexpr int n = 1; };\n"
+           f'int main() {{ return S< "{text}" >::n; }}\n')
+    [d] = analyze(src, "s.mcu").diagnostics
+    assert (d.code, d.loc.line, d.loc.col) == ("E0001", 2, 24)
+    assert d.message == f"expected template argument, found {text!r}"
+
+
+def test_a_string_is_not_an_hdc_value():
+    with pytest.raises(ParseError) as exc:
+        parse('bool f() { return HDC::"Hst" == HDC::Hst; }', "s.mcu")
+    assert (exc.value.loc.col, exc.value.message) == (24, "unknown HDC value 'Hst'")
+
+
+CORPUS = [p.read_text(encoding="utf-8")
+          for p in sorted((Path(__file__).parent.parent / "corpus").glob("*.mcu"))]
+# Characters MiniCU uses, and some it does not.
+MUTATION_CHARS = "aZ_09 \n\t{}()<>,;.!=:&|+\"#%/\\²é"
+
+
+@st.composite
+def mutated_corpus_units(draw):
+    """A corpus file after a few line and character mutations."""
+    text = draw(st.sampled_from(CORPUS))
+    for _ in range(draw(st.integers(1, 4))):
+        op = draw(st.sampled_from(
+            ("drop", "copy", "swap", "insert", "delete", "replace", "truncate")))
+        if op == "truncate":
+            text = text[:draw(st.integers(0, len(text)))]
+        elif op in ("drop", "copy", "swap"):
+            lines = text.split("\n")
+            i = draw(st.integers(0, len(lines) - 1))
+            j = draw(st.integers(0, len(lines) - 1))
+            if op == "drop":
+                del lines[i]
+            elif op == "copy":
+                lines.insert(j, lines[i])
+            else:
+                lines[i], lines[j] = lines[j], lines[i]
+            text = "\n".join(lines)
+        else:
+            at = draw(st.integers(0, len(text)))
+            char = draw(st.sampled_from(MUTATION_CHARS)) if op != "delete" else ""
+            text = text[:at] + char + text[at + (op != "insert"):]
+    return text
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(mutated_corpus_units(), st.sampled_from(("keep", "erase", "reject")))
+def test_parse_is_total_on_mutated_corpus_units(text, specifier_mode):
+    prepared = prepare(text)
+    try:
+        ast = parse(tokenize(prepared, "m.mcu"), "m.mcu", specifier_mode)
+    except ParseError as e:
+        lines = prepared.split("\n")
+        assert e.loc.file == "m.mcu"
+        assert 1 <= e.loc.line <= len(lines)
+        assert 1 <= e.loc.col <= len(lines[e.loc.line - 1]) + 1
+    else:
+        assert isinstance(ast, n.Ast)
