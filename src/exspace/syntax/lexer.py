@@ -40,25 +40,18 @@ class Token:
         return f"Token({self.kind!r}, {self.text!r}, {self.line}:{self.col})"
 
 
-_BLANKS = " \t\r"
-_PUNCT = frozenset(("<<<", ">>>", "::", "==", "!=", "&&", "||", "++", *"{}()<>,;.!="))
+# Longer punctuators come before their prefixes.
+_PUNCT = ("<<<", ">>>", "::", "==", "!=", "&&", "||", "++", *"{}()<>,;.!=")
 
-# Blanks, then one token.  Alternatives are tried in order: identifiers,
-# punctuators (longer ones before their prefixes), integers, strings,
-# pragmas, and any other character but a blank.  The identifier start
-# [^\W\d] also admits characters such as superscripts and Roman numerals,
-# which are numeric but not alphabetic; _classify rejects those.  Only
-# ASCII digits form integers: int() rejects the other characters
+# Blanks, then one token: an identifier, a punctuator, an integer, a
+# string, a pragma, or any other character but a blank.  The identifier
+# start [^\W\d] also admits characters such as superscripts and Roman
+# numerals, which are numeric but not alphabetic; _classify rejects those.
+# Only ASCII digits form integers: int() rejects the other characters
 # str.isdigit() accepts.
 _TOKEN_RE = re.compile(
-    r"""([ \t\r]*)
-    ( [^\W\d]\w*
-    | <<<|>>>|::|==|!=|&&|\|\||\+\+|[{}()<>,;.!=]
-    | [0-9]+
-    | "[^"]*"
-    | \#[\w \t]*
-    | [^ \t\r] )""",
-    re.VERBOSE,
+    r"([ \t\r]*)([^\W\d]\w*|%s|[0-9]+|\"[^\"]*\"|\#[\w \t]*|[^ \t\r])"
+    % "|".join(map(re.escape, _PUNCT))
 )
 
 
@@ -97,8 +90,9 @@ def tokenize(text: str, file: str = "<unit>") -> list[Token]:
     lines = text.split("\n")
     for line, body in enumerate(lines, 1):
         col = 1
-        # Trailing blanks are cut first: a match must end in a token.
-        for blanks, value in findall(body.rstrip(_BLANKS)):
+        # Trailing blanks are cut first: every match ends in a token, so the
+        # scan would only try them again from each of their positions.
+        for blanks, value in findall(body.rstrip(" \t\r")):
             col += len(blanks)
             cls = classes.get(value)
             if cls is None:
