@@ -20,7 +20,8 @@ class Token:
 
     __slots__ = ("kind", "text", "line", "col", "file", "tag")
 
-    def __init__(self, kind: str, text: str, line: int, col: int, file: str, tag):
+    def __init__(self, kind: str, text: str, line: int, col: int, file: str,
+                 tag: str | None):
         # ident | int | string | punct | pragma | eof, or error, whose text
         # is the message.  tag is the text of an ident or punct token and
         # None for every other kind: the parser matches keywords and
