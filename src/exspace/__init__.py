@@ -24,10 +24,9 @@ from .spacecheck import (
     check_unit,
     detect_arch_divergence,
     legality,
-    propagate_spaces,
     struct_member_spaces,
 )
-from .syntax import CompileProfile, PpPass, parse, preprocess, unparse
+from .syntax import CompileProfile, PpPass, parse, preprocess
 
 __version__ = "0.1.0"
 
@@ -57,11 +56,9 @@ __all__ = [
     "legality",
     "parse",
     "preprocess",
-    "propagate_spaces",
     "resolve",
     "resolve_overload",
     "run_program",
     "struct_member_spaces",
-    "unparse",
     "__version__",
 ]

@@ -96,16 +96,17 @@ def device_synchronize(m: Machine) -> int:
 
 
 class Interpreter:
-    """Executes the instances the check chose, one walk per side.
+    """Executes the instances the check chose.
 
-    Host code runs the host walk's instances and device code the device
-    walk's.  Every call site executes the callee its instance recorded
-    during the walk, or the builtin the walk found available there; a site
-    recorded as stray, or not recorded, is a UB halt.  The run evaluates no
-    type, trait or constant itself: a temporary, a variable declaration,
-    hdc< T >, T::member and a template parameter used as a value read what
-    the walk recorded in the site table, and a failure recorded there is a
-    UB halt.
+    Host code runs the instances of the walk whose natives hold the host,
+    and device code those of the walk whose natives hold the device; passes
+    that share a symbol table share that walk.  Every call site executes
+    the callee its instance recorded during the walk, or the builtin the
+    walk found available there; a site recorded as stray, or not recorded,
+    is a UB halt.  The run evaluates no type, trait or constant itself: a
+    temporary, a variable declaration, hdc< T >, T::member and a template
+    parameter used as a value read what the walk recorded in the site
+    table, and a failure recorded there is a UB halt.
 
     Statements and expressions are executed by the handlers that _STMT and
     _EVAL map their node class to.  Each handler takes the executing

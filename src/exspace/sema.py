@@ -58,10 +58,6 @@ class Type:
             return f"{self.name}<{', '.join(a.value for a in self.targs)}>"
         return self.name
 
-    @property
-    def is_builtin(self) -> bool:
-        return self.name in ("int", "bool", "void")
-
 
 @dataclass(frozen=True)
 class TraitConfig:
@@ -144,12 +140,60 @@ class SymbolTable:
         return None
 
 
+# Signature keys compare declarations by these printed forms.
+def _p_type(t: n.TypeRef) -> str:
+    return t.name + _p_targs(t.targs)
+
+
+def _p_targs(targs: list) -> str:
+    if not targs:
+        return ""
+    inner = ", ".join(_p_type(a) if isinstance(a, n.TypeRef) else _p_expr(a) for a in targs)
+    return f"< {inner} >"
+
+
+def _p_args(args: list) -> str:
+    return ", ".join(_p_expr(a) for a in args)
+
+
+def _p_expr(e: n.Expr) -> str:
+    if isinstance(e, n.IntLit):
+        return str(e.value)
+    if isinstance(e, n.StringLit):
+        return f'"{e.value}"'
+    if isinstance(e, n.BoolLit):
+        return "true" if e.value else "false"
+    if isinstance(e, n.HdcLit):
+        return f"HDC::{e.value}"
+    if isinstance(e, n.CudaArchRef):
+        return "cuda_arch"
+    if isinstance(e, n.NameRef):
+        return e.name
+    if isinstance(e, n.TempObj):
+        return f"{_p_type(e.type)}{{}}"
+    if isinstance(e, n.HdcTrait):
+        return f"hdc< {_p_type(e.type)} >"
+    if isinstance(e, n.MemberConst):
+        return f"{_p_type(e.type)}::{e.name}"
+    if isinstance(e, n.CallExpr):
+        return f"{e.name}{_p_targs(e.targs)}({_p_args(e.args)})"
+    if isinstance(e, n.MemberCallExpr):
+        return f"{_p_expr(e.recv)}.{e.name}{_p_targs(e.targs)}({_p_args(e.args)})"
+    if isinstance(e, n.StaticCallExpr):
+        return f"{_p_type(e.type)}::{e.name}{_p_targs(e.targs)}({_p_args(e.args)})"
+    if isinstance(e, n.UnaryExpr):
+        return f"{e.op}{_p_expr(e.operand)}"
+    if isinstance(e, n.BinaryExpr):
+        return f"({_p_expr(e.lhs)} {e.op} {_p_expr(e.rhs)})"
+    raise TypeError(f"unknown expression {e!r}")
+
+
 def _spec_signature(spec: n.SpecifierSet) -> str:
     bits = []
     if spec.host:
-        bits.append("H" + (f"({n._p_expr(spec.host_pred)})" if spec.host_pred else ""))
+        bits.append("H" + (f"({_p_expr(spec.host_pred)})" if spec.host_pred else ""))
     if spec.device:
-        bits.append("D" + (f"({n._p_expr(spec.device_pred)})" if spec.device_pred else ""))
+        bits.append("D" + (f"({_p_expr(spec.device_pred)})" if spec.device_pred else ""))
     if spec.global_:
         bits.append("G")
     return "".join(bits)
@@ -157,8 +201,8 @@ def _spec_signature(spec: n.SpecifierSet) -> str:
 
 def signature_key(decl: n.FunctionDecl, include_spaces: bool) -> tuple:
     """Identity of one declaration, stable across compile passes."""
-    params = tuple(n._p_type(p.type) for p in decl.params)
-    req = n._p_expr(decl.requires) if decl.requires is not None else ""
+    params = tuple(_p_type(p.type) for p in decl.params)
+    req = _p_expr(decl.requires) if decl.requires is not None else ""
     spaces = _spec_signature(decl.spec) if include_spaces else ""
     return (decl.owner or "", decl.name, params, req, spaces)
 
@@ -426,7 +470,9 @@ def eval_const_expr(expr, env: Bindings, table: SymbolTable):
             if not isinstance(lhs, bool) or not isinstance(rhs, bool):
                 raise SubstFailure("logical operands are not booleans")
             return (lhs and rhs) if expr.op == "&&" else (lhs or rhs)
-    raise SubstFailure(f"not a constant expression: {type(expr).__name__}")
+    if isinstance(expr, n.StringLit):
+        raise SubstFailure("a string literal is not a constant expression")
+    raise SubstFailure("not a constant expression")
 
 
 # --------------------------------------------------------------------------

@@ -1,18 +1,19 @@
 """Execution-space checking over all reachable instantiations.
 
-Two analyses run per unit, one per preprocessing pass.  Each analysis has a
-native side (host or device): bodies come from that pass's text, and
-mismatches inside host-device callers are attributed to the analysis whose
-native side contains them.  That split reproduces the real two-step
+One walk runs per symbol table.  Its natives are the sides of the
+preprocessing passes that share that table: both sides when the two pass
+texts parse to one Ast, which is most units, and one side per walk when
+they differ.  Bodies come from the table's pass text, and mismatches
+inside host-device callers are attributed to the walk whose natives
+contain the caller's side.  That split reproduces the real two-step
 compilation: host-side bodies are what the host compiler sees, device-side
 bodies what the device front end sees.
 
-The two analyses of a unit share their bodies' resolution: an instance
-body is resolved (overloads, callee spaces, types and constants) once per
-symbol table and demand, and once per side too under PROPOSAL2, where
+An instance body is resolved (overloads, callee spaces, types and
+constants) once per demand, and once per side too under PROPOSAL2, where
 those read the calling side.  Each instance replays the resolution with
-its own side, which decides its call verdicts, the callees it demands
-and the launch and stray bookkeeping, so the walks keep their instances.
+its own side, which decides its call verdicts, the callees it demands and
+the launch and stray bookkeeping.
 """
 from __future__ import annotations
 
@@ -211,7 +212,7 @@ class _Pending:
 
 
 class _Body:
-    """One instance body resolved once per symbol table and demand.
+    """One instance body resolved once per demand.
 
     Under PROPOSAL2, where overload resolution and effective spaces read
     the calling side, it is resolved once per side too.  sites holds the
@@ -235,21 +236,30 @@ def _bindings_key(bindings: dict) -> tuple:
 
 
 class _Walk:
-    """One analysis over one pass's text, attributed to a native side.
+    """One analysis over one symbol table, attributed to its natives.
 
-    The walks of one analyze share the interned demands and, per symbol
-    table, the resolved bodies; each instance replays its body's
-    resolution with its own side.
+    natives are the sides of the passes that share the table.  The walks
+    of one analyze share the interned demands; each instance replays its
+    body's resolution with its own side.
     """
 
-    def __init__(self, ast: n.Ast, table: SymbolTable, native_side: ExecSpace,
+    def __init__(self, ast: n.Ast, table: SymbolTable, natives: tuple,
                  mode: Mode, profile: CompileProfile, interned: dict):
         self.ast = ast
         self.table = table
-        self.native = native_side
+        self.natives = natives
+        # The sides the nvcc instantiation adds a called host-device template
+        # on: each native side, but not the host under FIDELITY.  There the
+        # host compiler reports no space error, and an instance only the
+        # host-side instantiation makes could add nothing but those.
+        self.nvcc_sides = tuple(
+            s for s in natives
+            if mode in _NVCC_INSTANTIATION and not (s is HOST and mode is Mode.FIDELITY)
+        )
         self.mode = mode
         self.profile = profile
         self.interned = interned  # (signature key, bindings, owner type) -> demand
+        self.bodies: dict = {}  # demand (and side, under PROPOSAL2) -> _Body
         self.diags: list[Diagnostic] = []
         self.pending: list[_Pending] = []
         self.instances: dict[tuple, Instance] = {}
@@ -267,13 +277,8 @@ class _Walk:
 
     # -- entry ----------------------------------------------------------------
 
-    def run(self, bodies: dict):
-        """Walk every demanded instance.
-
-        bodies holds the resolved bodies of this walk's symbol table by
-        demand (and side, under PROPOSAL2); analyze hands the same dict to
-        the other pass's walk when the passes share the table.
-        """
+    def run(self):
+        """Walk every demanded instance."""
         for decl, owner in self.ast.decls():
             self.demands.setdefault(
                 ("decl", self.table.keys[id(decl)]), (decl.display_name(), decl.loc)
@@ -281,7 +286,7 @@ class _Walk:
         self._seed_roots()
         while self.queue:
             inst = self.queue.popleft()
-            self._walk_instance(inst, bodies)
+            self._walk_instance(inst)
         self._resolve_pending()
 
     def _seed_roots(self):
@@ -390,18 +395,18 @@ class _Walk:
 
     # -- body resolution ---------------------------------------------------------
 
-    def _walk_instance(self, inst: Instance, bodies: dict):
+    def _walk_instance(self, inst: Instance):
         """Replay inst's resolved body with inst's side.
 
-        A body is resolved for the first instance of its demand in this
-        table (for each side under PROPOSAL2); a demand whose declaration
-        differs, which only duplicate definitions make, is resolved anew.
+        A body is resolved for the first instance of its demand (for each
+        side under PROPOSAL2); a demand whose declaration differs, which
+        only duplicate definitions make, is resolved anew.
         """
         key = inst.key if self.mode is Mode.PROPOSAL2 else inst.key[0]
-        body = bodies.get(key)
+        body = self.bodies.get(key)
         if body is None or body.decl is not inst.decl:
             body = self._resolve_body(inst)
-            bodies.setdefault(key, body)
+            self.bodies.setdefault(key, body)
         inst.sites.update(body.sites)
         for event in body.events:
             if type(event) is Diagnostic:
@@ -650,14 +655,14 @@ class _Walk:
             )
             self._report_stray(inst, callee_space, loc)
         if (
-            self.mode in _NVCC_INSTANTIATION
+            self.nvcc_sides
             and spaces == BOTH_SIDES
             and (sel.decl.is_template or owner_type is not None)
         ):
-            self._instantiate(
-                demand, sel.decl, sel.bindings, self.native, spaces, owner_bindings, owner_type,
-                loc,
-            )
+            for side in self.nvcc_sides:
+                self._instantiate(
+                    demand, sel.decl, sel.bindings, side, spaces, owner_bindings, owner_type, loc,
+                )
 
     def _report_stray(self, inst, callee_space, loc):
         """Report a call to a callee without code on inst's side.
@@ -687,18 +692,21 @@ class _Walk:
     # -- pending warnings, reachability, promotion ------------------------------
 
     def _reachable(self) -> set:
+        """Instance keys reachable on a native side.
+
+        The host side is reached from main, which has host code only, and
+        the device side from host launches.
+        """
         seeds = []
-        if self.native is HOST:
-            if self.main_key is not None:
-                seeds.append(self.main_key)
-        else:
+        if HOST in self.natives and self.main_key is not None:
+            seeds.append(self.main_key)
+        if DEVICE in self.natives:
             seeds.extend(self.launch_seeds)
         seen = set(seeds)
         work = deque(seeds)
         while work:
-            key = work.popleft()
-            for nxt in self.edges.get(key, ()):  # edges stay on one side
-                if nxt not in seen and nxt[-1] is self.native:
+            for nxt in self.edges.get(work.popleft(), ()):  # edges stay on one side
+                if nxt not in seen:
                     seen.add(nxt)
                     work.append(nxt)
         return seen
@@ -706,7 +714,7 @@ class _Walk:
     def _resolve_pending(self):
         reach = self._reachable()
         for pm in self.pending:
-            if pm.caller.side is not self.native:
+            if pm.caller.side not in self.natives:
                 continue  # the other pass compiles that side
             self._emit_stray(pm.caller, pm.callee_space, pm.loc, pm.caller.key in reach)
 
@@ -730,7 +738,7 @@ class Analysis:
     diagnostics: list  # ordered, suppression applied
     all_diagnostics: list = field(default_factory=list)  # includes suppressed
     passes: dict = field(default_factory=dict)  # pass kind -> PassArtifacts
-    walks: dict = field(default_factory=dict)  # native side -> _Walk
+    walks: dict = field(default_factory=dict)  # side -> the _Walk whose natives hold it
 
     @property
     def has_errors(self) -> bool:
@@ -794,21 +802,22 @@ def analyze(
 ) -> Analysis:
     """Preprocess, parse, resolve, and space-check one unit for all passes.
 
-    See _front_end for how the passes share the front end; each pass gets
-    its own walk, and the walks share the resolution of each body.
+    See _front_end for how the passes share the front end; passes that
+    share a symbol table share one walk.
     """
     diags: list[Diagnostic] = []
     analysis = Analysis(path, profile, mode, [])
     analysis.passes = _front_end(text, path, profile, mode, cfg, diags)
 
-    interned: dict = {}  # demand numbers, one table per analyze so the passes agree
-    bodies: dict = {}  # id(symbol table) -> that table's resolved bodies
+    tables: dict = {}  # id(symbol table) -> (PassArtifacts, sides of the passes sharing it)
     for kind, art in analysis.passes.items():
-        native = _PASS_SIDE[kind]
-        walk = _Walk(art.ast, art.table, native, mode, profile, interned)
-        walk.run(bodies.setdefault(id(art.table), {}))
-        analysis.walks[native] = walk
-        if mode is Mode.FIDELITY and native is HOST:
+        tables.setdefault(id(art.table), (art, []))[1].append(_PASS_SIDE[kind])
+    interned: dict = {}  # demand numbers, one table per analyze so the walks agree
+    for art, sides in tables.values():
+        walk = _Walk(art.ast, art.table, tuple(sides), mode, profile, interned)
+        walk.run()
+        analysis.walks.update(dict.fromkeys(sides, walk))
+        if mode is Mode.FIDELITY and sides == [HOST]:
             diags.extend(d for d in walk.diags if d.code in _HARD_CODES)
         else:
             diags.extend(walk.diags)
@@ -856,18 +865,6 @@ def detect_arch_divergence(host_demands: dict, device_demands: dict) -> list:
         )
     diags.sort(key=Diagnostic.sort_key)
     return diags
-
-
-def propagate_spaces(analysis: Analysis) -> dict:
-    """Instance display names to effective spaces (the propagation mode)."""
-    out = {}
-    for walk in analysis.walks.values():
-        for inst in walk.instances.values():
-            spaces = inst.spaces
-            out.setdefault(inst.display(), set()).update(
-                (spaces,) if spaces is ExecSpace.Global else spaces
-            )
-    return {k: frozenset(v) for k, v in out.items()}
 
 
 def struct_member_spaces(struct: n.StructDecl) -> dict:

@@ -1,6 +1,6 @@
 """Lexing, preprocessing, and parsing of MiniCU units."""
 from .lexer import Token, pass_tokens, tokenize
-from .nodes import Ast, unparse
+from .nodes import Ast
 from .parser import ParsedItems, ParseError, parse
 from .preprocess import (
     BUILTIN_MACROS,
@@ -29,5 +29,4 @@ __all__ = [
     "prepare",
     "preprocess",
     "tokenize",
-    "unparse",
 ]

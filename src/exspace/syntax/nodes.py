@@ -1,4 +1,4 @@
-"""AST node types and the canonical printer.
+"""AST node types and the body traversal.
 
 Source locations are excluded from equality so that two parses of
 differently formatted but structurally identical units compare equal.
@@ -373,168 +373,3 @@ def walk(stmts: list):
         children = _CHILDREN.get(type(node))
         if children is not None:
             stack.extend(reversed(children(node)))
-
-
-# --------------------------------------------------------------------------
-# Canonical printer
-
-
-def _p_type(t: TypeRef) -> str:
-    if t.targs:
-        inner = ", ".join(_p_expr(a) if not isinstance(a, TypeRef) else _p_type(a) for a in t.targs)
-        return f"{t.name}< {inner} >"
-    return t.name
-
-
-def _p_targs(targs: list) -> str:
-    if not targs:
-        return ""
-    inner = ", ".join(_p_type(a) if isinstance(a, TypeRef) else _p_expr(a) for a in targs)
-    return f"< {inner} >"
-
-
-def _p_args(args: list) -> str:
-    return ", ".join(_p_expr(a) for a in args)
-
-
-def _p_expr(e: Expr) -> str:
-    if isinstance(e, IntLit):
-        return str(e.value)
-    if isinstance(e, StringLit):
-        return f'"{e.value}"'
-    if isinstance(e, BoolLit):
-        return "true" if e.value else "false"
-    if isinstance(e, HdcLit):
-        return f"HDC::{e.value}"
-    if isinstance(e, CudaArchRef):
-        return "cuda_arch"
-    if isinstance(e, NameRef):
-        return e.name
-    if isinstance(e, TempObj):
-        return f"{_p_type(e.type)}{{}}"
-    if isinstance(e, HdcTrait):
-        return f"hdc< {_p_type(e.type)} >"
-    if isinstance(e, MemberConst):
-        return f"{_p_type(e.type)}::{e.name}"
-    if isinstance(e, CallExpr):
-        return f"{e.name}{_p_targs(e.targs)}({_p_args(e.args)})"
-    if isinstance(e, MemberCallExpr):
-        return f"{_p_expr(e.recv)}.{e.name}{_p_targs(e.targs)}({_p_args(e.args)})"
-    if isinstance(e, StaticCallExpr):
-        return f"{_p_type(e.type)}::{e.name}{_p_targs(e.targs)}({_p_args(e.args)})"
-    if isinstance(e, UnaryExpr):
-        return f"{e.op}{_p_expr(e.operand)}"
-    if isinstance(e, BinaryExpr):
-        return f"({_p_expr(e.lhs)} {e.op} {_p_expr(e.rhs)})"
-    raise TypeError(f"unknown expression {e!r}")
-
-
-def _p_stmt(s: Stmt, indent: str) -> list:
-    if isinstance(s, ExprStmt):
-        return [f"{indent}{_p_expr(s.expr)};"]
-    if isinstance(s, ReturnStmt):
-        return [f"{indent}return {_p_expr(s.expr)};" if s.expr else f"{indent}return;"]
-    if isinstance(s, VarDeclStmt):
-        return [f"{indent}{_p_type(s.type)} {s.name};"]
-    if isinstance(s, IfStmt):
-        out = [f"{indent}if( {_p_expr(s.cond)} ) {{"]
-        for sub in s.then:
-            out.extend(_p_stmt(sub, indent + "  "))
-        if s.orelse is not None:
-            out.append(f"{indent}}} else {{")
-            for sub in s.orelse:
-                out.extend(_p_stmt(sub, indent + "  "))
-        out.append(f"{indent}}}")
-        return out
-    if isinstance(s, ForStmt):
-        head = f"for( int {s.var} = {_p_expr(s.init)}; {s.var} < {_p_expr(s.bound)}; ++{s.var} )"
-        out = [f"{indent}{head} {{"]
-        for sub in s.body:
-            out.extend(_p_stmt(sub, indent + "  "))
-        out.append(f"{indent}}}")
-        return out
-    if isinstance(s, LaunchStmt):
-        head = f"{s.name}{_p_targs(s.targs)}<<< {_p_expr(s.grid)}, {_p_expr(s.block)} >>>({_p_args(s.args)});"
-        return [f"{indent}{head}"]
-    raise TypeError(f"unknown statement {s!r}")
-
-
-def _p_spec(spec: SpecifierSet) -> str:
-    parts = []
-    if spec.host:
-        parts.append("__host__" + (f"( {_p_expr(spec.host_pred)} )" if spec.host_pred else ""))
-    if spec.device:
-        parts.append("__device__" + (f"( {_p_expr(spec.device_pred)} )" if spec.device_pred else ""))
-    if spec.global_:
-        parts.append("__global__")
-    if spec.constexpr:
-        parts.append("constexpr")
-    return " ".join(parts)
-
-
-def _p_tparams(tparams: list) -> str:
-    parts = []
-    for tp in tparams:
-        if tp.kind == "type":
-            parts.append(f"typename {tp.name}")
-        else:
-            s = f"HDC {tp.name}"
-            if tp.default is not None:
-                s += f" = {_p_expr(tp.default)}"
-            parts.append(s)
-    return f"template< {', '.join(parts)} >"
-
-
-def _p_function(fn: FunctionDecl, indent: str = "") -> list:
-    out = []
-    if fn.spec.pragma:
-        out.append(f"{indent}#pragma {fn.spec.pragma}")
-    if fn.tparams:
-        out.append(f"{indent}{_p_tparams(fn.tparams)}")
-    if fn.requires is not None:
-        out.append(f"{indent}requires( {_p_expr(fn.requires)} )")
-    lead = []
-    spec = _p_spec(fn.spec)
-    if spec:
-        lead.append(spec)
-    if fn.is_static:
-        lead.append("static")
-    lead.append(_p_type(fn.ret))
-    params = ", ".join(f"{_p_type(p.type)} {p.name}" for p in fn.params)
-    head = f"{indent}{' '.join(lead)} {fn.name}({params})"
-    if fn.body is None:
-        out.append(head + ";")
-    else:
-        out.append(head + " {")
-        for s in fn.body:
-            out.extend(_p_stmt(s, indent + "  "))
-        out.append(f"{indent}}}")
-    return out
-
-
-def unparse(ast: Ast) -> str:
-    """Print a unit in canonical form; reparsing yields an equal AST."""
-    out = []
-    for item in ast.items:
-        if isinstance(item, EnumHdcDecl):
-            out.append("enum class HDC { Hst, Dev, HstDev };")
-        elif isinstance(item, StaticAssertDecl):
-            out.append(f"static_assert( {_p_expr(item.expr)} );")
-        elif isinstance(item, StructDecl):
-            if item.tparams:
-                out.append(_p_tparams(item.tparams))
-            spec = _p_spec(item.spec)
-            head = f"{spec} {item.keyword}" if spec else item.keyword
-            out.append(f"{head} {item.name} {{")
-            for m in item.members:
-                if isinstance(m, MemberVar):
-                    out.append(f"  static constexpr {m.type_name} {m.name} = {_p_expr(m.value)};")
-                else:
-                    out.extend(_p_function(m, "  "))
-            out.append("};")
-        elif isinstance(item, FunctionDecl):
-            out.extend(_p_function(item))
-        else:
-            raise TypeError(f"unknown item {item!r}")
-        out.append("")
-    return "\n".join(out)

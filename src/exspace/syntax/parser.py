@@ -106,7 +106,7 @@ def _same(a: Token, b: Token) -> bool:
 
 
 def _unexpected(t: Token, what: str) -> ParseError:
-    found = t.text if t.kind != "eof" else "end of input"
+    found = {"eof": "end of input", "string": f'"{t.text}"'}.get(t.kind, t.text)
     return ParseError(t.loc, f"expected {what}, found {found!r}")
 
 

@@ -12,13 +12,17 @@ of a forced run.
 A second set, the split group, holds units whose two pass texts differ:
 gen_unit units with #ifdef __CUDA_ARCH__ regions that change one token of
 a line, hold a lex error or a pragma only one pass keeps, or end the text.
+A third, the one-sided group, holds units where code of one side only
+reaches a host-device template, whose instance on the other side only the
+nvcc instantiation makes.
 
-    PYTHONPATH=src python tests/equivalence.py [--dump FILE] [--expect SHA SPLIT_SHA]
+    PYTHONPATH=src python tests/equivalence.py [--dump FILE]
+        [--expect SHA SPLIT_SHA [ONE_SIDED_SHA]]
 
-prints the number of outputs per input group, one sha256 over the first
-set and one over the split group; --dump writes the outputs themselves,
-for a diff of two trees.  --expect takes the two digests of the parent
-tree and exits 1, naming the set, when either differs.
+prints the number of outputs per input group and one sha256 per set; --dump
+writes the outputs themselves, for a diff of two trees.  --expect takes the
+digests of the parent tree, the one-sided group's optional, and exits 1,
+naming the set, when one differs.
 """
 from __future__ import annotations
 
@@ -106,6 +110,51 @@ def split_inputs():
         yield "split", f"split_{seed}.mcu", gen_split(random.Random(seed)), CompileProfile()
 
 
+# t< int > is reached from device code only; its host instance calls
+# h< int > legally and its device instance calls it as a stray.
+_ONE_SIDED_UNIT = """__device__ int dev() { return 0; }
+template< typename T > __host__ int h() { return dev(); }
+template< typename T > __host__ __device__ int t() { return h< T >(); }
+__global__ void k() { t< int >(); }
+int main() { k<<< 1, 1 >>>(); return 0; }
+"""
+_CALLEES = """__device__ int dev() { return 0; }
+__host__ int hst() { printf( "h" ); return 1; }
+__device__ constexpr int dc() { return dev(); }
+constexpr int hc() { return hst(); }
+__global__ void k2() { printf( "k" ); }
+template< typename T > __host__ int h() { return dev(); }
+template< typename T > __device__ int d() { return hst(); }
+template< typename T > __host__ __device__ int u() { dev(); return hst(); }
+template< HDC H > struct R { __host__ __device__ int m() { h< int >(); return d< int >(); } };
+"""
+# Bodies of t: a one-sided template, a launch, a chain to both one-sided
+# callees, a direct call of a kernel, constexpr callees of either side and
+# a member of a struct template.
+_T_BODIES = [
+    "return h< T >();",
+    "k2<<< 1, 1 >>>(); return 0;",
+    "u< T >(); return d< T >();",
+    "k2(); return 0;",
+    "dc(); return hc();",
+    "return R< HDC::Dev >{}.m();",
+]
+# The one side that reaches t.
+_REACHERS = {
+    "device": "__global__ void k() { t< int >(); }\n"
+              "int main() { k<<< 1, 1 >>>(); return cudaDeviceSynchronize(); }\n",
+    "host": "__global__ void k() {}\nint main() { k<<< 1, 1 >>>(); return t< int >(); }\n",
+}
+
+
+def one_sided_inputs():
+    yield "one-sided", "one_sided.mcu", _ONE_SIDED_UNIT, CompileProfile()
+    for i, body in enumerate(_T_BODIES):
+        for side, reacher in _REACHERS.items():
+            text = f"{_CALLEES}template< typename T > __host__ __device__ int t() {{ {body} }}\n"
+            yield "one-sided", f"one_sided_{i}_{side}.mcu", text + reacher, CompileProfile()
+
+
 def outputs(path: str, text: str, profile: CompileProfile):
     profiles = [profile]
     if profile.compiler == "nvcc" and not profile.relaxed_constexpr:
@@ -128,14 +177,19 @@ def outputs(path: str, text: str, profile: CompileProfile):
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--dump", type=Path, help="also write every output to this file")
-    ap.add_argument("--expect", nargs=2, metavar=("SHA", "SPLIT_SHA"),
-                    help="the digests to match; exit 1 if either differs")
+    ap.add_argument("--expect", nargs="+", metavar="SHA",
+                    help="the digests to match, SHA SPLIT_SHA [ONE_SIDED_SHA]; "
+                         "exit 1 if one differs")
     args = ap.parse_args(argv)
-    digests = {"": hashlib.sha256(), "split ": hashlib.sha256()}
+    if args.expect is not None and len(args.expect) not in (2, 3):
+        ap.error("--expect takes two or three digests")
+    digests = {"": hashlib.sha256(), "split ": hashlib.sha256(),
+               "one-sided ": hashlib.sha256()}
     counts: dict[str, int] = {}
     dump = args.dump.open("w", encoding="utf-8") if args.dump else None
     try:
-        for name, units in (("", inputs()), ("split ", split_inputs())):
+        for name, units in (("", inputs()), ("split ", split_inputs()),
+                            ("one-sided ", one_sided_inputs())):
             for group, path, text, profile in units:
                 for block in outputs(path, text, profile):
                     counts[group] = counts.get(group, 0) + 1
@@ -147,12 +201,13 @@ def main(argv=None) -> int:
             dump.close()
     for group, count in counts.items():
         print(f"{group} {count}")
-    print(f"total {sum(counts.values()) - counts['split']}")
+    print(f"total {sum(counts.values()) - counts['split'] - counts['one-sided']}")
     for name, digest in digests.items():
         print(f"{name}sha256 {digest.hexdigest()}")
     if args.expect is None:
         return 0
-    labels = {"": "the first set", "split ": "the split group"}
+    labels = {"": "the first set", "split ": "the split group",
+              "one-sided ": "the one-sided group"}
     differing = [
         f"{labels[name]} differs: expected sha256 {want}"
         for (name, digest), want in zip(digests.items(), args.expect)

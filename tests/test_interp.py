@@ -372,10 +372,17 @@ def test_compile_time_expressions_run_on_host_and_device():
         pytest.param(
             "Q{};", 'unresolvable type: E0101 f.mcu:7:3: undefined type "Q"', id="type"
         ),
+        pytest.param(
+            'if( R< ( "x" ) >::n == 1 ) {}', "a string literal is not a constant expression",
+            id="string",
+        ),
+        pytest.param(
+            "R< ( g< T >() ) >{};", "unresolvable type: not a constant expression", id="call"
+        ),
     ],
 )
 def test_forced_run_halts_on_a_compile_time_failure(statement, reason):
-    src = f"""struct S {{}};
+    src = f"""struct S {{}}; template< HDC H > struct R {{ static constexpr int n = 1; }};
 template< typename T >
 void g() {{
   printf( "a" );

@@ -2,10 +2,10 @@
 
 A unit is lexed once; each pass parses only the top-level items whose
 tokens differ from an earlier pass's, and passes that share every item
-share one AST and one symbol table.  The trace test runs the front end
-under the benchmark's own tracer, so a change that hides an entry point
-from it, or runs a stage more often than that, fails here as well as in
-the benchmark.
+share one AST, one symbol table and one walk.  The trace test runs the
+front end under the benchmark's own tracer, so a change that hides an
+entry point from it, or runs a stage more often than that, fails here as
+well as in the benchmark.
 """
 import sys
 from collections import Counter
@@ -15,10 +15,11 @@ import pytest
 
 import exspace.corpus  # noqa: F401  (run_corpus_file is a traced entry point)
 from exspace import spacecheck
-from exspace.interp import run_program
-from exspace.spacecheck import analyze
+from exspace.interp import UB_EXIT, run_program
+from exspace.sema import DEVICE, HOST
+from exspace.spacecheck import Mode, analyze
 from exspace.syntax import parser
-from exspace.syntax.preprocess import DEVICE_PASS, HOST_PASS
+from exspace.syntax.preprocess import DEVICE_PASS, HOST_PASS, CompileProfile
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "bench"))
@@ -46,11 +47,60 @@ def test_passes_with_one_text_share_one_front_end():
     host, device = shared.passes[HOST_PASS], shared.passes[DEVICE_PASS]
     assert host.ast is device.ast
     assert host.table is device.table
+    assert shared.walks[HOST] is shared.walks[DEVICE]
     split = analyze(SPLIT)
     host, device = split.passes[HOST_PASS], split.passes[DEVICE_PASS]
     assert host.ast is not device.ast
     assert host.table is not device.table
+    assert split.walks[HOST] is not split.walks[DEVICE]
     assert shared.diagnostics == split.diagnostics == []
+
+
+# t< int > is reached from device code only.  Its host instance, which only
+# the nvcc instantiation makes, calls h< int > legally; its device instance
+# calls it as a stray.
+ONE_SIDED = """__device__ int dev() { return 0; }
+template< typename T > __host__ int h() { return dev(); }
+template< typename T > __host__ __device__ int t() { return h< T >(); }
+__global__ void k() { t< int >(); }
+int main() { k<<< 1, 1 >>>(); return 0; }
+"""
+_NVCC_VERDICTS = [("E1001", 2, 50), ("W1101", 3, 61)]
+_VERDICTS = {
+    Mode.CLASSIC: _NVCC_VERDICTS,
+    Mode.FIDELITY: _NVCC_VERDICTS,
+    Mode.PROPOSAL1: _NVCC_VERDICTS,
+    Mode.SOUND: [("E1001", 2, 50), ("E1101", 3, 61)],
+    Mode.PROPOSAL2: [("E1501", 2, 50), ("E1501", 3, 61)],
+}
+
+
+@pytest.mark.parametrize("mode", list(_VERDICTS), ids=lambda m: m.value)
+def test_a_template_one_side_reaches_in_a_shared_walk(mode):
+    analysis = analyze(ONE_SIDED, "o.mcu", mode=mode)
+    assert analysis.walks[HOST] is analysis.walks[DEVICE]
+    assert [(d.code, d.loc.line, d.loc.col) for d in analysis.all_diagnostics] == _VERDICTS[mode]
+    result = run_program(analysis)
+    assert (result.exit_code, result.stdout) == (UB_EXIT, b"")
+    assert [(d.code, d.loc.line, d.loc.col) for d in result.notes] == [("N0001", 3, 61)]
+
+
+def test_fidelity_shows_nothing_of_an_instance_only_the_host_pass_makes():
+    # Under relaxed constexpr, only t< int >'s host instance, which only the
+    # host pass's nvcc instantiation makes, calls dc on the host side, where
+    # dc's call of dev is a stray that the FIDELITY host compiler cannot see.
+    text = """__device__ int dev() { return 0; }
+__device__ constexpr int dc() { return dev(); }
+template< typename T > __host__ __device__ int t() { return dc(); }
+__global__ void k() { t< int >(); }
+int main() { k<<< 1, 1 >>>(); return 0; }
+"""
+    relaxed = CompileProfile(relaxed_constexpr=True)
+    classic = analyze(text, "f.mcu", relaxed)
+    assert [(d.code, d.loc.line, d.loc.col) for d in classic.all_diagnostics] == [
+        ("E1001", 2, 40)
+    ]
+    assert analyze(text, "f.mcu", relaxed, Mode.FIDELITY).all_diagnostics == []
 
 
 def test_a_shared_text_reports_each_front_end_error_once(monkeypatch):

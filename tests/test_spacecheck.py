@@ -437,13 +437,13 @@ int main() {
     # main's three sites, k's one and one in each of mid< S > and mid< bool >
     assert len(overloads) == len(spaces) + 1 == 6  # a launch asks no spaces
     assert set(overloads.values()) == set(spaces.values()) == {1}
-    mids = [i for w in analysis.walks.values() for i in w.instances.values()
-            if i.display() == "mid<S>"]
-    assert len(mids) == 4  # host and device instances in each walk
+    walks = {id(w): w for w in analysis.walks.values()}.values()
+    mids = [i for w in walks for i in w.instances.values() if i.display() == "mid<S>"]
+    assert len(mids) == 2  # host and device instances in the one shared walk
 
     calls = (n.CallExpr, n.MemberCallExpr, n.StaticCallExpr, n.LaunchStmt)
     compared = 0
-    for walk in analysis.walks.values():
+    for walk in walks:
         by_demand = {}
         for (demand, side), inst in walk.instances.items():
             by_demand.setdefault(demand, {})[side] = inst
