@@ -1,7 +1,7 @@
 """Name resolution, the compatibility trait, and overload selection."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from enum import Enum
 from typing import Optional
 
@@ -33,9 +33,13 @@ class ExecSpace(Enum):
 HOST = ExecSpace.Host
 DEVICE = ExecSpace.Device
 
-HOST_ONLY = frozenset({HOST})
-DEVICE_ONLY = frozenset({DEVICE})
-BOTH_SIDES = frozenset({HOST, DEVICE})
+# The sides each space has code on; a kernel's code is on the device.
+SIDES = {
+    HOST: (HOST,),
+    DEVICE: (DEVICE,),
+    ExecSpace.HostDevice: (HOST, DEVICE),
+    ExecSpace.Global: (DEVICE,),
+}
 
 
 class Mode(Enum):
@@ -91,20 +95,20 @@ class OverloadError(SemaError):
     pass
 
 
-# Builtin callables and the spaces they are usable from.  The plain profile
+# Builtin callables and the space each is usable from.  The plain profile
 # lacks the runtime-API entry points.
 BUILTIN_FUNCTIONS = {
-    "printf": BOTH_SIDES,
-    "release_assert": BOTH_SIDES,
-    "__trap": DEVICE_ONLY,
-    "abort": HOST_ONLY,
-    "std::abort": HOST_ONLY,
-    "cudaDeviceSynchronize": HOST_ONLY,
+    "printf": ExecSpace.HostDevice,
+    "release_assert": ExecSpace.HostDevice,
+    "__trap": DEVICE,
+    "abort": HOST,
+    "std::abort": HOST,
+    "cudaDeviceSynchronize": HOST,
 }
 _NVCC_ONLY_BUILTINS = frozenset({"__trap", "cudaDeviceSynchronize"})
 
 
-def builtin_spaces(name: str, profile) -> Optional[frozenset]:
+def builtin_spaces(name: str, profile) -> Optional[ExecSpace]:
     if name in _NVCC_ONLY_BUILTINS and profile.compiler != "nvcc":
         return None
     return BUILTIN_FUNCTIONS.get(name)
@@ -140,71 +144,36 @@ class SymbolTable:
         return None
 
 
-# Signature keys compare declarations by these printed forms.
-def _p_type(t: n.TypeRef) -> str:
-    return t.name + _p_targs(t.targs)
+# Node class -> the names of its compared fields, which exclude locations.
+_COMPARED = {
+    cls: tuple(f.name for f in fields(cls) if f.compare)
+    for cls in vars(n).values() if isinstance(cls, type) and is_dataclass(cls)
+}
 
 
-def _p_targs(targs: list) -> str:
-    if not targs:
-        return ""
-    inner = ", ".join(_p_type(a) if isinstance(a, n.TypeRef) else _p_expr(a) for a in targs)
-    return f"< {inner} >"
+def _shape(node):
+    """node as a hashable tuple of its class and compared fields, recursively.
 
-
-def _p_args(args: list) -> str:
-    return ", ".join(_p_expr(a) for a in args)
-
-
-def _p_expr(e: n.Expr) -> str:
-    if isinstance(e, n.IntLit):
-        return str(e.value)
-    if isinstance(e, n.StringLit):
-        return f'"{e.value}"'
-    if isinstance(e, n.BoolLit):
-        return "true" if e.value else "false"
-    if isinstance(e, n.HdcLit):
-        return f"HDC::{e.value}"
-    if isinstance(e, n.CudaArchRef):
-        return "cuda_arch"
-    if isinstance(e, n.NameRef):
-        return e.name
-    if isinstance(e, n.TempObj):
-        return f"{_p_type(e.type)}{{}}"
-    if isinstance(e, n.HdcTrait):
-        return f"hdc< {_p_type(e.type)} >"
-    if isinstance(e, n.MemberConst):
-        return f"{_p_type(e.type)}::{e.name}"
-    if isinstance(e, n.CallExpr):
-        return f"{e.name}{_p_targs(e.targs)}({_p_args(e.args)})"
-    if isinstance(e, n.MemberCallExpr):
-        return f"{_p_expr(e.recv)}.{e.name}{_p_targs(e.targs)}({_p_args(e.args)})"
-    if isinstance(e, n.StaticCallExpr):
-        return f"{_p_type(e.type)}::{e.name}{_p_targs(e.targs)}({_p_args(e.args)})"
-    if isinstance(e, n.UnaryExpr):
-        return f"{e.op}{_p_expr(e.operand)}"
-    if isinstance(e, n.BinaryExpr):
-        return f"({_p_expr(e.lhs)} {e.op} {_p_expr(e.rhs)})"
-    raise TypeError(f"unknown expression {e!r}")
-
-
-def _spec_signature(spec: n.SpecifierSet) -> str:
-    bits = []
-    if spec.host:
-        bits.append("H" + (f"({_p_expr(spec.host_pred)})" if spec.host_pred else ""))
-    if spec.device:
-        bits.append("D" + (f"({_p_expr(spec.device_pred)})" if spec.device_pred else ""))
-    if spec.global_:
-        bits.append("G")
-    return "".join(bits)
+    Nodes that are equal as nodes.py defines, locations aside, have one shape.
+    """
+    names = _COMPARED.get(type(node))
+    if names is not None:
+        return (type(node), *[_shape(getattr(node, name)) for name in names])
+    if isinstance(node, list):
+        return tuple(map(_shape, node))
+    return node
 
 
 def signature_key(decl: n.FunctionDecl, include_spaces: bool) -> tuple:
-    """Identity of one declaration, stable across compile passes."""
-    params = tuple(_p_type(p.type) for p in decl.params)
-    req = _p_expr(decl.requires) if decl.requires is not None else ""
-    spaces = _spec_signature(decl.spec) if include_spaces else ""
-    return (decl.owner or "", decl.name, params, req, spaces)
+    """Identity of one declaration, stable across compile passes: its owner,
+    name, parameter types, requires clause and, with include_spaces, spaces."""
+    spec = decl.spec
+    spaces = (
+        (spec.host, _shape(spec.host_pred), spec.device, _shape(spec.device_pred), spec.global_)
+        if include_spaces else None
+    )
+    return (decl.owner, decl.name, _shape([p.type for p in decl.params]),
+            _shape(decl.requires), spaces)
 
 
 def _unowned(struct: n.StructDecl) -> n.StructDecl:
@@ -614,7 +583,7 @@ def _try_candidate(
 
 def _space_compatible(decl: n.FunctionDecl, side: ExecSpace, owner_struct) -> bool:
     spec = member_spec(decl, owner_struct)
-    return spec.undecorated or spec.global_ or side in declared_spaces(spec)
+    return spec.undecorated or spec.global_ or side in SIDES[declared_spaces(spec)]
 
 
 # --------------------------------------------------------------------------
@@ -628,38 +597,35 @@ def member_spec(decl: n.FunctionDecl, owner_struct) -> n.SpecifierSet:
     return decl.spec
 
 
-def declared_spaces(spec: n.SpecifierSet) -> frozenset:
-    spaces = set()
-    if spec.host:
-        spaces.add(HOST)
-    if spec.device:
-        spaces.add(DEVICE)
-    if not spaces:
-        spaces.add(HOST)
-    return frozenset(spaces)
+def _space(host: bool, device: bool) -> ExecSpace:
+    """The space with code on the sides given; neither means host."""
+    if device:
+        return ExecSpace.HostDevice if host else DEVICE
+    return HOST
+
+
+def declared_spaces(spec: n.SpecifierSet) -> ExecSpace:
+    return ExecSpace.Global if spec.global_ else _space(spec.host, spec.device)
 
 
 def evaluate_conditional_spec(
     spec: n.SpecifierSet, bindings: Bindings, table: SymbolTable,
     at_loc: SrcLoc, name: str,
-) -> frozenset:
+) -> ExecSpace:
     """Filter declared spaces through their predicates (conditional mode).
 
     An absent predicate counts as true; an empty result is E1401.
     """
-    spaces = set()
-    if spec.host and _pred_true(spec.host_pred, bindings, table):
-        spaces.add(HOST)
-    if spec.device and _pred_true(spec.device_pred, bindings, table):
-        spaces.add(DEVICE)
-    if not spaces:
+    host = spec.host and _pred_true(spec.host_pred, bindings, table)
+    device = spec.device and _pred_true(spec.device_pred, bindings, table)
+    if not (host or device):
         raise SemaError(
             "E1401",
             at_loc,
             f'all execution-space predicates of "{name}" are false; '
             "the instance has no execution space",
         )
-    return frozenset(spaces)
+    return _space(host, device)
 
 
 def _pred_true(pred, bindings, table) -> bool:
@@ -679,24 +645,22 @@ def effective_spaces(
     table: SymbolTable,
     at_loc: SrcLoc,
     owner_struct: Optional[n.StructDecl] = None,
-):
-    """Spaces an instance is compiled for; ExecSpace.Global for kernels.
+) -> ExecSpace:
+    """The space an instance is compiled for.
 
-    Classic-family modes use the declared set with undecorated meaning
+    Classic-family modes use the declared space with undecorated meaning
     host.  The conditional mode filters by predicate.  The propagation
     mode lets undecorated callables inherit the calling space and struct
     decorations distribute to undecorated members.
     """
     spec = decl.spec
-    if spec.global_:
-        return ExecSpace.Global
     if mode is Mode.PROPOSAL1 and spec.has_conditionals():
         env = _candidate_env(bindings, owner_struct, bindings, table)
         return evaluate_conditional_spec(spec, env, table, at_loc, decl.display_name())
     if mode is Mode.PROPOSAL2:
-        if decl.name == "main" and decl.owner is None:
-            return HOST_ONLY
+        if decl.name == "main" and owner_struct is None:
+            return HOST
         spec = member_spec(decl, owner_struct)
         if spec.undecorated:
-            return frozenset({context_side})
+            return context_side
     return declared_spaces(spec)

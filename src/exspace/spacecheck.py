@@ -23,10 +23,9 @@ from typing import Optional
 
 from .diagnostics import Diagnostic, SrcLoc, finish_diagnostics
 from .sema import (  # Mode is re-exported from here
-    BOTH_SIDES,
     DEVICE,
     HOST,
-    HOST_ONLY,
+    SIDES,
     ExecSpace,
     Mode,
     Selected,
@@ -71,19 +70,6 @@ _HARD_CODES = frozenset(
 )
 
 
-@dataclass(frozen=True)
-class Verdict:
-    kind: str  # ok | warn | error
-    code: Optional[str] = None
-
-    @property
-    def ok(self) -> bool:
-        return self.kind == "ok"
-
-
-_OK = Verdict("ok")
-
-
 def legality(
     caller_side: ExecSpace,
     callee_space: ExecSpace,
@@ -94,54 +80,43 @@ def legality(
     callee_is_constexpr: bool = False,
     mode: Mode = Mode.CLASSIC,
     mismatched_side_reachable: bool = True,
-) -> Verdict:
+) -> Optional[str]:
     """The call-legality matrix; total over every argument combination.
 
-    The walk takes every call and launch verdict from here.  caller_side is
-    the side the call occurs on (host-device callers are checked once per
-    side, with caller_from_hd set).  Launches are legal only host-to-global;
-    the walk asks a launch as two questions, whether its side may launch at
-    all and whether the target is launchable from the host.  The
-    relaxed-constexpr flag makes constexpr callees callable from either
-    side.
+    A verdict is the code of its diagnostic, whose severity CODE_REGISTRY
+    holds, or None when the call is legal.  The walk takes every call and
+    launch verdict from here.  caller_side is the side the call occurs on
+    (host-device callers are checked once per side, with caller_from_hd
+    set).  Launches are legal only host-to-global; the walk asks a launch
+    as two questions, whether its side may launch at all and whether the
+    target is launchable from the host.  The relaxed-constexpr flag makes
+    constexpr callees callable from either side.
     """
     if caller_side not in (HOST, DEVICE):
         raise ValueError("the caller side must be host or device")
     if kind == "launch":
         if caller_side is DEVICE:
-            return Verdict("error", "E1003")
-        if callee_space is not ExecSpace.Global:
-            return Verdict("error", "E1004")
-        return _OK
+            return "E1003"
+        return None if callee_space is ExecSpace.Global else "E1004"
     if callee_space is ExecSpace.Global:
-        return Verdict("error", "E1004")
+        return "E1004"
     if relaxed_constexpr and callee_is_constexpr:
-        return _OK
+        return None
     if callee_space is ExecSpace.HostDevice or callee_space is caller_side:
-        return _OK
+        return None
     # A one-sided callee on the mismatched side.
     if not caller_from_hd:
         if mode is Mode.PROPOSAL2:
-            return Verdict("error", "E1501")
-        return Verdict("error", "E1001" if caller_side is HOST else "E1002")
+            return "E1501"
+        return "E1001" if caller_side is HOST else "E1002"
     host_only_callee = callee_space is HOST
     if mode is Mode.FIDELITY and not host_only_callee:
-        return _OK  # replicated inconsistency: no warning for this direction
+        return None  # replicated inconsistency: no warning for this direction
     if mode is Mode.SOUND and mismatched_side_reachable:
-        return Verdict("error", "E1101" if host_only_callee else "E1102")
+        return "E1101" if host_only_callee else "E1102"
     if mode is Mode.PROPOSAL2:
-        if mismatched_side_reachable:
-            return Verdict("error", "E1501")
-        return Verdict("warn", "W1502")
-    return Verdict("warn", "W1101" if host_only_callee else "W1102")
-
-
-def _space_of(spaces) -> ExecSpace:
-    if spaces is ExecSpace.Global:
-        return spaces
-    if spaces == BOTH_SIDES:
-        return ExecSpace.HostDevice
-    return HOST if spaces == HOST_ONLY else DEVICE
+        return "E1501" if mismatched_side_reachable else "W1502"
+    return "W1101" if host_only_callee else "W1102"
 
 
 def _stray_message(code: str, caller_side: ExecSpace, callee_space: ExecSpace,
@@ -173,7 +148,7 @@ class Instance:
     bindings: dict
     env: dict  # the receiver struct's bindings overlaid with bindings
     side: ExecSpace
-    spaces: object  # frozenset of sides, or ExecSpace.Global
+    spaces: ExecSpace  # the space it is compiled for
     owner_type: Optional[Type]
     key: tuple  # (demand number, side), equal across the walks of one analyze
     # The site table: id(node) -> what a run of this instance finds there,
@@ -201,7 +176,7 @@ class Instance:
 
     @property
     def from_hd(self) -> bool:
-        return self.spaces == BOTH_SIDES
+        return self.spaces is ExecSpace.HostDevice
 
 
 @dataclass
@@ -243,9 +218,8 @@ class _Walk:
     body's resolution with its own side.
     """
 
-    def __init__(self, ast: n.Ast, table: SymbolTable, natives: tuple,
+    def __init__(self, table: SymbolTable, natives: tuple,
                  mode: Mode, profile: CompileProfile, interned: dict):
-        self.ast = ast
         self.table = table
         self.natives = natives
         # The sides the nvcc instantiation adds a called host-device template
@@ -279,7 +253,7 @@ class _Walk:
 
     def run(self):
         """Walk every demanded instance."""
-        for decl, owner in self.ast.decls():
+        for decl, owner in self.table.ast.decls():
             self.demands.setdefault(
                 ("decl", self.table.keys[id(decl)]), (decl.display_name(), decl.loc)
             )
@@ -290,7 +264,7 @@ class _Walk:
         self._resolve_pending()
 
     def _seed_roots(self):
-        for decl, owner in self.ast.decls():
+        for decl, owner in self.table.ast.decls():
             if decl.is_template or (owner is not None and owner.tparams):
                 continue
             if decl.body is None:
@@ -303,13 +277,13 @@ class _Walk:
             if spaces is None:
                 continue
             owner_type = Type(owner.name) if owner is not None else None
-            sides = (
-                [DEVICE] if spaces is ExecSpace.Global
-                else [s for s in (HOST, DEVICE) if s in spaces]
-            )
             demand = self._demand(decl, {}, owner_type)
-            for side in sides:
-                self._instantiate(demand, decl, {}, side, spaces, {}, owner_type, decl.loc)
+            for side in SIDES[spaces]:
+                inst = self._instantiate(demand, decl, {}, side, spaces, {}, owner_type, decl.loc)
+            # Only here is the owner known: a dropped duplicate struct's
+            # members keep none (sema._unowned), yet they are no main.
+            if decl.name == "main" and owner is None:
+                self.main_key = inst.key
 
     def _p2_rooted(self, decl: n.FunctionDecl, owner) -> bool:
         # Undecorated callables behave like templates under propagation:
@@ -387,8 +361,6 @@ class _Walk:
         self.instances[key] = inst
         if (decl.is_template or owner_type is not None) and demand not in self.demands:
             self.demands[demand] = (inst.display(), at_loc)
-        if decl.name == "main" and decl.owner is None:
-            self.main_key = key
         if decl.body is not None:
             self.queue.append(inst)
         return inst
@@ -464,12 +436,10 @@ class _Walk:
         sel = self._select(body, s, s.name, candidates, arg_types, context_side=DEVICE)
         if sel is None:
             return
-        spec = sel.decl.spec
-        target_space = ExecSpace.Global if spec.global_ else _space_of(declared_spaces(spec))
-        v = legality(HOST, target_space, "launch")
-        if not v.ok:
+        code = legality(HOST, declared_spaces(sel.decl.spec), "launch")
+        if code is not None:
             body.sites[id(s)] = f'"{s.name}" is not a __global__ function'
-            self._emit(body.events, v.code, s.loc,
+            self._emit(body.events, code, s.loc,
                        "only __global__ functions can be launched with <<< >>>")
             return
         body.events.append((_Walk._launch, s, sel, self._demand(sel.decl, sel.bindings, None)))
@@ -539,7 +509,7 @@ class _Walk:
             if spaces is None:  # resolve reported the E0101
                 body.sites[id(e)] = f'undefined name "{e.name}"'
                 return None
-            body.events.append((_Walk._builtin, e, _space_of(spaces)))
+            body.events.append((_Walk._builtin, e, spaces))
             return Type("int") if e.name == "cudaDeviceSynchronize" else None
         sel = self._select(body, e, e.name, candidates, arg_types, context_side=body.side)
         if sel is not None:
@@ -608,9 +578,9 @@ class _Walk:
     # -- replay: call legality and demand ------------------------------------
 
     def _launch_from(self, inst, s: n.LaunchStmt):
-        v = legality(inst.side, ExecSpace.Global, "launch")
-        if not v.ok:
-            self._emit(self.diags, v.code, s.loc,
+        code = legality(inst.side, ExecSpace.Global, "launch")
+        if code is not None:
+            self._emit(self.diags, code, s.loc,
                        "a kernel launch is not allowed from device code")
 
     def _launch(self, inst, s: n.LaunchStmt, sel: Selected, demand: int):
@@ -622,7 +592,7 @@ class _Walk:
             self.launch_seeds.append(target.key)
 
     def _builtin(self, inst, e: n.CallExpr, space: ExecSpace):
-        if legality(inst.side, space).ok:
+        if legality(inst.side, space) is None:
             inst.sites[id(e)] = None
         else:
             inst.sites[id(e)] = f'"{e.name}" is not available in {inst.side.value} code'
@@ -630,33 +600,32 @@ class _Walk:
 
     def _call(self, inst, node, sel: Selected, spaces, owner_bindings, owner_type, demand):
         loc = node.loc
-        callee_space = _space_of(spaces)
-        v = legality(
-            inst.side, callee_space, relaxed_constexpr=self.profile.relaxed_constexpr,
+        code = legality(
+            inst.side, spaces, relaxed_constexpr=self.profile.relaxed_constexpr,
             callee_is_constexpr=sel.decl.spec.constexpr,
         )
-        if v.code == "E1004":
+        if code == "E1004":
             self._emit(
-                self.diags, v.code, loc,
+                self.diags, code, loc,
                 "a __global__ function must be launched with <<< >>>, not called directly",
             )
             inst.sites[id(node)] = "a __global__ function was called directly"
             return
-        demanded_side = inst.side if v.ok else (HOST if HOST in spaces else DEVICE)
+        demanded_side = inst.side if code is None else SIDES[spaces][0]
         callee = self._instantiate(
             demand, sel.decl, sel.bindings, demanded_side, spaces, owner_bindings, owner_type, loc,
         )
-        if v.ok:
+        if code is None:
             inst.sites[id(node)] = callee
             self.edges.setdefault(inst.key, []).append(callee.key)
         else:
             inst.sites[id(node)] = (
                 f'"{sel.decl.display_name()}" is not compiled for {inst.side.value} code'
             )
-            self._report_stray(inst, callee_space, loc)
+            self._report_stray(inst, spaces, loc)
         if (
             self.nvcc_sides
-            and spaces == BOTH_SIDES
+            and spaces is ExecSpace.HostDevice
             and (sel.decl.is_template or owner_type is not None)
         ):
             for side in self.nvcc_sides:
@@ -676,15 +645,13 @@ class _Walk:
             self._emit_stray(inst, callee_space, loc, reachable=True)
 
     def _emit_stray(self, inst, callee_space, loc, reachable):
-        v = legality(
+        code = legality(
             inst.side, callee_space, caller_from_hd=inst.from_hd, mode=self.mode,
             mismatched_side_reachable=reachable,
         )
-        if v.ok:
+        if code is None:
             return
-        d = Diagnostic.make(
-            v.code, loc, _stray_message(v.code, inst.side, callee_space, inst.from_hd)
-        )
+        d = Diagnostic.make(code, loc, _stray_message(code, inst.side, callee_space, inst.from_hd))
         if not d.is_error and inst.decl.spec.pragma_suppress:
             d.suppressed = True
         self.diags.append(d)
@@ -814,7 +781,7 @@ def analyze(
         tables.setdefault(id(art.table), (art, []))[1].append(_PASS_SIDE[kind])
     interned: dict = {}  # demand numbers, one table per analyze so the walks agree
     for art, sides in tables.values():
-        walk = _Walk(art.ast, art.table, tuple(sides), mode, profile, interned)
+        walk = _Walk(art.table, tuple(sides), mode, profile, interned)
         walk.run()
         analysis.walks.update(dict.fromkeys(sides, walk))
         if mode is Mode.FIDELITY and sides == [HOST]:

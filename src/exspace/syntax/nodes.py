@@ -267,7 +267,6 @@ class FunctionDecl:
     ret: TypeRef
     params: list
     body: Optional[list]  # None for a declaration without a body
-    is_static: bool = False
     owner: Optional[str] = None
     loc: SrcLoc = _loc_field()
 
@@ -296,7 +295,6 @@ class StructDecl:
     tparams: list
     spec: SpecifierSet  # struct-level decoration (propagation extension)
     members: list  # as parsed; resolve() drops duplicate member functions
-    keyword: str = "struct"
     # The members as parsed, which resolve() reads, so that it may run once
     # per compile pass on an item both passes share.
     declared: list = field(default=None, compare=False, repr=False)

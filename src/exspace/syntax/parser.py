@@ -322,8 +322,7 @@ class _Parser:
     # -- declarations --------------------------------------------------------
 
     def parse_struct(self, tparams, spec):
-        kw = self.toks[self.pos].text
-        self.pos += 1
+        self.pos += 1  # struct or class
         name = self.expect_ident("struct name")
         if spec.constexpr or spec.global_:
             raise ParseError(name.loc, "invalid specifier on a struct")
@@ -336,7 +335,7 @@ class _Parser:
             members.append(self.parse_member(name.text))
         self.expect("}")
         self.expect(";")
-        return n.StructDecl(name.text, tparams, spec, members, kw, loc=name.loc)
+        return n.StructDecl(name.text, tparams, spec, members, loc=name.loc)
 
     def parse_member(self, owner: str):
         pragma = self.parse_pragma()
@@ -388,11 +387,9 @@ class _Parser:
             self.expect(";")
             return n.MemberVar(name.text, type_.name, value, loc=name.loc)
         self.pos -= 1  # put the member name back for parse_function
-        return self.parse_function(tparams, requires, spec, owner,
-                                   ret=type_, is_static=is_static)
+        return self.parse_function(tparams, requires, spec, owner, ret=type_)
 
-    def parse_function(self, tparams, requires, spec, owner,
-                       ret=None, is_static=False):
+    def parse_function(self, tparams, requires, spec, owner, ret=None):
         if ret is None:
             ret = self.parse_type()
         name = self.expect_ident("function name")
@@ -416,7 +413,7 @@ class _Parser:
             if owner is not None:
                 raise ParseError(loc, "__global__ is not allowed on member functions")
         if name.text == "main" and owner is None:
-            if tparams or not spec.undecorated or spec.constexpr or is_static:
+            if tparams or not spec.undecorated or spec.constexpr:
                 raise ParseError(loc, "main takes no specifiers and no template")
             if ret.name != "int" or params:
                 raise ParseError(loc, "main must be declared as int main()")
@@ -426,8 +423,7 @@ class _Parser:
         else:
             self.expect(";", "a function body or ';'")
         return n.FunctionDecl(
-            name.text, tparams, requires, spec, ret, params, body,
-            is_static=is_static, owner=owner, loc=loc,
+            name.text, tparams, requires, spec, ret, params, body, owner=owner, loc=loc,
         )
 
     # -- types ----------------------------------------------------------------

@@ -6,8 +6,8 @@ from exspace.corpus import parse_header, run_corpus_file
 from exspace.diagnostics import Severity
 from exspace.interp import run_program
 from exspace.sema import (
-    DEVICE_ONLY,
-    HOST_ONLY,
+    DEVICE,
+    HOST,
     HDC,
     Type,
     compute_hdc,
@@ -133,8 +133,8 @@ def test_criterion_8_language_extension_modes(corpus_dir):
         s1, s2 = structs
         assert struct_member_spaces(s1) == struct_member_spaces(s2)
         assert struct_member_spaces(s1) == {
-            "call": DEVICE_ONLY,
-            "init": HOST_ONLY,
+            "call": DEVICE,
+            "init": HOST,
         }
 
 

@@ -85,6 +85,16 @@ def test_fall_off_main_exits_zero():
     assert run("int main() { }").exit_code == 0
 
 
+@pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
+def test_a_dropped_duplicate_structs_member_main_is_not_main(mode):
+    # The dropped struct's members keep no owner, yet S::main is no main.
+    src = """int main() { return 3; }
+struct S { int main() { return 7; } };
+struct S { int main() { return 9; } };
+"""
+    assert run(src, mode=mode).exit_code == 3
+
+
 def test_dynamic_stray_call_is_a_ub_halt_never_a_value():
     src = """struct D {
   __device__ int call() { return 2; }

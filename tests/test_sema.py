@@ -1,12 +1,10 @@
 import pytest
 
 from exspace.sema import (
-    BOTH_SIDES,
     DEVICE,
-    DEVICE_ONLY,
     HOST,
-    HOST_ONLY,
     HDC,
+    ExecSpace,
     OverloadError,
     SemaError,
     SymbolTable,
@@ -124,6 +122,41 @@ def test_duplicate_definitions():
     src = "struct S { void f() {} };\nstruct S { void g() {} };\nint main() { return 0; }"
     for mode in Mode:
         assert [d.code for d in analyze(src, "d.mcu", NVCC, mode).diagnostics] == ["E0102"]
+    # Its members have no owner, but a member main is no main: it keeps its space.
+    src = """__device__ void d() {}
+int main() { return 0; }
+struct S { __device__ int main() { d(); return 7; } };
+struct S { __device__ int main() { d(); return 9; } };
+"""
+    for mode in Mode:
+        assert [d.code for d in analyze(src, "d.mcu", NVCC, mode).diagnostics] == ["E0102"]
+
+
+_STRUCT_S = "template< HDC h > struct S {};\n"
+
+
+@pytest.mark.parametrize(
+    "first, second, mode, expected",
+    [
+        pytest.param("template< HDC x >\nrequires( x == HDC::Hst )\nvoid f() {}\n",
+                     "template< HDC x >\nrequires( ( x==HDC::Hst ) )\nvoid f() {}\n",
+                     Mode.CLASSIC, ["E0102"], id="parenthesized-requires"),
+        pytest.param(_STRUCT_S + "void f( S< HDC::Hst > s ) {}\n",
+                     "void f( S<HDC::Hst> t ) {}\n",
+                     Mode.CLASSIC, ["E0102"], id="spaced-template-argument"),
+        pytest.param("template< HDC x >\nrequires( x == HDC::Hst )\nvoid f() {}\n",
+                     "template< HDC x >\nrequires( HDC::Hst == x )\nvoid f() {}\n",
+                     Mode.CLASSIC, [], id="swapped-operands"),
+        pytest.param("template< HDC x >\nrequires( !( x == HDC::Hst ) )\nvoid f() {}\n",
+                     "template< HDC x >\nrequires( x != HDC::Hst )\nvoid f() {}\n",
+                     Mode.CLASSIC, [], id="negation-not-inequality"),
+        pytest.param("__host__ void f() {}\n", "__device__ void f() {}\n",
+                     Mode.PROPOSAL2, [], id="spaces-under-proposal2"),
+    ],
+)
+def test_signature_keys_compare_structure_not_spelling(first, second, mode, expected):
+    _, diags = build(first + second, mode)
+    assert [d.code for d in diags] == expected
 
 
 def test_space_only_overloads_are_duplicates_outside_propagation_mode():
@@ -326,9 +359,9 @@ int main()""",
 def test_declared_spaces_default_to_host():
     ast = parse("void f() {}\n__device__ void g() {}\n__host__ __device__ void h() {}", "d.mcu")
     f, g, h = ast.items
-    assert declared_spaces(f.spec) == HOST_ONLY
-    assert declared_spaces(g.spec) == DEVICE_ONLY
-    assert declared_spaces(h.spec) == BOTH_SIDES
+    assert declared_spaces(f.spec) is HOST
+    assert declared_spaces(g.spec) is DEVICE
+    assert declared_spaces(h.spec) is ExecSpace.HostDevice
 
 
 def test_conditional_spec_filtering_and_empty_set():
@@ -346,9 +379,9 @@ void wrap() {}
     wrap = table.overloads("wrap")[0]
     spaces = evaluate_conditional_spec(
         wrap.spec, {"T": Type("D")}, table, NOLOC, "wrap")
-    assert spaces == DEVICE_ONLY
+    assert spaces is DEVICE
     assert evaluate_conditional_spec(
-        wrap.spec, {"T": Type("int")}, table, NOLOC, "wrap") == HOST_ONLY
+        wrap.spec, {"T": Type("int")}, table, NOLOC, "wrap") is HOST
     with pytest.raises(SemaError) as exc:
         evaluate_conditional_spec(
             wrap.spec, {"T": Type("HD")}, table, NOLOC, "wrap")
@@ -366,10 +399,10 @@ void free_fn() {}
     member = s1.member_functions()[0]
     spaces = effective_spaces(member, {}, Mode.PROPOSAL2, HOST, table,
                               NOLOC, owner_struct=s1)
-    assert spaces == DEVICE_ONLY  # struct decoration distributes
+    assert spaces is DEVICE  # struct decoration distributes
     free = table.overloads("free_fn")[0]
-    assert effective_spaces(free, {}, Mode.PROPOSAL2, DEVICE, table, NOLOC) == DEVICE_ONLY
-    assert effective_spaces(free, {}, Mode.PROPOSAL2, HOST, table, NOLOC) == HOST_ONLY
+    assert effective_spaces(free, {}, Mode.PROPOSAL2, DEVICE, table, NOLOC) is DEVICE
+    assert effective_spaces(free, {}, Mode.PROPOSAL2, HOST, table, NOLOC) is HOST
 
 
 # -- memoization ----------------------------------------------------------------

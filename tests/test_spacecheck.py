@@ -3,10 +3,11 @@ from collections import Counter
 import pytest
 
 from exspace import spacecheck
-from exspace.diagnostics import Severity
+from exspace.corpus import parse_header
+from exspace.diagnostics import CODE_REGISTRY, Severity
 from exspace.interp import run_program
-from exspace.sema import BOTH_SIDES, DEVICE, HOST, HOST_ONLY, ExecSpace, TraitConfig
-from exspace.spacecheck import Mode, Verdict, analyze, check_unit, legality
+from exspace.sema import DEVICE, HOST, ExecSpace, TraitConfig
+from exspace.spacecheck import Mode, analyze, check_unit, legality
 from exspace.syntax import nodes as n
 from exspace.syntax.preprocess import CompileProfile
 
@@ -67,13 +68,14 @@ def test_legality_matrix_matches_brute_force_table():
         for callee in (HOST, DEVICE, GLOBAL, HD):
             for kind in ("direct", "launch"):
                 for relaxed in (False, True):
-                    v = legality(
+                    code = legality(
                         caller, callee, kind,
                         relaxed_constexpr=relaxed, callee_is_constexpr=relaxed,
                     )
-                    assert v.kind in ("ok", "warn", "error")
+                    if code is not None:
+                        assert CODE_REGISTRY[code][0] in (Severity.ERROR, Severity.WARNING)
                     expected = _TABLE[(caller, callee, kind, relaxed)]
-                    assert v.code == expected, (caller, callee, kind, relaxed)
+                    assert code == expected, (caller, callee, kind, relaxed)
                     seen += 1
     assert seen == 32
 
@@ -97,16 +99,29 @@ def test_legality_matrix_matches_brute_force_table():
 )
 def test_legality_for_host_device_callers(mode, callee, reachable, expected):
     caller = DEVICE if callee is HOST else HOST  # the mismatched side
-    v = legality(
+    assert legality(
         caller, callee, caller_from_hd=True, mode=mode,
         mismatched_side_reachable=reachable,
-    )
-    assert v.code == expected
+    ) == expected
 
 
 def test_legality_rejects_bad_caller():
     with pytest.raises(ValueError):
         legality(GLOBAL, HOST)
+
+
+def test_every_instance_holds_one_execution_space(corpus_dir):
+    checked = 0
+    for path in sorted(corpus_dir.glob("*.mcu")):
+        text = path.read_text(encoding="utf-8")
+        for mode in Mode:
+            profile = parse_header(text, mode, NVCC, path.name).profile
+            walks = {id(w): w for w in analyze(text, path.name, profile, mode).walks.values()}
+            for walk in walks.values():
+                for inst in walk.instances.values():
+                    assert type(inst.spaces) is ExecSpace, (path.name, mode, inst.display())
+                    checked += 1
+    assert checked
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +408,7 @@ __global__ void k() {}
 __device__ void d() { h<<< 1, 1 >>>(); k(); h(); abort(); }
 __host__ void hh() { dv(); }
 """
-    monkeypatch.setattr("exspace.spacecheck.legality", lambda *a, **kw: Verdict("ok"))
+    monkeypatch.setattr("exspace.spacecheck.legality", lambda *a, **kw: None)
     for mode in Mode:
         assert analyze(src, "u.mcu", NVCC, mode).all_diagnostics == [], mode
 
@@ -537,9 +552,9 @@ int main() { f< int >(); f< Box >(); P{}.g< HDC::HstDev >(); return 0; }
 @pytest.mark.parametrize(
     "hstdev, diags, f_box, f_spaces, stdout",
     [
-        pytest.param(True, [], "f<Box<HstDev>>", BOTH_SIDES, b"hdhdk", id="hstdev"),
+        pytest.param(True, [], "f<Box<HstDev>>", HD, b"hdhdk", id="hstdev"),
         pytest.param(
-            False, [("E0104", 9), ("E1301", 16)], "f<Box<Hst>>", HOST_ONLY, b"hh", id="default"
+            False, [("E0104", 9), ("E1301", 16)], "f<Box<Hst>>", HOST, b"hh", id="default"
         ),
     ],
 )
@@ -549,5 +564,5 @@ def test_one_trait_configuration_governs_every_evaluation(
     analysis = analyze(_INT_TRAIT_UNIT, "c.mcu", cfg=TraitConfig(fundamentals_hstdev=hstdev))
     assert [(d.code, d.loc.line) for d in analysis.all_diagnostics] == diags
     chosen = {i.display(): i.spaces for i in analysis.walks[HOST].instances.values()}
-    assert chosen["f<int>"] == chosen[f_box] == f_spaces
+    assert chosen["f<int>"] is chosen[f_box] is f_spaces
     assert run_program(analysis).stdout == stdout
