@@ -7,7 +7,7 @@ directives selecting the mode, profile, and an expected run outcome.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from pathlib import Path
 from typing import Optional
 
@@ -88,21 +88,26 @@ class HeaderError(ValueError):
     """A //! directive that cannot be applied, as "<path>:<line>: <reason>"."""
 
 
-_VALUED = ("mode", "profile", "cuda-version", "expect-exit", "expect-stdout")
-_FLAGS = ("relaxed-constexpr", "erase-specifiers", "force")
+# Each //! directive and the reader of its value, or None for a flag.
+_DIRECTIVES = {
+    "mode": Mode,
+    "profile": str,
+    "cuda-version": int,
+    "relaxed-constexpr": None,
+    "erase-specifiers": None,
+    "force": None,
+    "expect-exit": int,
+    "expect-stdout": _decode_stdout,
+}
+# The directives that set a CompileProfile field, in the order of its fields.
+_PROFILE_KEYS = ("profile", "cuda-version", "relaxed-constexpr", "erase-specifiers")
 
 
 def parse_header(
     text: str, default_mode: Mode, default_profile: CompileProfile, path: str = "<unit>"
 ) -> FileConfig:
-    mode = default_mode
-    compiler = default_profile.compiler
-    version = default_profile.cuda_version
-    relaxed = default_profile.relaxed_constexpr
-    erase = default_profile.erase_specifiers
-    force = False
-    expect_exit = None
-    expect_stdout = None
+    got = dict(zip(_PROFILE_KEYS, astuple(default_profile)))
+    got.update({"mode": default_mode, "force": False, "expect-exit": None, "expect-stdout": None})
     profile_line = 0  # the last directive that set a profile field
     for lineno, line in enumerate(text.split("\n"), start=1):
         m = _HEADER_RE.match(line)
@@ -110,38 +115,24 @@ def parse_header(
             continue
         key, value = m.group("key"), m.group("value")
         where = f"{path}:{lineno}"
-        if key not in _VALUED and key not in _FLAGS:
+        if key not in _DIRECTIVES:
             raise HeaderError(f"{where}: unknown corpus directive //! {key}")
-        if key in _VALUED and value is None:
+        read = _DIRECTIVES[key]
+        if read is not None and value is None:
             raise HeaderError(f"{where}: //! {key} needs a value")
-        if key in _FLAGS and value is not None:
+        if read is None and value is not None:
             raise HeaderError(f"{where}: //! {key} takes no value")
-        if key in ("profile", "cuda-version", "relaxed-constexpr", "erase-specifiers"):
+        if key in _PROFILE_KEYS:
             profile_line = lineno
         try:
-            if key == "mode":
-                mode = Mode(value)
-            elif key == "profile":
-                compiler = value
-            elif key == "cuda-version":
-                version = int(value)
-            elif key == "relaxed-constexpr":
-                relaxed = True
-            elif key == "erase-specifiers":
-                erase = True
-            elif key == "force":
-                force = True
-            elif key == "expect-exit":
-                expect_exit = int(value)
-            elif key == "expect-stdout":
-                expect_stdout = _decode_stdout(value)
+            got[key] = True if read is None else read(value)
         except ValueError:
             raise HeaderError(f'{where}: invalid value "{value}" for //! {key}') from None
     try:
-        profile = CompileProfile(compiler, version, relaxed, erase)
+        profile = CompileProfile(*(got[k] for k in _PROFILE_KEYS))
     except ValueError as e:
         raise HeaderError(f"{path}:{profile_line}: {e}") from None
-    return FileConfig(mode, profile, force, expect_exit, expect_stdout)
+    return FileConfig(got["mode"], profile, got["force"], got["expect-exit"], got["expect-stdout"])
 
 
 def run_corpus_file(

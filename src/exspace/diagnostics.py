@@ -92,6 +92,19 @@ class Diagnostic:
         return (self.loc, self.code, self.message)
 
 
+class Failure(Exception):
+    """A failure that becomes one diagnostic; str() is "CODE loc: message"."""
+
+    def __init__(self, code: str, loc: SrcLoc, message: str):
+        self.code, self.loc, self.message = code, loc, message
+
+    def __str__(self):
+        return f"{self.code} {self.loc}: {self.message}"
+
+    def diagnostic(self) -> Diagnostic:
+        return Diagnostic.make(self.code, self.loc, self.message)
+
+
 _COLORS = {
     Severity.ERROR: "\x1b[31;1m",
     Severity.WARNING: "\x1b[35;1m",

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .diagnostics import Diagnostic, SrcLoc
+from .diagnostics import Diagnostic, Failure, SrcLoc
 from .sema import DEVICE, HOST, HDC, Type
 from .spacecheck import Analysis, Instance
 from .syntax import nodes as n
@@ -72,22 +72,21 @@ class _Trap(Exception):
     """
 
 
-class BudgetHalt(Exception):
-    """A launch asked for more threads than MAX_LAUNCH_THREADS."""
+class Halt(Failure):
+    """A run stopped early: the note it leaves and the run's exit code.
 
-    def __init__(self, loc: SrcLoc, threads: int):
-        super().__init__(f"{loc}: {threads} threads")
-        self.loc = loc
-        self.threads = threads
+    N0001 (UB_EXIT) a stray call was executed, and no value is produced;
+    N0003 (BUDGET_EXIT) a launch asked for more threads than
+    MAX_LAUNCH_THREADS.
+    """
 
+    def __init__(self, code: str, loc: SrcLoc, message: str, exit_code: int):
+        super().__init__(code, loc, message)
+        self.exit_code = exit_code
 
-class UbHalt(Exception):
-    """A stray call was dynamically executed; no value is produced."""
-
-    def __init__(self, loc: SrcLoc, reason: str):
-        super().__init__(f"{loc}: {reason}")
-        self.loc = loc
-        self.reason = reason
+    @classmethod
+    def stray(cls, loc: SrcLoc, reason: str) -> "Halt":
+        return cls("N0001", loc, f"execution halted on a stray call: {reason}", UB_EXIT)
 
 
 def device_synchronize(m: Machine) -> int:
@@ -138,33 +137,14 @@ class Interpreter:
                 code = value
         except _Trap:
             code = ABORT_EXIT
-        except UbHalt as u:
-            self.notes.append(
-                Diagnostic.make(
-                    "N0001", u.loc, f"execution halted on a stray call: {u.reason}"
-                )
-            )
-            ub = True
-            code = UB_EXIT
+        except Halt as h:
+            self.notes.append(h.diagnostic())
+            ub = h.exit_code == UB_EXIT
+            code = h.exit_code
         except RecursionError:
-            self.notes.append(
-                Diagnostic.make(
-                    "N0002",
-                    main.decl.loc,
-                    "execution halted: calls nest deeper than the interpreter's stack",
-                )
-            )
+            message = "execution halted: calls nest deeper than the interpreter's stack"
+            self.notes.append(Diagnostic.make("N0002", main.decl.loc, message))
             code = STACK_EXIT
-        except BudgetHalt as b:
-            self.notes.append(
-                Diagnostic.make(
-                    "N0003",
-                    b.loc,
-                    f"execution halted: a launch of {b.threads} threads exceeds "
-                    f"the budget of {MAX_LAUNCH_THREADS} threads per launch",
-                )
-            )
-            code = BUDGET_EXIT
         return RunResult(
             code, bytes(self.machine.out), ub, self.notes, self.calls, self.threads
         )
@@ -176,7 +156,7 @@ class Interpreter:
         # saved per call level is more levels of MiniCU calls before N0002.
         decl = inst.decl
         if decl.body is None:
-            raise UbHalt(loc, f'"{decl.display_name()}" has no body to execute')
+            raise Halt.stray(loc, f'"{decl.display_name()}" has no body to execute')
         locals_ = {}
         for p, a in zip(decl.params, args):
             locals_[p.name] = a
@@ -227,7 +207,7 @@ class Interpreter:
     def _loop_bound(self, s: n.ForStmt, e, inst, locals_) -> int:
         value = _EVAL[type(e)](self, e, inst, locals_)
         if not isinstance(value, int):
-            raise UbHalt(s.loc, "the start and bound of a for loop must be integral")
+            raise Halt.stray(s.loc, "the start and bound of a for loop must be integral")
         return value
 
     # -- kernel launches ---------------------------------------------------------
@@ -235,7 +215,7 @@ class Interpreter:
     def launch_kernel(self, s: n.LaunchStmt, inst: Instance, locals_):
         m = self.machine
         if inst.side is not HOST:
-            raise UbHalt(s.loc, "a kernel launch from device code")
+            raise Halt.stray(s.loc, "a kernel launch from device code")
         grid = _EVAL[type(s.grid)](self, s.grid, inst, locals_)
         block = _EVAL[type(s.block)](self, s.block, inst, locals_)
         args = [_EVAL[type(a)](self, a, inst, locals_) for a in s.args]
@@ -250,21 +230,23 @@ class Interpreter:
             return
         device = self.analysis.walks.get(DEVICE)
         if device is None:
-            raise UbHalt(
+            raise Halt.stray(
                 SrcLoc(self.analysis.path, 1, 1),
                 "no compiled code exists for this side",
             )
         target = self._site(s, inst)
         kernel = device.instances.get(target.key)
         if kernel is None:
-            raise UbHalt(
+            raise Halt.stray(
                 s.loc, f'the device pass has no instance of "{target.display()}"'
             )
         if not isinstance(grid, int) or not isinstance(block, int):
-            raise UbHalt(s.loc, "the launch configuration must be integral")
+            raise Halt.stray(s.loc, "the launch configuration must be integral")
         threads = max(grid, 0) * max(block, 0)
         if threads > MAX_LAUNCH_THREADS:
-            raise BudgetHalt(s.loc, threads)
+            message = (f"execution halted: a launch of {threads} threads exceeds "
+                       f"the budget of {MAX_LAUNCH_THREADS} threads per launch")
+            raise Halt("N0003", s.loc, message, BUDGET_EXIT)
         for _ in range(threads):
             self.threads += 1
             try:
@@ -282,7 +264,7 @@ class Interpreter:
         """
         recorded = inst.sites.get(id(node), "the check resolved no callee here")
         if isinstance(recorded, str):
-            raise UbHalt(node.loc, recorded)
+            raise Halt.stray(node.loc, recorded)
         return recorded
 
     def _call(self, e, inst: Instance, locals_):
@@ -345,7 +327,7 @@ class Interpreter:
             fmt = args[0]
             if len(args) > 1:
                 if not isinstance(args[1], int):
-                    raise UbHalt(e.loc, "the %d argument of printf must be integral")
+                    raise Halt.stray(e.loc, "the %d argument of printf must be integral")
                 fmt = fmt.replace("%d", str(int(args[1])), 1)
             m.out.extend(fmt.encode())
             return len(fmt)

@@ -5,7 +5,7 @@ from dataclasses import dataclass, field, fields, is_dataclass, replace
 from enum import Enum
 from typing import Optional
 
-from .diagnostics import Diagnostic, SrcLoc
+from .diagnostics import Diagnostic, Failure, SrcLoc
 from .syntax import nodes as n
 
 
@@ -74,17 +74,8 @@ class TraitConfig:
     fundamentals_hstdev: bool = False
 
 
-class SemaError(Exception):
+class SemaError(Failure):
     """A hard semantic error carrying a diagnostic code."""
-
-    def __init__(self, code: str, loc: SrcLoc, message: str):
-        super().__init__(f"{code} {loc}: {message}")
-        self.code = code
-        self.loc = loc
-        self.message = message
-
-    def diagnostic(self) -> Diagnostic:
-        return Diagnostic.make(self.code, self.loc, self.message)
 
 
 class SubstFailure(Exception):

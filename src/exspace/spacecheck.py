@@ -21,7 +21,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .diagnostics import Diagnostic, SrcLoc, finish_diagnostics
+from .diagnostics import Diagnostic, Failure, SrcLoc, finish_diagnostics
 from .sema import (  # Mode is re-exported from here
     DEVICE,
     HOST,
@@ -47,15 +47,8 @@ from .sema import (  # Mode is re-exported from here
 )
 from .syntax import nodes as n
 from .syntax.lexer import pass_tokens, tokenize
-from .syntax.parser import ParsedItems, ParseError, parse
-from .syntax.preprocess import (
-    DEVICE_PASS,
-    HOST_PASS,
-    CompileProfile,
-    PreprocessorError,
-    prepare,
-    preprocess,
-)
+from .syntax.parser import ParsedItems, parse
+from .syntax.preprocess import DEVICE_PASS, HOST_PASS, CompileProfile, prepare, preprocess
 
 
 # Modes replicating the real compiler's habit of instantiating both sides
@@ -253,10 +246,6 @@ class _Walk:
 
     def run(self):
         """Walk every demanded instance."""
-        for decl, owner in self.table.ast.decls():
-            self.demands.setdefault(
-                ("decl", self.table.keys[id(decl)]), (decl.display_name(), decl.loc)
-            )
         self._seed_roots()
         while self.queue:
             inst = self.queue.popleft()
@@ -264,7 +253,11 @@ class _Walk:
         self._resolve_pending()
 
     def _seed_roots(self):
+        """Demand every declaration, and instantiate each that is a root."""
         for decl, owner in self.table.ast.decls():
+            self.demands.setdefault(
+                ("decl", self.table.keys[id(decl)]), (decl.display_name(), decl.loc)
+            )
             if decl.is_template or (owner is not None and owner.tparams):
                 continue
             if decl.body is None:
@@ -737,18 +730,14 @@ def _front_end(text: str, path: str, profile: CompileProfile, mode: Mode,
     tokens = tokenize(prepared, path)
     seen = ParsedItems()
     passes: dict[str, PassArtifacts] = {}
-    last = None  # the last pass's PassArtifacts, or the ParseError it failed with
+    last = None  # the last pass's PassArtifacts, or the Failure it failed with
     for pp in profile.passes():
         try:
             ptext = preprocess(prepared, pp, path)
-        except PreprocessorError as e:
-            diags.append(Diagnostic.make("E0002", e.loc, e.message))
-            continue
-        try:
             ast = parse(pass_tokens(tokens, prepared, ptext), path, specifier_mode, seen)
-        except ParseError as e:
+        except Failure as e:
             if e is not last:
-                diags.append(Diagnostic.make("E0001", e.loc, e.message))
+                diags.append(e.diagnostic())
             last = e
             continue
         if isinstance(last, PassArtifacts) and last.ast is ast:

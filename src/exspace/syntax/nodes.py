@@ -330,8 +330,6 @@ Item = Union[StructDecl, FunctionDecl, EnumHdcDecl, StaticAssertDecl]
 @dataclass
 class Ast:
     items: list
-    has_main: bool
-    file: str = field(default="<unit>", compare=False)
 
     def decls(self):
         """Every function declaration with its struct, None for a free function."""

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..diagnostics import SrcLoc
+from ..diagnostics import Failure, SrcLoc
 from .lexer import Token, tokenize
 from . import nodes as n
 
@@ -53,13 +53,11 @@ BUILTIN_ARITY = {
 MAX_NESTING = 64
 
 
-class ParseError(Exception):
+class ParseError(Failure):
     """E0001: the unit does not match the grammar."""
 
     def __init__(self, loc: SrcLoc, message: str):
-        super().__init__(f"{loc}: {message}")
-        self.loc = loc
-        self.message = message
+        super().__init__("E0001", loc, message)
 
 
 class ParsedItems:
@@ -155,7 +153,7 @@ class _Parser:
 
     # -- unit --------------------------------------------------------------
 
-    def parse_unit(self, file: str, seen: ParsedItems) -> n.Ast:
+    def parse_unit(self, seen: ParsedItems) -> n.Ast:
         toks = self.toks
         items = []
         while toks[self.pos].kind != "eof":
@@ -177,10 +175,7 @@ class _Parser:
             a is b for a, b in zip(last.items, items)
         ):
             return last  # every item is shared: so is the Ast
-        has_main = any(
-            isinstance(it, n.FunctionDecl) and it.name == "main" for it in items
-        )
-        seen.ast = n.Ast(items, has_main, file)
+        seen.ast = n.Ast(items)
         return seen.ast
 
     def first_lex_error(self, start: int) -> Optional[ParseError]:
@@ -216,7 +211,9 @@ class _Parser:
             tparams = self.parse_template_header()
             if self.at("requires"):
                 requires = self.parse_requires_clause()
-        spec = self.parse_specifiers()
+        spec, static = self.parse_specifiers()
+        if static is not None:
+            raise _unexpected(static, "type name")
         spec.pragma = pragma
         if self.toks[self.pos].tag in ("struct", "class"):
             if pragma:
@@ -284,9 +281,11 @@ class _Parser:
         self.expect(")")
         return expr
 
-    def parse_specifiers(self) -> n.SpecifierSet:
+    def parse_specifiers(self):
+        """Specifiers before a declaration's type, and its first static token or None."""
         spec = n.SpecifierSet()
         seen = set()
+        static = None
         while True:
             t = self.toks[self.pos]
             tag = t.tag
@@ -313,11 +312,14 @@ class _Parser:
             elif tag == "constexpr":
                 self.pos += 1
                 spec.constexpr = True
+            elif tag == "static":
+                self.pos += 1
+                static = static or t
             else:
                 break
         if spec.global_ and (spec.host or spec.device):
             raise ParseError(t.loc, "__global__ excludes __host__ and __device__")
-        return spec
+        return spec, static
 
     # -- declarations --------------------------------------------------------
 
@@ -345,29 +347,9 @@ class _Parser:
             tparams = self.parse_template_header()
             if self.at("requires"):
                 requires = self.parse_requires_clause()
-        spec = n.SpecifierSet()
-        is_static = False
-        # static/constexpr/specifiers may appear in any order before the type.
-        while True:
-            tag = self.toks[self.pos].tag
-            if tag == "static":
-                self.pos += 1
-                is_static = True
-            elif tag == "constexpr":
-                self.pos += 1
-                spec.constexpr = True
-            elif tag in SPECIFIER_TOKENS:
-                sub = self.parse_specifiers()
-                spec.host, spec.host_pred = spec.host or sub.host, sub.host_pred or spec.host_pred
-                spec.device, spec.device_pred = (
-                    spec.device or sub.device,
-                    sub.device_pred or spec.device_pred,
-                )
-                if sub.global_:
-                    raise self.err("__global__ is not allowed on member functions")
-                spec.constexpr = spec.constexpr or sub.constexpr
-            else:
-                break
+        spec, static = self.parse_specifiers()
+        if spec.global_:
+            raise self.err("__global__ is not allowed on member functions")
         spec.pragma = pragma
         type_ = self.parse_type()
         name = self.expect_ident("member name")
@@ -378,7 +360,7 @@ class _Parser:
                 raise ParseError(
                     name.loc, "member constants must have type HDC, bool, or int"
                 )
-            if not (is_static and spec.constexpr):
+            if static is None or not spec.constexpr:
                 raise ParseError(name.loc, "member constants must be static constexpr")
             if spec.host or spec.device:
                 raise ParseError(name.loc, "invalid specifier on a member constant")
@@ -407,11 +389,8 @@ class _Parser:
         self.expect(")")
         if requires is not None and not tparams:
             raise ParseError(loc, "a requires clause needs a template header")
-        if spec.global_:
-            if ret.name != "void":
-                raise ParseError(loc, "a __global__ function must return void")
-            if owner is not None:
-                raise ParseError(loc, "__global__ is not allowed on member functions")
+        if spec.global_ and ret.name != "void":
+            raise ParseError(loc, "a __global__ function must return void")
         if name.text == "main" and owner is None:
             if tparams or not spec.undecorated or spec.constexpr:
                 raise ParseError(loc, "main takes no specifiers and no template")
@@ -741,6 +720,6 @@ def parse(
     toks = tokenize(source, file) if isinstance(source, str) else source
     seen = seen or ParsedItems()
     if toks is not seen.tokens:  # a list that built an Ast holds no lex error
-        _Parser(toks, specifier_mode).parse_unit(file, seen)
+        _Parser(toks, specifier_mode).parse_unit(seen)
         seen.tokens = toks
     return seen.ast

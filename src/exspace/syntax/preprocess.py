@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from ..diagnostics import SrcLoc
+from ..diagnostics import Failure, SrcLoc
 
 BUILTIN_MACROS = frozenset(
     {"__CUDACC__", "__CUDA_ARCH__", "__CUDACC_RELAXED_CONSTEXPR__"}
@@ -20,13 +20,11 @@ HOST_PASS = "host"
 DEVICE_PASS = "device"
 
 
-class PreprocessorError(Exception):
-    """Raised for E0002 conditions: bad directives or a triggered #error."""
+class PreprocessorError(Failure):
+    """E0002: a bad directive or a triggered #error."""
 
     def __init__(self, loc: SrcLoc, message: str):
-        super().__init__(f"{loc}: {message}")
-        self.loc = loc
-        self.message = message
+        super().__init__("E0002", loc, message)
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,6 @@ def test_kernel_unit_shape():
     ast = parse(prep(KERNEL_UNIT), "k.mcu")
     names = [it.name for it in ast.items]
     assert names == ["print", "kernel", "main"]
-    assert ast.has_main
     kernel = ast.items[1]
     assert kernel.spec.global_
     assert not kernel.spec.host and not kernel.spec.device
@@ -50,7 +49,6 @@ def test_kernel_unit_shape():
 def test_empty_unit():
     ast = parse("", "e.mcu")
     assert ast.items == []
-    assert not ast.has_main
 
 
 # Oracle: enumerate every subset of the three specifiers; the valid ones
@@ -143,6 +141,36 @@ def test_member_constant_forms():
     parse("struct B { constexpr static bool hdc = true; };", "m.mcu")
     with pytest.raises(ParseError):
         parse("struct X { HDC hdc = HDC::Dev; };", "m.mcu")
+
+
+# A member's specifiers are one run, whether or not static splits it: a
+# specifier repeated across static is a duplicate, and one side on each
+# side of static gives both.
+@pytest.mark.parametrize("specs, col, message", [
+    ("__host__ static __host__ int", 28, "duplicate specifier __host__"),
+    ("__host__(true) static __host__(false) int", 34, "duplicate specifier __host__"),
+    ("__host__ static __global__ void", 39, "__global__ excludes __host__ and __device__"),
+    ("__global__ static void", 30, "__global__ is not allowed on member functions"),
+    ("__host__ static __device__ int", None, None),
+])
+def test_member_specifiers_split_by_static_are_one_run(specs, col, message):
+    src = f"struct S {{ {specs} f() {{ return 1; }} }};"
+    if message is None:
+        spec = parse(src, "s.mcu").items[0].members[0].spec
+        assert spec.host and spec.device
+        return
+    with pytest.raises(ParseError) as exc:
+        parse(src, "s.mcu")
+    assert exc.value.message == message
+    assert (exc.value.loc.line, exc.value.loc.col) == (1, col)
+
+
+def test_static_on_a_free_declaration_is_not_a_type():
+    for src in ("static int f() { return 1; }", "static struct S {};"):
+        with pytest.raises(ParseError) as exc:
+            parse(src, "s.mcu")
+        assert exc.value.message == "expected type name, found 'static'"
+        assert (exc.value.loc.line, exc.value.loc.col) == (1, 1)
 
 
 def test_struct_templates_take_hdc_parameters_only():

@@ -95,7 +95,9 @@ def test_sound_mode_clean_corpus_programs_never_ub_halt(corpus_dir):
         if not analysis.passes and not analysis.walks:
             continue
         host = analysis.passes.get("host")
-        if host is None or not host.ast.has_main:
+        if host is None or not any(
+            d.name == "main" and owner is None for d, owner in host.ast.decls()
+        ):
             continue
         result = run_program(analysis)
         assert not result.ub_halt, path.name

@@ -517,6 +517,23 @@ def test_plain_profile_without_erasure_rejects_specifiers():
     assert [c for c, _ in codes(src, profile=plain)] == ["E0001"]
 
 
+# Two definitions of f share one demand.  The device instance of the
+# second f resolves its own body, not the first f's: its E1002 sits in the
+# device f, on line 3.
+_DUPLICATE_DEMAND_UNIT = """__host__ int h() { return 1; }
+__host__ int f() { return h(); }
+__device__ int f() { return h(); }
+int main() { return f(); }
+"""
+
+
+@pytest.mark.parametrize("mode", [Mode.CLASSIC, Mode.SOUND, Mode.PROPOSAL1, Mode.FIDELITY])
+def test_a_duplicate_definition_resolves_its_own_body(mode):
+    got = [(d.code, d.loc.line, d.loc.col) for d in
+           check_unit(_DUPLICATE_DEMAND_UNIT, "u.mcu", NVCC, mode)]
+    assert got == [("E0102", 3, 16), ("E1002", 3, 29)]
+
+
 def test_e0001_diagnostic_from_parse_error():
     got = codes("void f( {}\n")
     assert got and all(c == "E0001" for c, _ in got)
