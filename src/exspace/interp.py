@@ -1,12 +1,16 @@
 """Deterministic execution of checked units.
 
-Host statements run top to bottom; kernel launches run grid*block logical
-threads sequentially in thread order.  A trap latches a version-dependent
-sticky error that later launches observe.  Code runs on the side of the
-instance it belongs to.  A dynamically executed stray call never produces a
-value: it halts the run with a reserved exit code.  Calls nested deeper than
-the Python stack allows, and a launch of more threads than its budget, halt
-it with a note and a reserved code of their own.
+Host statements run top to bottom.  A kernel launch of grid*block logical
+threads runs thread 0 and replays its effect for the rest.  That is exact:
+every thread runs the same instance on the same arguments, and device code
+reads nothing a thread writes (output is only written, the error state is
+read only by host code, and device code cannot launch).  So a trap in
+thread 0 abandons every thread; it latches a version-dependent sticky error
+that later launches observe.  Code runs on the side of the instance it
+belongs to.  A dynamically executed stray call never produces a value: it
+halts the run with a reserved exit code.  Calls nested deeper than the
+Python stack allows, and a launch of more threads than its budget, halt it
+with a note and a reserved code of their own.
 """
 from __future__ import annotations
 
@@ -41,7 +45,7 @@ class RunResult:
     ub_halt: bool
     notes: list
     calls: int = 0  # user bodies entered from a call site; main and threads excluded
-    threads: int = 0  # kernel bodies started by launches
+    threads: int = 0  # logical threads launched, replayed ones included
 
     def __post_init__(self):
         if self.ub_halt and self.exit_code != UB_EXIT:
@@ -118,7 +122,7 @@ class Interpreter:
         self.machine = Machine()
         self.notes: list[Diagnostic] = []
         self.calls = 0  # user bodies entered from a call site
-        self.threads = 0  # kernel bodies started by launches
+        self.threads = 0  # logical threads launched, replayed ones included
 
     # -- entry --------------------------------------------------------------
 
@@ -247,13 +251,19 @@ class Interpreter:
             message = (f"execution halted: a launch of {threads} threads exceeds "
                        f"the budget of {MAX_LAUNCH_THREADS} threads per launch")
             raise Halt("N0003", s.loc, message, BUDGET_EXIT)
-        for _ in range(threads):
-            self.threads += 1
-            try:
-                self._body(kernel, args, s.loc)
-            except _Trap:
-                m.sticky_error = self.analysis.profile.trap_error_code()
-                break  # the trap abandons all remaining threads
+        if threads == 0:
+            return
+        out, calls = len(m.out), self.calls
+        self.threads += 1
+        try:
+            self._body(kernel, args, s.loc)
+        except _Trap:
+            m.sticky_error = self.analysis.profile.trap_error_code()
+            return  # the trap abandons all remaining threads
+        # The other threads repeat thread 0's effect (see the module docstring).
+        m.out += m.out[out:] * (threads - 1)
+        self.calls += (self.calls - calls) * (threads - 1)
+        self.threads += threads - 1
 
     # -- the site table ---------------------------------------------------------------
 

@@ -6,7 +6,6 @@ import pytest
 
 from exspace.corpus import parse_header
 from exspace.diagnostics import format_diagnostic
-from exspace import interp
 from exspace.interp import (
     ABORT_EXIT,
     BUDGET_EXIT,
@@ -632,23 +631,114 @@ def test_unbounded_recursion_ends_in_a_note():
     assert result.calls > 256
 
 
-def test_a_launch_runs_up_to_its_thread_budget_and_no_further(monkeypatch):
-    monkeypatch.setattr(interp, "MAX_LAUNCH_THREADS", 6)
-    src = ('__global__ void k() { printf( "t" ); }\nint main() {\n'
-           '  k<<< 2, 3 >>>();\n  printf( "|" );\n  k<<< 7, 1 >>>();\n'
+def test_a_launch_runs_up_to_its_thread_budget_and_no_further():
+    src = ('__global__ void k() { printf( "." ); }\nint main() {\n'
+           '  k<<< 1024, 1024 >>>();\n  printf( "|" );\n  k<<< 1024, 1025 >>>();\n'
            '  printf( "never" );\n  return 0;\n}\n')
     result = run(src)
-    assert (result.exit_code, result.stdout, result.threads) == (BUDGET_EXIT, b"tttttt|", 6)
+    assert (result.exit_code, result.stdout) == (BUDGET_EXIT, b"." * (1 << 20) + b"|")
+    assert (result.calls, result.threads) == (0, 1 << 20)
     assert not result.ub_halt
     assert [(d.code, str(d.loc), d.message) for d in result.notes] == [(
         "N0003", "r.mcu:5:3",
-        "execution halted: a launch of 7 threads exceeds the budget of 6 threads per launch",
+        "execution halted: a launch of 1049600 threads exceeds the budget of "
+        "1048576 threads per launch",
     )]
 
 
-@pytest.mark.parametrize("workload", ["chain", "fanout", "kernel"])
-def test_every_bench_unit_runs_to_its_answer(workload):
-    for unit in gen.make_cycle(workload, ROOT, 1):
+def test_a_launch_replays_thread_zeros_output_and_calls_for_every_thread():
+    src = """int g() {
+  return 3;
+}
+__device__ void p( int n ) {
+  printf( "%d", n );
+}
+__global__ void k( int n ) {
+  p( n );
+  p( 7 );
+}
+int main() {
+  k<<< 2, 3 >>>( g() );
+  printf( "|" );
+  k<<< 1, 2 >>>( 9 );
+  return cudaDeviceSynchronize();
+}
+"""
+    result = run(src)
+    assert (result.exit_code, result.stdout) == (0, b"37" * 6 + b"|" + b"97" * 2)
+    # g() once on the host, then two calls in each of 6 + 2 threads.
+    assert (result.calls, result.threads) == (1 + 2 * 8, 8)
+    assert not result.notes
+
+
+def test_a_stray_call_in_thread_zero_halts_before_any_replay():
+    src = """__host__ void h() {}
+__global__ void k() {
+  printf( "a" );
+  h();
+  printf( "b" );
+}
+int main() {
+  printf( "<" );
+  k<<< 2, 3 >>>();
+  printf( "never" );
+  return 0;
+}
+"""
+    analysis = analyze(src, "r.mcu", NVCC, Mode.CLASSIC)
+    assert analysis.has_errors  # only run --force executes it
+    result = run_program(analysis)
+    assert (result.exit_code, result.stdout, result.ub_halt) == (UB_EXIT, b"<a", True)
+    assert (result.calls, result.threads) == (0, 1)
+    assert [(d.code, str(d.loc)) for d in result.notes] == [("N0001", "r.mcu:4:3")]
+
+
+def test_unbounded_recursion_on_the_device_ends_in_thread_zero():
+    src = """__device__ int f( int x ) {
+  return f( x );
+}
+__global__ void k() {
+  printf( "." );
+  f( 1 );
+}
+int main() {
+  k<<< 4, 4 >>>();
+  printf( "never" );
+  return 0;
+}
+"""
+    result = run(src)
+    assert (result.exit_code, result.stdout, result.ub_halt) == (STACK_EXIT, b".", False)
+    assert result.threads == 1
+    assert [(d.code, str(d.loc)) for d in result.notes] == [("N0002", "r.mcu:8:5")]
+
+
+def test_a_zero_thread_launch_runs_nothing_and_later_launches_run():
+    src = """__global__ void k() {
+  printf( "t" );
+}
+int main() {
+  k<<< 0, 4 >>>();
+  k<<< 4, 0 >>>();
+  printf( "|" );
+  k<<< 1, 2 >>>();
+  return cudaDeviceSynchronize();
+}
+"""
+    result = run(src)
+    assert (result.exit_code, result.stdout) == (0, b"|tt")
+    assert (result.calls, result.threads) == (0, 2)
+    assert not result.notes
+
+
+# Seed 1 is the benchmark's timed seed and keeps the plain ids; seed 11 is
+# its held-out check.
+@pytest.mark.parametrize("workload, seed", [
+    pytest.param(w, seed, id=w if seed == 1 else f"{w}-seed{seed}")
+    for seed in (1, 11) for w in ("chain", "fanout", "kernel")
+])
+def test_every_bench_unit_runs_to_its_answer(workload, seed):
+    for unit in gen.make_cycle(workload, ROOT, seed):
         result = run(unit.text, mode=Mode(unit.mode), path=unit.path)
         want = unit.run
         assert (result.exit_code, result.stdout, result.calls, result.threads) == (
