@@ -37,6 +37,7 @@ CODE_REGISTRY: dict[str, tuple[Severity, str]] = {
     "N0001": (Severity.NOTE, "kernel launch skipped after device error"),
     "N0002": (Severity.NOTE, "run halted: calls nest too deep"),
     "N0003": (Severity.NOTE, "run halted: a launch exceeds the thread budget"),
+    "N0004": (Severity.NOTE, "run halted: the output exceeds its budget"),
 }
 
 

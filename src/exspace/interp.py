@@ -9,8 +9,8 @@ thread 0 abandons every thread; it latches a version-dependent sticky error
 that later launches observe.  Code runs on the side of the instance it
 belongs to.  A dynamically executed stray call never produces a value: it
 halts the run with a reserved exit code.  Calls nested deeper than the
-Python stack allows, and a launch of more threads than its budget, halt it
-with a note and a reserved code of their own.
+Python stack allows, a launch of more threads than its budget, and output
+past its budget halt it with a note and a reserved code of their own.
 """
 from __future__ import annotations
 
@@ -25,11 +25,16 @@ UB_EXIT = 101
 ABORT_EXIT = 134
 STACK_EXIT = 139  # calls nested deeper than the interpreter's stack
 BUDGET_EXIT = 152  # a launch over its thread budget (128 + SIGXCPU)
+OUTPUT_EXIT = 153  # output over its budget (128 + SIGXFSZ)
 
 # Threads one launch may run, grid * block, checked before the first runs.
 # The largest literal launch in the reference corpus and the benchmark's
 # pools runs 2,872.
 MAX_LAUNCH_THREADS = 1 << 20
+
+# Bytes one run may print, checked before they are written: by printf as
+# it appends, and by a launch before it replays thread 0's output.
+MAX_OUTPUT_BYTES = 1 << 24
 
 
 @dataclass
@@ -81,7 +86,8 @@ class Halt(Failure):
 
     N0001 (UB_EXIT) a stray call was executed, and no value is produced;
     N0003 (BUDGET_EXIT) a launch asked for more threads than
-    MAX_LAUNCH_THREADS.
+    MAX_LAUNCH_THREADS;
+    N0004 (OUTPUT_EXIT) the run's output would pass MAX_OUTPUT_BYTES.
     """
 
     def __init__(self, code: str, loc: SrcLoc, message: str, exit_code: int):
@@ -91,6 +97,12 @@ class Halt(Failure):
     @classmethod
     def stray(cls, loc: SrcLoc, reason: str) -> "Halt":
         return cls("N0001", loc, f"execution halted on a stray call: {reason}", UB_EXIT)
+
+    @classmethod
+    def output(cls, loc: SrcLoc, size: int) -> "Halt":
+        message = (f"execution halted: the output would reach {size} bytes, "
+                   f"over the budget of {MAX_OUTPUT_BYTES} bytes per run")
+        return cls("N0004", loc, message, OUTPUT_EXIT)
 
 
 def device_synchronize(m: Machine) -> int:
@@ -261,6 +273,10 @@ class Interpreter:
             m.sticky_error = self.analysis.profile.trap_error_code()
             return  # the trap abandons all remaining threads
         # The other threads repeat thread 0's effect (see the module docstring).
+        size = len(m.out) + (threads - 1) * (len(m.out) - out)
+        if size > MAX_OUTPUT_BYTES:
+            del m.out[out:]  # the launch halts whole, as over the thread budget
+            raise Halt.output(s.loc, size)
         m.out += m.out[out:] * (threads - 1)
         self.calls += (self.calls - calls) * (threads - 1)
         self.threads += threads - 1
@@ -339,7 +355,10 @@ class Interpreter:
                 if not isinstance(args[1], int):
                     raise Halt.stray(e.loc, "the %d argument of printf must be integral")
                 fmt = fmt.replace("%d", str(int(args[1])), 1)
-            m.out.extend(fmt.encode())
+            data = fmt.encode()
+            if len(m.out) + len(data) > MAX_OUTPUT_BYTES:
+                raise Halt.output(e.loc, len(m.out) + len(data))
+            m.out.extend(data)
             return len(fmt)
         if name == "cudaDeviceSynchronize":
             return device_synchronize(m)

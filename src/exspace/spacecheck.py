@@ -10,10 +10,14 @@ compilation: host-side bodies are what the host compiler sees, device-side
 bodies what the device front end sees.
 
 An instance body is resolved (overloads, callee spaces, types and
-constants) once per demand, and once per side too under PROPOSAL2, where
-those read the calling side.  Each instance replays the resolution with
-its own side, which decides its call verdicts, the callees it demands and
-the launch and stray bookkeeping.
+constants) once per demand in one analyze, and once per side too under
+PROPOSAL2, where those read the calling side.  The walks share the
+resolved bodies: a body resolved over one symbol table is reused over
+another when every struct and overloads read it made answers the same
+there, that is when it read no name the two tables answer differently,
+and resolved anew otherwise.  Each instance replays the resolution
+with its own side, which decides its call verdicts, the callees it
+demands and the launch and stray bookkeeping.
 """
 from __future__ import annotations
 
@@ -179,22 +183,78 @@ class _Pending:
     loc: SrcLoc
 
 
-class _Body:
-    """One instance body resolved once per demand.
+class _Reads:
+    """A walk's symbol table as its body resolutions read it.
 
-    Under PROPOSAL2, where overload resolution and effective spaces read
-    the calling side, it is resolved once per side too.  sites holds the
-    site entries no side decides.  events holds, in walk order, the
-    resolution's diagnostics and one record per call, builtin call and
-    launch: a tuple of the _Walk method that replays it and its arguments.
+    A resolution reads its table through struct, overloads and cfg, and
+    the demands it numbers read keys.  cfg is the same in every table of
+    one analyze, and keys is a function of the declaration node.  So a
+    body resolved over one table is the resolution over another when each
+    struct and overloads read it made answers alike in both: with the same
+    struct node, and the same overload nodes in the same order.  differing
+    holds the struct names and the function names some two tables of the
+    analyze answer differently (see _differing), and touched records
+    whether the body being resolved read one of them.
     """
 
-    __slots__ = ("decl", "env", "side", "sites", "events")
+    __slots__ = ("table", "cfg", "differing", "touched")
 
-    def __init__(self, inst: Instance):
+    def __init__(self, table: SymbolTable, differing: tuple):
+        self.table = table
+        self.cfg = table.cfg
+        self.differing = differing
+        self.touched = False
+
+    def struct(self, name: str) -> Optional[n.StructDecl]:
+        if name in self.differing[0]:
+            self.touched = True
+        return self.table.struct(name)
+
+    def overloads(self, name: str) -> list:
+        if name in self.differing[1]:
+            self.touched = True
+        return self.table.overloads(name)
+
+
+def _differing(tables: list) -> tuple:
+    """The struct names and the function names some two tables answer differently.
+
+    Answers are compared by node identity, so comparing each table with
+    the next covers every pair.
+    """
+    structs, functions = set(), set()
+    for one, other in zip(tables, tables[1:]):
+        for name in one.structs.keys() | other.structs.keys():
+            if one.struct(name) is not other.struct(name):
+                structs.add(name)
+        for name in one.functions.keys() | other.functions.keys():
+            a, b = one.overloads(name), other.overloads(name)
+            if len(a) != len(b) or any(x is not y for x, y in zip(a, b)):
+                functions.add(name)
+    return structs, functions
+
+
+class _Body:
+    """One instance body, resolved once per demand in one analyze.
+
+    Under PROPOSAL2, where overload resolution and effective spaces read
+    the calling side, it is resolved once per side too.  table is the
+    symbol table it was resolved over; portable says whether it read no
+    name another table of the analyze answers differently, which lets a
+    walk over that table reuse it.  sites holds the site entries no side
+    decides.  events holds, in walk order, the resolution's diagnostics
+    and one record per call, builtin call and launch: a tuple of the
+    _Walk method that replays it and its arguments.
+    """
+
+    __slots__ = ("decl", "env", "side", "table", "portable", "sites", "events")
+
+    def __init__(self, inst: Instance, table: SymbolTable):
         self.decl = inst.decl
         self.env = inst.env
         self.side = inst.side  # the calling side, which only PROPOSAL2 reads
+        self.table = table
+        self.portable = False
         self.sites: dict = {}
         self.events: list = []
 
@@ -207,12 +267,13 @@ class _Walk:
     """One analysis over one symbol table, attributed to its natives.
 
     natives are the sides of the passes that share the table.  The walks
-    of one analyze share the interned demands; each instance replays its
-    body's resolution with its own side.
+    of one analyze share the interned demands and the resolved bodies;
+    each instance replays its body's resolution with its own side.
     """
 
     def __init__(self, table: SymbolTable, natives: tuple,
-                 mode: Mode, profile: CompileProfile, interned: dict):
+                 mode: Mode, profile: CompileProfile, interned: dict, bodies: dict,
+                 differing: tuple):
         self.table = table
         self.natives = natives
         # The sides the nvcc instantiation adds a called host-device template
@@ -226,7 +287,8 @@ class _Walk:
         self.mode = mode
         self.profile = profile
         self.interned = interned  # (signature key, bindings, owner type) -> demand
-        self.bodies: dict = {}  # demand (and side, under PROPOSAL2) -> _Body
+        self.bodies = bodies  # demand (and side, under PROPOSAL2) -> the latest _Body
+        self.reads = _Reads(table, differing)  # the table every resolution reads
         self.diags: list[Diagnostic] = []
         self.pending: list[_Pending] = []
         self.instances: dict[tuple, Instance] = {}
@@ -313,7 +375,7 @@ class _Walk:
         return self._sema(
             body, node, "unresolvable execution space: ",
             ("E0001", loc, "specifier predicate is not a constant"),
-            effective_spaces, decl, bindings, self.mode, side, self.table, loc, owner_struct,
+            effective_spaces, decl, bindings, self.mode, side, self.reads, loc, owner_struct,
         )
 
     # -- instantiation ---------------------------------------------------------
@@ -363,15 +425,17 @@ class _Walk:
     def _walk_instance(self, inst: Instance):
         """Replay inst's resolved body with inst's side.
 
-        A body is resolved for the first instance of its demand (for each
-        side under PROPOSAL2); a demand whose declaration differs, which
-        only duplicate definitions make, is resolved anew.
+        A body is resolved for the first instance of its demand in the
+        analyze (for each side under PROPOSAL2).  It is resolved anew when
+        the declaration differs, as for a duplicate definition or an item
+        this walk's pass parsed anew, or when this walk's table answers one
+        of the reads it was resolved with differently.
         """
         key = inst.key if self.mode is Mode.PROPOSAL2 else inst.key[0]
         body = self.bodies.get(key)
-        if body is None or body.decl is not inst.decl:
-            body = self._resolve_body(inst)
-            self.bodies.setdefault(key, body)
+        if (body is None or body.decl is not inst.decl
+                or not (body.table is self.table or body.portable)):
+            body = self.bodies[key] = self._resolve_body(inst)
         inst.sites.update(body.sites)
         for event in body.events:
             if type(event) is Diagnostic:
@@ -380,18 +444,20 @@ class _Walk:
                 event[0](self, inst, *event[1:])
 
     def _resolve_body(self, inst: Instance) -> _Body:
-        body = _Body(inst)
+        body = _Body(inst, self.table)
+        self.reads.touched = False
         locals_: dict[str, Optional[Type]] = {}
         for p in inst.decl.params:
             locals_[p.name] = self._resolve_type_soft(body, p.type, p.loc)
         self._walk_stmts(body, inst.decl.body, locals_)
+        body.portable = not self.reads.touched
         return body
 
     def _resolve_type_soft(self, body, tref: n.TypeRef, loc, node=None) -> Optional[Type]:
         return self._sema(
             body, node, "unresolvable type: ",
             ("E0101", loc, f'"{tref.name}" does not name a type here'),
-            resolve_type, tref, body.env, self.table,
+            resolve_type, tref, body.env, self.reads,
         )
 
     def _walk_stmts(self, body, stmts, locals_):
@@ -422,7 +488,7 @@ class _Walk:
         self._walk_expr(body, s.block, locals_)
         arg_types = [self._walk_expr(body, a, locals_) for a in s.args]
         body.events.append((_Walk._launch_from, s))
-        candidates = self.table.overloads(s.name)
+        candidates = self.reads.overloads(s.name)
         if not candidates:
             body.sites[id(s)] = f'no kernel named "{s.name}"'
             return  # E0101 was already reported by resolve
@@ -444,7 +510,7 @@ class _Walk:
             body, node, "unresolvable call: ",
             ("E1301", node.loc, f'no viable candidate for call to "{name}"'),
             resolve_overload, name, candidates, node.targs, arg_types, node.loc,
-            env=body.env, table=self.table, mode=self.mode, context_side=context_side,
+            env=body.env, table=self.reads, mode=self.mode, context_side=context_side,
             owner_struct=owner_struct, owner_bindings=owner_bindings,
         )
 
@@ -474,10 +540,10 @@ class _Walk:
         if isinstance(e, n.HdcTrait):
             t = self._resolve_type_soft(body, e.type, e.loc, e)
             if t is not None:
-                self._sema(body, e, "", ("E0101", e.loc, None), compute_hdc, t, self.table)
+                self._sema(body, e, "", ("E0101", e.loc, None), compute_hdc, t, self.reads)
             return None
         if isinstance(e, n.MemberConst):
-            self._sema(body, e, "", ("E0101", e.loc, None), eval_const_expr, e, body.env, self.table)
+            self._sema(body, e, "", ("E0101", e.loc, None), eval_const_expr, e, body.env, self.reads)
             return None
         if isinstance(e, n.UnaryExpr):
             self._walk_expr(body, e.operand, locals_)
@@ -496,7 +562,7 @@ class _Walk:
 
     def _walk_free_call(self, body, e: n.CallExpr, locals_):
         arg_types = [self._walk_expr(body, a, locals_) for a in e.args]
-        candidates = self.table.overloads(e.name)
+        candidates = self.reads.overloads(e.name)
         if not candidates:
             spaces = builtin_spaces(e.name, self.profile)
             if spaces is None:  # resolve reported the E0101
@@ -538,7 +604,7 @@ class _Walk:
         return None
 
     def _member_dispatch(self, body, node, recv_type: Type, arg_types):
-        struct = self.table.struct(recv_type.name)
+        struct = self.reads.struct(recv_type.name)
         candidates = [] if struct is None else SymbolTable.member_functions(struct, node.name)
         if not candidates:
             missing = f'type "{recv_type.display()}" has no member "{node.name}"'
@@ -719,9 +785,10 @@ def _front_end(text: str, path: str, profile: CompileProfile, mode: Mode,
     one Ast, symbol table and resolve(); so does a parse failure both
     passes reach from the same tokens, which is reported once.  resolve()
     writes to a shared item only what it writes in every pass, and the
-    walks key what they record by node identity per symbol table (a
-    resolved body) and per instance (its site table), so they can share
-    nodes.  The tokens are dropped before the walks.
+    walks key what they record by node identity per resolved body, which a
+    walk reuses only when its table answers the body's reads with the same
+    nodes, and per instance (its site table), so they can share nodes.
+    The tokens are dropped before the walks.
     """
     specifier_mode = "keep"
     if profile.compiler == "plain":
@@ -769,8 +836,10 @@ def analyze(
     for kind, art in analysis.passes.items():
         tables.setdefault(id(art.table), (art, []))[1].append(_PASS_SIDE[kind])
     interned: dict = {}  # demand numbers, one table per analyze so the walks agree
+    bodies: dict = {}  # the resolved bodies, reused across the walks (_Walk._walk_instance)
+    differing = _differing([art.table for art, _ in tables.values()])
     for art, sides in tables.values():
-        walk = _Walk(art.table, tuple(sides), mode, profile, interned)
+        walk = _Walk(art.table, tuple(sides), mode, profile, interned, bodies, differing)
         walk.run()
         analysis.walks.update(dict.fromkeys(sides, walk))
         if mode is Mode.FIDELITY and sides == [HOST]:

@@ -140,6 +140,19 @@ def test_run_of_a_launch_over_the_thread_budget_halts_before_any_thread(tmp_path
     assert "Traceback" not in captured.err
 
 
+def test_run_of_a_launch_over_the_output_budget_halts_before_the_replay(tmp_path, capsys):
+    p = tmp_path / "wide.mcu"
+    p.write_text(f'__global__ void k() {{ printf( "{"x" * 64}" ); }}\n'
+                 'int main() {\n  printf( "a" );\n  k<<< 1024, 1024 >>>();\n'
+                 '  return 0;\n}\n')
+    assert main(["run", str(p)]) == 153
+    captured = capsys.readouterr()
+    assert captured.out == (f"a{p}:4:3: note[N0004]: execution halted: the output would "
+                            "reach 67108865 bytes, over the budget of 16777216 bytes "
+                            "per run\n")
+    assert "Traceback" not in captured.err
+
+
 def test_run_trap_exit_codes(tmp_path):
     p = tmp_path / "trap.mcu"
     p.write_text(

@@ -4,7 +4,7 @@ import pytest
 
 from exspace import CompileProfile, Diagnostic, SrcLoc, parse, preprocess
 from exspace.diagnostics import Failure
-from exspace.interp import BUDGET_EXIT, UB_EXIT, Halt
+from exspace.interp import BUDGET_EXIT, OUTPUT_EXIT, UB_EXIT, Halt
 from exspace.sema import SemaError
 
 
@@ -67,6 +67,8 @@ _HOST_PASS = CompileProfile().passes()[0]
                  "N0001", UB_EXIT, id="stray"),
     pytest.param(lambda: Halt("N0003", SrcLoc("f.mcu", 4, 3), "too many threads", BUDGET_EXIT),
                  "N0003", BUDGET_EXIT, id="budget"),
+    pytest.param(lambda: Halt.output(SrcLoc("f.mcu", 4, 3), 1 << 26),
+                 "N0004", OUTPUT_EXIT, id="output"),
 ])
 def test_a_failure_is_one_diagnostic(make, code, exit_code):
     failure = make()

@@ -1,14 +1,18 @@
 import random
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
+from exspace import interp
 from exspace.corpus import parse_header
 from exspace.diagnostics import format_diagnostic
 from exspace.interp import (
     ABORT_EXIT,
     BUDGET_EXIT,
+    MAX_OUTPUT_BYTES,
+    OUTPUT_EXIT,
     STACK_EXIT,
     UB_EXIT,
     Machine,
@@ -643,6 +647,61 @@ def test_a_launch_runs_up_to_its_thread_budget_and_no_further():
         "N0003", "r.mcu:5:3",
         "execution halted: a launch of 1049600 threads exceeds the budget of "
         "1048576 threads per launch",
+    )]
+
+
+_WIDE_LAUNCH = """__global__ void k() { printf( "%s" ); }
+int main() {
+  printf( "a" );
+  k<<< 1024, 1024 >>>();
+  printf( "|" );
+  return 0;
+}
+"""
+
+
+def test_a_launch_prints_up_to_the_output_budget_and_no_further():
+    one = run(_WIDE_LAUNCH % ".")
+    assert (one.exit_code, one.stdout) == (0, b"a" + b"." * (1 << 20) + b"|")
+    assert not one.notes
+    # 64 bytes a thread would replay 64 MiB.  The launch halts before the
+    # replay allocates, and leaves only what was printed before it.
+    tracemalloc.start()
+    try:
+        wide = run(_WIDE_LAUNCH % ("x" * 64))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (wide.exit_code, wide.stdout) == (OUTPUT_EXIT, b"a")
+    assert peak < MAX_OUTPUT_BYTES
+    assert not wide.ub_halt
+    assert [(d.code, str(d.loc), d.message) for d in wide.notes] == [(
+        "N0004", "r.mcu:4:3",
+        "execution halted: the output would reach 67108865 bytes, over the budget "
+        "of 16777216 bytes per run",
+    )]
+
+
+def test_printf_halts_at_the_output_budget_before_it_appends(monkeypatch):
+    # A loop in thread 0 prints as much as its bound says; printf bounds it.
+    monkeypatch.setattr(interp, "MAX_OUTPUT_BYTES", 100)
+    src = """__global__ void k() {
+  for( int i = 0; i < 1000; ++i ) {
+    printf( "ab" );
+  }
+}
+int main() {
+  printf( "0" );
+  k<<< 1, 1 >>>();
+  return 0;
+}
+"""
+    result = run(src)
+    assert (result.exit_code, result.stdout) == (OUTPUT_EXIT, b"0" + b"ab" * 49)
+    assert [(d.code, str(d.loc), d.message) for d in result.notes] == [(
+        "N0004", "r.mcu:3:5",
+        "execution halted: the output would reach 101 bytes, over the budget of 100 "
+        "bytes per run",
     )]
 
 

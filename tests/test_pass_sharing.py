@@ -2,13 +2,15 @@
 
 A unit is lexed once; each pass parses only the top-level items whose
 tokens differ from an earlier pass's, and passes that share every item
-share one AST, one symbol table and one walk.  The trace test runs the
-front end under the benchmark's own tracer, so a change that hides an
-entry point from it, or runs a stage more often than that, fails here as
-well as in the benchmark.
+share one AST, one symbol table and one walk.  Walks over tables of their
+own share the bodies they resolve, unless a table read answers
+differently.  The trace test runs the front end under the benchmark's own
+tracer, so a change that hides an entry point from it, or runs a stage
+more often than that, fails here as well as in the benchmark.
 """
 import sys
 from collections import Counter
+from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -23,6 +25,8 @@ from exspace.syntax.preprocess import DEVICE_PASS, HOST_PASS, CompileProfile
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "bench"))
+import equivalence  # noqa: E402
+import gen  # noqa: E402
 import tracer  # noqa: E402
 
 SHARED = """struct S { __host__ __device__ int f() { return 1; } };
@@ -274,3 +278,56 @@ def test_a_struct_kept_in_one_pass_and_dropped_in_the_other():
     assert [m.owner for m in host.members] == ["S"]
     assert [m.owner for m in device.members] == [None]
     assert run_program(sound).exit_code == 2
+
+
+def test_a_body_is_resolved_once_per_analyze_unless_a_read_differs(monkeypatch):
+    # A fanout unit's pass texts always differ, so each pass has a table
+    # and a walk of its own; most bodies are the same node with the same
+    # demand in both.
+    unit = gen.make_unit("fanout", ROOT, 1, 1)
+    resolved = []  # (walk, demand, decl, body) per resolution
+    resolve_body = spacecheck._Walk._resolve_body
+
+    def counting(walk, inst):
+        body = resolve_body(walk, inst)
+        resolved.append((walk, inst.key[0], inst.decl, body))  # sound: keyed by demand
+        return body
+
+    monkeypatch.setattr(spacecheck._Walk, "_resolve_body", counting)
+    analysis = analyze(unit.text, unit.path, CompileProfile(), Mode(unit.mode))
+    host, device = analysis.walks[HOST], analysis.walks[DEVICE]
+    assert host is not device and host.table is not device.table
+    # The device walk reuses most of the host walk's bodies.
+    assert sum(walk is device for walk, *_ in resolved) < len(resolved) / 4
+    distinct = {(demand, id(inst.decl)) for walk in (host, device)
+                for (demand, _), inst in walk.instances.items() if inst.decl.body is not None}
+    # A body resolved again for the same demand and declaration must have
+    # read a name the later walk's table answers differently.
+    first, anew = {}, 0
+    for walk, demand, decl, body in resolved:
+        earlier = first.setdefault((demand, id(decl)), body)
+        if earlier is not body:
+            assert earlier.table is not walk.table and not earlier.portable
+            anew += 1
+    assert len(resolved) == len(distinct) + anew
+
+
+def test_shared_bodies_check_and_run_as_bodies_of_each_walk_alone(monkeypatch):
+    # Split units, whose pass texts differ, and the one-sided units: their
+    # outputs with one body cache per analyze equal those with one per walk.
+    units = list(islice(equivalence.split_inputs(), 40))
+    units += list(equivalence.one_sided_inputs())
+
+    def outputs():
+        return [block for _, path, text, profile in units
+                for block in equivalence.outputs(path, text, profile)]
+
+    shared = outputs()
+    init = spacecheck._Walk.__init__
+
+    def own_cache(walk, *args):
+        init(walk, *args)
+        walk.bodies = {}
+
+    monkeypatch.setattr(spacecheck._Walk, "__init__", own_cache)
+    assert outputs() == shared

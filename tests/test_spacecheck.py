@@ -534,6 +534,62 @@ def test_a_duplicate_definition_resolves_its_own_body(mode):
     assert got == [("E0102", 3, 16), ("E1002", 3, 29)]
 
 
+# hd is one node in both passes, and the host walk resolves its body
+# first.  The device walk reuses that body only if the device table
+# answers its reads alike; here one read differs, so the device pass must
+# resolve hd anew.  In the first unit the device pass adds an overload of
+# g, which makes g( 1 ) ambiguous there; in the second, S's hdc member is
+# Dev in the device pass, which selects the other f.
+_ADDED_OVERLOAD_UNIT = """__host__ __device__ void g( int x ) { printf( "g" ); }
+#ifdef __CUDA_ARCH__
+template< typename T > __host__ __device__ void g( T x ) { printf( "t" ); }
+#endif
+__host__ __device__ void hd() { g( 1 ); }
+__global__ void k() { hd(); }
+int main() { k<<< 1, 1 >>>(); hd(); return cudaDeviceSynchronize(); }
+"""
+_SPLIT_HDC_UNIT = """struct S {
+#ifdef __CUDA_ARCH__
+  static constexpr HDC hdc = HDC::Dev;
+#else
+  static constexpr HDC hdc = HDC::Hst;
+#endif
+};
+template< typename T, HDC h = hdc< T > > requires( h == HDC::Hst )
+__host__ __device__ void f( T t ) { printf( "h" ); }
+template< typename T, HDC h = hdc< T > > requires( h == HDC::Dev )
+__host__ __device__ void f( T t ) { printf( "d" ); }
+__host__ __device__ void hd() { f( S{} ); }
+__global__ void k() { hd(); }
+int main() { k<<< 1, 1 >>>(); hd(); return cudaDeviceSynchronize(); }
+"""
+_AMBIGUOUS = ("E1302", "s.mcu:5:33", 'call to "g" is ambiguous (2 candidates survive)')
+
+
+def _diverges(line: int, col: int, display: str) -> tuple:
+    return ("E1201", f"s.mcu:{line}:{col}", f'the instantiation of "{display}" must '
+            "not depend on whether __CUDA_ARCH__ is defined")
+
+
+@pytest.mark.parametrize("src, mode, diags, run", [
+    pytest.param(_ADDED_OVERLOAD_UNIT, Mode.CLASSIC, [_AMBIGUOUS],
+                 (101, b"", [("N0001", "s.mcu:5:33")]), id="overload-classic"),
+    pytest.param(_ADDED_OVERLOAD_UNIT, Mode.SOUND, [_diverges(3, 49, "g"), _AMBIGUOUS],
+                 (101, b"", [("N0001", "s.mcu:5:33")]), id="overload-sound"),
+    pytest.param(_SPLIT_HDC_UNIT, Mode.CLASSIC, [], (0, b"dh", []), id="hdc-classic"),
+    pytest.param(_SPLIT_HDC_UNIT, Mode.SOUND,
+                 [_diverges(12, 33, "f<S, Dev>"), _diverges(12, 33, "f<S, Hst>")],
+                 (0, b"dh", []), id="hdc-sound"),
+])
+def test_a_body_is_resolved_anew_where_a_table_read_differs(src, mode, diags, run):
+    analysis = analyze(src, "s.mcu", NVCC, mode)
+    assert analysis.walks[HOST] is not analysis.walks[DEVICE]
+    assert [(d.code, str(d.loc), d.message) for d in analysis.all_diagnostics] == diags
+    result = run_program(analysis)
+    assert (result.exit_code, result.stdout,
+            [(d.code, str(d.loc)) for d in result.notes]) == run
+
+
 def test_e0001_diagnostic_from_parse_error():
     got = codes("void f( {}\n")
     assert got and all(c == "E0001" for c, _ in got)
