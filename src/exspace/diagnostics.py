@@ -1,8 +1,10 @@
 """Diagnostic codes, source locations, and output formatting."""
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import accumulate
 from operator import itemgetter
 
 
@@ -67,6 +69,33 @@ class SrcLoc(tuple):
 
     def __str__(self):
         return f"{self[0]}:{self[1]}:{self[2]}"
+
+
+class LineTable:
+    """One unit's path and where each line of its text starts.
+
+    The front end holds a source position as an int: the offset of a
+    character in the unit's prepared text, which keeps the lines and
+    columns of the source.  Within one unit, offsets order exactly as
+    (line, col) does.  loc() turns a position into its SrcLoc, which is
+    built only for a diagnostic or a failure; the line starts are found on
+    the first call.
+    """
+
+    __slots__ = ("path", "text", "starts")
+
+    def __init__(self, path: str, text: str):
+        self.path = path
+        self.text = text
+        self.starts: list | None = None
+
+    def loc(self, pos: int) -> SrcLoc:
+        starts = self.starts
+        if starts is None:
+            lengths = (len(line) + 1 for line in self.text.split("\n"))
+            starts = self.starts = list(accumulate(lengths, initial=0))
+        line = bisect_right(starts, pos)
+        return SrcLoc(self.path, line, pos - starts[line - 1] + 1)
 
 
 @dataclass
@@ -134,7 +163,8 @@ def format_diagnostic(
     line = f"{d.loc.file}:{d.loc.line}:{d.loc.col}: {word}[{d.code}]: {d.message}"
     if style == "machine" or source is None:
         return line
-    lines = source.splitlines()
+    # Lines are counted at "\n" alone, as locations count them.
+    lines = source.split("\n")
     if 1 <= d.loc.line <= len(lines):
         excerpt = lines[d.loc.line - 1]
         caret = " " * (d.loc.col - 1) + "^"

@@ -146,7 +146,7 @@ class Interpreter:
         ub = False
         code = 0
         try:
-            value = self._body(main, [], main.decl.loc)
+            value = self._body(main, [], main.decl.pos)
             if isinstance(value, bool):
                 code = int(value)
             elif isinstance(value, int):
@@ -159,20 +159,24 @@ class Interpreter:
             code = h.exit_code
         except RecursionError:
             message = "execution halted: calls nest deeper than the interpreter's stack"
-            self.notes.append(Diagnostic.make("N0002", main.decl.loc, message))
+            self.notes.append(Diagnostic.make("N0002", self.loc(main.decl.pos), message))
             code = STACK_EXIT
         return RunResult(
             code, bytes(self.machine.out), ub, self.notes, self.calls, self.threads
         )
 
+    def loc(self, pos: int) -> SrcLoc:
+        """The SrcLoc of a node's position, for a halt or a note."""
+        return self.analysis.lines.loc(pos)
+
     # -- bodies and statements ------------------------------------------------
 
-    def _body(self, inst: Instance, args, loc):
+    def _body(self, inst: Instance, args, pos):
         # Bodies and blocks run their statements inline: each Python frame
         # saved per call level is more levels of MiniCU calls before N0002.
         decl = inst.decl
         if decl.body is None:
-            raise Halt.stray(loc, f'"{decl.display_name()}" has no body to execute')
+            raise Halt.stray(self.loc(pos), f'"{decl.display_name()}" has no body to execute')
         locals_ = {}
         for p, a in zip(decl.params, args):
             locals_[p.name] = a
@@ -223,7 +227,7 @@ class Interpreter:
     def _loop_bound(self, s: n.ForStmt, e, inst, locals_) -> int:
         value = _EVAL[type(e)](self, e, inst, locals_)
         if not isinstance(value, int):
-            raise Halt.stray(s.loc, "the start and bound of a for loop must be integral")
+            raise Halt.stray(self.loc(s.pos), "the start and bound of a for loop must be integral")
         return value
 
     # -- kernel launches ---------------------------------------------------------
@@ -231,7 +235,7 @@ class Interpreter:
     def launch_kernel(self, s: n.LaunchStmt, inst: Instance, locals_):
         m = self.machine
         if inst.side is not HOST:
-            raise Halt.stray(s.loc, "a kernel launch from device code")
+            raise Halt.stray(self.loc(s.pos), "a kernel launch from device code")
         grid = _EVAL[type(s.grid)](self, s.grid, inst, locals_)
         block = _EVAL[type(s.block)](self, s.block, inst, locals_)
         args = [_EVAL[type(a)](self, a, inst, locals_) for a in s.args]
@@ -239,7 +243,7 @@ class Interpreter:
             self.notes.append(
                 Diagnostic.make(
                     "N0001",
-                    s.loc,
+                    self.loc(s.pos),
                     f"kernel launch skipped: the device error state is {m.sticky_error}",
                 )
             )
@@ -254,21 +258,21 @@ class Interpreter:
         kernel = device.instances.get(target.key)
         if kernel is None:
             raise Halt.stray(
-                s.loc, f'the device pass has no instance of "{target.display()}"'
+                self.loc(s.pos), f'the device pass has no instance of "{target.display()}"'
             )
         if not isinstance(grid, int) or not isinstance(block, int):
-            raise Halt.stray(s.loc, "the launch configuration must be integral")
+            raise Halt.stray(self.loc(s.pos), "the launch configuration must be integral")
         threads = max(grid, 0) * max(block, 0)
         if threads > MAX_LAUNCH_THREADS:
             message = (f"execution halted: a launch of {threads} threads exceeds "
                        f"the budget of {MAX_LAUNCH_THREADS} threads per launch")
-            raise Halt("N0003", s.loc, message, BUDGET_EXIT)
+            raise Halt("N0003", self.loc(s.pos), message, BUDGET_EXIT)
         if threads == 0:
             return
         out, calls = len(m.out), self.calls
         self.threads += 1
         try:
-            self._body(kernel, args, s.loc)
+            self._body(kernel, args, s.pos)
         except _Trap:
             m.sticky_error = self.analysis.profile.trap_error_code()
             return  # the trap abandons all remaining threads
@@ -276,7 +280,7 @@ class Interpreter:
         size = len(m.out) + (threads - 1) * (len(m.out) - out)
         if size > MAX_OUTPUT_BYTES:
             del m.out[out:]  # the launch halts whole, as over the thread budget
-            raise Halt.output(s.loc, size)
+            raise Halt.output(self.loc(s.pos), size)
         m.out += m.out[out:] * (threads - 1)
         self.calls += (self.calls - calls) * (threads - 1)
         self.threads += threads - 1
@@ -290,7 +294,7 @@ class Interpreter:
         """
         recorded = inst.sites.get(id(node), "the check resolved no callee here")
         if isinstance(recorded, str):
-            raise Halt.stray(node.loc, recorded)
+            raise Halt.stray(self.loc(node.pos), recorded)
         return recorded
 
     def _call(self, e, inst: Instance, locals_):
@@ -301,7 +305,7 @@ class Interpreter:
         if callee is None:
             return self._builtin(e, args)
         self.calls += 1
-        return self._body(callee, args, e.loc)
+        return self._body(callee, args, e.pos)
 
     def _member_call(self, e: n.MemberCallExpr, inst, locals_):
         r = e.recv
@@ -353,11 +357,11 @@ class Interpreter:
             fmt = args[0]
             if len(args) > 1:
                 if not isinstance(args[1], int):
-                    raise Halt.stray(e.loc, "the %d argument of printf must be integral")
+                    raise Halt.stray(self.loc(e.pos), "the %d argument of printf must be integral")
                 fmt = fmt.replace("%d", str(int(args[1])), 1)
             data = fmt.encode()
             if len(m.out) + len(data) > MAX_OUTPUT_BYTES:
-                raise Halt.output(e.loc, len(m.out) + len(data))
+                raise Halt.output(self.loc(e.pos), len(m.out) + len(data))
             m.out.extend(data)
             return len(fmt)
         if name == "cudaDeviceSynchronize":

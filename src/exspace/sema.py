@@ -117,6 +117,10 @@ class SymbolTable:
     functions: dict = field(default_factory=dict)  # name -> [FunctionDecl]
     keys: dict = field(default_factory=dict)  # id(FunctionDecl) -> its signature_key
 
+    def loc(self, pos: int) -> SrcLoc:
+        """The SrcLoc of a position in the unit this table was resolved from."""
+        return self.ast.lines.loc(pos)
+
     def struct(self, name: str) -> Optional[n.StructDecl]:
         return self.structs.get(name)
 
@@ -186,7 +190,7 @@ def resolve(
     table = SymbolTable(ast, cfg)
     diags: list[Diagnostic] = []
     include_spaces = mode is Mode.PROPOSAL2
-    seen: dict[tuple, SrcLoc] = {}
+    seen: set = set()  # the signature keys declared so far
 
     def is_duplicate(decl: n.FunctionDecl) -> bool:
         key = table.keys[id(decl)] = signature_key(decl, include_spaces)
@@ -194,12 +198,12 @@ def resolve(
             diags.append(
                 Diagnostic.make(
                     "E0102",
-                    decl.loc,
+                    table.loc(decl.pos),
                     f'duplicate definition of "{decl.display_name()}"',
                 )
             )
             return True
-        seen[key] = decl.loc
+        seen.add(key)
         return False
 
     for i, item in enumerate(ast.items):
@@ -207,7 +211,7 @@ def resolve(
             if item.name in table.structs:
                 diags.append(
                     Diagnostic.make(
-                        "E0102", item.loc, f'duplicate definition of "{item.name}"'
+                        "E0102", table.loc(item.pos), f'duplicate definition of "{item.name}"'
                     )
                 )
                 # Ast.decls() still yields the members of a dropped struct,
@@ -238,7 +242,7 @@ def resolve(
             except SubstFailure:
                 diags.append(
                     Diagnostic.make(
-                        "E0104", item.loc, "static assertion cannot be evaluated"
+                        "E0104", table.loc(item.pos), "static assertion cannot be evaluated"
                     )
                 )
             except SemaError as e:
@@ -246,7 +250,7 @@ def resolve(
             else:
                 if value is not True:
                     diags.append(
-                        Diagnostic.make("E0104", item.loc, "static assertion failed")
+                        Diagnostic.make("E0104", table.loc(item.pos), "static assertion failed")
                     )
     return table, diags
 
@@ -259,7 +263,7 @@ def _check_mode_gated_syntax(ast: n.Ast, mode) -> list:
                 diags.append(
                     Diagnostic.make(
                         "E0001",
-                        item.loc,
+                        ast.lines.loc(item.pos),
                         "struct-level execution-space specifiers require --mode=proposal2",
                     )
                 )
@@ -269,7 +273,7 @@ def _check_mode_gated_syntax(ast: n.Ast, mode) -> list:
                 diags.append(
                     Diagnostic.make(
                         "E0001",
-                        fn.loc,
+                        ast.lines.loc(fn.pos),
                         "conditional execution-space specifiers require --mode=proposal1",
                     )
                 )
@@ -289,7 +293,7 @@ def _check_free_call_names(ast: n.Ast, table: SymbolTable, profile) -> list:
                 continue
             if not known:
                 diags.append(
-                    Diagnostic.make("E0101", node.loc, f'undefined name "{node.name}"')
+                    Diagnostic.make("E0101", table.loc(node.pos), f'undefined name "{node.name}"')
                 )
     return diags
 
@@ -307,7 +311,8 @@ def struct_bindings(struct: n.StructDecl, t: Type) -> Bindings:
 def resolve_type(tref: n.TypeRef, env: Bindings, table: SymbolTable) -> Type:
     if tref.name in ("int", "bool", "void"):
         if tref.targs:
-            raise SemaError("E0001", tref.loc, f"{tref.name} takes no template arguments")
+            raise SemaError("E0001", table.loc(tref.pos),
+                            f"{tref.name} takes no template arguments")
         return Type(tref.name)
     if tref.name in env:
         bound = env[tref.name]
@@ -318,7 +323,7 @@ def resolve_type(tref: n.TypeRef, env: Bindings, table: SymbolTable) -> Type:
         raise SubstFailure(f"{tref.name} does not name a type")
     struct = table.struct(tref.name)
     if struct is None:
-        raise SemaError("E0101", tref.loc, f'undefined type "{tref.name}"')
+        raise SemaError("E0101", table.loc(tref.pos), f'undefined type "{tref.name}"')
     values = []
     for i, tp in enumerate(struct.tparams):
         if i < len(tref.targs):
@@ -327,10 +332,11 @@ def resolve_type(tref: n.TypeRef, env: Bindings, table: SymbolTable) -> Type:
             values.append(eval_const_expr(tp.default, env, table))
         else:
             raise SemaError(
-                "E0001", tref.loc, f'missing template arguments for "{tref.name}"'
+                "E0001", table.loc(tref.pos), f'missing template arguments for "{tref.name}"'
             )
     if len(tref.targs) > len(struct.tparams):
-        raise SemaError("E0001", tref.loc, f'too many template arguments for "{tref.name}"')
+        raise SemaError("E0001", table.loc(tref.pos),
+                        f'too many template arguments for "{tref.name}"')
     for v in values:
         if not isinstance(v, HDC):
             raise SubstFailure("struct template arguments must be HDC constants")
@@ -368,12 +374,12 @@ def compute_hdc(t: Type, table: SymbolTable) -> HDC:
         return HDC.Hst
     if mv.type_name != "HDC":
         raise SemaError(
-            "E0103", mv.loc, f'member "hdc" of "{t.name}" is not an HDC constant'
+            "E0103", table.loc(mv.pos), f'member "hdc" of "{t.name}" is not an HDC constant'
         )
     value = eval_const_expr(mv.value, struct_bindings(struct, t), table)
     if not isinstance(value, HDC):
         raise SemaError(
-            "E0103", mv.loc, f'member "hdc" of "{t.name}" is not an HDC constant'
+            "E0103", table.loc(mv.pos), f'member "hdc" of "{t.name}" is not an HDC constant'
         )
     return value
 
@@ -412,7 +418,8 @@ def eval_const_expr(expr, env: Bindings, table: SymbolTable):
             raise SubstFailure(f'"{t.name}" has no member "{expr.name}"')
         value = eval_const_expr(mv.value, struct_bindings(struct, t), table)
         if mv.type_name == "HDC" and not isinstance(value, HDC):
-            raise SemaError("E0103", mv.loc, f'member "hdc" of "{t.name}" is not an HDC constant')
+            raise SemaError("E0103", table.loc(mv.pos),
+                            f'member "hdc" of "{t.name}" is not an HDC constant')
         return value
     if isinstance(expr, n.UnaryExpr):
         val = eval_const_expr(expr.operand, env, table)
@@ -464,7 +471,7 @@ def resolve_overload(
     candidates: list,
     explicit_targs: list,
     arg_types: list,
-    loc: SrcLoc,
+    pos: int,
     *,
     env: Bindings,
     table: SymbolTable,
@@ -498,11 +505,11 @@ def resolve_overload(
         if compatible:
             viable = compatible
     if not viable:
-        raise OverloadError("E1301", loc, f'no viable candidate for call to "{name}"')
+        raise OverloadError("E1301", table.loc(pos), f'no viable candidate for call to "{name}"')
     if len(viable) > 1:
         raise OverloadError(
             "E1302",
-            loc,
+            table.loc(pos),
             f'call to "{name}" is ambiguous ({len(viable)} candidates survive)',
         )
     return viable[0]
@@ -601,7 +608,7 @@ def declared_spaces(spec: n.SpecifierSet) -> ExecSpace:
 
 def evaluate_conditional_spec(
     spec: n.SpecifierSet, bindings: Bindings, table: SymbolTable,
-    at_loc: SrcLoc, name: str,
+    at_pos: int, name: str,
 ) -> ExecSpace:
     """Filter declared spaces through their predicates (conditional mode).
 
@@ -612,7 +619,7 @@ def evaluate_conditional_spec(
     if not (host or device):
         raise SemaError(
             "E1401",
-            at_loc,
+            table.loc(at_pos),
             f'all execution-space predicates of "{name}" are false; '
             "the instance has no execution space",
         )
@@ -634,7 +641,7 @@ def effective_spaces(
     mode,
     context_side: ExecSpace,
     table: SymbolTable,
-    at_loc: SrcLoc,
+    at_pos: int,
     owner_struct: Optional[n.StructDecl] = None,
 ) -> ExecSpace:
     """The space an instance is compiled for.
@@ -647,7 +654,7 @@ def effective_spaces(
     spec = decl.spec
     if mode is Mode.PROPOSAL1 and spec.has_conditionals():
         env = _candidate_env(bindings, owner_struct, bindings, table)
-        return evaluate_conditional_spec(spec, env, table, at_loc, decl.display_name())
+        return evaluate_conditional_spec(spec, env, table, at_pos, decl.display_name())
     if mode is Mode.PROPOSAL2:
         if decl.name == "main" and owner_struct is None:
             return HOST

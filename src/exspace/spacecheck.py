@@ -25,7 +25,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .diagnostics import Diagnostic, Failure, SrcLoc, finish_diagnostics
+from .diagnostics import Diagnostic, Failure, LineTable, finish_diagnostics
 from .sema import (  # Mode is re-exported from here
     DEVICE,
     HOST,
@@ -180,7 +180,7 @@ class Instance:
 class _Pending:
     caller: Instance
     callee_space: ExecSpace
-    loc: SrcLoc
+    pos: int
 
 
 class _Reads:
@@ -188,7 +188,8 @@ class _Reads:
 
     A resolution reads its table through struct, overloads and cfg, and
     the demands it numbers read keys.  cfg is the same in every table of
-    one analyze, and keys is a function of the declaration node.  So a
+    one analyze, and so is loc, which locates a failure in the unit; keys
+    is a function of the declaration node.  So a
     body resolved over one table is the resolution over another when each
     struct and overloads read it made answers alike in both: with the same
     struct node, and the same overload nodes in the same order.  differing
@@ -197,11 +198,12 @@ class _Reads:
     whether the body being resolved read one of them.
     """
 
-    __slots__ = ("table", "cfg", "differing", "touched")
+    __slots__ = ("table", "cfg", "loc", "differing", "touched")
 
     def __init__(self, table: SymbolTable, differing: tuple):
         self.table = table
         self.cfg = table.cfg
+        self.loc = table.loc
         self.differing = differing
         self.touched = False
 
@@ -293,16 +295,15 @@ class _Walk:
         self.pending: list[_Pending] = []
         self.instances: dict[tuple, Instance] = {}
         self.queue: deque = deque()
-        self.demands: dict = {}  # ("decl", signature key) or demand -> (display, loc)
+        self.demands: dict = {}  # ("decl", signature key) or demand -> (display, position)
         self.edges: dict[tuple, list] = {}
         self.launch_seeds: list[tuple] = []
         self.main_key: Optional[tuple] = None
 
     # -- diagnostics helpers -------------------------------------------------
 
-    @staticmethod
-    def _emit(out: list, code: str, loc: SrcLoc, message: str):
-        out.append(Diagnostic.make(code, loc, message))
+    def _emit(self, out: list, code: str, pos: int, message: str):
+        out.append(Diagnostic.make(code, self.table.loc(pos), message))
 
     # -- entry ----------------------------------------------------------------
 
@@ -318,7 +319,7 @@ class _Walk:
         """Demand every declaration, and instantiate each that is a root."""
         for decl, owner in self.table.ast.decls():
             self.demands.setdefault(
-                ("decl", self.table.keys[id(decl)]), (decl.display_name(), decl.loc)
+                ("decl", self.table.keys[id(decl)]), (decl.display_name(), decl.pos)
             )
             if decl.is_template or (owner is not None and owner.tparams):
                 continue
@@ -328,13 +329,13 @@ class _Walk:
                 continue
             # A root's spaces never depend on the calling side: undecorated
             # roots under propagation are main or take their struct's spaces.
-            spaces = self._spaces(decl, {}, HOST, owner, decl.loc)
+            spaces = self._spaces(decl, {}, HOST, owner, decl.pos)
             if spaces is None:
                 continue
             owner_type = Type(owner.name) if owner is not None else None
             demand = self._demand(decl, {}, owner_type)
             for side in SIDES[spaces]:
-                inst = self._instantiate(demand, decl, {}, side, spaces, {}, owner_type, decl.loc)
+                inst = self._instantiate(demand, decl, {}, side, spaces, {}, owner_type, decl.pos)
             # Only here is the owner known: a dropped duplicate struct's
             # members keep none (sema._unowned), yet they are no main.
             if decl.name == "main" and owner is None:
@@ -350,9 +351,9 @@ class _Walk:
     def _sema(self, body, node, halt: str, failure: tuple, fn, *args, **kwargs):
         """fn(*args, **kwargs) with its failure diagnosed; None on failure.
 
-        A SemaError is reported as it is; a SubstFailure as the (code, loc,
-        message) diagnostic failure names, where a None message is the
-        failure's own text.  The diagnostic goes into body's events, or the
+        A SemaError is reported as it is; a SubstFailure as the (code,
+        position, message) diagnostic failure names, where a None message is
+        the failure's own text.  The diagnostic goes into body's events, or the
         walk's diagnostics without a body.  Given node, the value, or the
         reason a run halts there (halt followed by the failure), goes into
         body's site entries.
@@ -364,18 +365,18 @@ class _Walk:
             if isinstance(err, SemaError):
                 out.append(err.diagnostic())
             else:
-                code, loc, message = failure
-                self._emit(out, code, loc, message or str(err))
+                code, pos, message = failure
+                self._emit(out, code, pos, message or str(err))
             value, recorded = None, f"{halt}{err}"
         if node is not None:
             body.sites[id(node)] = recorded
         return value
 
-    def _spaces(self, decl, bindings, side, owner_struct, loc, body=None, node=None):
+    def _spaces(self, decl, bindings, side, owner_struct, pos, body=None, node=None):
         return self._sema(
             body, node, "unresolvable execution space: ",
-            ("E0001", loc, "specifier predicate is not a constant"),
-            effective_spaces, decl, bindings, self.mode, side, self.reads, loc, owner_struct,
+            ("E0001", pos, "specifier predicate is not a constant"),
+            effective_spaces, decl, bindings, self.mode, side, self.reads, pos, owner_struct,
         )
 
     # -- instantiation ---------------------------------------------------------
@@ -399,7 +400,7 @@ class _Walk:
         spaces,
         owner_bindings: dict,
         owner_type: Optional[Type],
-        at_loc: SrcLoc,
+        at_pos: int,
     ) -> Instance:
         """The instance of demand for side, made on first demand.
 
@@ -415,7 +416,7 @@ class _Walk:
         inst = Instance(decl, bindings, env, side, spaces, owner_type, key)
         self.instances[key] = inst
         if (decl.is_template or owner_type is not None) and demand not in self.demands:
-            self.demands[demand] = (inst.display(), at_loc)
+            self.demands[demand] = (inst.display(), at_pos)
         if decl.body is not None:
             self.queue.append(inst)
         return inst
@@ -448,15 +449,15 @@ class _Walk:
         self.reads.touched = False
         locals_: dict[str, Optional[Type]] = {}
         for p in inst.decl.params:
-            locals_[p.name] = self._resolve_type_soft(body, p.type, p.loc)
+            locals_[p.name] = self._resolve_type_soft(body, p.type, p.pos)
         self._walk_stmts(body, inst.decl.body, locals_)
         body.portable = not self.reads.touched
         return body
 
-    def _resolve_type_soft(self, body, tref: n.TypeRef, loc, node=None) -> Optional[Type]:
+    def _resolve_type_soft(self, body, tref: n.TypeRef, pos, node=None) -> Optional[Type]:
         return self._sema(
             body, node, "unresolvable type: ",
-            ("E0101", loc, f'"{tref.name}" does not name a type here'),
+            ("E0101", pos, f'"{tref.name}" does not name a type here'),
             resolve_type, tref, body.env, self.reads,
         )
 
@@ -468,7 +469,7 @@ class _Walk:
                 if s.expr is not None:
                     self._walk_expr(body, s.expr, locals_)
             elif isinstance(s, n.VarDeclStmt):
-                locals_[s.name] = self._resolve_type_soft(body, s.type, s.loc, s)
+                locals_[s.name] = self._resolve_type_soft(body, s.type, s.pos, s)
             elif isinstance(s, n.IfStmt):
                 self._walk_expr(body, s.cond, locals_)
                 self._walk_stmts(body, s.then, dict(locals_))
@@ -498,7 +499,7 @@ class _Walk:
         code = legality(HOST, declared_spaces(sel.decl.spec), "launch")
         if code is not None:
             body.sites[id(s)] = f'"{s.name}" is not a __global__ function'
-            self._emit(body.events, code, s.loc,
+            self._emit(body.events, code, s.pos,
                        "only __global__ functions can be launched with <<< >>>")
             return
         body.events.append((_Walk._launch, s, sel, self._demand(sel.decl, sel.bindings, None)))
@@ -508,8 +509,8 @@ class _Walk:
         """The selected candidate; the replay records the callee at node."""
         return self._sema(
             body, node, "unresolvable call: ",
-            ("E1301", node.loc, f'no viable candidate for call to "{name}"'),
-            resolve_overload, name, candidates, node.targs, arg_types, node.loc,
+            ("E1301", node.pos, f'no viable candidate for call to "{name}"'),
+            resolve_overload, name, candidates, node.targs, arg_types, node.pos,
             env=body.env, table=self.reads, mode=self.mode, context_side=context_side,
             owner_struct=owner_struct, owner_bindings=owner_bindings,
         )
@@ -532,18 +533,18 @@ class _Walk:
             else:
                 body.sites[id(e)] = bound  # an HDC parameter used as a value
                 return None
-            self._emit(body.events, "E0101", e.loc, reason)
+            self._emit(body.events, "E0101", e.pos, reason)
             body.sites[id(e)] = reason
             return None
         if isinstance(e, n.TempObj):
-            return self._resolve_type_soft(body, e.type, e.loc, e)
+            return self._resolve_type_soft(body, e.type, e.pos, e)
         if isinstance(e, n.HdcTrait):
-            t = self._resolve_type_soft(body, e.type, e.loc, e)
+            t = self._resolve_type_soft(body, e.type, e.pos, e)
             if t is not None:
-                self._sema(body, e, "", ("E0101", e.loc, None), compute_hdc, t, self.reads)
+                self._sema(body, e, "", ("E0101", e.pos, None), compute_hdc, t, self.reads)
             return None
         if isinstance(e, n.MemberConst):
-            self._sema(body, e, "", ("E0101", e.loc, None), eval_const_expr, e, body.env, self.reads)
+            self._sema(body, e, "", ("E0101", e.pos, None), eval_const_expr, e, body.env, self.reads)
             return None
         if isinstance(e, n.UnaryExpr):
             self._walk_expr(body, e.operand, locals_)
@@ -581,7 +582,7 @@ class _Walk:
             self._emit(
                 body.events,
                 "E0001",
-                recv.loc,
+                recv.pos,
                 "a member-call receiver must be a variable or a temporary",
             )
         return t
@@ -597,7 +598,7 @@ class _Walk:
 
     def _walk_static_call(self, body, e: n.StaticCallExpr, locals_):
         arg_types = [self._walk_expr(body, a, locals_) for a in e.args]
-        t = self._resolve_type_soft(body, e.type, e.loc)
+        t = self._resolve_type_soft(body, e.type, e.pos)
         if t is None:
             return None
         self._member_dispatch(body, e, t, arg_types)
@@ -608,7 +609,7 @@ class _Walk:
         candidates = [] if struct is None else SymbolTable.member_functions(struct, node.name)
         if not candidates:
             missing = f'type "{recv_type.display()}" has no member "{node.name}"'
-            self._emit(body.events, "E0101", node.loc, missing)
+            self._emit(body.events, "E0101", node.pos, missing)
             # Only builtin types name no struct.
             body.sites[id(node)] = (
                 missing if struct is not None else "a member call needs a struct value"
@@ -627,7 +628,7 @@ class _Walk:
                   owner_struct=None, owner_bindings=None, owner_type=None):
         owner_bindings = owner_bindings or {}
         merged = {**owner_bindings, **sel.bindings}
-        spaces = self._spaces(sel.decl, merged, body.side, owner_struct, node.loc, body, node)
+        spaces = self._spaces(sel.decl, merged, body.side, owner_struct, node.pos, body, node)
         if spaces is not None:
             body.events.append((
                 _Walk._call, node, sel, spaces, owner_bindings, owner_type,
@@ -639,12 +640,12 @@ class _Walk:
     def _launch_from(self, inst, s: n.LaunchStmt):
         code = legality(inst.side, ExecSpace.Global, "launch")
         if code is not None:
-            self._emit(self.diags, code, s.loc,
+            self._emit(self.diags, code, s.pos,
                        "a kernel launch is not allowed from device code")
 
     def _launch(self, inst, s: n.LaunchStmt, sel: Selected, demand: int):
         target = self._instantiate(
-            demand, sel.decl, sel.bindings, DEVICE, ExecSpace.Global, {}, None, s.loc
+            demand, sel.decl, sel.bindings, DEVICE, ExecSpace.Global, {}, None, s.pos
         )
         inst.sites[id(s)] = target
         if inst.side is HOST:
@@ -655,24 +656,24 @@ class _Walk:
             inst.sites[id(e)] = None
         else:
             inst.sites[id(e)] = f'"{e.name}" is not available in {inst.side.value} code'
-            self._report_stray(inst, space, e.loc)
+            self._report_stray(inst, space, e.pos)
 
     def _call(self, inst, node, sel: Selected, spaces, owner_bindings, owner_type, demand):
-        loc = node.loc
+        pos = node.pos
         code = legality(
             inst.side, spaces, relaxed_constexpr=self.profile.relaxed_constexpr,
             callee_is_constexpr=sel.decl.spec.constexpr,
         )
         if code == "E1004":
             self._emit(
-                self.diags, code, loc,
+                self.diags, code, pos,
                 "a __global__ function must be launched with <<< >>>, not called directly",
             )
             inst.sites[id(node)] = "a __global__ function was called directly"
             return
         demanded_side = inst.side if code is None else SIDES[spaces][0]
         callee = self._instantiate(
-            demand, sel.decl, sel.bindings, demanded_side, spaces, owner_bindings, owner_type, loc,
+            demand, sel.decl, sel.bindings, demanded_side, spaces, owner_bindings, owner_type, pos,
         )
         if code is None:
             inst.sites[id(node)] = callee
@@ -681,7 +682,7 @@ class _Walk:
             inst.sites[id(node)] = (
                 f'"{sel.decl.display_name()}" is not compiled for {inst.side.value} code'
             )
-            self._report_stray(inst, spaces, loc)
+            self._report_stray(inst, spaces, pos)
         if (
             self.nvcc_sides
             and spaces is ExecSpace.HostDevice
@@ -689,28 +690,29 @@ class _Walk:
         ):
             for side in self.nvcc_sides:
                 self._instantiate(
-                    demand, sel.decl, sel.bindings, side, spaces, owner_bindings, owner_type, loc,
+                    demand, sel.decl, sel.bindings, side, spaces, owner_bindings, owner_type, pos,
                 )
 
-    def _report_stray(self, inst, callee_space, loc):
+    def _report_stray(self, inst, callee_space, pos):
         """Report a call to a callee without code on inst's side.
 
         A host-device caller's verdict waits for reachability; any other
         caller's is the mode-aware row of the matrix.
         """
         if inst.from_hd:
-            self.pending.append(_Pending(inst, callee_space, loc))
+            self.pending.append(_Pending(inst, callee_space, pos))
         else:
-            self._emit_stray(inst, callee_space, loc, reachable=True)
+            self._emit_stray(inst, callee_space, pos, reachable=True)
 
-    def _emit_stray(self, inst, callee_space, loc, reachable):
+    def _emit_stray(self, inst, callee_space, pos, reachable):
         code = legality(
             inst.side, callee_space, caller_from_hd=inst.from_hd, mode=self.mode,
             mismatched_side_reachable=reachable,
         )
         if code is None:
             return
-        d = Diagnostic.make(code, loc, _stray_message(code, inst.side, callee_space, inst.from_hd))
+        message = _stray_message(code, inst.side, callee_space, inst.from_hd)
+        d = Diagnostic.make(code, self.table.loc(pos), message)
         if not d.is_error and inst.decl.spec.pragma_suppress:
             d.suppressed = True
         self.diags.append(d)
@@ -742,7 +744,7 @@ class _Walk:
         for pm in self.pending:
             if pm.caller.side not in self.natives:
                 continue  # the other pass compiles that side
-            self._emit_stray(pm.caller, pm.callee_space, pm.loc, pm.caller.key in reach)
+            self._emit_stray(pm.caller, pm.callee_space, pm.pos, pm.caller.key in reach)
 
 
 # --------------------------------------------------------------------------
@@ -761,6 +763,7 @@ class Analysis:
     path: str
     profile: CompileProfile
     mode: Mode
+    lines: LineTable  # turns the positions nodes carry into SrcLocs
     diagnostics: list  # ordered, suppression applied
     all_diagnostics: list = field(default_factory=list)  # includes suppressed
     passes: dict = field(default_factory=dict)  # pass kind -> PassArtifacts
@@ -775,8 +778,9 @@ _PASS_SIDE = {HOST_PASS: HOST, DEVICE_PASS: DEVICE}
 
 
 def _front_end(text: str, path: str, profile: CompileProfile, mode: Mode,
-               cfg: TraitConfig, diags: list) -> dict:
-    """PassArtifacts by pass kind, for each pass that preprocesses and parses.
+               cfg: TraitConfig, diags: list) -> tuple[dict, LineTable]:
+    """PassArtifacts by pass kind, for each pass that preprocesses and parses,
+    and the unit's LineTable.
 
     The front end runs once per unit and once per item, not once per pass:
     the unit is prepared and lexed once, each pass keeps the tokens on the
@@ -813,7 +817,7 @@ def _front_end(text: str, path: str, profile: CompileProfile, mode: Mode,
             table, rdiags = resolve(ast, profile, mode, cfg)
             diags.extend(rdiags)
         last = passes[pp.kind] = PassArtifacts(ptext, ast, table)
-    return passes
+    return passes, tokens.lines
 
 
 def analyze(
@@ -829,8 +833,8 @@ def analyze(
     share a symbol table share one walk.
     """
     diags: list[Diagnostic] = []
-    analysis = Analysis(path, profile, mode, [])
-    analysis.passes = _front_end(text, path, profile, mode, cfg, diags)
+    passes, lines = _front_end(text, path, profile, mode, cfg, diags)
+    analysis = Analysis(path, profile, mode, lines, [], passes=passes)
 
     tables: dict = {}  # id(symbol table) -> (PassArtifacts, sides of the passes sharing it)
     for kind, art in analysis.passes.items():
@@ -854,7 +858,7 @@ def analyze(
     ):
         diags.extend(
             detect_arch_divergence(
-                analysis.walks[HOST].demands, analysis.walks[DEVICE].demands
+                analysis.walks[HOST].demands, analysis.walks[DEVICE].demands, lines
             )
         )
 
@@ -875,15 +879,19 @@ def check_unit(
     return analyze(text, path, profile, mode, cfg).diagnostics
 
 
-def detect_arch_divergence(host_demands: dict, device_demands: dict) -> list:
-    """Report every signature or instantiation present in exactly one pass."""
+def detect_arch_divergence(host_demands: dict, device_demands: dict,
+                           lines: LineTable) -> list:
+    """Report every signature or instantiation present in exactly one pass.
+
+    A demand maps to its display name and the position lines locates.
+    """
     diags = []
     for key in set(host_demands) ^ set(device_demands):
-        display, loc = host_demands.get(key) or device_demands.get(key)
+        display, pos = host_demands.get(key) or device_demands.get(key)
         diags.append(
             Diagnostic.make(
                 "E1201",
-                loc,
+                lines.loc(pos),
                 f'the instantiation of "{display}" must not depend on whether '
                 "__CUDA_ARCH__ is defined",
             )

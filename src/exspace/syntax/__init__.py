@@ -1,5 +1,5 @@
 """Lexing, preprocessing, and parsing of MiniCU units."""
-from .lexer import Token, pass_tokens, tokenize
+from .lexer import pass_tokens, tokenize
 from .nodes import Ast
 from .parser import ParsedItems, ParseError, parse
 from .preprocess import (
@@ -23,7 +23,6 @@ __all__ = [
     "ParsedItems",
     "PpPass",
     "PreprocessorError",
-    "Token",
     "parse",
     "pass_tokens",
     "prepare",

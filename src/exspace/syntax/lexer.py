@@ -1,57 +1,59 @@
 """Tokenizer for prepared MiniCU text.
 
-The scan goes line by line, since no token crosses a newline.  Each match
-of one compiled pattern is a token together with the blanks before it, so
-the scan never stops on whitespace alone, and each distinct token text is
-classified once per unit.  A unit is lexed once for all its compile
-passes: a pass's tokens are those on the lines it keeps (pass_tokens).  A
-lex error becomes an ``error`` token rather than an exception, so it fails
-only the passes that keep its line.
+A token stream is parallel lists, one entry per token, and a token is its
+index; no object is built per token.  Its position is the offset of its
+first character in the prepared text, which the stream's LineTable turns
+into a SrcLoc when a diagnostic needs one.  Each match of one compiled
+pattern over the whole text is a token together with the blanks before
+it, so the scan never stops on whitespace alone, and each distinct token
+text is classified once per unit.  A unit is lexed once for all its
+compile passes: a pass's tokens are those on the lines it keeps
+(pass_tokens).  A lex error becomes an ``error`` token rather than an
+exception, so it fails only the passes that keep its line.
 """
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
+from dataclasses import dataclass
 
-from ..diagnostics import SrcLoc
+from ..diagnostics import LineTable
 
 
-class Token:
-    """One token; its SrcLoc is built only when .loc is read."""
+@dataclass(eq=False, slots=True)
+class Tokens:
+    """A token stream: token i is entry i of kinds, texts, tags and positions.
 
-    __slots__ = ("kind", "text", "line", "col", "file", "tag")
+    A kind is ident | int | string | punct | pragma | eof, or error, whose
+    text is the message.  A tag is the text of an ident or punct token and
+    None for every other kind: the parser matches keywords and punctuators
+    by comparing tags alone.  ids holds each token's index in the unit's
+    stream, its identity across the passes of the unit (see pass_tokens).
+    lines is the unit's LineTable.  The stream ends in its end of input.
+    """
 
-    def __init__(self, kind: str, text: str, line: int, col: int, file: str,
-                 tag: str | None):
-        # ident | int | string | punct | pragma | eof, or error, whose text
-        # is the message.  tag is the text of an ident or punct token and
-        # None for every other kind: the parser matches keywords and
-        # punctuators by comparing tags alone.
-        self.kind = kind
-        self.text = text
-        self.line = line
-        self.col = col
-        self.file = file
-        self.tag = tag
+    kinds: list
+    texts: list
+    tags: list
+    positions: list
+    ids: list
+    lines: LineTable
 
-    @property
-    def loc(self) -> SrcLoc:
-        return SrcLoc(self.file, self.line, self.col)
-
-    def __repr__(self):
-        return f"Token({self.kind!r}, {self.text!r}, {self.line}:{self.col})"
+    def __len__(self):
+        return len(self.kinds)
 
 
 # Longer punctuators come before their prefixes.
 _PUNCT = ("<<<", ">>>", "::", "==", "!=", "&&", "||", "++", *"{}()<>,;.!=")
 
 # Blanks, then one token: an identifier, a punctuator, an integer, a
-# string, a pragma, or any other character but a blank.  The identifier
-# start [^\W\d] also admits characters such as superscripts and Roman
-# numerals, which are numeric but not alphabetic; _classify rejects those.
-# Only ASCII digits form integers: int() rejects the other characters
-# str.isdigit() accepts.
+# string, a pragma, or any other character but a blank.  No token crosses
+# a newline.  The identifier start [^\W\d] also admits characters such as
+# superscripts and Roman numerals, which are numeric but not alphabetic;
+# _classify rejects those.  Only ASCII digits form integers: int() rejects
+# the other characters str.isdigit() accepts.
 _TOKEN_RE = re.compile(
-    r"([ \t\r]*)([^\W\d]\w*|%s|[0-9]+|\"[^\"]*\"|\#[\w \t]*|[^ \t\r])"
+    r"([ \t\r\n]*)([^\W\d]\w*|%s|[0-9]+|\"[^\"\n]*\"|\#[\w \t]*|[^ \t\r\n])"
     % "|".join(map(re.escape, _PUNCT))
 )
 
@@ -78,46 +80,83 @@ def _classify(text: str) -> tuple:
     return "error", f"unexpected character {c!r}", None
 
 
-def tokenize(text: str, file: str = "<unit>") -> list[Token]:
-    """Every token of text, then the end of input.
+def tokenize(text: str, file: str = "<unit>") -> Tokens:
+    """Every token of text, then the end of input, at the offset len(text).
 
     Each lex error is an ``error`` token at its first bad character; the
     scan goes on after it.
     """
-    toks: list[Token] = []
-    append = toks.append
-    findall = _TOKEN_RE.findall
-    classes: dict = {}  # token text -> _classify(text)
-    lines = text.split("\n")
-    for line, body in enumerate(lines, 1):
-        col = 1
-        # Trailing blanks are cut first: every match ends in a token, so the
-        # scan would only try them again from each of their positions.
-        for blanks, value in findall(body.rstrip(" \t\r")):
-            col += len(blanks)
-            cls = classes.get(value)
-            if cls is None:
-                cls = classes[value] = _classify(value)
-            append(Token(cls[0], cls[1], line, col, file, cls[2]))
-            col += len(value)
-    append(Token("eof", "", len(lines), len(lines[-1]) + 1, file, None))
-    return toks
+    kinds: list = []
+    texts: list = []
+    tags: list = []
+    positions: list = []
+    kind, token_text, tag, position = kinds.append, texts.append, tags.append, positions.append
+    classes: dict = {}  # token text -> (*_classify(text), len(text))
+    known = classes.get
+    pos = 0
+    # Trailing blanks are cut first: every match ends in a token, so the
+    # scan would only try them again from each of their positions.
+    for blanks, value in _TOKEN_RE.findall(text.rstrip(" \t\r\n")):
+        pos += len(blanks)
+        cls = known(value)
+        if cls is None:
+            cls = classes[value] = (*_classify(value), len(value))
+        kind(cls[0])
+        token_text(cls[1])
+        tag(cls[2])
+        position(pos)
+        pos += cls[3]
+    kind("eof")
+    token_text("")
+    tag(None)
+    position(len(text))
+    return Tokens(kinds, texts, tags, positions, list(range(len(kinds))),
+                  LineTable(file, text))
 
 
-def pass_tokens(tokens: list[Token], prepared: str, text: str) -> list[Token]:
+def pass_tokens(tokens: Tokens, prepared: str, text: str) -> Tokens:
     """The tokens one compile pass keeps, ending in its own end of input.
 
     tokens is tokenize(prepared) and text that pass's preprocessed text,
     which has the lines of prepared with the lines the pass drops blanked.
-    A line with tokens is kept exactly when it is not blank.  The end of
-    input is the one of tokens unless the pass blanked the last line.
+    The pass keeps the tokens of each run of lines it does not drop, a
+    range of indices found by bisecting the positions at the run's ends.
+    The end of input is the one of tokens unless the pass blanked a last
+    line that is not empty; it then sits at that line's start and has the
+    index len(tokens), an identity of its own.
     """
     if text == prepared:
         return tokens
-    lines = text.split("\n")
-    *body, eof = tokens
-    kept = [t for t in body if lines[t.line - 1]]
-    if eof.col > 1 and not lines[-1]:
-        eof = Token("eof", "", eof.line, 1, eof.file, None)
-    kept.append(eof)
-    return kept
+    positions = tokens.positions
+    last = len(positions) - 1  # the end of input
+    ranges = []
+    begin = 0  # where the current run of kept lines starts, or None in a dropped run
+    offset = 0
+    for line, kept in zip(prepared.split("\n"), text.split("\n")):
+        dropped = line and not kept
+        if dropped and begin is not None:
+            ranges.append((begin, offset))
+            begin = None
+        elif not dropped and begin is None:
+            begin = offset
+        offset += len(line) + 1
+    if begin is not None:
+        ranges.append((begin, offset))
+    kinds, texts, tags, kept_positions, ids = [], [], [], [], []
+    for start, end in ranges:
+        a = bisect_left(positions, start, 0, last)
+        b = bisect_left(positions, end, a, last)
+        kinds += tokens.kinds[a:b]
+        texts += tokens.texts[a:b]
+        tags += tokens.tags[a:b]
+        kept_positions += positions[a:b]
+        ids += range(a, b)
+    eof, eof_id = positions[last], last
+    if begin is None:  # the last line is dropped
+        eof, eof_id = prepared.rfind("\n") + 1, last + 1
+    kinds.append("eof")
+    texts.append("")
+    tags.append(None)
+    kept_positions.append(eof)
+    ids.append(eof_id)
+    return Tokens(kinds, texts, tags, kept_positions, ids, tokens.lines)

@@ -1,6 +1,10 @@
 """AST node types and the body traversal.
 
-Source locations are excluded from equality so that two parses of
+Each node carries its source position as an int, ``pos``: the offset in
+the unit's prepared text of the token its diagnostics point at, such as a
+declaration's name or a binary operator.  The Ast holds the unit's
+LineTable, which turns a position into a SrcLoc when a diagnostic needs
+one.  Positions are excluded from equality so that two parses of
 differently formatted but structurally identical units compare equal.
 """
 from __future__ import annotations
@@ -8,14 +12,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
-from ..diagnostics import SrcLoc
+from ..diagnostics import LineTable
 
 
-NOLOC = SrcLoc("<synthetic>", 1, 1)
+NOPOS = 0  # the position of a node built without one
 
 
-def _loc_field():
-    return field(compare=False, kw_only=True, default=NOLOC)
+def _pos_field():
+    return field(compare=False, kw_only=True, default=NOPOS)
 
 
 # --------------------------------------------------------------------------
@@ -28,13 +32,13 @@ class TypeRef:
 
     name: str
     targs: list = field(default_factory=list)  # HDC-valued expressions
-    loc: SrcLoc = _loc_field()
+    pos: int = _pos_field()
 
 
 @dataclass
 class IntLit:
     value: int
-    loc: SrcLoc = _loc_field()
+    pos: int = _pos_field()
 
 
 @dataclass
@@ -42,32 +46,32 @@ class StringLit:
     """A double-quoted literal; only printf format strings use these."""
 
     value: str
-    loc: SrcLoc = _loc_field()
+    pos: int = _pos_field()
 
 
 @dataclass
 class BoolLit:
     value: bool
-    loc: SrcLoc = _loc_field()
+    pos: int = _pos_field()
 
 
 @dataclass
 class HdcLit:
     value: str  # Hst | Dev | HstDev
-    loc: SrcLoc = _loc_field()
+    pos: int = _pos_field()
 
 
 @dataclass
 class CudaArchRef:
     """The builtin constant that is true only in device code."""
 
-    loc: SrcLoc = _loc_field()
+    pos: int = _pos_field()
 
 
 @dataclass
 class NameRef:
     name: str
-    loc: SrcLoc = _loc_field()
+    pos: int = _pos_field()
 
 
 @dataclass
@@ -75,7 +79,7 @@ class TempObj:
     """A value-constructed temporary, ``T{}``."""
 
     type: TypeRef
-    loc: SrcLoc = _loc_field()
+    pos: int = _pos_field()
 
 
 @dataclass
@@ -83,7 +87,7 @@ class HdcTrait:
     """The compatibility trait applied to a type, ``hdc< T >``."""
 
     type: TypeRef
-    loc: SrcLoc = _loc_field()
+    pos: int = _pos_field()
 
 
 @dataclass
@@ -92,7 +96,7 @@ class MemberConst:
 
     type: TypeRef
     name: str
-    loc: SrcLoc = _loc_field()
+    pos: int = _pos_field()
 
 
 @dataclass
@@ -100,7 +104,7 @@ class CallExpr:
     name: str
     targs: list = field(default_factory=list)
     args: list = field(default_factory=list)
-    loc: SrcLoc = _loc_field()
+    pos: int = _pos_field()
 
 
 @dataclass
@@ -109,7 +113,7 @@ class MemberCallExpr:
     name: str
     targs: list = field(default_factory=list)
     args: list = field(default_factory=list)
-    loc: SrcLoc = _loc_field()
+    pos: int = _pos_field()
 
 
 @dataclass
@@ -118,14 +122,14 @@ class StaticCallExpr:
     name: str
     targs: list = field(default_factory=list)
     args: list = field(default_factory=list)
-    loc: SrcLoc = _loc_field()
+    pos: int = _pos_field()
 
 
 @dataclass
 class UnaryExpr:
     op: str  # !
     operand: "Expr"
-    loc: SrcLoc = _loc_field()
+    pos: int = _pos_field()
 
 
 @dataclass
@@ -133,7 +137,7 @@ class BinaryExpr:
     op: str  # == != && ||
     lhs: "Expr"
     rhs: "Expr"
-    loc: SrcLoc = _loc_field()
+    pos: int = _pos_field()
 
 
 Expr = Union[
@@ -161,20 +165,20 @@ Expr = Union[
 @dataclass
 class ExprStmt:
     expr: Expr
-    loc: SrcLoc = _loc_field()
+    pos: int = _pos_field()
 
 
 @dataclass
 class ReturnStmt:
     expr: Optional[Expr]
-    loc: SrcLoc = _loc_field()
+    pos: int = _pos_field()
 
 
 @dataclass
 class VarDeclStmt:
     type: TypeRef
     name: str
-    loc: SrcLoc = _loc_field()
+    pos: int = _pos_field()
 
 
 @dataclass
@@ -182,7 +186,7 @@ class IfStmt:
     cond: Expr
     then: list
     orelse: Optional[list]
-    loc: SrcLoc = _loc_field()
+    pos: int = _pos_field()
 
 
 @dataclass
@@ -193,7 +197,7 @@ class ForStmt:
     init: Expr
     bound: Expr
     body: list
-    loc: SrcLoc = _loc_field()
+    pos: int = _pos_field()
 
 
 @dataclass
@@ -205,7 +209,7 @@ class LaunchStmt:
     grid: Expr
     block: Expr
     args: list
-    loc: SrcLoc = _loc_field()
+    pos: int = _pos_field()
 
 
 Stmt = Union[ExprStmt, ReturnStmt, VarDeclStmt, IfStmt, ForStmt, LaunchStmt]
@@ -220,7 +224,7 @@ class TemplateParam:
     kind: str  # type | hdc
     name: str
     default: Optional[Expr]
-    loc: SrcLoc = _loc_field()
+    pos: int = _pos_field()
 
 
 @dataclass
@@ -255,7 +259,7 @@ class SpecifierSet:
 class Param:
     type: TypeRef
     name: str
-    loc: SrcLoc = _loc_field()
+    pos: int = _pos_field()
 
 
 @dataclass
@@ -268,7 +272,7 @@ class FunctionDecl:
     params: list
     body: Optional[list]  # None for a declaration without a body
     owner: Optional[str] = None
-    loc: SrcLoc = _loc_field()
+    pos: int = _pos_field()
 
     @property
     def is_template(self) -> bool:
@@ -286,7 +290,7 @@ class MemberVar:
     name: str
     type_name: str
     value: Expr
-    loc: SrcLoc = _loc_field()
+    pos: int = _pos_field()
 
 
 @dataclass
@@ -298,7 +302,7 @@ class StructDecl:
     # The members as parsed, which resolve() reads, so that it may run once
     # per compile pass on an item both passes share.
     declared: list = field(default=None, compare=False, repr=False)
-    loc: SrcLoc = _loc_field()
+    pos: int = _pos_field()
 
     def __post_init__(self):
         if self.declared is None:
@@ -315,13 +319,13 @@ class StructDecl:
 class EnumHdcDecl:
     """The canonical compatibility enum declaration; a no-op item."""
 
-    loc: SrcLoc = _loc_field()
+    pos: int = _pos_field()
 
 
 @dataclass
 class StaticAssertDecl:
     expr: Expr
-    loc: SrcLoc = _loc_field()
+    pos: int = _pos_field()
 
 
 Item = Union[StructDecl, FunctionDecl, EnumHdcDecl, StaticAssertDecl]
@@ -330,6 +334,7 @@ Item = Union[StructDecl, FunctionDecl, EnumHdcDecl, StaticAssertDecl]
 @dataclass
 class Ast:
     items: list
+    lines: LineTable = field(compare=False, repr=False)  # the unit's positions
 
     def decls(self):
         """Every function declaration with its struct, None for a free function."""

@@ -1,10 +1,15 @@
-"""Recursive-descent parser for preprocessed MiniCU units."""
+"""Recursive-descent parser for preprocessed MiniCU units.
+
+The parser reads a token stream's parallel lists by index, and each node
+it builds carries the position of one of its tokens; a SrcLoc is built
+only for a ParseError.
+"""
 from __future__ import annotations
 
 from typing import Optional
 
 from ..diagnostics import Failure, SrcLoc
-from .lexer import Token, tokenize
+from .lexer import Tokens, tokenize
 from . import nodes as n
 
 KEYWORDS = {
@@ -64,146 +69,151 @@ class ParsedItems:
     """The top-level items parsed from the passes of one unit, by first token.
 
     The passes of a unit keep tokens of one tokenize() result, so an item
-    both passes keep starts with the same Token object in both.  An item's
-    parse reads its own tokens and the one after it, nothing else; so when
-    a later pass reaches a recorded first token followed by the same
-    tokens, the recorded node, or ParseError, is its outcome too.  Each
-    pass has an end of input of its own, the same token wherever it sits at
-    the same place.  A pass whose tokens are the very list the last Ast was
-    built from gets that Ast without a check per item.
+    both passes keep starts with the token of the same id in both.  An
+    item's parse reads its own tokens and the one after it, nothing else;
+    so when a later pass reaches a recorded first token followed by the
+    same tokens, the recorded node, or ParseError, is its outcome too.
+    Each pass has an end of input of its own, whose id is the same
+    wherever it sits at the same place (see pass_tokens).  A pass whose
+    tokens are the very stream the last Ast was built from gets that Ast
+    without a check per item.
     """
 
     def __init__(self):
-        self.nodes: dict = {}  # first Token -> (its tokens and the next one, node)
-        self.failures: dict = {}  # first Token -> (tokens to the end, the end, ParseError)
+        self.nodes: dict = {}  # first id -> (ids of its tokens and the next one, node)
+        self.failures: dict = {}  # first id -> (ids to the end of input, ParseError)
         self.ast: Optional[n.Ast] = None  # the last Ast parse() built
-        self.tokens: Optional[list] = None  # the token list ast was built from
+        self.tokens: Optional[Tokens] = None  # the stream ast was built from
 
-    def reuse(self, toks: list, start: int):
-        """(node, next position) recorded for the item at toks[start], or None.
+    def reuse(self, ids: list, start: int):
+        """(node, next index) recorded for the item at ids[start], or None.
 
-        toks ends in its end of input twice (see _Parser); a recorded
-        failure is raised.
+        A recorded failure is raised.
         """
-        known = self.nodes.get(toks[start])
+        known = self.nodes.get(ids[start])
         if known is not None:
             span, node = known
             end = start + len(span) - 1
-            if toks[start:end + 1] == span or (
-                toks[start:end] == span[:-1] and _same(toks[end], span[-1])
-            ):
+            if ids[start:end + 1] == span:
                 return node, end
-        failed = self.failures.get(toks[start])
-        if failed is not None and toks[start:-2] == failed[0] and _same(toks[-1], failed[1]):
-            raise failed[2]
+        failed = self.failures.get(ids[start])
+        if failed is not None and ids[start:] == failed[0]:
+            raise failed[1]
         return None
 
 
-def _same(a: Token, b: Token) -> bool:
-    return a is b or (a.kind == b.kind == "eof" and (a.line, a.col) == (b.line, b.col))
-
-
-def _unexpected(t: Token, what: str) -> ParseError:
-    found = {"eof": "end of input", "string": f'"{t.text}"'}.get(t.kind, t.text)
-    return ParseError(t.loc, f"expected {what}, found {found!r}")
-
-
 class _Parser:
-    def __init__(self, toks: list[Token], specifier_mode: str):
-        # Lookahead from an end of input is at most one token: a second EOF
-        # keeps toks[pos + 1] in range.
-        self.toks = toks + toks[-1:]
-        self.pos = 0
+    """Parses one token stream; self.i is the index of the next token.
+
+    Helpers that find a token return its index: its kind, text, tag and
+    position are read from the stream's lists.
+    """
+
+    def __init__(self, toks: Tokens, specifier_mode: str):
+        self.kinds = toks.kinds
+        self.texts = toks.texts
+        # Lookahead from an end of input is at most one token: a second end
+        # of input keeps tags[i + 1] in range.
+        self.tags = toks.tags + [None]
+        self.positions = toks.positions
+        self.ids = toks.ids
+        self.lines = toks.lines
+        self.i = 0
         self.depth = 0
         self.specifier_mode = specifier_mode  # keep | erase | reject
 
     # -- token plumbing ----------------------------------------------------
-    # Keywords and punctuators are matched by Token.tag alone.  The hot
-    # paths read self.toks[self.pos] and step self.pos themselves; these
-    # helpers serve the rest.
-
-    def peek(self, ahead: int = 0) -> Token:
-        return self.toks[self.pos + ahead]
+    # Keywords and punctuators are matched by tag alone.  The hot paths
+    # read self.tags[self.i] and step self.i themselves; these helpers serve
+    # the rest.
 
     def at(self, tag: str, ahead: int = 0) -> bool:
-        return self.toks[self.pos + ahead].tag == tag
+        return self.tags[self.i + ahead] == tag
 
-    def expect(self, tag: str, what: str | None = None) -> Token:
-        t = self.toks[self.pos]
-        if t.tag != tag:
-            raise _unexpected(t, repr(what or tag))
-        self.pos += 1
-        return t
+    def expect(self, tag: str, what: str | None = None) -> int:
+        i = self.i
+        if self.tags[i] != tag:
+            raise self.unexpected(i, repr(what or tag))
+        self.i = i + 1
+        return i
 
-    def expect_ident(self, what: str = "identifier") -> Token:
-        t = self.toks[self.pos]
-        if t.kind != "ident" or t.tag in KEYWORDS:
-            raise _unexpected(t, what)
-        self.pos += 1
-        return t
+    def expect_ident(self, what: str = "identifier") -> int:
+        i = self.i
+        if self.kinds[i] != "ident" or self.tags[i] in KEYWORDS:
+            raise self.unexpected(i, what)
+        self.i = i + 1
+        return i
 
-    def err(self, message: str) -> ParseError:
-        return ParseError(self.peek().loc, message)
+    def error(self, i: int, message: str) -> ParseError:
+        """A ParseError at token i."""
+        return ParseError(self.lines.loc(self.positions[i]), message)
+
+    def unexpected(self, i: int, what: str) -> ParseError:
+        kind, text = self.kinds[i], self.texts[i]
+        found = {"eof": "end of input", "string": f'"{text}"'}.get(kind, text)
+        return self.error(i, f"expected {what}, found {found!r}")
 
     def nest(self):
         """Open one nesting level at the next token; the caller closes it."""
         self.depth += 1
         if self.depth > MAX_NESTING:
-            raise self.err(f"nesting exceeds {MAX_NESTING} levels")
+            raise self.error(self.i, f"nesting exceeds {MAX_NESTING} levels")
 
     # -- unit --------------------------------------------------------------
 
     def parse_unit(self, seen: ParsedItems) -> n.Ast:
-        toks = self.toks
+        kinds, ids = self.kinds, self.ids
         items = []
-        while toks[self.pos].kind != "eof":
-            start = self.pos
-            reused = seen.reuse(toks, start)
+        while kinds[self.i] != "eof":
+            start = self.i
+            reused = seen.reuse(ids, start)
             if reused is not None:
-                node, self.pos = reused
+                node, self.i = reused
             else:
                 try:
                     node = self.parse_item()
                 except ParseError as e:
                     err = self.first_lex_error(start) or e
-                    seen.failures[toks[start]] = (toks[start:-2], toks[-1], err)
+                    seen.failures[ids[start]] = (ids[start:], err)
                     raise err from None
-                seen.nodes[toks[start]] = (toks[start:self.pos + 1], node)
+                seen.nodes[ids[start]] = (ids[start:self.i + 1], node)
             items.append(node)
         last = seen.ast
         if last is not None and len(last.items) == len(items) and all(
             a is b for a, b in zip(last.items, items)
         ):
             return last  # every item is shared: so is the Ast
-        seen.ast = n.Ast(items)
+        seen.ast = n.Ast(items, self.lines)
         return seen.ast
 
     def first_lex_error(self, start: int) -> Optional[ParseError]:
-        """The first lex error from toks[start] on, which a pass reports first.
+        """The first lex error from token start on, which a pass reports first.
 
         Items before start parsed, so they hold no error token.
         """
-        for t in self.toks[start:]:
-            if t.kind == "error":
-                return ParseError(t.loc, t.text)
-        return None
+        try:
+            i = self.kinds.index("error", start)
+        except ValueError:
+            return None
+        return self.error(i, self.texts[i])
 
     def parse_pragma(self):
         """The pragma preceding a declaration, if any."""
-        tok = self.toks[self.pos]
-        if tok.kind != "pragma":
+        i = self.i
+        if self.kinds[i] != "pragma":
             return None
-        self.pos += 1
-        if tok.text not in ("hd_warning_disable", "nv_exec_check_disable"):
-            raise ParseError(tok.loc, f"unknown pragma {tok.text!r}")
-        return tok.text
+        self.i += 1
+        pragma = self.texts[i]
+        if pragma not in ("hd_warning_disable", "nv_exec_check_disable"):
+            raise self.error(i, f"unknown pragma {pragma!r}")
+        return pragma
 
     def parse_item(self):
         pragma = self.parse_pragma()
-        tag = self.toks[self.pos].tag
+        tag = self.tags[self.i]
         if tag == "enum" or tag == "static_assert":
             if pragma:
-                raise self.err("a pragma must precede a function")
+                raise self.error(self.i, "a pragma must precede a function")
             return self.parse_enum_hdc() if tag == "enum" else self.parse_static_assert()
         tparams = []
         requires = None
@@ -213,18 +223,18 @@ class _Parser:
                 requires = self.parse_requires_clause()
         spec, static = self.parse_specifiers()
         if static is not None:
-            raise _unexpected(static, "type name")
+            raise self.unexpected(static, "type name")
         spec.pragma = pragma
-        if self.toks[self.pos].tag in ("struct", "class"):
+        if self.tags[self.i] in ("struct", "class"):
             if pragma:
-                raise self.err("a pragma must precede a function")
+                raise self.error(self.i, "a pragma must precede a function")
             if requires is not None:
-                raise self.err("a requires clause cannot constrain a struct")
+                raise self.error(self.i, "a requires clause cannot constrain a struct")
             return self.parse_struct(tparams, spec)
         return self.parse_function(tparams, requires, spec, owner=None)
 
     def parse_enum_hdc(self):
-        loc = self.expect("enum").loc
+        pos = self.positions[self.expect("enum")]
         self.expect("class")
         self.expect("HDC", "the HDC enum name")
         self.expect("{")
@@ -234,15 +244,15 @@ class _Parser:
             self.expect(name, f"enumerator {name!r}")
         self.expect("}")
         self.expect(";")
-        return n.EnumHdcDecl(loc=loc)
+        return n.EnumHdcDecl(pos=pos)
 
     def parse_static_assert(self):
-        loc = self.expect("static_assert").loc
+        pos = self.positions[self.expect("static_assert")]
         self.expect("(")
         expr = self.parse_expr()
         self.expect(")")
         self.expect(";")
-        return n.StaticAssertDecl(expr, loc=loc)
+        return n.StaticAssertDecl(expr, pos=pos)
 
     # -- templates and specifiers -------------------------------------------
 
@@ -251,25 +261,27 @@ class _Parser:
         self.expect("<")
         params = []
         while True:
-            t = self.toks[self.pos]
-            if t.tag != "typename" and t.tag != "HDC":
-                raise ParseError(t.loc, "expected 'typename' or 'HDC' template parameter")
-            self.pos += 1
+            i = self.i
+            tag = self.tags[i]
+            if tag != "typename" and tag != "HDC":
+                raise self.error(i, "expected 'typename' or 'HDC' template parameter")
+            self.i += 1
             name = self.expect_ident("template parameter name")
             default = None
-            if t.tag == "HDC" and self.at("="):
-                self.pos += 1
+            if tag == "HDC" and self.at("="):
+                self.i += 1
                 default = self.parse_expr()
-            kind = "hdc" if t.tag == "HDC" else "type"
-            params.append(n.TemplateParam(kind, name.text, default, loc=name.loc))
+            kind = "hdc" if tag == "HDC" else "type"
+            params.append(n.TemplateParam(kind, self.texts[name], default,
+                                          pos=self.positions[name]))
             if not self.at(","):
                 break
-            self.pos += 1
+            self.i += 1
         self.expect(">")
         kinds = [p.kind for p in params]
         if kinds.count("type") > 1 or kinds.count("hdc") > 1:
             raise ParseError(
-                params[-1].loc,
+                self.lines.loc(params[-1].pos),
                 "at most one type parameter and one HDC parameter are supported",
             )
         return params
@@ -287,18 +299,18 @@ class _Parser:
         seen = set()
         static = None
         while True:
-            t = self.toks[self.pos]
-            tag = t.tag
+            i = self.i
+            tag = self.tags[i]
             if tag in SPECIFIER_TOKENS:
                 if self.specifier_mode == "reject":
-                    raise ParseError(t.loc, f"{tag} is not recognized by this compiler profile")
+                    raise self.error(i, f"{tag} is not recognized by this compiler profile")
                 if tag in seen:
-                    raise ParseError(t.loc, f"duplicate specifier {tag}")
+                    raise self.error(i, f"duplicate specifier {tag}")
                 seen.add(tag)
-                self.pos += 1
+                self.i += 1
                 pred = None
                 if tag != "__global__" and self.at("("):
-                    self.pos += 1
+                    self.i += 1
                     pred = self.parse_expr()
                     self.expect(")")
                 if self.specifier_mode == "erase":
@@ -310,34 +322,37 @@ class _Parser:
                 else:
                     spec.global_ = True
             elif tag == "constexpr":
-                self.pos += 1
+                self.i += 1
                 spec.constexpr = True
             elif tag == "static":
-                self.pos += 1
-                static = static or t
+                self.i += 1
+                if static is None:
+                    static = i
             else:
                 break
         if spec.global_ and (spec.host or spec.device):
-            raise ParseError(t.loc, "__global__ excludes __host__ and __device__")
+            raise self.error(i, "__global__ excludes __host__ and __device__")
         return spec, static
 
     # -- declarations --------------------------------------------------------
 
     def parse_struct(self, tparams, spec):
-        self.pos += 1  # struct or class
+        self.i += 1  # struct or class
         name = self.expect_ident("struct name")
         if spec.constexpr or spec.global_:
-            raise ParseError(name.loc, "invalid specifier on a struct")
+            raise self.error(name, "invalid specifier on a struct")
         for tp in tparams:
             if tp.kind != "hdc":
-                raise ParseError(tp.loc, "struct templates support only HDC parameters")
+                raise ParseError(self.lines.loc(tp.pos),
+                                 "struct templates support only HDC parameters")
         self.expect("{")
         members = []
-        while self.toks[self.pos].tag != "}":
-            members.append(self.parse_member(name.text))
+        text = self.texts[name]
+        while self.tags[self.i] != "}":
+            members.append(self.parse_member(text))
         self.expect("}")
         self.expect(";")
-        return n.StructDecl(name.text, tparams, spec, members, loc=name.loc)
+        return n.StructDecl(text, tparams, spec, members, pos=self.positions[name])
 
     def parse_member(self, owner: str):
         pragma = self.parse_pragma()
@@ -349,98 +364,97 @@ class _Parser:
                 requires = self.parse_requires_clause()
         spec, static = self.parse_specifiers()
         if spec.global_:
-            raise self.err("__global__ is not allowed on member functions")
+            raise self.error(self.i, "__global__ is not allowed on member functions")
         spec.pragma = pragma
         type_ = self.parse_type()
         name = self.expect_ident("member name")
         if self.at("="):
             if tparams or requires is not None or pragma:
-                raise ParseError(name.loc, "invalid declaration of a member constant")
+                raise self.error(name, "invalid declaration of a member constant")
             if type_.name not in ("HDC", "bool", "int") or type_.targs:
-                raise ParseError(
-                    name.loc, "member constants must have type HDC, bool, or int"
-                )
+                raise self.error(name, "member constants must have type HDC, bool, or int")
             if static is None or not spec.constexpr:
-                raise ParseError(name.loc, "member constants must be static constexpr")
+                raise self.error(name, "member constants must be static constexpr")
             if spec.host or spec.device:
-                raise ParseError(name.loc, "invalid specifier on a member constant")
-            self.pos += 1
+                raise self.error(name, "invalid specifier on a member constant")
+            self.i += 1
             value = self.parse_expr()
             self.expect(";")
-            return n.MemberVar(name.text, type_.name, value, loc=name.loc)
-        self.pos -= 1  # put the member name back for parse_function
+            return n.MemberVar(self.texts[name], type_.name, value, pos=self.positions[name])
+        self.i -= 1  # put the member name back for parse_function
         return self.parse_function(tparams, requires, spec, owner, ret=type_)
 
     def parse_function(self, tparams, requires, spec, owner, ret=None):
         if ret is None:
             ret = self.parse_type()
         name = self.expect_ident("function name")
-        loc = name.loc
+        text = self.texts[name]
         self.expect("(")
         params = []
         if not self.at(")"):
             while True:
                 ptype = self.parse_type()
                 pname = self.expect_ident("parameter name")
-                params.append(n.Param(ptype, pname.text, loc=pname.loc))
+                params.append(n.Param(ptype, self.texts[pname], pos=self.positions[pname]))
                 if not self.at(","):
                     break
-                self.pos += 1
+                self.i += 1
         self.expect(")")
         if requires is not None and not tparams:
-            raise ParseError(loc, "a requires clause needs a template header")
+            raise self.error(name, "a requires clause needs a template header")
         if spec.global_ and ret.name != "void":
-            raise ParseError(loc, "a __global__ function must return void")
-        if name.text == "main" and owner is None:
+            raise self.error(name, "a __global__ function must return void")
+        if text == "main" and owner is None:
             if tparams or not spec.undecorated or spec.constexpr:
-                raise ParseError(loc, "main takes no specifiers and no template")
+                raise self.error(name, "main takes no specifiers and no template")
             if ret.name != "int" or params:
-                raise ParseError(loc, "main must be declared as int main()")
+                raise self.error(name, "main must be declared as int main()")
         body = None
         if self.at("{"):
             body = self.parse_block()
         else:
             self.expect(";", "a function body or ';'")
         return n.FunctionDecl(
-            name.text, tparams, requires, spec, ret, params, body, owner=owner, loc=loc,
+            text, tparams, requires, spec, ret, params, body, owner=owner,
+            pos=self.positions[name],
         )
 
     # -- types ----------------------------------------------------------------
 
     def parse_type(self) -> n.TypeRef:
-        t = self.toks[self.pos]
-        if t.tag in ("void", "int", "bool", "HDC"):
-            self.pos += 1
-            return n.TypeRef(t.text, [], loc=t.loc)
+        i = self.i
+        tag = self.tags[i]
+        if tag in ("void", "int", "bool", "HDC"):
+            self.i += 1
+            return n.TypeRef(tag, [], pos=self.positions[i])
         name = self.expect_ident("type name")
         targs = self.parse_targ_list() if self.at("<") else []
-        return n.TypeRef(name.text, targs, loc=name.loc)
+        return n.TypeRef(self.texts[name], targs, pos=self.positions[name])
 
     def parse_targ_list(self) -> list:
         self.nest()
         self.expect("<")
         args = [self.parse_targ()]
         while self.at(","):
-            self.pos += 1
+            self.i += 1
             args.append(self.parse_targ())
         self.expect(">")
         self.depth -= 1
         return args
 
     def parse_targ(self):
-        t = self.toks[self.pos]
-        tag = t.tag
+        i = self.i
+        tag = self.tags[i]
         if tag == "int" or tag == "bool":
-            self.pos += 1
-            return n.TypeRef(tag, [], loc=t.loc)
-        if (t.kind == "int" or tag in ("true", "false", "!", "(")
+            self.i += 1
+            return n.TypeRef(tag, [], pos=self.positions[i])
+        if (self.kinds[i] == "int" or tag in ("true", "false", "!", "(")
                 or tag == "HDC" and self.at("::", 1) or tag == "hdc" and self.at("<", 1)):
             return self.parse_expr()
         name = self.expect_ident("template argument")
-        if self.at("<"):
-            return n.TypeRef(name.text, self.parse_targ_list(), loc=name.loc)
-        # A bare name: a type, or an HDC constant; resolution decides.
-        return n.TypeRef(name.text, [], loc=name.loc)
+        # A bare name is a type, or an HDC constant; resolution decides.
+        targs = self.parse_targ_list() if self.at("<") else []
+        return n.TypeRef(self.texts[name], targs, pos=self.positions[name])
 
     # -- statements -------------------------------------------------------------
 
@@ -448,94 +462,97 @@ class _Parser:
         self.nest()
         self.expect("{")
         stmts = []
-        while self.toks[self.pos].tag != "}":
+        while self.tags[self.i] != "}":
             stmts.append(self.parse_stmt())
         self.expect("}")
         self.depth -= 1
         return stmts
 
     def parse_stmt(self):
-        t = self.toks[self.pos]
-        tag = t.tag
+        i = self.i
+        tag = self.tags[i]
+        pos = self.positions[i]
         if tag == "return":
-            self.pos += 1
+            self.i += 1
             expr = None if self.at(";") else self.parse_expr()
             self.expect(";")
-            return n.ReturnStmt(expr, loc=t.loc)
+            return n.ReturnStmt(expr, pos=pos)
         if tag == "if":
-            self.pos += 1
+            self.i += 1
             self.expect("(")
             cond = self.parse_expr()
             self.expect(")")
             then = self.parse_block()
             orelse = None
             if self.at("else"):
-                self.pos += 1
+                self.i += 1
                 orelse = self.parse_block()
-            return n.IfStmt(cond, then, orelse, loc=t.loc)
+            return n.IfStmt(cond, then, orelse, pos=pos)
         if tag == "for":
-            return self.parse_for(t)
+            return self.parse_for(i)
         if tag == "int" or tag == "bool":
-            self.pos += 1
+            self.i += 1
             name = self.expect_ident("variable name")
             self.expect(";")
-            return n.VarDeclStmt(n.TypeRef(tag, [], loc=t.loc), name.text, loc=t.loc)
-        if t.kind == "ident" and tag not in KEYWORDS:
-            stmt = self.try_parse_ident_led_stmt(t)
+            return n.VarDeclStmt(n.TypeRef(tag, [], pos=pos), self.texts[name], pos=pos)
+        if self.kinds[i] == "ident" and tag not in KEYWORDS:
+            stmt = self.try_parse_ident_led_stmt(i)
             if stmt is not None:
                 return stmt
         expr = self.parse_expr()
         self.expect(";")
-        return n.ExprStmt(expr, loc=t.loc)
+        return n.ExprStmt(expr, pos=pos)
 
-    def parse_for(self, t):
-        self.pos += 1
+    def parse_for(self, i: int):
+        self.i += 1
         self.expect("(")
         self.expect("int")
-        var = self.expect_ident("loop variable").text
+        var = self.texts[self.expect_ident("loop variable")]
         self.expect("=")
         init = self.parse_expr()
         self.expect(";")
-        v2 = self.expect_ident("loop variable").text
+        v2 = self.texts[self.expect_ident("loop variable")]
         self.expect("<")
         bound = self.parse_expr()
         self.expect(";")
         self.expect("++")
-        v3 = self.expect_ident("loop variable").text
+        v3 = self.texts[self.expect_ident("loop variable")]
         if v2 != var or v3 != var:
-            raise ParseError(t.loc, "the loop condition and increment must use the loop variable")
+            raise self.error(i, "the loop condition and increment must use the loop variable")
         self.expect(")")
         body = self.parse_block()
-        return n.ForStmt(var, init, bound, body, loc=t.loc)
+        return n.ForStmt(var, init, bound, body, pos=self.positions[i])
 
-    def try_parse_ident_led_stmt(self, name: Token):
+    def try_parse_ident_led_stmt(self, name: int):
         """Launches and variable declarations; None means plain expression."""
-        toks = self.toks
-        start, depth = self.pos, self.depth
-        self.pos += 1
+        tags = self.tags
+        start, depth = self.i, self.depth
+        self.i += 1
         targs = []
-        if toks[self.pos].tag == "<":
+        if tags[self.i] == "<":
             try:
                 targs = self.parse_targ_list()
             except ParseError:
-                self.pos, self.depth = start, depth
+                self.i, self.depth = start, depth
                 return None
-        nxt = toks[self.pos]
-        if nxt.tag == "<<<":
-            self.pos += 1
+        nxt = self.i
+        tag = tags[nxt]
+        pos = self.positions[name]
+        if tag == "<<<":
+            self.i += 1
             grid = self.parse_expr()
             self.expect(",")
             block = self.parse_expr()
             self.expect(">>>")
             args = self.parse_call_args()
             self.expect(";")
-            return n.LaunchStmt(name.text, targs, grid, block, args, loc=name.loc)
-        if nxt.kind == "ident" and nxt.tag not in KEYWORDS:
-            self.pos += 1
+            return n.LaunchStmt(self.texts[name], targs, grid, block, args, pos=pos)
+        if self.kinds[nxt] == "ident" and tag not in KEYWORDS:
+            self.i += 1
             self.expect(";")
-            ty = n.TypeRef(name.text, targs, loc=name.loc)
-            return n.VarDeclStmt(ty, nxt.text, loc=name.loc)
-        self.pos = start
+            ty = n.TypeRef(self.texts[name], targs, pos=pos)
+            return n.VarDeclStmt(ty, self.texts[nxt], pos=pos)
+        self.i = start
         return None
 
     # -- expressions -----------------------------------------------------------
@@ -552,28 +569,31 @@ class _Parser:
         || and && are left-associative, || the loosest; a comparison binds
         tightest, takes two unary operands and does not chain.
         """
-        toks = self.toks
+        tags, positions = self.tags, self.positions
         lhs = self.parse_unary()
-        t = toks[self.pos]
-        if t.tag == "==" or t.tag == "!=":
-            self.pos += 1
-            lhs = n.BinaryExpr(t.tag, lhs, self.parse_unary(), loc=t.loc)
-            t = toks[self.pos]
-        prec = _LOGICAL_PREC.get(t.tag, 0)
+        i = self.i
+        tag = tags[i]
+        if tag == "==" or tag == "!=":
+            self.i += 1
+            lhs = n.BinaryExpr(tag, lhs, self.parse_unary(), pos=positions[i])
+            i = self.i
+            tag = tags[i]
+        prec = _LOGICAL_PREC.get(tag, 0)
         while prec >= min_prec:
-            self.pos += 1
-            lhs = n.BinaryExpr(t.tag, lhs, self.parse_binary(prec + 1), loc=t.loc)
-            t = toks[self.pos]
-            prec = _LOGICAL_PREC.get(t.tag, 0)
+            self.i += 1
+            lhs = n.BinaryExpr(tag, lhs, self.parse_binary(prec + 1), pos=positions[i])
+            i = self.i
+            tag = tags[i]
+            prec = _LOGICAL_PREC.get(tag, 0)
         return lhs
 
     def parse_unary(self):
-        t = self.toks[self.pos]
-        if t.tag != "!":
+        i = self.i
+        if self.tags[i] != "!":
             return self.parse_postfix()
         self.nest()
-        self.pos += 1
-        expr = n.UnaryExpr("!", self.parse_unary(), loc=t.loc)
+        self.i += 1
+        expr = n.UnaryExpr("!", self.parse_unary(), pos=self.positions[i])
         self.depth -= 1
         return expr
 
@@ -583,116 +603,119 @@ class _Parser:
         args = []
         if not self.at(")"):
             args.append(self.parse_expr())
-            while self.toks[self.pos].tag == ",":
-                self.pos += 1
+            while self.tags[self.i] == ",":
+                self.i += 1
                 args.append(self.parse_expr())
         self.expect(")")
         return args
 
     def _maybe_member_call(self, recv):
-        while self.toks[self.pos].tag == ".":
-            self.pos += 1
-            name = self.expect_ident("member name")
+        while self.tags[self.i] == ".":
+            self.i += 1
+            name = self.texts[self.expect_ident("member name")]
             targs = self.parse_targ_list() if self.at("<") else []
             args = self.parse_call_args()
-            recv = n.MemberCallExpr(recv, name.text, targs, args, loc=recv.loc)
+            recv = n.MemberCallExpr(recv, name, targs, args, pos=recv.pos)
         return recv
 
-    def _validate_call(self, name: str, args: list, loc: SrcLoc):
+    def _validate_call(self, name: str, args: list, i: int):
+        """Check a builtin call whose name is token i."""
         if name == "printf":
             if not args or not isinstance(args[0], n.StringLit):
-                raise ParseError(loc, "printf needs a literal format string")
+                raise self.error(i, "printf needs a literal format string")
             fmt = args[0].value
             holes = fmt.count("%")
             if fmt.count("%d") != holes:  # some % does not start a %d
-                raise ParseError(loc, "printf supports only literal text and %d")
+                raise self.error(i, "printf supports only literal text and %d")
             if holes > 1:
-                raise ParseError(loc, "printf supports at most one %d")
+                raise self.error(i, "printf supports at most one %d")
             if len(args) - 1 != holes:
-                raise ParseError(loc, "printf argument count does not match the format")
+                raise self.error(i, "printf argument count does not match the format")
         elif name in BUILTIN_ARITY and len(args) != BUILTIN_ARITY[name]:
-            raise ParseError(loc, f"{name} takes exactly {BUILTIN_ARITY[name]} argument(s)")
+            raise self.error(i, f"{name} takes exactly {BUILTIN_ARITY[name]} argument(s)")
 
     def parse_postfix(self):
-        toks = self.toks
-        t = toks[self.pos]
-        if t.kind != "ident" or t.tag in _NOT_PLAIN_NAMES:
-            node = self.parse_primary(t)
+        tags = self.tags
+        i = self.i
+        if self.kinds[i] != "ident" or tags[i] in _NOT_PLAIN_NAMES:
+            node = self.parse_primary(i)
             if node is not None:
                 return node
         # A named primary: a variable, call, temporary object, or static member.
-        self.pos += 1
-        name = t.text
-        targs = self.parse_targ_list() if toks[self.pos].tag == "<" else []
-        tag = toks[self.pos].tag
+        self.i += 1
+        name = self.texts[i]
+        pos = self.positions[i]
+        targs = self.parse_targ_list() if tags[self.i] == "<" else []
+        tag = tags[self.i]
         if tag == "(":
             args = self.parse_call_args()
-            self._validate_call(name, args, t.loc)
-            return self._maybe_member_call(n.CallExpr(name, targs, args, loc=t.loc))
+            self._validate_call(name, args, i)
+            return self._maybe_member_call(n.CallExpr(name, targs, args, pos=pos))
         if tag == "{":
-            self.pos += 1
+            self.i += 1
             self.expect("}")
-            obj = n.TempObj(n.TypeRef(name, targs, loc=t.loc), loc=t.loc)
+            obj = n.TempObj(n.TypeRef(name, targs, pos=pos), pos=pos)
             return self._maybe_member_call(obj)
         if tag == "::":
-            self.pos += 1
-            member = self.expect_ident("member name")
+            self.i += 1
+            member = self.texts[self.expect_ident("member name")]
             mtargs = self.parse_targ_list() if self.at("<") else []
-            ty = n.TypeRef(name, targs, loc=t.loc)
+            ty = n.TypeRef(name, targs, pos=pos)
             if self.at("("):
                 args = self.parse_call_args()
-                return n.StaticCallExpr(ty, member.text, mtargs, args, loc=t.loc)
-            return n.MemberConst(ty, member.text, loc=t.loc)
+                return n.StaticCallExpr(ty, member, mtargs, args, pos=pos)
+            return n.MemberConst(ty, member, pos=pos)
         if targs:
-            raise self.err(f"unexpected template arguments on {name!r}")
-        return self._maybe_member_call(n.NameRef(name, loc=t.loc))
+            raise self.error(self.i, f"unexpected template arguments on {name!r}")
+        return self._maybe_member_call(n.NameRef(name, pos=pos))
 
-    def parse_primary(self, t: Token):
-        """The literal or special primary at t, or None if t is a plain name."""
-        tag = t.tag
-        if t.kind == "int":
-            self.pos += 1
+    def parse_primary(self, i: int):
+        """The literal or special primary at token i, or None if it is a plain name."""
+        tag = self.tags[i]
+        kind = self.kinds[i]
+        pos = self.positions[i]
+        if kind == "int":
+            self.i += 1
             try:
-                value = int(t.text)
+                value = int(self.texts[i])
             except ValueError:  # more digits than int() converts
-                raise ParseError(t.loc, "integer literal is too long") from None
-            return n.IntLit(value, loc=t.loc)
-        if t.kind == "string":
-            self.pos += 1
-            return n.StringLit(t.text, loc=t.loc)
+                raise self.error(i, "integer literal is too long") from None
+            return n.IntLit(value, pos=pos)
+        if kind == "string":
+            self.i += 1
+            return n.StringLit(self.texts[i], pos=pos)
         if tag == "true" or tag == "false":
-            self.pos += 1
-            return n.BoolLit(tag == "true", loc=t.loc)
+            self.i += 1
+            return n.BoolLit(tag == "true", pos=pos)
         if tag == "(":
-            self.pos += 1
+            self.i += 1
             inner = self.parse_expr()
             self.expect(")")
             return self._maybe_member_call(inner)
         if tag == "cuda_arch":
-            self.pos += 1
-            return n.CudaArchRef(loc=t.loc)
-        nxt = self.toks[self.pos + 1].tag
+            self.i += 1
+            return n.CudaArchRef(pos=pos)
+        nxt = self.tags[i + 1]
         if tag == "HDC" and nxt == "::":
-            val = self.toks[self.pos + 2]
-            if val.tag not in HDC_VALUES:
-                raise ParseError(val.loc, f"unknown HDC value {val.text!r}")
-            self.pos += 3
-            return n.HdcLit(val.text, loc=t.loc)
+            val = i + 2
+            if self.tags[val] not in HDC_VALUES:
+                raise self.error(val, f"unknown HDC value {self.texts[val]!r}")
+            self.i += 3
+            return n.HdcLit(self.texts[val], pos=pos)
         if tag == "hdc" and nxt == "<":
-            self.pos += 2
+            self.i += 2
             ty = self.parse_type()
             self.expect(">")
-            return n.HdcTrait(ty, loc=t.loc)
+            return n.HdcTrait(ty, pos=pos)
         if tag == "std" and nxt == "::":
-            self.pos += 2
-            name = self.expect_ident("function name")
-            qual = f"std::{name.text}"
+            self.i += 2
+            qual = f"std::{self.texts[self.expect_ident('function name')]}"
             args = self.parse_call_args()
-            self._validate_call(qual, args, t.loc)
-            return n.CallExpr(qual, [], args, loc=t.loc)
-        if t.kind == "ident" and tag not in KEYWORDS:
+            self._validate_call(qual, args, i)
+            return n.CallExpr(qual, [], args, pos=pos)
+        if kind == "ident" and tag not in KEYWORDS:
             return None  # hdc or std as a plain name
-        raise _unexpected(t, "an expression")
+        raise self.unexpected(i, "an expression")
 
 
 # The precedence of each binary operator that may chain; see parse_binary.
@@ -703,7 +726,7 @@ _NOT_PLAIN_NAMES = KEYWORDS | {"cuda_arch", "hdc", "std"}
 
 
 def parse(
-    source: str | list[Token],
+    source: str | Tokens,
     file: str = "<unit>",
     specifier_mode: str = "keep",
     seen: Optional[ParsedItems] = None,
@@ -719,7 +742,7 @@ def parse(
     """
     toks = tokenize(source, file) if isinstance(source, str) else source
     seen = seen or ParsedItems()
-    if toks is not seen.tokens:  # a list that built an Ast holds no lex error
+    if toks is not seen.tokens:  # a stream that built an Ast holds no lex error
         _Parser(toks, specifier_mode).parse_unit(seen)
         seen.tokens = toks
     return seen.ast

@@ -4,15 +4,17 @@ bench/gen.py builds each unit together with its expected diagnostics and
 run outcome, without running exspace.  A change that breaks those answers
 fails here, not only in the benchmark's own `correct` check.
 """
+import gc
 import sys
 from pathlib import Path
 
 import pytest
 
-from exspace.diagnostics import format_diagnostic
+from exspace.diagnostics import SrcLoc, format_diagnostic
 from exspace.interp import run_program
 from exspace.spacecheck import Mode, analyze
-from exspace.syntax.preprocess import CompileProfile
+from exspace.syntax.lexer import tokenize
+from exspace.syntax.preprocess import CompileProfile, prepare
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "bench"))
@@ -29,3 +31,24 @@ def test_bench_unit_zero_matches_its_answer(workload):
     result = run_program(analysis)
     assert (result.exit_code, result.stdout) == (unit.run.exit_code, unit.run.stdout)
     assert [format_diagnostic(d, "machine") for d in result.notes] == unit.run.notes
+
+
+def test_the_chain_cycle_lexes_its_token_count():
+    # The benchmark's lexer.tokens is the len() of what tokenize returns,
+    # the end of input included: one stream per unit.
+    cycle = gen.make_cycle("chain", ROOT, 1)
+    assert sum(len(tokenize(prepare(u.text), u.path)) for u in cycle) == 36224
+
+
+def test_an_analysis_keeps_no_srcloc_but_its_diagnostics_locations():
+    # Nodes, demands and pending strays hold int positions; a SrcLoc is
+    # built only for a diagnostic.
+    unit = max(gen.make_cycle("chain", ROOT, 1), key=lambda u: u.fns)
+    gc.collect()
+    before = [o for o in gc.get_objects() if type(o) is SrcLoc]  # kept alive
+    analysis = analyze(unit.text, unit.path)
+    gc.collect()
+    old = set(map(id, before))
+    kept = {id(o) for o in gc.get_objects() if type(o) is SrcLoc and id(o) not in old}
+    assert analysis.all_diagnostics
+    assert kept == {id(d.loc) for d in analysis.all_diagnostics}

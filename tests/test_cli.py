@@ -249,6 +249,19 @@ def test_human_format_adds_excerpt_and_caret():
     assert lines[2] == "  ^"
 
 
+@pytest.mark.parametrize("separator", ["\f", "\v", "\x1c", "\x1d", "\x1e", "\x85",
+                                       "\u2028", "\u2029"])
+def test_human_excerpt_is_the_line_the_location_counts(tmp_path, capsys, separator):
+    # Locations count lines at "\n" alone, so a comment holding another
+    # line separator leaves the diagnostic's line where it is.
+    p = tmp_path / "s.mcu"
+    p.write_text(f"// a{separator}b\nint main() {{ return x; }}\n", encoding="utf-8")
+    main(["check", "--emit=human", str(p)])
+    out = capsys.readouterr().out.split("\n")
+    assert out[0] == f'{p}:2:21: error[E0101]: undefined name "x"'
+    assert out[1:3] == ["int main() { return x; }", " " * 20 + "^"]
+
+
 _MACHINE_RE = re.compile(
     r"^(?P<file>.+?):(?P<line>\d+):(?P<col>\d+): "
     r"(?P<sev>error|warning|note)\[(?P<code>[EWN]\d{4})\]: (?P<msg>.*)$"

@@ -1,9 +1,18 @@
-"""The scanner: what it accepts, where its tokens sit, and how it fails."""
+"""The scanner: what it accepts, where its tokens sit, and how it fails.
+
+A token stream is parallel lists; a token is an index into them, and its
+position an offset into the text that the stream's LineTable locates.
+"""
+import types
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from exspace.syntax.lexer import Token, tokenize
+from exspace import syntax
+from exspace.syntax import lexer, parser
+from exspace.syntax.lexer import pass_tokens, tokenize
 from exspace.syntax.parser import ParseError, parse
+from exspace.syntax.preprocess import CompileProfile, prepare, preprocess
 
 # Every character MiniCU uses, plus characters that probe the edges: a
 # superscript digit and a Roman numeral (numeric, not alphabetic), a
@@ -14,23 +23,39 @@ ALPHABET = (
 )
 
 
+def _tokens(toks):
+    """(kind, text, line, col) of every token of a stream."""
+    locs = [toks.lines.loc(pos) for pos in toks.positions]
+    return [(kind, text, loc.line, loc.col)
+            for kind, text, loc in zip(toks.kinds, toks.texts, locs)]
+
+
 @settings(max_examples=400, derandomize=True, database=None, deadline=None)
 @given(st.text(alphabet=ALPHABET, max_size=120))
 def test_tokens_sit_where_they_were_read(text):
     toks = tokenize(text, "t")
-    assert all(isinstance(t, Token) for t in toks)
-    assert toks[-1].kind == "eof"
-    assert [t.kind for t in toks].count("eof") == 1
+    n = len(toks)
+    assert [len(toks.kinds), len(toks.texts), len(toks.tags), len(toks.positions)] == [n] * 4
+    assert toks.ids == list(range(n))
+    assert toks.kinds[-1] == "eof"
+    assert toks.kinds.count("eof") == 1
     lines = text.split("\n")
-    assert [(t.line, t.col) for t in toks] == sorted((t.line, t.col) for t in toks)
-    for t in toks:
-        if t.kind in ("ident", "int", "punct"):
-            assert lines[t.line - 1][t.col - 1:].startswith(t.text), t
-            assert (t.loc.file, t.loc.line, t.loc.col) == ("t", t.line, t.col)
+    locs = [toks.lines.loc(pos) for pos in toks.positions]
+    assert all(loc.file == "t" for loc in locs)
+    # Offsets order exactly as (line, col) does.
+    assert toks.positions == sorted(toks.positions)
+    assert [(loc.line, loc.col) for loc in locs] == sorted((loc.line, loc.col) for loc in locs)
+    for kind, token_text, tag, pos, loc in zip(
+            toks.kinds, toks.texts, toks.tags, toks.positions, locs):
+        assert tag == (token_text if kind in ("ident", "punct") else None)
+        if kind in ("ident", "int", "punct"):
+            assert text[pos:].startswith(token_text)
+            assert lines[loc.line - 1][loc.col - 1:].startswith(token_text), loc
 
 
 def test_identifiers_start_with_a_letter_or_underscore():
-    assert [(t.kind, t.text) for t in tokenize("é1 _x2 y²")[:-1]] == [
+    toks = tokenize("é1 _x2 y²")
+    assert list(zip(toks.kinds, toks.texts))[:-1] == [
         ("ident", "é1"), ("ident", "_x2"), ("ident", "y²"),
     ]
 
@@ -48,8 +73,10 @@ def test_identifiers_start_with_a_letter_or_underscore():
 def test_lex_errors_name_the_first_bad_character(text, col, message):
     # The scan records the error as a token and goes on; a parse reports
     # the first one.
-    first = next(t for t in tokenize(text, "t") if t.kind == "error")
-    assert (first.loc.line, first.loc.col, first.text) == (1, col, message)
+    toks = tokenize(text, "t")
+    first = toks.kinds.index("error")
+    loc = toks.lines.loc(toks.positions[first])
+    assert (loc.line, loc.col, toks.texts[first]) == (1, col, message)
     with pytest.raises(ParseError) as info:
         parse(text, "t")
     assert (info.value.loc.line, info.value.loc.col) == (1, col)
@@ -58,7 +85,7 @@ def test_lex_errors_name_the_first_bad_character(text, col, message):
 
 def test_pragma_string_and_punctuators():
     toks = tokenize('#pragma hd_warning_disable\nk<<< 1, 2 >>>( "a//b" ) :: == != && || ++')
-    assert [(t.kind, t.text, t.line, t.col) for t in toks] == [
+    assert _tokens(toks) == [
         ("pragma", "hd_warning_disable", 1, 1),
         ("ident", "k", 2, 1), ("punct", "<<<", 2, 2), ("int", "1", 2, 6),
         ("punct", ",", 2, 7), ("int", "2", 2, 9), ("punct", ">>>", 2, 11),
@@ -76,6 +103,48 @@ def test_pragma_string_and_punctuators():
     ("x\r\n\t", 2, 2),
 ])
 def test_end_of_input_location(text, line, col):
-    eof = tokenize(text, "t")[-1]
-    assert (eof.kind, eof.text) == ("eof", "")
-    assert (eof.loc.line, eof.loc.col) == (line, col)
+    toks = tokenize(text, "t")
+    assert _tokens(toks)[-1] == ("eof", "", line, col)
+    assert toks.positions[-1] == len(text)
+
+
+def test_a_pass_keeps_the_tokens_of_its_lines_and_their_ids():
+    prepared = prepare("int a;\n#ifdef __CUDA_ARCH__\nint b;\n#else\nint c;\n#endif\nint d;\n")
+    toks = tokenize(prepared, "p.mcu")
+    host = pass_tokens(toks, prepared, preprocess(prepared, CompileProfile().passes()[0]))
+    assert [(text, line) for _, text, line, _ in _tokens(host)] == [
+        ("int", 1), ("a", 1), (";", 1), ("int", 5), ("c", 5), (";", 5),
+        ("int", 7), ("d", 7), (";", 7), ("", 8),
+    ]
+    # Each kept token keeps its index in the unit's stream as its id.
+    assert host.ids == [0, 1, 2, 8, 9, 10, 12, 13, 14, 15]
+    assert [toks.texts[i] for i in host.ids] == host.texts
+    assert host.lines is toks.lines
+    assert pass_tokens(toks, prepared, prepared) is toks
+
+
+@pytest.mark.parametrize("tail, eof, moved", [
+    ("#endif", (5, 1), True),  # a last line the pass blanks
+    ("#endif\n", (6, 1), False),  # an empty last line
+    ("#endif\n  ", (6, 3), False),  # a last line the pass keeps
+])
+def test_a_pass_that_blanks_the_last_line_ends_at_its_start(tail, eof, moved):
+    prepared = f"int a;\nvoid f() {{\n#ifdef __CUDA_ARCH__\n}}\n{tail}"
+    toks = tokenize(prepared, "e.mcu")
+    host = pass_tokens(toks, prepared, preprocess(prepared, CompileProfile().passes()[0]))
+    assert _tokens(host)[-1][2:] == eof
+    # A moved end of input has an id no token of the unit has.
+    assert host.ids[-1] == (len(toks) if moved else len(toks) - 1)
+
+
+def test_tokenize_and_parse_stay_public_module_functions():
+    # Tracers find the front end's entry points by these names.
+    for module, name in ((lexer, "tokenize"), (parser, "parse"), (parser, "tokenize"),
+                         (syntax, "tokenize"), (syntax, "parse")):
+        assert isinstance(vars(module)[name], types.FunctionType), (module, name)
+    assert "Token" not in syntax.__all__
+    prepared = prepare("int main() { return 0; }\n")
+    toks = tokenize(prepared, "m.mcu")
+    assert len(toks) == 10  # the end of input included
+    for mode in ("keep", "erase", "reject"):
+        assert parse(toks, "m.mcu", mode) == parse(prepared, "m.mcu", mode)

@@ -339,18 +339,20 @@ def test_closed_levels_do_not_count_toward_the_limit():
     parse("int main() {\n" + stmt * (2 * MAX_NESTING) + "return 0; }\n", "n.mcu")
 
 
-def _shape(e):
+def _shape(e, lines):
     """An expression tree as nested tuples, each operator with its column."""
     if isinstance(e, n.BinaryExpr):
-        return (e.op, e.loc.col, _shape(e.lhs), _shape(e.rhs))
+        return (e.op, lines.loc(e.pos).col, _shape(e.lhs, lines), _shape(e.rhs, lines))
     if isinstance(e, n.UnaryExpr):
-        return (e.op, e.loc.col, _shape(e.operand))
+        return (e.op, lines.loc(e.pos).col, _shape(e.operand, lines))
     return e.name
 
 
 def _return_expr(expr: str):
+    """The return expression, and the LineTable that locates its positions."""
     src = f"bool f( bool a, bool b, bool c, bool d ) {{ return {expr}; }}"
-    return parse(src, "o.mcu").items[0].body[0].expr
+    ast = parse(src, "o.mcu")
+    return ast.items[0].body[0].expr, ast.lines
 
 
 # The return expression starts at column 51.
@@ -365,7 +367,7 @@ def _return_expr(expr: str):
     ("!!a", ("!", 51, ("!", 52, "a"))),
 ])
 def test_operator_trees(expr, tree):
-    assert _shape(_return_expr(expr)) == tree
+    assert _shape(*_return_expr(expr)) == tree
 
 
 @pytest.mark.parametrize("expr, col, message", [

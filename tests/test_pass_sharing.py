@@ -152,7 +152,8 @@ def test_an_item_is_parsed_once_unless_its_tokens_differ(monkeypatch):
     parsed = []
     parse_item = parser._Parser.parse_item
     monkeypatch.setattr(parser._Parser, "parse_item",
-                        lambda self: parsed.append(self.peek().line) or parse_item(self))
+                        lambda self: parsed.append(self.lines.loc(self.positions[self.i]).line)
+                        or parse_item(self))
     split = analyze(SPLIT)
     host, device = split.passes[HOST_PASS].ast, split.passes[DEVICE_PASS].ast
     # The host pass parses all three items; the device pass only g, whose

@@ -18,7 +18,7 @@ from exspace.sema import (
     resolve_overload,
 )
 from exspace.spacecheck import Mode, analyze
-from exspace.syntax.nodes import NOLOC, HdcLit
+from exspace.syntax.nodes import NOPOS, HdcLit
 from exspace.syntax.parser import parse
 from exspace.syntax.preprocess import CompileProfile
 
@@ -251,7 +251,7 @@ __host__ __device__ void f1s() {}
 
 def _resolve_call(table, name, targs, mode=Mode.CLASSIC, side=HOST, arg_types=()):
     return resolve_overload(
-        name, table.overloads(name), targs, list(arg_types), NOLOC,
+        name, table.overloads(name), targs, list(arg_types), NOPOS,
         env={}, table=table, mode=mode, context_side=side,
     )
 
@@ -378,13 +378,13 @@ void wrap() {}
     assert diags == []
     wrap = table.overloads("wrap")[0]
     spaces = evaluate_conditional_spec(
-        wrap.spec, {"T": Type("D")}, table, NOLOC, "wrap")
+        wrap.spec, {"T": Type("D")}, table, NOPOS, "wrap")
     assert spaces is DEVICE
     assert evaluate_conditional_spec(
-        wrap.spec, {"T": Type("int")}, table, NOLOC, "wrap") is HOST
+        wrap.spec, {"T": Type("int")}, table, NOPOS, "wrap") is HOST
     with pytest.raises(SemaError) as exc:
         evaluate_conditional_spec(
-            wrap.spec, {"T": Type("HD")}, table, NOLOC, "wrap")
+            wrap.spec, {"T": Type("HD")}, table, NOPOS, "wrap")
     assert exc.value.code == "E1401"
 
 
@@ -398,11 +398,11 @@ void free_fn() {}
     s1 = table.struct("S1")
     member = s1.member_functions()[0]
     spaces = effective_spaces(member, {}, Mode.PROPOSAL2, HOST, table,
-                              NOLOC, owner_struct=s1)
+                              NOPOS, owner_struct=s1)
     assert spaces is DEVICE  # struct decoration distributes
     free = table.overloads("free_fn")[0]
-    assert effective_spaces(free, {}, Mode.PROPOSAL2, DEVICE, table, NOLOC) is DEVICE
-    assert effective_spaces(free, {}, Mode.PROPOSAL2, HOST, table, NOLOC) is HOST
+    assert effective_spaces(free, {}, Mode.PROPOSAL2, DEVICE, table, NOPOS) is DEVICE
+    assert effective_spaces(free, {}, Mode.PROPOSAL2, HOST, table, NOPOS) is HOST
 
 
 # -- memoization ----------------------------------------------------------------

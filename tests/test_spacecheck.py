@@ -441,7 +441,7 @@ int main() {
         return resolve_overload(*args, **kwargs)
 
     def count_spaces(decl, bindings, *args):
-        if args[-2] != decl.loc:  # a call site, not a root
+        if args[-2] != decl.pos:  # a call site, not a root
             spaces[args[-2], frozenset(bindings.items())] += 1
         return effective_spaces(decl, bindings, *args)
 
