@@ -21,7 +21,6 @@ def _add_common_flags(p: argparse.ArgumentParser):
     p.add_argument("--cuda-version", type=int, choices=[9, 10, 11, 12], default=12)
     p.add_argument("--relaxed-constexpr", action="store_true")
     p.add_argument("--erase-specifiers", action="store_true")
-    p.add_argument("--emit", choices=["human", "machine"], default="machine")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -40,6 +39,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--force", action="store_true",
                        help="execute even when the check reports errors")
     p_run.add_argument("path")
+
+    for p in (p_check, p_run):
+        p.add_argument("--emit", choices=["human", "machine"], default="machine")
 
     p_corpus = sub.add_parser("corpus", help="run an expected-diagnostics corpus")
     _add_common_flags(p_corpus)

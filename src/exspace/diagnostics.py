@@ -4,6 +4,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 from itertools import accumulate
 from operator import itemgetter
 
@@ -141,6 +142,7 @@ _COLORS = {
     Severity.NOTE: "\x1b[36m",
 }
 _RESET = "\x1b[0m"
+_split = lru_cache(maxsize=1)(str.split)
 
 
 def format_diagnostic(
@@ -163,8 +165,9 @@ def format_diagnostic(
     line = f"{d.loc.file}:{d.loc.line}:{d.loc.col}: {word}[{d.code}]: {d.message}"
     if style == "machine" or source is None:
         return line
-    # Lines are counted at "\n" alone, as locations count them.
-    lines = source.split("\n")
+    # Lines are counted at "\n" alone, as locations count them.  A unit's
+    # diagnostics are formatted one after another: its source splits once.
+    lines = _split(source, "\n")
     if 1 <= d.loc.line <= len(lines):
         excerpt = lines[d.loc.line - 1]
         caret = " " * (d.loc.col - 1) + "^"

@@ -57,19 +57,13 @@ class RunResult:
             raise ValueError("a UB halt always exits with the reserved code")
 
 
-@dataclass(frozen=True)
-class StructVal:
-    """A stateless struct instance; only the type tag matters."""
-
-    type: Type
-
-
 def _default_value(t: Type):
+    """int and bool start at zero; a struct value is stateless, so its Type is it."""
     if t.name == "int":
         return 0
     if t.name == "bool":
         return False
-    return StructVal(t)
+    return t
 
 
 class _Trap(Exception):
@@ -147,10 +141,8 @@ class Interpreter:
         code = 0
         try:
             value = self._body(main, [], main.decl.pos)
-            if isinstance(value, bool):
+            if isinstance(value, int):  # a bool too
                 code = int(value)
-            elif isinstance(value, int):
-                code = value
         except _Trap:
             code = ABORT_EXIT
         except Halt as h:
@@ -290,7 +282,8 @@ class Interpreter:
     def _site(self, node, inst: Instance, locals_=None):
         """What the walk recorded at node: a callee, type or value, else a UB halt.
 
-        It is also the handler of hdc< T > and T::member, hence locals_.
+        It is also the handler of a temporary, whose value is its Type, and of
+        hdc< T > and T::member, hence locals_.
         """
         recorded = inst.sites.get(id(node), "the check resolved no callee here")
         if isinstance(recorded, str):
@@ -327,9 +320,6 @@ class Interpreter:
         if e.name in locals_:
             return locals_[e.name]
         return self._site(e, inst)
-
-    def _temporary(self, e: n.TempObj, inst, locals_):
-        return StructVal(self._site(e, inst))
 
     def _not(self, e: n.UnaryExpr, inst, locals_):
         return not _EVAL[type(e.operand)](self, e.operand, inst, locals_)
@@ -391,7 +381,7 @@ _EVAL = {
     n.HdcLit: Interpreter._hdc_literal,
     n.CudaArchRef: Interpreter._cuda_arch,
     n.NameRef: Interpreter._name,
-    n.TempObj: Interpreter._temporary,
+    n.TempObj: Interpreter._site,
     n.HdcTrait: Interpreter._site,
     n.MemberConst: Interpreter._site,
     n.UnaryExpr: Interpreter._not,

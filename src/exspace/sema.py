@@ -116,15 +116,23 @@ class SymbolTable:
     structs: dict = field(default_factory=dict)
     functions: dict = field(default_factory=dict)  # name -> [FunctionDecl]
     keys: dict = field(default_factory=dict)  # id(FunctionDecl) -> its signature_key
+    # The struct names and the function names another table of the analyze
+    # answers differently (_differing); struct and overloads touch on reading one.
+    differing: tuple = field(default=((), ()), repr=False, compare=False)
+    touched: bool = field(default=False, repr=False, compare=False)
 
     def loc(self, pos: int) -> SrcLoc:
         """The SrcLoc of a position in the unit this table was resolved from."""
         return self.ast.lines.loc(pos)
 
     def struct(self, name: str) -> Optional[n.StructDecl]:
+        if name in self.differing[0]:
+            self.touched = True
         return self.structs.get(name)
 
     def overloads(self, name: str) -> list:
+        if name in self.differing[1]:
+            self.touched = True
         return self.functions.get(name, [])
 
     @staticmethod
@@ -137,6 +145,27 @@ class SymbolTable:
             if m.name == name:
                 return m
         return None
+
+
+def _differing(tables: list) -> tuple:
+    """The struct names and the function names some two tables answer with
+    different nodes, which comparing each table with the next finds; each
+    table's differing is set to them.  A resolution that read none of them
+    is the resolution over every table, since the tables of one analyze
+    share cfg and the unit loc locates in, and keys is a function of a node.
+    """
+    structs, functions = set(), set()
+    for one, other in zip(tables, tables[1:]):
+        for name in one.structs.keys() | other.structs.keys():
+            if one.structs.get(name) is not other.structs.get(name):
+                structs.add(name)
+        for name in one.functions.keys() | other.functions.keys():
+            a, b = one.functions.get(name, []), other.functions.get(name, [])
+            if len(a) != len(b) or any(x is not y for x, y in zip(a, b)):
+                functions.add(name)
+    for table in tables:
+        table.differing = (structs, functions)
+    return structs, functions
 
 
 # Node class -> the names of its compared fields, which exclude locations.
@@ -376,11 +405,15 @@ def compute_hdc(t: Type, table: SymbolTable) -> HDC:
         raise SemaError(
             "E0103", table.loc(mv.pos), f'member "hdc" of "{t.name}" is not an HDC constant'
         )
+    return _member_value(struct, mv, t, table)
+
+
+def _member_value(struct: n.StructDecl, mv: n.MemberVar, t: Type, table: SymbolTable):
+    """The value of struct's member constant mv in t; E0103 if an HDC one is not an HDC."""
     value = eval_const_expr(mv.value, struct_bindings(struct, t), table)
-    if not isinstance(value, HDC):
-        raise SemaError(
-            "E0103", table.loc(mv.pos), f'member "hdc" of "{t.name}" is not an HDC constant'
-        )
+    if mv.type_name == "HDC" and not isinstance(value, HDC):
+        raise SemaError("E0103", table.loc(mv.pos),
+                        f'member "{mv.name}" of "{t.name}" is not an HDC constant')
     return value
 
 
@@ -416,11 +449,7 @@ def eval_const_expr(expr, env: Bindings, table: SymbolTable):
         mv = SymbolTable.member_var(struct, expr.name)
         if mv is None:
             raise SubstFailure(f'"{t.name}" has no member "{expr.name}"')
-        value = eval_const_expr(mv.value, struct_bindings(struct, t), table)
-        if mv.type_name == "HDC" and not isinstance(value, HDC):
-            raise SemaError("E0103", table.loc(mv.pos),
-                            f'member "hdc" of "{t.name}" is not an HDC constant')
-        return value
+        return _member_value(struct, mv, t, table)
     if isinstance(expr, n.UnaryExpr):
         val = eval_const_expr(expr.operand, env, table)
         if not isinstance(val, bool):

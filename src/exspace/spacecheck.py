@@ -12,12 +12,13 @@ bodies what the device front end sees.
 An instance body is resolved (overloads, callee spaces, types and
 constants) once per demand in one analyze, and once per side too under
 PROPOSAL2, where those read the calling side.  The walks share the
-resolved bodies: a body resolved over one symbol table is reused over
-another when every struct and overloads read it made answers the same
-there, that is when it read no name the two tables answer differently,
-and resolved anew otherwise.  Each instance replays the resolution
-with its own side, which decides its call verdicts, the callees it
-demands and the launch and stray bookkeeping.
+resolved bodies.  Every sema call reads the walk's own SymbolTable,
+which notes a read of a name that another table of the analyze answers
+differently (sema._differing).  A body resolved over one table is reused
+over another when it read no such name, and resolved anew otherwise.
+Each instance replays the resolution with its own side, which decides
+its call verdicts, the callees it demands and the launch and stray
+bookkeeping.
 """
 from __future__ import annotations
 
@@ -38,6 +39,7 @@ from .sema import (  # Mode is re-exported from here
     SymbolTable,
     TraitConfig,
     Type,
+    _differing,
     builtin_spaces,
     compute_hdc,
     declared_spaces,
@@ -183,59 +185,6 @@ class _Pending:
     pos: int
 
 
-class _Reads:
-    """A walk's symbol table as its body resolutions read it.
-
-    A resolution reads its table through struct, overloads and cfg, and
-    the demands it numbers read keys.  cfg is the same in every table of
-    one analyze, and so is loc, which locates a failure in the unit; keys
-    is a function of the declaration node.  So a
-    body resolved over one table is the resolution over another when each
-    struct and overloads read it made answers alike in both: with the same
-    struct node, and the same overload nodes in the same order.  differing
-    holds the struct names and the function names some two tables of the
-    analyze answer differently (see _differing), and touched records
-    whether the body being resolved read one of them.
-    """
-
-    __slots__ = ("table", "cfg", "loc", "differing", "touched")
-
-    def __init__(self, table: SymbolTable, differing: tuple):
-        self.table = table
-        self.cfg = table.cfg
-        self.loc = table.loc
-        self.differing = differing
-        self.touched = False
-
-    def struct(self, name: str) -> Optional[n.StructDecl]:
-        if name in self.differing[0]:
-            self.touched = True
-        return self.table.struct(name)
-
-    def overloads(self, name: str) -> list:
-        if name in self.differing[1]:
-            self.touched = True
-        return self.table.overloads(name)
-
-
-def _differing(tables: list) -> tuple:
-    """The struct names and the function names some two tables answer differently.
-
-    Answers are compared by node identity, so comparing each table with
-    the next covers every pair.
-    """
-    structs, functions = set(), set()
-    for one, other in zip(tables, tables[1:]):
-        for name in one.structs.keys() | other.structs.keys():
-            if one.struct(name) is not other.struct(name):
-                structs.add(name)
-        for name in one.functions.keys() | other.functions.keys():
-            a, b = one.overloads(name), other.overloads(name)
-            if len(a) != len(b) or any(x is not y for x, y in zip(a, b)):
-                functions.add(name)
-    return structs, functions
-
-
 class _Body:
     """One instance body, resolved once per demand in one analyze.
 
@@ -274,8 +223,7 @@ class _Walk:
     """
 
     def __init__(self, table: SymbolTable, natives: tuple,
-                 mode: Mode, profile: CompileProfile, interned: dict, bodies: dict,
-                 differing: tuple):
+                 mode: Mode, profile: CompileProfile, interned: dict, bodies: dict):
         self.table = table
         self.natives = natives
         # The sides the nvcc instantiation adds a called host-device template
@@ -290,7 +238,6 @@ class _Walk:
         self.profile = profile
         self.interned = interned  # (signature key, bindings, owner type) -> demand
         self.bodies = bodies  # demand (and side, under PROPOSAL2) -> the latest _Body
-        self.reads = _Reads(table, differing)  # the table every resolution reads
         self.diags: list[Diagnostic] = []
         self.pending: list[_Pending] = []
         self.instances: dict[tuple, Instance] = {}
@@ -376,7 +323,7 @@ class _Walk:
         return self._sema(
             body, node, "unresolvable execution space: ",
             ("E0001", pos, "specifier predicate is not a constant"),
-            effective_spaces, decl, bindings, self.mode, side, self.reads, pos, owner_struct,
+            effective_spaces, decl, bindings, self.mode, side, self.table, pos, owner_struct,
         )
 
     # -- instantiation ---------------------------------------------------------
@@ -429,8 +376,8 @@ class _Walk:
         A body is resolved for the first instance of its demand in the
         analyze (for each side under PROPOSAL2).  It is resolved anew when
         the declaration differs, as for a duplicate definition or an item
-        this walk's pass parsed anew, or when this walk's table answers one
-        of the reads it was resolved with differently.
+        this walk's pass parsed anew, or when it was resolved over another
+        table and read a name the tables answer differently (touched it).
         """
         key = inst.key if self.mode is Mode.PROPOSAL2 else inst.key[0]
         body = self.bodies.get(key)
@@ -446,19 +393,19 @@ class _Walk:
 
     def _resolve_body(self, inst: Instance) -> _Body:
         body = _Body(inst, self.table)
-        self.reads.touched = False
+        self.table.touched = False
         locals_: dict[str, Optional[Type]] = {}
         for p in inst.decl.params:
             locals_[p.name] = self._resolve_type_soft(body, p.type, p.pos)
         self._walk_stmts(body, inst.decl.body, locals_)
-        body.portable = not self.reads.touched
+        body.portable = not self.table.touched
         return body
 
     def _resolve_type_soft(self, body, tref: n.TypeRef, pos, node=None) -> Optional[Type]:
         return self._sema(
             body, node, "unresolvable type: ",
             ("E0101", pos, f'"{tref.name}" does not name a type here'),
-            resolve_type, tref, body.env, self.reads,
+            resolve_type, tref, body.env, self.table,
         )
 
     def _walk_stmts(self, body, stmts, locals_):
@@ -489,7 +436,7 @@ class _Walk:
         self._walk_expr(body, s.block, locals_)
         arg_types = [self._walk_expr(body, a, locals_) for a in s.args]
         body.events.append((_Walk._launch_from, s))
-        candidates = self.reads.overloads(s.name)
+        candidates = self.table.overloads(s.name)
         if not candidates:
             body.sites[id(s)] = f'no kernel named "{s.name}"'
             return  # E0101 was already reported by resolve
@@ -508,10 +455,9 @@ class _Walk:
                 context_side, owner_struct=None, owner_bindings=None) -> Optional[Selected]:
         """The selected candidate; the replay records the callee at node."""
         return self._sema(
-            body, node, "unresolvable call: ",
-            ("E1301", node.pos, f'no viable candidate for call to "{name}"'),
+            body, node, "unresolvable call: ", None,  # it raises SemaErrors alone
             resolve_overload, name, candidates, node.targs, arg_types, node.pos,
-            env=body.env, table=self.reads, mode=self.mode, context_side=context_side,
+            env=body.env, table=self.table, mode=self.mode, context_side=context_side,
             owner_struct=owner_struct, owner_bindings=owner_bindings,
         )
 
@@ -541,10 +487,10 @@ class _Walk:
         if isinstance(e, n.HdcTrait):
             t = self._resolve_type_soft(body, e.type, e.pos, e)
             if t is not None:
-                self._sema(body, e, "", ("E0101", e.pos, None), compute_hdc, t, self.reads)
+                self._sema(body, e, "", ("E0101", e.pos, None), compute_hdc, t, self.table)
             return None
         if isinstance(e, n.MemberConst):
-            self._sema(body, e, "", ("E0101", e.pos, None), eval_const_expr, e, body.env, self.reads)
+            self._sema(body, e, "", ("E0101", e.pos, None), eval_const_expr, e, body.env, self.table)
             return None
         if isinstance(e, n.UnaryExpr):
             self._walk_expr(body, e.operand, locals_)
@@ -563,7 +509,7 @@ class _Walk:
 
     def _walk_free_call(self, body, e: n.CallExpr, locals_):
         arg_types = [self._walk_expr(body, a, locals_) for a in e.args]
-        candidates = self.reads.overloads(e.name)
+        candidates = self.table.overloads(e.name)
         if not candidates:
             spaces = builtin_spaces(e.name, self.profile)
             if spaces is None:  # resolve reported the E0101
@@ -605,7 +551,7 @@ class _Walk:
         return None
 
     def _member_dispatch(self, body, node, recv_type: Type, arg_types):
-        struct = self.reads.struct(recv_type.name)
+        struct = self.table.struct(recv_type.name)
         candidates = [] if struct is None else SymbolTable.member_functions(struct, node.name)
         if not candidates:
             missing = f'type "{recv_type.display()}" has no member "{node.name}"'
@@ -841,9 +787,9 @@ def analyze(
         tables.setdefault(id(art.table), (art, []))[1].append(_PASS_SIDE[kind])
     interned: dict = {}  # demand numbers, one table per analyze so the walks agree
     bodies: dict = {}  # the resolved bodies, reused across the walks (_Walk._walk_instance)
-    differing = _differing([art.table for art, _ in tables.values()])
+    _differing([art.table for art, _ in tables.values()])
     for art, sides in tables.values():
-        walk = _Walk(art.table, tuple(sides), mode, profile, interned, bodies, differing)
+        walk = _Walk(art.table, tuple(sides), mode, profile, interned, bodies)
         walk.run()
         analysis.walks.update(dict.fromkeys(sides, walk))
         if mode is Mode.FIDELITY and sides == [HOST]:

@@ -262,6 +262,48 @@ def test_human_excerpt_is_the_line_the_location_counts(tmp_path, capsys, separat
     assert out[1:3] == ["int main() { return x; }", " " * 20 + "^"]
 
 
+_SEVERAL = """struct D { __device__ int call() { return 2; } };
+int main() {
+  D{}.call();
+  gone();
+  return x;
+}
+"""
+_ONE = "__device__ void d() {}\nint main() {\n    d();\n  return 0;\n}\n"
+_STRAY = "error[E1001]: calling a device function from a host function is not allowed"
+
+
+def test_human_format_of_several_units_and_diagnostics(tmp_path, capsys, monkeypatch):
+    # Each excerpt is its own unit's line, though a unit's source is split
+    # once for all its diagnostics.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "a.mcu").write_text(_SEVERAL)
+    (tmp_path / "b.mcu").write_text(_ONE)
+    assert main(["check", "--emit=human", "a.mcu", "b.mcu"]) == 1
+    several = [
+        f"a.mcu:3:3: {_STRAY}", "  D{}.call();", "  ^",
+        'a.mcu:4:3: error[E0101]: undefined name "gone"', "  gone();", "  ^",
+        'a.mcu:5:10: error[E0101]: undefined name "x"', "  return x;", "         ^",
+    ]
+    one = [f"b.mcu:3:5: {_STRAY}", "    d();", "    ^"]
+    assert capsys.readouterr().out.splitlines() == several + one
+    assert main(["run", "--force", "--emit=human", "a.mcu"]) == 101
+    assert capsys.readouterr().out.splitlines() == several + [
+        'a.mcu:3:3: note[N0001]: execution halted on a stray call: '
+        '"D::call" is not compiled for host code', "  D{}.call();", "  ^",
+    ]
+
+
+def test_emit_belongs_to_check_and_run_alone(tmp_path, capsys):
+    (tmp_path / "a.mcu").write_text(_ONE)
+    assert main(["check", "--emit=machine", str(tmp_path / "a.mcu")]) == 1
+    assert main(["run", "--emit=machine", str(tmp_path / "a.mcu")]) == 1
+    with pytest.raises(SystemExit) as exc:
+        main(["corpus", "--emit=human", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --emit=human" in capsys.readouterr().err
+
+
 _MACHINE_RE = re.compile(
     r"^(?P<file>.+?):(?P<line>\d+):(?P<col>\d+): "
     r"(?P<sev>error|warning|note)\[(?P<code>[EWN]\d{4})\]: (?P<msg>.*)$"

@@ -533,6 +533,46 @@ int main() {
     assert result.notes[0].message == f"execution halted on a stray call: {message}"
 
 
+_STRUCT_VALUES = """struct S {};
+struct T {};
+template< HDC H > struct R {};
+__global__ void k() {}
+int main() {
+  printf( "%d", S{} == S{} );
+  printf( "%d", S{} == T{} );
+  printf( "%d", S{} != T{} );
+  printf( "%d", R< HDC::Dev >{} == R< HDC::Dev >{} );
+  printf( "%d", R< HDC::Dev >{} == R< HDC::Hst >{} );
+  printf( "%d", !S{} );
+  printf( "%d", S{} && T{} );
+  printf( "%d", S{} == 0 );
+  S x;
+  if( x == S{} ) { printf( "=" ); }
+  if( x ) { printf( "t" ); }
+  STATEMENT
+}
+"""
+
+
+@pytest.mark.parametrize("statement, exit_code, note", [
+    pytest.param("return S{};", 0, None, id="main-returns-a-struct"),
+    pytest.param('printf( "%d", x );', UB_EXIT,
+                 "the %d argument of printf must be integral", id="printf"),
+    pytest.param("k<<< S{}, 1 >>>();", UB_EXIT,
+                 "the launch configuration must be integral", id="launch"),
+])
+def test_a_struct_value_compares_by_type_and_is_no_integer(statement, exit_code, note):
+    # A struct value equals a value of the same struct type only, is true,
+    # and is no integer: not an exit code, a %d argument or a launch size.
+    analysis = analyze(_STRUCT_VALUES.replace("STATEMENT", statement), "v.mcu")
+    assert analysis.diagnostics == []
+    result = run_program(analysis)
+    assert result.exit_code == exit_code
+    assert result.stdout == b"10110010=t"
+    want = [] if note is None else [("N0001", 17, f"execution halted on a stray call: {note}")]
+    assert [(d.code, d.loc.line, d.message) for d in result.notes] == want
+
+
 # Resolution and compile-time evaluation belong to the check; the
 # interpreter only reads what the walk recorded.
 _CHECK_ONLY_NAMES = {

@@ -281,6 +281,29 @@ def test_a_struct_kept_in_one_pass_and_dropped_in_the_other():
     assert run_program(sound).exit_code == 2
 
 
+_DIFFERING_UNIT = """struct A {};
+int main() { return 0; }
+static_assert( true );
+#ifdef __CUDA_ARCH__
+struct B { static constexpr HDC hdc = HDC::Dev; };
+__device__ void only_device() {}
+#else
+struct B {};
+#endif
+"""
+
+
+def test_the_names_two_tables_answer_differently():
+    analysis = analyze(_DIFFERING_UNIT)
+    host, device = analysis.passes[HOST_PASS].table, analysis.passes[DEVICE_PASS].table
+    # A and main are one node in both tables; B is parsed anew in each pass.
+    assert host.struct("A") is device.struct("A")
+    assert host.overloads("main")[0] is device.overloads("main")[0]
+    assert spacecheck._differing([host, device]) == ({"B"}, {"only_device"})
+    assert spacecheck._differing([host, host]) == (set(), set())
+    assert spacecheck._differing([host]) == (set(), set())
+
+
 def test_a_body_is_resolved_once_per_analyze_unless_a_read_differs(monkeypatch):
     # A fanout unit's pass texts always differ, so each pass has a table
     # and a walk of its own; most bodies are the same node with the same

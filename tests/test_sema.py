@@ -228,6 +228,24 @@ def test_hdc_member_of_wrong_type_is_an_error():
     assert exc.value.code == "E0103"
 
 
+@pytest.mark.parametrize(
+    "member, assertion",
+    [
+        pytest.param("HDC hdc = true", "hdc< S > == HDC::Hst", id="trait"),
+        pytest.param("bool hdc = true", "hdc< S > == HDC::Hst", id="trait-of-bool-member"),
+        pytest.param("HDC hdc = true", "S::hdc == HDC::Hst", id="member-hdc"),
+        pytest.param("HDC mode = true", "S::mode == HDC::Hst", id="member-mode"),
+    ],
+)
+def test_e0103_names_the_member_that_is_not_an_hdc_constant(member, assertion):
+    name = member.split()[1]
+    src = f"struct S {{ static constexpr {member}; }};\nstatic_assert( {assertion} );\n"
+    diags = analyze(src, "t.mcu").diagnostics
+    assert [(d.code, d.loc.line, d.loc.col, d.message) for d in diags] == [
+        ("E0103", 1, src.index(f"{name} =") + 1, f'member "{name}" of "S" is not an HDC constant')
+    ]
+
+
 def test_hdc_member_bound_through_struct_parameter():
     table = _table("template< HDC x > struct S1 { static constexpr HDC hdc = x; };")
     assert compute_hdc(Type("S1", (HDC.Dev,)), table) is HDC.Dev
