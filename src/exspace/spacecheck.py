@@ -19,6 +19,16 @@ over another when it read no such name, and resolved anew otherwise.
 Each instance replays the resolution with its own side, which decides
 its call verdicts, the callees it demands and the launch and stray
 bookkeeping.
+
+A call without explicit template arguments is resolved once per walk:
+it resolves alike wherever it has the same callee set, the same argument
+types and, under PROPOSAL2, the same calling side.  The walk keys it by
+("member", receiver Type, name, *argument types) for a member or static
+call and ("free", name, *argument types) for a free call, adding the
+calling side under PROPOSAL2, and replays the first such call's outcome
+at every equal call.  A failure carries its site's position, so failing
+calls, and calls with explicit template arguments, which resolve in the
+body's bindings, are resolved at each site.
 """
 from __future__ import annotations
 
@@ -156,9 +166,10 @@ class Instance:
     # with code on the instance's side to None.  TempObj and VarDeclStmt map
     # to their Type, HdcTrait and MemberConst to their value, and a NameRef
     # that is not a local to the value of its template parameter.  Entries
-    # no side decides are copied from the body's resolution; call, builtin
-    # and launch entries come from this instance's replay.  Recursion makes
-    # this cyclic, so it stays out of repr and equality.
+    # no side decides are copied from the body's resolution, and so is the
+    # reason at a call or launch whose resolution failed; other call,
+    # builtin and launch entries come from this instance's replay.
+    # Recursion makes this cyclic, so it stays out of repr and equality.
     sites: dict = field(default_factory=dict, repr=False, compare=False)
 
     def display(self) -> str:
@@ -211,7 +222,7 @@ class _Body:
 
 
 def _bindings_key(bindings: dict) -> tuple:
-    return tuple(sorted(bindings.items(), key=lambda kv: kv[0]))
+    return tuple(sorted(bindings.items()))  # the names are distinct
 
 
 class _Walk:
@@ -219,7 +230,10 @@ class _Walk:
 
     natives are the sides of the passes that share the table.  The walks
     of one analyze share the interned demands and the resolved bodies;
-    each instance replays its body's resolution with its own side.
+    each instance replays its body's resolution with its own side.  calls
+    holds the outcome of each call resolved once per walk (_resolve_call),
+    keyed by its callee set and argument types, and by its calling side
+    under PROPOSAL2; failing calls are resolved at each site.
     """
 
     def __init__(self, table: SymbolTable, natives: tuple,
@@ -238,6 +252,8 @@ class _Walk:
         self.profile = profile
         self.interned = interned  # (signature key, bindings, owner type) -> demand
         self.bodies = bodies  # demand (and side, under PROPOSAL2) -> the latest _Body
+        # call key -> (the tail of its _call event, whether it touched the table)
+        self.calls: dict = {}
         self.diags: list[Diagnostic] = []
         self.pending: list[_Pending] = []
         self.instances: dict[tuple, Instance] = {}
@@ -301,12 +317,12 @@ class _Walk:
         A SemaError is reported as it is; a SubstFailure as the (code,
         position, message) diagnostic failure names, where a None message is
         the failure's own text.  The diagnostic goes into body's events, or the
-        walk's diagnostics without a body.  Given node, the value, or the
-        reason a run halts there (halt followed by the failure), goes into
-        body's site entries.
+        walk's diagnostics without a body.  Given node, the reason a run
+        halts there (halt followed by the failure) goes into body's site
+        entries; a site that records a value records it itself.
         """
         try:
-            value = recorded = fn(*args, **kwargs)
+            return fn(*args, **kwargs)
         except (SemaError, SubstFailure) as err:
             out = self.diags if body is None else body.events
             if isinstance(err, SemaError):
@@ -314,10 +330,9 @@ class _Walk:
             else:
                 code, pos, message = failure
                 self._emit(out, code, pos, message or str(err))
-            value, recorded = None, f"{halt}{err}"
-        if node is not None:
-            body.sites[id(node)] = recorded
-        return value
+            if node is not None:
+                body.sites[id(node)] = f"{halt}{err}"
+            return None
 
     def _spaces(self, decl, bindings, side, owner_struct, pos, body=None, node=None):
         return self._sema(
@@ -402,11 +417,14 @@ class _Walk:
         return body
 
     def _resolve_type_soft(self, body, tref: n.TypeRef, pos, node=None) -> Optional[Type]:
-        return self._sema(
+        t = self._sema(
             body, node, "unresolvable type: ",
             ("E0101", pos, f'"{tref.name}" does not name a type here'),
             resolve_type, tref, body.env, self.table,
         )
+        if node is not None and t is not None:
+            body.sites[id(node)] = t
+        return t
 
     def _walk_stmts(self, body, stmts, locals_):
         for s in stmts:
@@ -453,7 +471,10 @@ class _Walk:
 
     def _select(self, body, node, name, candidates, arg_types, *,
                 context_side, owner_struct=None, owner_bindings=None) -> Optional[Selected]:
-        """The selected candidate; the replay records the callee at node."""
+        """The selected candidate; the replay records the callee at node.
+
+        A failure records the reason a run halts at node.
+        """
         return self._sema(
             body, node, "unresolvable call: ", None,  # it raises SemaErrors alone
             resolve_overload, name, candidates, node.targs, arg_types, node.pos,
@@ -487,10 +508,10 @@ class _Walk:
         if isinstance(e, n.HdcTrait):
             t = self._resolve_type_soft(body, e.type, e.pos, e)
             if t is not None:
-                self._sema(body, e, "", ("E0101", e.pos, None), compute_hdc, t, self.table)
+                self._constant(body, e, compute_hdc, t, self.table)
             return None
         if isinstance(e, n.MemberConst):
-            self._sema(body, e, "", ("E0101", e.pos, None), eval_const_expr, e, body.env, self.table)
+            self._constant(body, e, eval_const_expr, e, body.env, self.table)
             return None
         if isinstance(e, n.UnaryExpr):
             self._walk_expr(body, e.operand, locals_)
@@ -507,6 +528,12 @@ class _Walk:
             return self._walk_static_call(body, e, locals_)
         raise TypeError(f"unknown expression {e!r}")
 
+    def _constant(self, body, e, fn, *args):
+        """Record at e the compile-time value fn(*args), or why a run halts there."""
+        value = self._sema(body, e, "", ("E0101", e.pos, None), fn, *args)
+        if value is not None:
+            body.sites[id(e)] = value
+
     def _walk_free_call(self, body, e: n.CallExpr, locals_):
         arg_types = [self._walk_expr(body, a, locals_) for a in e.args]
         candidates = self.table.overloads(e.name)
@@ -517,10 +544,14 @@ class _Walk:
                 return None
             body.events.append((_Walk._builtin, e, spaces))
             return Type("int") if e.name == "cudaDeviceSynchronize" else None
+        self._resolve_call(body, e, ("free", e.name, *arg_types),
+                           self._free_dispatch, candidates, arg_types)
+        return None
+
+    def _free_dispatch(self, body, e: n.CallExpr, candidates, arg_types):
         sel = self._select(body, e, e.name, candidates, arg_types, context_side=body.side)
         if sel is not None:
             self._dispatch(body, e, sel)
-        return None
 
     def _receiver_type(self, body, recv, locals_) -> Optional[Type]:
         t = self._walk_expr(body, recv, locals_)
@@ -539,7 +570,8 @@ class _Walk:
         if recv_type is None:
             body.sites[id(e)] = "a member call needs a struct value"
             return None
-        self._member_dispatch(body, e, recv_type, arg_types)
+        self._resolve_call(body, e, ("member", recv_type, e.name, *arg_types),
+                           self._member_dispatch, recv_type, arg_types)
         return None
 
     def _walk_static_call(self, body, e: n.StaticCallExpr, locals_):
@@ -547,8 +579,40 @@ class _Walk:
         t = self._resolve_type_soft(body, e.type, e.pos)
         if t is None:
             return None
-        self._member_dispatch(body, e, t, arg_types)
+        self._resolve_call(body, e, ("member", t, e.name, *arg_types),
+                           self._member_dispatch, t, arg_types)
         return None
+
+    def _resolve_call(self, body, node, key, resolve, *args):
+        """resolve(body, node, *args), once per walk for each key.
+
+        Without explicit template arguments, the calls of one key resolve
+        alike: the first records the tail of its _call event, and whether
+        its reads touched the table, and each later one appends that event
+        at its own node.  A call that appends anything else, a diagnostic
+        above all, records nothing, so its failures are reported at each
+        site.
+        """
+        if node.targs:  # resolved in body.env
+            resolve(body, node, *args)
+            return
+        if self.mode is Mode.PROPOSAL2:
+            key += (body.side,)
+        table = self.table
+        hit = self.calls.get(key)
+        if hit is not None:
+            tail, touched = hit
+            body.events.append((_Walk._call, node, *tail))
+            table.touched |= touched
+            return
+        touched, table.touched = table.touched, False
+        start = len(body.events)
+        resolve(body, node, *args)
+        if len(body.events) == start + 1:
+            event = body.events[start]
+            if type(event) is tuple and event[0] is _Walk._call:
+                self.calls[key] = (event[2:], table.touched)
+        table.touched |= touched
 
     def _member_dispatch(self, body, node, recv_type: Type, arg_types):
         struct = self.table.struct(recv_type.name)
@@ -635,6 +699,8 @@ class _Walk:
             and (sel.decl.is_template or owner_type is not None)
         ):
             for side in self.nvcc_sides:
+                if side is demanded_side:
+                    continue  # demanded above
                 self._instantiate(
                     demand, sel.decl, sel.bindings, side, spaces, owner_bindings, owner_type, pos,
                 )

@@ -40,6 +40,24 @@ def test_the_chain_cycle_lexes_its_token_count():
     assert sum(len(tokenize(prepare(u.text), u.path)) for u in cycle) == 36224
 
 
+def test_the_chain_cycle_resolves_each_distinct_call_once_per_walk(monkeypatch):
+    # The benchmark's spacecheck.overload.calls: a chain function's
+    # T{}.call() sites repeat a few distinct calls.
+    from exspace import spacecheck
+
+    resolved = []
+    resolve_overload = spacecheck.resolve_overload
+
+    def counting(*args, **kwargs):
+        resolved.append(args[0])
+        return resolve_overload(*args, **kwargs)
+
+    monkeypatch.setattr(spacecheck, "resolve_overload", counting)
+    for unit in gen.make_cycle("chain", ROOT, 1):
+        analyze(unit.text, unit.path, CompileProfile(), Mode(unit.mode))
+    assert len(resolved) == 1937
+
+
 def test_an_analysis_keeps_no_srcloc_but_its_diagnostics_locations():
     # Nodes, demands and pending strays hold int positions; a SrcLoc is
     # built only for a diagnostic.

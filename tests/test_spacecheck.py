@@ -475,6 +475,119 @@ int main() {
     assert compared
 
 
+def _count_overloads(monkeypatch) -> list:
+    calls = []  # the position of each resolution
+    resolve_overload = spacecheck.resolve_overload
+
+    def counting(*args, **kwargs):
+        calls.append(args[4])
+        return resolve_overload(*args, **kwargs)
+
+    monkeypatch.setattr(spacecheck, "resolve_overload", counting)
+    return calls
+
+
+@pytest.mark.parametrize("mode", [Mode.CLASSIC, Mode.SOUND, Mode.PROPOSAL2])
+def test_an_equal_call_is_resolved_once_per_walk(monkeypatch, mode):
+    # Each of the N bodies calls T{}.call() on S: one member call, resolved
+    # at its first site alone, though every site records its own callee.
+    count = 12
+    fns = "".join(
+        f"template< typename T > __host__ __device__ int f{i}() {{ return T{{}}.call(); }}\n"
+        for i in range(count)
+    )
+    calls = "".join(f"f{i}< S >(); " for i in range(count))
+    src = (f"struct S {{ __host__ __device__ int call() {{ return 1; }} }};\n{fns}"
+           f"__global__ void k() {{ {calls}}}\n"
+           f"int main() {{ {calls}k<<< 1, 1 >>>(); return cudaDeviceSynchronize(); }}\n")
+    resolved = _count_overloads(monkeypatch)
+    analysis = analyze(src, "n.mcu", NVCC, mode)
+    assert analysis.diagnostics == []
+    walk = analysis.walks[HOST]
+    assert walk is analysis.walks[DEVICE]  # one text, one walk
+    # the N explicit calls of main and of k, the launch, and the member
+    # call once (once per side under PROPOSAL2, whose key holds the side)
+    assert len(resolved) == 2 * count + 1 + (2 if mode is Mode.PROPOSAL2 else 1)
+    sites = [(x, inst) for inst in walk.instances.values() if inst.decl.body is not None
+             for x in n.walk(inst.decl.body) if isinstance(x, n.MemberCallExpr)]
+    assert len({id(x) for x, _ in sites}) == count
+    callees = {inst.sites[id(x)].key for x, inst in sites}
+    assert len(callees) == 2  # S::call on the host and on the device
+    assert run_program(analysis).exit_code == 0
+
+
+_TOUCHED_THROUGH_A_HIT = """#ifdef __CUDA_ARCH__
+struct S { __device__ void f() {} };
+#else
+struct S { __host__ void f() {} };
+#endif
+template< typename T > __host__ __device__ void a() { T{}.f(); }
+template< typename T > __host__ __device__ void b() { T{}.f(); }
+__global__ void k() { a< S >(); b< S >(); }
+int main() { a< S >(); b< S >(); k<<< 1, 1 >>>(); return cudaDeviceSynchronize(); }
+"""
+
+
+@pytest.mark.parametrize("mode", [Mode.CLASSIC, Mode.SOUND])
+def test_a_call_resolved_once_keeps_its_body_from_other_tables(mode):
+    # S differs between the passes, so b< S >'s body, whose S::f call
+    # repeats a< S >'s, read a differing name: the device walk must resolve
+    # it again over its own S rather than reuse the host's S::f.
+    analysis = analyze(_TOUCHED_THROUGH_A_HIT, "t.mcu", NVCC, mode)
+    assert analysis.walks[HOST] is not analysis.walks[DEVICE]
+    assert analysis.all_diagnostics == []
+    result = run_program(analysis)
+    assert (result.exit_code, result.notes) == (0, [])
+
+
+def test_proposal2_resolves_an_equal_call_once_per_calling_side():
+    # S::g is undecorated, so under propagation it takes the calling side:
+    # the device and host sites must not share one resolution.
+    src = """struct S { void g() {} };
+__device__ void d() { S{}.g(); }
+void h() { S{}.g(); }
+__global__ void k() { d(); }
+int main() { h(); k<<< 1, 1 >>>(); return cudaDeviceSynchronize(); }
+"""
+    analysis = analyze(src, "p.mcu", NVCC, Mode.PROPOSAL2)
+    assert analysis.all_diagnostics == []
+    result = run_program(analysis)
+    assert (result.exit_code, result.notes) == (0, [])
+
+
+def test_a_failing_call_is_resolved_and_reported_at_each_site(monkeypatch):
+    src = """struct S { void f( int x ) {} };
+void h() {
+  S{}.f();
+  S{}.f();
+  S{}.g();
+  S{}.g();
+  S{}.f( 1 );
+  S{}.f( 1 );
+}
+int main() { h(); return 0; }
+"""
+    resolved = _count_overloads(monkeypatch)
+    analysis = analyze(src, "f.mcu")
+    assert [(d.code, str(d.loc)) for d in analysis.all_diagnostics] == [
+        ("E1301", "f.mcu:3:3"), ("E1301", "f.mcu:4:3"),
+        ("E0101", "f.mcu:5:3"), ("E0101", "f.mcu:6:3"),
+    ]
+    assert len(resolved) == 2 + 1 + 1  # each S::f() site, one S::f( 1 ), main's h()
+    # A body records a call site only where its resolution failed, with
+    # that site's own reason; a resolved site's entry comes from the replay.
+    walk = analysis.walks[HOST]
+    h = next(i for i in walk.instances.values() if i.decl.name == "h")
+    sites = [x for x in n.walk(h.decl.body) if isinstance(x, n.MemberCallExpr)]
+    body = walk.bodies[h.key[0]]
+    assert [body.sites.get(id(x)) for x in sites] == [
+        'unresolvable call: E1301 f.mcu:3:3: no viable candidate for call to "S::f"',
+        'unresolvable call: E1301 f.mcu:4:3: no viable candidate for call to "S::f"',
+        'type "S" has no member "g"', 'type "S" has no member "g"', None, None,
+    ]
+    assert [h.sites[id(x)].decl.name for x in sites[4:]] == ["f", "f"]
+
+
 def test_fidelity_still_reports_host_pass_hard_errors():
     src = """int main() {
   #ifndef __CUDA_ARCH__
