@@ -9,26 +9,14 @@ contain the caller's side.  That split reproduces the real two-step
 compilation: host-side bodies are what the host compiler sees, device-side
 bodies what the device front end sees.
 
-An instance body is resolved (overloads, callee spaces, types and
-constants) once per demand in one analyze, and once per side too under
-PROPOSAL2, where those read the calling side.  The walks share the
-resolved bodies.  Every sema call reads the walk's own SymbolTable,
+Each instance's body is walked with its own bindings and side, which
+decide its site entries, call verdicts, the callees it demands and the
+launch and stray bookkeeping.  One call memo per analyze, shared by its
+walks, holds each call that resolved (_Walk._resolve_call), so an equal
+call is resolved once.  Every sema call reads the walk's own SymbolTable,
 which notes a read of a name that another table of the analyze answers
-differently (sema._differing).  A body resolved over one table is reused
-over another when it read no such name, and resolved anew otherwise.
-Each instance replays the resolution with its own side, which decides
-its call verdicts, the callees it demands and the launch and stray
-bookkeeping.
-
-A call without explicit template arguments is resolved once per walk:
-it resolves alike wherever it has the same callee set, the same argument
-types and, under PROPOSAL2, the same calling side.  The walk keys it by
-("member", receiver Type, name, *argument types) for a member or static
-call and ("free", name, *argument types) for a free call, adding the
-calling side under PROPOSAL2, and replays the first such call's outcome
-at every equal call.  A failure carries its site's position, so failing
-calls, and calls with explicit template arguments, which resolve in the
-body's bindings, are resolved at each site.
+differently (sema._differing); an entry made over one table is reused
+over another only if its resolution read no such name.
 """
 from __future__ import annotations
 
@@ -165,11 +153,9 @@ class Instance:
     # Call sites map to the callee Instance, and a free call of a builtin
     # with code on the instance's side to None.  TempObj and VarDeclStmt map
     # to their Type, HdcTrait and MemberConst to their value, and a NameRef
-    # that is not a local to the value of its template parameter.  Entries
-    # no side decides are copied from the body's resolution, and so is the
-    # reason at a call or launch whose resolution failed; other call,
-    # builtin and launch entries come from this instance's replay.
-    # Recursion makes this cyclic, so it stays out of repr and equality.
+    # that is not a local to the value of its template parameter.  The walk
+    # of this instance's body writes every entry.  Recursion makes this
+    # cyclic, so it stays out of repr and equality.
     sites: dict = field(default_factory=dict, repr=False, compare=False)
 
     def display(self) -> str:
@@ -196,31 +182,6 @@ class _Pending:
     pos: int
 
 
-class _Body:
-    """One instance body, resolved once per demand in one analyze.
-
-    Under PROPOSAL2, where overload resolution and effective spaces read
-    the calling side, it is resolved once per side too.  table is the
-    symbol table it was resolved over; portable says whether it read no
-    name another table of the analyze answers differently, which lets a
-    walk over that table reuse it.  sites holds the site entries no side
-    decides.  events holds, in walk order, the resolution's diagnostics
-    and one record per call, builtin call and launch: a tuple of the
-    _Walk method that replays it and its arguments.
-    """
-
-    __slots__ = ("decl", "env", "side", "table", "portable", "sites", "events")
-
-    def __init__(self, inst: Instance, table: SymbolTable):
-        self.decl = inst.decl
-        self.env = inst.env
-        self.side = inst.side  # the calling side, which only PROPOSAL2 reads
-        self.table = table
-        self.portable = False
-        self.sites: dict = {}
-        self.events: list = []
-
-
 def _bindings_key(bindings: dict) -> tuple:
     return tuple(sorted(bindings.items()))  # the names are distinct
 
@@ -228,16 +189,14 @@ def _bindings_key(bindings: dict) -> tuple:
 class _Walk:
     """One analysis over one symbol table, attributed to its natives.
 
-    natives are the sides of the passes that share the table.  The walks
-    of one analyze share the interned demands and the resolved bodies;
-    each instance replays its body's resolution with its own side.  calls
-    holds the outcome of each call resolved once per walk (_resolve_call),
-    keyed by its callee set and argument types, and by its calling side
-    under PROPOSAL2; failing calls are resolved at each site.
+    natives are the sides of the passes that share the table.  Each
+    instance's body is walked with its own bindings and side.  The walks of
+    one analyze share the interned demands and the call memo, calls (see
+    _resolve_call).
     """
 
     def __init__(self, table: SymbolTable, natives: tuple,
-                 mode: Mode, profile: CompileProfile, interned: dict, bodies: dict):
+                 mode: Mode, profile: CompileProfile, interned: dict, calls: dict):
         self.table = table
         self.natives = natives
         # The sides the nvcc instantiation adds a called host-device template
@@ -251,9 +210,9 @@ class _Walk:
         self.mode = mode
         self.profile = profile
         self.interned = interned  # (signature key, bindings, owner type) -> demand
-        self.bodies = bodies  # demand (and side, under PROPOSAL2) -> the latest _Body
-        # call key -> (the tail of its _call event, whether it touched the table)
-        self.calls: dict = {}
+        # call key -> (the _call tail of its resolution, the table it read,
+        # whether it touched that table)
+        self.calls = calls
         self.diags: list[Diagnostic] = []
         self.pending: list[_Pending] = []
         self.instances: dict[tuple, Instance] = {}
@@ -265,8 +224,8 @@ class _Walk:
 
     # -- diagnostics helpers -------------------------------------------------
 
-    def _emit(self, out: list, code: str, pos: int, message: str):
-        out.append(Diagnostic.make(code, self.table.loc(pos), message))
+    def _emit(self, code: str, pos: int, message: str):
+        self.diags.append(Diagnostic.make(code, self.table.loc(pos), message))
 
     # -- entry ----------------------------------------------------------------
 
@@ -311,32 +270,31 @@ class _Walk:
             return True
         return not member_spec(decl, owner).undecorated
 
-    def _sema(self, body, node, halt: str, failure: tuple, fn, *args, **kwargs):
+    def _sema(self, inst, node, halt: str, failure: tuple, fn, *args, **kwargs):
         """fn(*args, **kwargs) with its failure diagnosed; None on failure.
 
-        A SemaError is reported as it is; a SubstFailure as the (code,
-        position, message) diagnostic failure names, where a None message is
-        the failure's own text.  The diagnostic goes into body's events, or the
-        walk's diagnostics without a body.  Given node, the reason a run
-        halts there (halt followed by the failure) goes into body's site
-        entries; a site that records a value records it itself.
+        A SemaError is reported as it is; a SubstFailure as the diagnostic
+        failure names, (code, position, template, *arguments), whose message
+        is the template formatted with the arguments, or the failure's own
+        text for a None template.  Given node, the reason a run halts there
+        (halt followed by the failure) goes into inst's site entries; a site
+        that records a value records it itself.
         """
         try:
             return fn(*args, **kwargs)
         except (SemaError, SubstFailure) as err:
-            out = self.diags if body is None else body.events
             if isinstance(err, SemaError):
-                out.append(err.diagnostic())
+                self.diags.append(err.diagnostic())
             else:
-                code, pos, message = failure
-                self._emit(out, code, pos, message or str(err))
+                code, pos, template, *targs = failure
+                self._emit(code, pos, str(err) if template is None else template.format(*targs))
             if node is not None:
-                body.sites[id(node)] = f"{halt}{err}"
+                inst.sites[id(node)] = f"{halt}{err}"
             return None
 
-    def _spaces(self, decl, bindings, side, owner_struct, pos, body=None, node=None):
+    def _spaces(self, decl, bindings, side, owner_struct, pos, inst=None, node=None):
         return self._sema(
-            body, node, "unresolvable execution space: ",
+            inst, node, "unresolvable execution space: ",
             ("E0001", pos, "specifier predicate is not a constant"),
             effective_spaces, decl, bindings, self.mode, side, self.table, pos, owner_struct,
         )
@@ -347,7 +305,7 @@ class _Walk:
                 owner_type: Optional[Type]) -> int:
         """The number of (decl, bindings, owner_type), the same in every pass.
 
-        Numbered once per analyze, a demand keys instances and bodies
+        Numbered once per analyze, a demand keys instances and memo entries
         without hashing a Type or an enum in Python.
         """
         key = (self.table.keys[id(decl)], _bindings_key(bindings), owner_type)
@@ -383,106 +341,92 @@ class _Walk:
             self.queue.append(inst)
         return inst
 
-    # -- body resolution ---------------------------------------------------------
+    # -- instance bodies -------------------------------------------------------
 
     def _walk_instance(self, inst: Instance):
-        """Replay inst's resolved body with inst's side.
-
-        A body is resolved for the first instance of its demand in the
-        analyze (for each side under PROPOSAL2).  It is resolved anew when
-        the declaration differs, as for a duplicate definition or an item
-        this walk's pass parsed anew, or when it was resolved over another
-        table and read a name the tables answer differently (touched it).
-        """
-        key = inst.key if self.mode is Mode.PROPOSAL2 else inst.key[0]
-        body = self.bodies.get(key)
-        if (body is None or body.decl is not inst.decl
-                or not (body.table is self.table or body.portable)):
-            body = self.bodies[key] = self._resolve_body(inst)
-        inst.sites.update(body.sites)
-        for event in body.events:
-            if type(event) is Diagnostic:
-                self.diags.append(event)
-            else:
-                event[0](self, inst, *event[1:])
-
-    def _resolve_body(self, inst: Instance) -> _Body:
-        body = _Body(inst, self.table)
-        self.table.touched = False
         locals_: dict[str, Optional[Type]] = {}
         for p in inst.decl.params:
-            locals_[p.name] = self._resolve_type_soft(body, p.type, p.pos)
-        self._walk_stmts(body, inst.decl.body, locals_)
-        body.portable = not self.table.touched
-        return body
+            locals_[p.name] = self._resolve_type_soft(inst, p.type, p.pos)
+        self._walk_stmts(inst, inst.decl.body, locals_)
 
-    def _resolve_type_soft(self, body, tref: n.TypeRef, pos, node=None) -> Optional[Type]:
+    def _resolve_type_soft(self, inst, tref: n.TypeRef, pos, node=None) -> Optional[Type]:
         t = self._sema(
-            body, node, "unresolvable type: ",
-            ("E0101", pos, f'"{tref.name}" does not name a type here'),
-            resolve_type, tref, body.env, self.table,
+            inst, node, "unresolvable type: ",
+            ("E0101", pos, '"{}" does not name a type here', tref.name),
+            resolve_type, tref, inst.env, self.table,
         )
         if node is not None and t is not None:
-            body.sites[id(node)] = t
+            inst.sites[id(node)] = t
         return t
 
-    def _walk_stmts(self, body, stmts, locals_):
+    def _walk_stmts(self, inst, stmts, locals_):
         for s in stmts:
             if isinstance(s, n.ExprStmt):
-                self._walk_expr(body, s.expr, locals_)
+                self._walk_expr(inst, s.expr, locals_)
             elif isinstance(s, n.ReturnStmt):
                 if s.expr is not None:
-                    self._walk_expr(body, s.expr, locals_)
+                    self._walk_expr(inst, s.expr, locals_)
             elif isinstance(s, n.VarDeclStmt):
-                locals_[s.name] = self._resolve_type_soft(body, s.type, s.pos, s)
+                locals_[s.name] = self._resolve_type_soft(inst, s.type, s.pos, s)
             elif isinstance(s, n.IfStmt):
-                self._walk_expr(body, s.cond, locals_)
-                self._walk_stmts(body, s.then, dict(locals_))
+                self._walk_expr(inst, s.cond, locals_)
+                self._walk_stmts(inst, s.then, dict(locals_))
                 if s.orelse is not None:
-                    self._walk_stmts(body, s.orelse, dict(locals_))
+                    self._walk_stmts(inst, s.orelse, dict(locals_))
             elif isinstance(s, n.ForStmt):
-                self._walk_expr(body, s.init, locals_)
-                self._walk_expr(body, s.bound, locals_)
+                self._walk_expr(inst, s.init, locals_)
+                self._walk_expr(inst, s.bound, locals_)
                 inner = dict(locals_)
                 inner[s.var] = Type("int")
-                self._walk_stmts(body, s.body, inner)
+                self._walk_stmts(inst, s.body, inner)
             elif isinstance(s, n.LaunchStmt):
-                self._walk_launch(body, s, locals_)
+                self._walk_launch(inst, s, locals_)
 
-    def _walk_launch(self, body, s: n.LaunchStmt, locals_):
-        self._walk_expr(body, s.grid, locals_)
-        self._walk_expr(body, s.block, locals_)
-        arg_types = [self._walk_expr(body, a, locals_) for a in s.args]
-        body.events.append((_Walk._launch_from, s))
+    def _walk_launch(self, inst, s: n.LaunchStmt, locals_):
+        self._walk_expr(inst, s.grid, locals_)
+        self._walk_expr(inst, s.block, locals_)
+        arg_types = [self._walk_expr(inst, a, locals_) for a in s.args]
+        code = legality(inst.side, ExecSpace.Global, "launch")
+        if code is not None:
+            self._emit(code, s.pos, "a kernel launch is not allowed from device code")
         candidates = self.table.overloads(s.name)
         if not candidates:
-            body.sites[id(s)] = f'no kernel named "{s.name}"'
+            inst.sites[id(s)] = f'no kernel named "{s.name}"'
             return  # E0101 was already reported by resolve
-        sel = self._select(body, s, s.name, candidates, arg_types, context_side=DEVICE)
+        sel = self._select(inst, s, s.name, candidates, arg_types, context_side=DEVICE)
         if sel is None:
             return
         code = legality(HOST, declared_spaces(sel.decl.spec), "launch")
         if code is not None:
-            body.sites[id(s)] = f'"{s.name}" is not a __global__ function'
-            self._emit(body.events, code, s.pos,
-                       "only __global__ functions can be launched with <<< >>>")
+            inst.sites[id(s)] = f'"{s.name}" is not a __global__ function'
+            self._emit(code, s.pos, "only __global__ functions can be launched with <<< >>>")
             return
-        body.events.append((_Walk._launch, s, sel, self._demand(sel.decl, sel.bindings, None)))
+        target = self._instantiate(
+            self._demand(sel.decl, sel.bindings, None), sel.decl, sel.bindings,
+            DEVICE, ExecSpace.Global, {}, None, s.pos,
+        )
+        inst.sites[id(s)] = target
+        if inst.side is HOST:
+            self.launch_seeds.append(target.key)
 
-    def _select(self, body, node, name, candidates, arg_types, *,
+    def _select(self, inst, node, name, candidates, arg_types, *,
                 context_side, owner_struct=None, owner_bindings=None) -> Optional[Selected]:
-        """The selected candidate; the replay records the callee at node.
-
-        A failure records the reason a run halts at node.
-        """
+        """The selected candidate, or None with the reason a run halts at node."""
         return self._sema(
-            body, node, "unresolvable call: ", None,  # it raises SemaErrors alone
+            inst, node, "unresolvable call: ", None,  # it raises SemaErrors alone
             resolve_overload, name, candidates, node.targs, arg_types, node.pos,
-            env=body.env, table=self.table, mode=self.mode, context_side=context_side,
+            env=inst.env, table=self.table, mode=self.mode, context_side=context_side,
             owner_struct=owner_struct, owner_bindings=owner_bindings,
         )
 
-    def _walk_expr(self, body, e, locals_) -> Optional[Type]:
+    def _walk_expr(self, inst, e, locals_) -> Optional[Type]:
+        # The calls and temporaries first: they are most of a body's nodes.
+        if isinstance(e, n.CallExpr):
+            return self._walk_free_call(inst, e, locals_)
+        if isinstance(e, n.MemberCallExpr):
+            return self._walk_member_call(inst, e, locals_)
+        if isinstance(e, n.TempObj):
+            return self._resolve_type_soft(inst, e.type, e.pos, e)
         if isinstance(e, n.IntLit):
             return Type("int")
         if isinstance(e, (n.BoolLit, n.CudaArchRef)):
@@ -492,174 +436,149 @@ class _Walk:
         if isinstance(e, n.NameRef):
             if e.name in locals_:
                 return locals_[e.name]
-            bound = body.env.get(e.name)
+            bound = inst.env.get(e.name)
             if bound is None:
                 reason = f'undefined name "{e.name}"'
             elif isinstance(bound, Type):
                 reason = f'"{e.name}" names a type, not a value'
             else:
-                body.sites[id(e)] = bound  # an HDC parameter used as a value
+                inst.sites[id(e)] = bound  # an HDC parameter used as a value
                 return None
-            self._emit(body.events, "E0101", e.pos, reason)
-            body.sites[id(e)] = reason
+            self._emit("E0101", e.pos, reason)
+            inst.sites[id(e)] = reason
             return None
-        if isinstance(e, n.TempObj):
-            return self._resolve_type_soft(body, e.type, e.pos, e)
         if isinstance(e, n.HdcTrait):
-            t = self._resolve_type_soft(body, e.type, e.pos, e)
+            t = self._resolve_type_soft(inst, e.type, e.pos, e)
             if t is not None:
-                self._constant(body, e, compute_hdc, t, self.table)
+                self._constant(inst, e, compute_hdc, t, self.table)
             return None
         if isinstance(e, n.MemberConst):
-            self._constant(body, e, eval_const_expr, e, body.env, self.table)
+            self._constant(inst, e, eval_const_expr, e, inst.env, self.table)
             return None
         if isinstance(e, n.UnaryExpr):
-            self._walk_expr(body, e.operand, locals_)
+            self._walk_expr(inst, e.operand, locals_)
             return Type("bool")
         if isinstance(e, n.BinaryExpr):
-            self._walk_expr(body, e.lhs, locals_)
-            self._walk_expr(body, e.rhs, locals_)
+            self._walk_expr(inst, e.lhs, locals_)
+            self._walk_expr(inst, e.rhs, locals_)
             return Type("bool")
-        if isinstance(e, n.CallExpr):
-            return self._walk_free_call(body, e, locals_)
-        if isinstance(e, n.MemberCallExpr):
-            return self._walk_member_call(body, e, locals_)
         if isinstance(e, n.StaticCallExpr):
-            return self._walk_static_call(body, e, locals_)
+            return self._walk_static_call(inst, e, locals_)
         raise TypeError(f"unknown expression {e!r}")
 
-    def _constant(self, body, e, fn, *args):
+    def _constant(self, inst, e, fn, *args):
         """Record at e the compile-time value fn(*args), or why a run halts there."""
-        value = self._sema(body, e, "", ("E0101", e.pos, None), fn, *args)
+        value = self._sema(inst, e, "", ("E0101", e.pos, None), fn, *args)
         if value is not None:
-            body.sites[id(e)] = value
+            inst.sites[id(e)] = value
 
-    def _walk_free_call(self, body, e: n.CallExpr, locals_):
-        arg_types = [self._walk_expr(body, a, locals_) for a in e.args]
+    def _walk_free_call(self, inst, e: n.CallExpr, locals_):
+        arg_types = [self._walk_expr(inst, a, locals_) for a in e.args]
+        if self.table.overloads(e.name):
+            self._resolve_call(inst, e, ("free", e.name, *arg_types),
+                               self._free_dispatch, arg_types)
+            return None
+        spaces = builtin_spaces(e.name, self.profile)
+        if spaces is None:  # resolve reported the E0101
+            inst.sites[id(e)] = f'undefined name "{e.name}"'
+            return None
+        self._builtin(inst, e, spaces)
+        return Type("int") if e.name == "cudaDeviceSynchronize" else None
+
+    def _free_dispatch(self, inst, e: n.CallExpr, arg_types):
+        # overloads() is read again here, where the memo notes its touch.
         candidates = self.table.overloads(e.name)
-        if not candidates:
-            spaces = builtin_spaces(e.name, self.profile)
-            if spaces is None:  # resolve reported the E0101
-                body.sites[id(e)] = f'undefined name "{e.name}"'
-                return None
-            body.events.append((_Walk._builtin, e, spaces))
-            return Type("int") if e.name == "cudaDeviceSynchronize" else None
-        self._resolve_call(body, e, ("free", e.name, *arg_types),
-                           self._free_dispatch, candidates, arg_types)
-        return None
+        sel = self._select(inst, e, e.name, candidates, arg_types, context_side=inst.side)
+        return None if sel is None else self._dispatch(inst, e, sel)
 
-    def _free_dispatch(self, body, e: n.CallExpr, candidates, arg_types):
-        sel = self._select(body, e, e.name, candidates, arg_types, context_side=body.side)
-        if sel is not None:
-            self._dispatch(body, e, sel)
-
-    def _receiver_type(self, body, recv, locals_) -> Optional[Type]:
-        t = self._walk_expr(body, recv, locals_)
+    def _receiver_type(self, inst, recv, locals_) -> Optional[Type]:
+        t = self._walk_expr(inst, recv, locals_)
         if t is None and not isinstance(recv, (n.TempObj, n.NameRef)):
-            self._emit(
-                body.events,
-                "E0001",
-                recv.pos,
-                "a member-call receiver must be a variable or a temporary",
-            )
+            self._emit("E0001", recv.pos,
+                       "a member-call receiver must be a variable or a temporary")
         return t
 
-    def _walk_member_call(self, body, e: n.MemberCallExpr, locals_):
-        recv_type = self._receiver_type(body, e.recv, locals_)
-        arg_types = [self._walk_expr(body, a, locals_) for a in e.args]
+    def _walk_member_call(self, inst, e: n.MemberCallExpr, locals_):
+        recv_type = self._receiver_type(inst, e.recv, locals_)
+        arg_types = [self._walk_expr(inst, a, locals_) for a in e.args]
         if recv_type is None:
-            body.sites[id(e)] = "a member call needs a struct value"
+            inst.sites[id(e)] = "a member call needs a struct value"
             return None
-        self._resolve_call(body, e, ("member", recv_type, e.name, *arg_types),
+        self._resolve_call(inst, e, ("member", recv_type, e.name, *arg_types),
                            self._member_dispatch, recv_type, arg_types)
         return None
 
-    def _walk_static_call(self, body, e: n.StaticCallExpr, locals_):
-        arg_types = [self._walk_expr(body, a, locals_) for a in e.args]
-        t = self._resolve_type_soft(body, e.type, e.pos)
+    def _walk_static_call(self, inst, e: n.StaticCallExpr, locals_):
+        arg_types = [self._walk_expr(inst, a, locals_) for a in e.args]
+        t = self._resolve_type_soft(inst, e.type, e.pos)
         if t is None:
             return None
-        self._resolve_call(body, e, ("member", t, e.name, *arg_types),
+        self._resolve_call(inst, e, ("member", t, e.name, *arg_types),
                            self._member_dispatch, t, arg_types)
         return None
 
-    def _resolve_call(self, body, node, key, resolve, *args):
-        """resolve(body, node, *args), once per walk for each key.
+    def _resolve_call(self, inst, node, key, dispatch, *args):
+        """Resolve node by dispatch(inst, node, *args) once per key, then check it.
 
-        Without explicit template arguments, the calls of one key resolve
-        alike: the first records the tail of its _call event, and whether
-        its reads touched the table, and each later one appends that event
-        at its own node.  A call that appends anything else, a diagnostic
-        above all, records nothing, so its failures are reported at each
-        site.
+        A call without explicit template arguments resolves alike wherever
+        it has key, its callee set and argument types; one with them
+        resolves in inst.env, which the demand fixes, so its key adds
+        (id(node), demand).  Under PROPOSAL2 either key adds the calling
+        side.  dispatch returns the tail of the _call it resolved to; an
+        entry made over another table is reused only if its resolution
+        touched no name the tables answer differently.  The argument types,
+        resolved before the reset, are in every key, so what they read
+        shows there.  A failure returns None and records nothing, so it is
+        reported at each site.
         """
-        if node.targs:  # resolved in body.env
-            resolve(body, node, *args)
-            return
+        if node.targs:
+            key += (id(node), inst.key[0])
         if self.mode is Mode.PROPOSAL2:
-            key += (body.side,)
+            key += (inst.side,)
         table = self.table
         hit = self.calls.get(key)
-        if hit is not None:
-            tail, touched = hit
-            body.events.append((_Walk._call, node, *tail))
-            table.touched |= touched
-            return
-        touched, table.touched = table.touched, False
-        start = len(body.events)
-        resolve(body, node, *args)
-        if len(body.events) == start + 1:
-            event = body.events[start]
-            if type(event) is tuple and event[0] is _Walk._call:
-                self.calls[key] = (event[2:], table.touched)
-        table.touched |= touched
+        if hit is not None and (hit[1] is table or not hit[2]):
+            tail = hit[0]
+        else:
+            table.touched = False  # before every table read the entry depends on
+            tail = dispatch(inst, node, *args)
+            if tail is None:
+                return
+            self.calls[key] = (tail, table, table.touched)
+        self._call(inst, node, *tail)
 
-    def _member_dispatch(self, body, node, recv_type: Type, arg_types):
+    def _member_dispatch(self, inst, node, recv_type: Type, arg_types):
         struct = self.table.struct(recv_type.name)
         candidates = [] if struct is None else SymbolTable.member_functions(struct, node.name)
         if not candidates:
             missing = f'type "{recv_type.display()}" has no member "{node.name}"'
-            self._emit(body.events, "E0101", node.pos, missing)
+            self._emit("E0101", node.pos, missing)
             # Only builtin types name no struct.
-            body.sites[id(node)] = (
+            inst.sites[id(node)] = (
                 missing if struct is not None else "a member call needs a struct value"
             )
-            return
+            return None
         owner_bindings = struct_bindings(struct, recv_type)
         sel = self._select(
-            body, node, f"{recv_type.display()}::{node.name}", candidates, arg_types,
-            context_side=body.side, owner_struct=struct, owner_bindings=owner_bindings,
+            inst, node, f"{recv_type.display()}::{node.name}", candidates, arg_types,
+            context_side=inst.side, owner_struct=struct, owner_bindings=owner_bindings,
         )
-        if sel is not None:
-            self._dispatch(body, node, sel, owner_struct=struct,
-                           owner_bindings=owner_bindings, owner_type=recv_type)
+        if sel is None:
+            return None
+        return self._dispatch(inst, node, sel, owner_struct=struct,
+                              owner_bindings=owner_bindings, owner_type=recv_type)
 
-    def _dispatch(self, body, node, sel: Selected, *,
+    def _dispatch(self, inst, node, sel: Selected, *,
                   owner_struct=None, owner_bindings=None, owner_type=None):
         owner_bindings = owner_bindings or {}
         merged = {**owner_bindings, **sel.bindings}
-        spaces = self._spaces(sel.decl, merged, body.side, owner_struct, node.pos, body, node)
-        if spaces is not None:
-            body.events.append((
-                _Walk._call, node, sel, spaces, owner_bindings, owner_type,
-                self._demand(sel.decl, sel.bindings, owner_type),
-            ))
+        spaces = self._spaces(sel.decl, merged, inst.side, owner_struct, node.pos, inst, node)
+        if spaces is None:
+            return None
+        return (sel, spaces, owner_bindings, owner_type,
+                self._demand(sel.decl, sel.bindings, owner_type))
 
-    # -- replay: call legality and demand ------------------------------------
-
-    def _launch_from(self, inst, s: n.LaunchStmt):
-        code = legality(inst.side, ExecSpace.Global, "launch")
-        if code is not None:
-            self._emit(self.diags, code, s.pos,
-                       "a kernel launch is not allowed from device code")
-
-    def _launch(self, inst, s: n.LaunchStmt, sel: Selected, demand: int):
-        target = self._instantiate(
-            demand, sel.decl, sel.bindings, DEVICE, ExecSpace.Global, {}, None, s.pos
-        )
-        inst.sites[id(s)] = target
-        if inst.side is HOST:
-            self.launch_seeds.append(target.key)
+    # -- call legality and demand ----------------------------------------------
 
     def _builtin(self, inst, e: n.CallExpr, space: ExecSpace):
         if legality(inst.side, space) is None:
@@ -675,10 +594,8 @@ class _Walk:
             callee_is_constexpr=sel.decl.spec.constexpr,
         )
         if code == "E1004":
-            self._emit(
-                self.diags, code, pos,
-                "a __global__ function must be launched with <<< >>>, not called directly",
-            )
+            self._emit(code, pos,
+                       "a __global__ function must be launched with <<< >>>, not called directly")
             inst.sites[id(node)] = "a __global__ function was called directly"
             return
         demanded_side = inst.side if code is None else SIDES[spaces][0]
@@ -801,9 +718,9 @@ def _front_end(text: str, path: str, profile: CompileProfile, mode: Mode,
     one Ast, symbol table and resolve(); so does a parse failure both
     passes reach from the same tokens, which is reported once.  resolve()
     writes to a shared item only what it writes in every pass, and the
-    walks key what they record by node identity per resolved body, which a
-    walk reuses only when its table answers the body's reads with the same
-    nodes, and per instance (its site table), so they can share nodes.
+    walks key what they record by node identity per instance (its site
+    table) and in the call memo, whose entries a walk reuses only when its
+    table answers their reads with the same nodes, so they can share nodes.
     The tokens are dropped before the walks.
     """
     specifier_mode = "keep"
@@ -852,10 +769,10 @@ def analyze(
     for kind, art in analysis.passes.items():
         tables.setdefault(id(art.table), (art, []))[1].append(_PASS_SIDE[kind])
     interned: dict = {}  # demand numbers, one table per analyze so the walks agree
-    bodies: dict = {}  # the resolved bodies, reused across the walks (_Walk._walk_instance)
+    calls: dict = {}  # the call memo, shared by the walks (_Walk._resolve_call)
     _differing([art.table for art, _ in tables.values()])
     for art, sides in tables.values():
-        walk = _Walk(art.table, tuple(sides), mode, profile, interned, bodies)
+        walk = _Walk(art.table, tuple(sides), mode, profile, interned, calls)
         walk.run()
         analysis.walks.update(dict.fromkeys(sides, walk))
         if mode is Mode.FIDELITY and sides == [HOST]:

@@ -16,7 +16,7 @@ A third, the one-sided group, holds units where code of one side only
 reaches a host-device template, whose instance on the other side only the
 nvcc instantiation makes.
 
-    PYTHONPATH=src python tests/equivalence.py [--dump FILE]
+    python tests/equivalence.py [--dump FILE]
         [--expect [SHA SPLIT_SHA [ONE_SIDED_SHA]]]
 
 prints the number of outputs per input group and one sha256 per set; --dump
@@ -36,11 +36,6 @@ import re
 import sys
 from pathlib import Path
 
-from exspace.corpus import parse_header
-from exspace.interp import run_program
-from exspace.spacecheck import Mode, analyze
-from exspace.syntax.preprocess import CompileProfile
-
 # The digests of the first set, the split group and the one-sided group.
 DIGESTS = (
     "65f4653f6946c5f8533f478dfd1203bf0b13aad6772e1cbd58b68c353d8324f4",
@@ -49,8 +44,12 @@ DIGESTS = (
 )
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path[:0] = [str(ROOT / "tests"), str(ROOT / "bench")]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "bench")]
 import gen  # noqa: E402
+from exspace.corpus import parse_header  # noqa: E402
+from exspace.interp import run_program  # noqa: E402
+from exspace.spacecheck import Mode, analyze  # noqa: E402
+from exspace.syntax.preprocess import CompileProfile  # noqa: E402
 from genprog import gen_trap_schedule, gen_unit  # noqa: E402
 from test_golden import _line  # noqa: E402
 

@@ -1,7 +1,9 @@
+import os
 import re
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +14,8 @@ from exspace.diagnostics import (
     SrcLoc,
     format_diagnostic,
 )
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 PROBLEM_T = """struct H {
   __host__ int call() { return 3; }
@@ -113,6 +117,14 @@ def test_run_refuses_errors_without_force(tmp_path, capsys):
     assert rc == 1
     rc = main(["run", "--force", str(p)])
     assert rc == 101
+
+
+def test_run_without_main_exits_two(tmp_path, capsys):
+    p = tmp_path / "nomain.mcu"
+    p.write_text("void f() {}\n")
+    assert main(["run", str(p)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "exspace: the unit has no main function\n")
 
 
 def test_run_of_unbounded_recursion_prints_a_note_not_a_traceback(tmp_path, capsys):
@@ -334,14 +346,17 @@ def test_color_env_toggle(problem_t, capsys, monkeypatch):
     assert "\x1b[" not in plain
 
 
+def _exspace(*args) -> subprocess.CompletedProcess:
+    """The CLI run in a child process, which finds the package under src."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "exspace.cli", *args], capture_output=True,
+                          text=True, encoding="utf-8", env={**os.environ, "PYTHONPATH": path})
+
+
 def test_console_script_entry_point(tmp_path):
     p = tmp_path / "k.mcu"
     p.write_text(KERNEL)
-    proc = subprocess.run(
-        [sys.executable, "-m", "exspace.cli", "run", str(p)],
-        capture_output=True,
-        text=True,
-    )
+    proc = _exspace("run", str(p))
     assert proc.returncode == 0
     assert proc.stdout == "." * 24
 
@@ -384,12 +399,7 @@ def test_run_halts_on_a_non_integral_value(tmp_path, capsys, statement, reason):
 def test_check_reports_a_bad_literal_without_a_traceback(tmp_path, literal, col, message):
     p = tmp_path / "lit.mcu"
     p.write_text(f"int f() {{ return {literal}; }}\n", encoding="utf-8")
-    proc = subprocess.run(
-        [sys.executable, "-m", "exspace.cli", "check", str(p)],
-        capture_output=True,
-        text=True,
-        encoding="utf-8",
-    )
+    proc = _exspace("check", str(p))
     assert proc.returncode == 1
     assert proc.stdout == f"{p}:1:{col}: error[E0001]: {message}\n"
     assert proc.stderr == ""

@@ -852,3 +852,39 @@ def test_every_corpus_run_counts_its_calls_and_threads(corpus_dir):
         result = run(text, cfg.profile, cfg.mode, name)
         assert (result.exit_code, result.calls, result.threads) == (
             want.exit_code, want.calls, want.threads), name
+
+
+# Forms no generated unit uses: uninitialised int and bool locals, || at
+# run time, and an if with an else block, walked and run in every mode.
+_UNGENERATED_FORMS = """struct D { __device__ void call() {} };
+__host__ __device__ int hd( bool c ) {
+  int n;
+  bool b;
+  if( c || b ) { printf( "t%d", n ); } else { D{}.call(); }
+  return n;
+}
+int main() { hd( true ); return hd( false ); }
+"""
+_W1102 = ["W1102", "calling a device function from a host device function is not allowed"]
+_STRAY_ELSE = {
+    Mode.CLASSIC: _W1102,
+    Mode.FIDELITY: [],
+    Mode.SOUND: ["E1102", f"{_W1102[1]}; the host path is reachable from main"],
+    Mode.PROPOSAL1: _W1102,
+    Mode.PROPOSAL2: ["E1501", "stray call: calling a device function from a host device "
+                     "function on a reachable host path"],
+}
+
+
+@pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
+def test_default_locals_or_and_else_check_and_run(mode):
+    analysis = analyze(_UNGENERATED_FORMS, "c.mcu", NVCC, mode)
+    want = _STRAY_ELSE[mode]
+    assert [[d.code, d.message] for d in analysis.diagnostics] == ([want] if want else [])
+    assert all(str(d.loc) == "c.mcu:5:47" for d in analysis.diagnostics)
+    result = run_program(analysis)
+    assert (result.exit_code, result.stdout) == (UB_EXIT, b"t0")
+    assert [format_diagnostic(d, "machine") for d in result.notes] == [
+        'c.mcu:5:47: note[N0001]: execution halted on a stray call: '
+        '"D::call" is not compiled for host code'
+    ]

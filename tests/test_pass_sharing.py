@@ -3,7 +3,7 @@
 A unit is lexed once; each pass parses only the top-level items whose
 tokens differ from an earlier pass's, and passes that share every item
 share one AST, one symbol table and one walk.  Walks over tables of their
-own share the bodies they resolve, unless a table read answers
+own share the calls they resolve, unless a table read answers
 differently.  The trace test runs the front end under the benchmark's own
 tracer, so a change that hides an entry point from it, or runs a stage
 more often than that, fails here as well as in the benchmark.
@@ -20,6 +20,7 @@ from exspace import spacecheck
 from exspace.interp import UB_EXIT, run_program
 from exspace.sema import DEVICE, HOST
 from exspace.spacecheck import Mode, analyze
+from exspace.syntax import nodes as n
 from exspace.syntax import parser
 from exspace.syntax.preprocess import DEVICE_PASS, HOST_PASS, CompileProfile
 
@@ -304,41 +305,52 @@ def test_the_names_two_tables_answer_differently():
     assert spacecheck._differing([host]) == (set(), set())
 
 
-def test_a_body_is_resolved_once_per_analyze_unless_a_read_differs(monkeypatch):
+def test_a_call_is_resolved_once_per_analyze_unless_a_read_differs(monkeypatch):
     # A fanout unit's pass texts always differ, so each pass has a table
-    # and a walk of its own; most bodies are the same node with the same
-    # demand in both.
+    # and a walk of its own; most calls are the same in both, and the walks
+    # share one call memo.
     unit = gen.make_unit("fanout", ROOT, 1, 1)
-    resolved = []  # (walk, demand, decl, body) per resolution
-    resolve_body = spacecheck._Walk._resolve_body
+    resolved = []  # the table of each overload resolution
+    resolve_overload = spacecheck.resolve_overload
 
-    def counting(walk, inst):
-        body = resolve_body(walk, inst)
-        resolved.append((walk, inst.key[0], inst.decl, body))  # sound: keyed by demand
-        return body
+    def counting(*args, **kwargs):
+        resolved.append(kwargs["table"])
+        return resolve_overload(*args, **kwargs)
 
-    monkeypatch.setattr(spacecheck._Walk, "_resolve_body", counting)
+    memoized = []  # (walk, the entries made, the entries they replaced) per call resolved
+    resolve_call = spacecheck._Walk._resolve_call
+
+    def noting(walk, *args):
+        before, count = dict(walk.calls), len(resolved)
+        resolve_call(walk, *args)
+        if len(resolved) > count:
+            made = [k for k, v in walk.calls.items() if before.get(k) is not v]
+            memoized.append((walk, made, [before[k] for k in made if k in before]))
+
+    monkeypatch.setattr(spacecheck, "resolve_overload", counting)
+    monkeypatch.setattr(spacecheck._Walk, "_resolve_call", noting)
     analysis = analyze(unit.text, unit.path, CompileProfile(), Mode(unit.mode))
     host, device = analysis.walks[HOST], analysis.walks[DEVICE]
     assert host is not device and host.table is not device.table
-    # The device walk reuses most of the host walk's bodies.
-    assert sum(walk is device for walk, *_ in resolved) < len(resolved) / 4
-    distinct = {(demand, id(inst.decl)) for walk in (host, device)
-                for (demand, _), inst in walk.instances.items() if inst.decl.body is not None}
-    # A body resolved again for the same demand and declaration must have
-    # read a name the later walk's table answers differently.
-    first, anew = {}, 0
-    for walk, demand, decl, body in resolved:
-        earlier = first.setdefault((demand, id(decl)), body)
-        if earlier is not body:
-            assert earlier.table is not walk.table and not earlier.portable
-            anew += 1
-    assert len(resolved) == len(distinct) + anew
+    assert host.calls is device.calls
+    # The device walk reuses most of the host walk's calls.
+    on_device = sum(table is device.table for table in resolved)
+    assert on_device < len(resolved) / 4
+    # It resolves each launch, which stays per site, and otherwise only calls
+    # the memo lacks, or holds from a resolution that read a name the
+    # device table answers differently.
+    launches = sum(isinstance(x, n.LaunchStmt) for inst in device.instances.values()
+                   if inst.decl.body is not None for x in n.walk(inst.decl.body))
+    assert all(len(made) == 1 for _, made, _ in memoized)  # no call failed
+    assert on_device == launches + sum(walk is device for walk, _, _ in memoized)
+    assert all(table is host.table and touched
+               for _, _, replaced in memoized for _, table, touched in replaced)
 
 
-def test_shared_bodies_check_and_run_as_bodies_of_each_walk_alone(monkeypatch):
+def test_shared_calls_check_and_run_as_calls_of_each_walk_alone(monkeypatch):
     # Split units, whose pass texts differ, and the one-sided units: their
-    # outputs with one body cache per analyze equal those with one per walk.
+    # outputs with one call memo per analyze equal those with one per walk,
+    # which never reuses a resolution over another table.
     units = list(islice(equivalence.split_inputs(), 40))
     units += list(equivalence.one_sided_inputs())
 
@@ -349,9 +361,9 @@ def test_shared_bodies_check_and_run_as_bodies_of_each_walk_alone(monkeypatch):
     shared = outputs()
     init = spacecheck._Walk.__init__
 
-    def own_cache(walk, *args):
+    def own_memo(walk, *args):
         init(walk, *args)
-        walk.bodies = {}
+        walk.calls = {}
 
-    monkeypatch.setattr(spacecheck._Walk, "__init__", own_cache)
+    monkeypatch.setattr(spacecheck._Walk, "__init__", own_memo)
     assert outputs() == shared

@@ -4,7 +4,7 @@ import pytest
 
 from exspace import spacecheck
 from exspace.corpus import parse_header
-from exspace.diagnostics import CODE_REGISTRY, Severity
+from exspace.diagnostics import CODE_REGISTRY, Severity, format_diagnostic
 from exspace.interp import run_program
 from exspace.sema import DEVICE, HOST, ExecSpace, TraitConfig
 from exspace.spacecheck import Mode, analyze, check_unit, legality
@@ -574,18 +574,17 @@ int main() { h(); return 0; }
         ("E0101", "f.mcu:5:3"), ("E0101", "f.mcu:6:3"),
     ]
     assert len(resolved) == 2 + 1 + 1  # each S::f() site, one S::f( 1 ), main's h()
-    # A body records a call site only where its resolution failed, with
-    # that site's own reason; a resolved site's entry comes from the replay.
+    # Each failing site records its own reason; each resolved one its callee.
     walk = analysis.walks[HOST]
     h = next(i for i in walk.instances.values() if i.decl.name == "h")
     sites = [x for x in n.walk(h.decl.body) if isinstance(x, n.MemberCallExpr)]
-    body = walk.bodies[h.key[0]]
-    assert [body.sites.get(id(x)) for x in sites] == [
+    assert [h.sites[id(x)] for x in sites[:4]] == [
         'unresolvable call: E1301 f.mcu:3:3: no viable candidate for call to "S::f"',
         'unresolvable call: E1301 f.mcu:4:3: no viable candidate for call to "S::f"',
-        'type "S" has no member "g"', 'type "S" has no member "g"', None, None,
+        'type "S" has no member "g"', 'type "S" has no member "g"',
     ]
     assert [h.sites[id(x)].decl.name for x in sites[4:]] == ["f", "f"]
+    assert len(walk.calls) == 2  # main's h() and S{}.f( 1 ): no failure is memoized
 
 
 def test_fidelity_still_reports_host_pass_hard_errors():
@@ -647,12 +646,14 @@ def test_a_duplicate_definition_resolves_its_own_body(mode):
     assert got == [("E0102", 3, 16), ("E1002", 3, 29)]
 
 
-# hd is one node in both passes, and the host walk resolves its body
-# first.  The device walk reuses that body only if the device table
-# answers its reads alike; here one read differs, so the device pass must
-# resolve hd anew.  In the first unit the device pass adds an overload of
-# g, which makes g( 1 ) ambiguous there; in the second, S's hdc member is
-# Dev in the device pass, which selects the other f.
+# hd is one node in both passes, and the host walk resolves its calls
+# first.  The device walk reuses a call only if the device table answers
+# its reads alike; here one read differs, so the device pass must resolve
+# the call in hd anew.  In the first unit the device pass adds an overload
+# of g, which makes g( 1 ) ambiguous there; in the second, S's hdc member
+# is Dev in the device pass, which selects the other f.  In the last two
+# the call has explicit template arguments and its argument differs: R{}
+# is R<Dev> in the device pass, and S names no type there.
 _ADDED_OVERLOAD_UNIT = """__host__ __device__ void g( int x ) { printf( "g" ); }
 #ifdef __CUDA_ARCH__
 template< typename T > __host__ __device__ void g( T x ) { printf( "t" ); }
@@ -676,6 +677,26 @@ __host__ __device__ void hd() { f( S{} ); }
 __global__ void k() { hd(); }
 int main() { k<<< 1, 1 >>>(); hd(); return cudaDeviceSynchronize(); }
 """
+_SPLIT_DEFAULT_UNIT = """#ifdef __CUDA_ARCH__
+template< HDC M = HDC::Dev > struct R {};
+#else
+template< HDC M = HDC::Hst > struct R {};
+#endif
+template< HDC H, typename U > __host__ __device__ void f( U u ) { printf( "f" ); }
+__host__ __device__ void hd() { f< HDC::HstDev >( R{} ); }
+__global__ void k() { hd(); }
+int main() { k<<< 1, 1 >>>(); hd(); return cudaDeviceSynchronize(); }
+"""
+_HOST_STRUCT_UNIT = """#ifndef __CUDA_ARCH__
+struct S {};
+#endif
+template< HDC H, typename U > __host__ __device__ void f( U u ) { printf( "f" ); }
+__host__ __device__ void hd() { f< HDC::HstDev >( S{} ); }
+__global__ void k() { hd(); }
+int main() { k<<< 1, 1 >>>(); hd(); return cudaDeviceSynchronize(); }
+"""
+_NO_S = [("E1301", "s.mcu:5:33", 'no viable candidate for call to "f"'),
+         ("E0101", "s.mcu:5:51", 'undefined type "S"')]
 _AMBIGUOUS = ("E1302", "s.mcu:5:33", 'call to "g" is ambiguous (2 candidates survive)')
 
 
@@ -693,6 +714,14 @@ def _diverges(line: int, col: int, display: str) -> tuple:
     pytest.param(_SPLIT_HDC_UNIT, Mode.SOUND,
                  [_diverges(12, 33, "f<S, Dev>"), _diverges(12, 33, "f<S, Hst>")],
                  (0, b"dh", []), id="hdc-sound"),
+    pytest.param(_SPLIT_DEFAULT_UNIT, Mode.CLASSIC, [], (0, b"ff", []), id="targs-classic"),
+    pytest.param(_SPLIT_DEFAULT_UNIT, Mode.SOUND,
+                 [_diverges(7, 33, "f<HstDev, R<Dev>>"), _diverges(7, 33, "f<HstDev, R<Hst>>")],
+                 (0, b"ff", []), id="targs-sound"),
+    pytest.param(_HOST_STRUCT_UNIT, Mode.CLASSIC, _NO_S,
+                 (101, b"", [("N0001", "s.mcu:5:51")]), id="targs-one-sided-classic"),
+    pytest.param(_HOST_STRUCT_UNIT, Mode.SOUND, [_diverges(5, 33, "f<HstDev, S>"), *_NO_S],
+                 (101, b"", [("N0001", "s.mcu:5:51")]), id="targs-one-sided-sound"),
 ])
 def test_a_body_is_resolved_anew_where_a_table_read_differs(src, mode, diags, run):
     analysis = analyze(src, "s.mcu", NVCC, mode)
@@ -752,3 +781,32 @@ def test_one_trait_configuration_governs_every_evaluation(
     chosen = {i.display(): i.spaces for i in analysis.walks[HOST].instances.values()}
     assert chosen["f<int>"] is chosen[f_box] is f_spaces
     assert run_program(analysis).stdout == stdout
+
+
+@pytest.mark.parametrize("src, diag, note", [
+    pytest.param("__global__ void k( int x ) {}\nint main() { k<<< 1, 1 >>>(); return 0; }\n",
+                 'f.mcu:2:14: error[E1301]: no viable candidate for call to "k"',
+                 'unresolvable call: E1301 f.mcu:2:14: no viable candidate for call to "k"',
+                 id="launch-without-candidate"),
+    pytest.param("struct S { void call() {} };\nS f() { return S{}; }\n"
+                 "int main() { f().call(); return 0; }\n",
+                 "f.mcu:3:14: error[E0001]: a member-call receiver must be a variable "
+                 "or a temporary", "a member call needs a struct value", id="call-receiver"),
+    pytest.param("int main() { (1).call(); return 0; }\n",
+                 'f.mcu:1:15: error[E0101]: type "int" has no member "call"',
+                 "a member call needs a struct value", id="builtin-receiver"),
+    pytest.param("int main() { x.call(); return 0; }\n",
+                 'f.mcu:1:14: error[E0101]: undefined name "x"', 'undefined name "x"',
+                 id="undefined-receiver"),
+    pytest.param("int main() { U::f(); return 0; }\n",
+                 'f.mcu:1:14: error[E0101]: undefined type "U"',
+                 "the check resolved no callee here", id="undefined-static-owner"),
+])
+def test_a_failing_call_form_is_reported_and_halts_a_run(src, diag, note):
+    analysis = analyze(src, "f.mcu")
+    assert [format_diagnostic(d, "machine") for d in analysis.all_diagnostics] == [diag]
+    result = run_program(analysis)
+    assert result.exit_code == 101
+    assert [format_diagnostic(d, "machine") for d in result.notes] == [
+        f"{diag.split(': ')[0]}: note[N0001]: execution halted on a stray call: {note}"
+    ]
