@@ -324,19 +324,18 @@ class Interpreter:
     def _not(self, e: n.UnaryExpr, inst, locals_):
         return not _EVAL[type(e.operand)](self, e.operand, inst, locals_)
 
-    def _binary(self, e: n.BinaryExpr, inst, locals_):
+    def _compare(self, e: n.BinaryExpr, inst, locals_):
         lhs = _EVAL[type(e.lhs)](self, e.lhs, inst, locals_)
-        op = e.op
-        if op == "&&":
-            return bool(lhs) and bool(_EVAL[type(e.rhs)](self, e.rhs, inst, locals_))
-        if op == "||":
-            return bool(lhs) or bool(_EVAL[type(e.rhs)](self, e.rhs, inst, locals_))
         rhs = _EVAL[type(e.rhs)](self, e.rhs, inst, locals_)
-        if op == "==":
-            return lhs == rhs
-        if op == "!=":
-            return lhs != rhs
-        raise TypeError(f"unknown operator {op!r}")
+        return lhs == rhs if e.op == "==" else lhs != rhs
+
+    def _logical(self, e: n.LogicalExpr, inst, locals_):
+        # The run stops at the first operand that decides it.
+        decides = e.op == "||"
+        for operand in e.operands:
+            if bool(_EVAL[type(operand)](self, operand, inst, locals_)) is decides:
+                return decides
+        return not decides
 
     # -- builtins ---------------------------------------------------------------------
 
@@ -385,7 +384,8 @@ _EVAL = {
     n.HdcTrait: Interpreter._site,
     n.MemberConst: Interpreter._site,
     n.UnaryExpr: Interpreter._not,
-    n.BinaryExpr: Interpreter._binary,
+    n.BinaryExpr: Interpreter._compare,
+    n.LogicalExpr: Interpreter._logical,
     n.CallExpr: Interpreter._call,
     n.StaticCallExpr: Interpreter._call,
     n.MemberCallExpr: Interpreter._member_call,

@@ -458,14 +458,17 @@ def eval_const_expr(expr, env: Bindings, table: SymbolTable):
     if isinstance(expr, n.BinaryExpr):
         lhs = eval_const_expr(expr.lhs, env, table)
         rhs = eval_const_expr(expr.rhs, env, table)
-        if expr.op in ("==", "!="):
-            if type(lhs) is not type(rhs):
-                raise SubstFailure("comparison between unrelated kinds")
-            return (lhs == rhs) == (expr.op == "==")
-        if expr.op in ("&&", "||"):
-            if not isinstance(lhs, bool) or not isinstance(rhs, bool):
+        if type(lhs) is not type(rhs):
+            raise SubstFailure("comparison between unrelated kinds")
+        return (lhs == rhs) == (expr.op == "==")
+    if isinstance(expr, n.LogicalExpr):
+        # Every operand, left to right; the first is checked with the second.
+        values = [eval_const_expr(expr.operands[0], env, table)]
+        for operand in expr.operands[1:]:
+            values.append(eval_const_expr(operand, env, table))
+            if not isinstance(values[0], bool) or not isinstance(values[-1], bool):
                 raise SubstFailure("logical operands are not booleans")
-            return (lhs and rhs) if expr.op == "&&" else (lhs or rhs)
+        return all(values) if expr.op == "&&" else any(values)
     if isinstance(expr, n.StringLit):
         raise SubstFailure("a string literal is not a constant expression")
     raise SubstFailure("not a constant expression")

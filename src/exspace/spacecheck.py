@@ -425,6 +425,10 @@ class _Walk:
             return self._walk_free_call(inst, e, locals_)
         if isinstance(e, n.MemberCallExpr):
             return self._walk_member_call(inst, e, locals_)
+        if isinstance(e, n.LogicalExpr):
+            for operand in e.operands:
+                self._walk_expr(inst, operand, locals_)
+            return Type("bool")
         if isinstance(e, n.TempObj):
             return self._resolve_type_soft(inst, e.type, e.pos, e)
         if isinstance(e, n.IntLit):

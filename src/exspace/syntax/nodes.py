@@ -134,10 +134,17 @@ class UnaryExpr:
 
 @dataclass
 class BinaryExpr:
-    op: str  # == != && ||
+    op: str  # == !=
     lhs: "Expr"
     rhs: "Expr"
     pos: int = _pos_field()
+
+
+@dataclass
+class LogicalExpr:
+    op: str  # && ||, one node per run of one operator
+    operands: list  # in source order
+    pos: int = _pos_field()  # the last operator's
 
 
 Expr = Union[
@@ -155,6 +162,7 @@ Expr = Union[
     StaticCallExpr,
     UnaryExpr,
     BinaryExpr,
+    LogicalExpr,
 ]
 
 
@@ -358,6 +366,7 @@ _CHILDREN = {
     MemberCallExpr: lambda e: [e.recv, *e.args],
     UnaryExpr: lambda e: [e.operand],
     BinaryExpr: lambda e: [e.lhs, e.rhs],
+    LogicalExpr: lambda e: e.operands,
 }
 
 

@@ -52,7 +52,8 @@ BUILTIN_ARITY = {
 
 
 # Deepest syntactic nesting accepted: each block, expression, "!" operand and
-# template argument list opens one level.  Every stage after the parser
+# template argument list opens one level; a run of && or || operands, one node
+# that every stage loops over, opens none.  Every stage after the parser
 # recurses over the tree, so the limit keeps all of them inside Python's
 # default recursion limit.
 MAX_NESTING = 64
@@ -559,33 +560,35 @@ class _Parser:
 
     def parse_expr(self):
         self.nest()
-        expr = self.parse_binary(1)
+        expr = self.parse_run("||")
         self.depth -= 1
         return expr
 
-    def parse_binary(self, min_prec: int):
-        """Operators of precedence min_prec and up, by precedence climbing.
-
-        || and && are left-associative, || the loosest; a comparison binds
-        tightest, takes two unary operands and does not chain.
+    def parse_run(self, op: str):
+        """One LogicalExpr per run of op: runs of || hold runs of &&, which hold
+        comparisons.  A left operand that is a run of op in parentheses joins
+        the run.  A comparison takes two unary operands and does not chain.
         """
-        tags, positions = self.tags, self.positions
+        operand = self.parse_run("&&") if op == "||" else self.parse_cmp()
+        tags, i = self.tags, self.i
+        if tags[i] != op:
+            return operand
+        joins = type(operand) is n.LogicalExpr and operand.op == op
+        operands = operand.operands if joins else [operand]
+        while tags[i] == op:
+            self.i += 1
+            operands.append(self.parse_run("&&") if op == "||" else self.parse_cmp())
+            pos, i = self.positions[i], self.i
+        return n.LogicalExpr(op, operands, pos=pos)
+
+    def parse_cmp(self):
         lhs = self.parse_unary()
         i = self.i
-        tag = tags[i]
-        if tag == "==" or tag == "!=":
-            self.i += 1
-            lhs = n.BinaryExpr(tag, lhs, self.parse_unary(), pos=positions[i])
-            i = self.i
-            tag = tags[i]
-        prec = _LOGICAL_PREC.get(tag, 0)
-        while prec >= min_prec:
-            self.i += 1
-            lhs = n.BinaryExpr(tag, lhs, self.parse_binary(prec + 1), pos=positions[i])
-            i = self.i
-            tag = tags[i]
-            prec = _LOGICAL_PREC.get(tag, 0)
-        return lhs
+        op = self.tags[i]
+        if op != "==" and op != "!=":
+            return lhs
+        self.i += 1
+        return n.BinaryExpr(op, lhs, self.parse_unary(), pos=self.positions[i])
 
     def parse_unary(self):
         i = self.i
@@ -717,9 +720,6 @@ class _Parser:
             return None  # hdc or std as a plain name
         raise self.unexpected(i, "an expression")
 
-
-# The precedence of each binary operator that may chain; see parse_binary.
-_LOGICAL_PREC = {"||": 1, "&&": 2}
 
 # Identifier tags parse_postfix leaves to parse_primary.
 _NOT_PLAIN_NAMES = KEYWORDS | {"cuda_arch", "hdc", "std"}

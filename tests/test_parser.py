@@ -341,6 +341,8 @@ def test_closed_levels_do_not_count_toward_the_limit():
 
 def _shape(e, lines):
     """An expression tree as nested tuples, each operator with its column."""
+    if isinstance(e, n.LogicalExpr):
+        return (e.op, lines.loc(e.pos).col, *(_shape(o, lines) for o in e.operands))
     if isinstance(e, n.BinaryExpr):
         return (e.op, lines.loc(e.pos).col, _shape(e.lhs, lines), _shape(e.rhs, lines))
     if isinstance(e, n.UnaryExpr):
@@ -355,16 +357,21 @@ def _return_expr(expr: str):
     return ast.items[0].body[0].expr, ast.lines
 
 
-# The return expression starts at column 51.
+# The return expression starts at column 51.  A run of one logical operator
+# is one node, at its last operator.
 @pytest.mark.parametrize("expr, tree", [
     ("a || b && c", ("||", 53, "a", ("&&", 58, "b", "c"))),
     ("a && b || c && d", ("||", 58, ("&&", 53, "a", "b"), ("&&", 63, "c", "d"))),
-    ("a || b || c", ("||", 58, ("||", 53, "a", "b"), "c")),
-    ("a && b && c", ("&&", 58, ("&&", 53, "a", "b"), "c")),
+    ("a || b || c", ("||", 58, "a", "b", "c")),
+    ("a && b && c", ("&&", 58, "a", "b", "c")),
     ("!a == b", ("==", 54, ("!", 51, "a"), "b")),
     ("a != b && !c", ("&&", 58, ("!=", 53, "a", "b"), ("!", 61, "c"))),
     ("(a || b) && c", ("&&", 60, ("||", 54, "a", "b"), "c")),
     ("!!a", ("!", 51, ("!", 52, "a"))),
+    ("(a && b) && c", ("&&", 60, "a", "b", "c")),
+    ("a && (b && c)", ("&&", 53, "a", ("&&", 59, "b", "c"))),
+    ("(a || b) || c && d", ("||", 60, "a", "b", ("&&", 65, "c", "d"))),
+    ("a && b || c || d", ("||", 63, ("&&", 53, "a", "b"), "c", "d")),
 ])
 def test_operator_trees(expr, tree):
     assert _shape(*_return_expr(expr)) == tree

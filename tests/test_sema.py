@@ -17,6 +17,8 @@ from exspace.sema import (
     resolve,
     resolve_overload,
 )
+from exspace.diagnostics import format_diagnostic
+from exspace.interp import run_program
 from exspace.spacecheck import Mode, analyze
 from exspace.syntax.nodes import NOPOS, HdcLit
 from exspace.syntax.parser import parse
@@ -157,6 +159,25 @@ _STRUCT_S = "template< HDC h > struct S {};\n"
 def test_signature_keys_compare_structure_not_spelling(first, second, mode, expected):
     _, diags = build(first + second, mode)
     assert [d.code for d in diags] == expected
+
+
+_RUN = "template< HDC x >\nrequires( {} )\nvoid f() {{}}\n"
+_A, _B, _C = "x != HDC::Dev", "x != HDC::HstDev", "x == HDC::Hst"
+
+
+# A parenthesized left operand joins a run of its own operator; a
+# parenthesized right operand is a run of its own, so its key differs.
+@pytest.mark.parametrize("clause, expected", [
+    pytest.param(f"( {_A} && {_B} ) && {_C}", ["E0102"], id="left-and"),
+    pytest.param(f"( {_A} || {_B} ) || {_C}", ["E0102"], id="left-or"),
+    pytest.param(f"{_A} && ( {_B} && {_C} )", ["E1302"], id="right-and"),
+    pytest.param(f"{_A} || ( {_B} || {_C} )", ["E1302"], id="right-or"),
+])
+def test_a_logical_run_keys_as_written_left_to_right(clause, expected):
+    op = "||" if "||" in clause else "&&"
+    flat = _RUN.format(f" {op} ".join((_A, _B, _C)))
+    src = _RUN.format(clause) + flat + "int main() { f< HDC::Hst >(); return 0; }\n"
+    assert [d.code for d in analyze(src, "k.mcu").all_diagnostics] == expected
 
 
 def test_space_only_overloads_are_duplicates_outside_propagation_mode():
@@ -460,3 +481,32 @@ int main() { w< S >(); return 0; }
         host = set(analysis.walks[HOST].demands)
         device = set(analysis.walks[DEVICE].demands)
         assert host == device
+
+
+# -- eval_const_expr -------------------------------------------------------------
+
+
+# Each failure is pinned through a member constant that a body reads; the
+# run halts where the check reported it.  Operands are evaluated left to
+# right, and the first two before either is checked.
+@pytest.mark.parametrize("value, reason", [
+    ("true && HDC::Hst", "logical operands are not booleans"),
+    ("HDC::Hst || true", "logical operands are not booleans"),
+    ("1 == true", "comparison between unrelated kinds"),
+    ("!1", "operand of ! is not a boolean"),
+    ("true && q && 1", 'unbound name "q"'),
+    ("true && 1 && q", "logical operands are not booleans"),
+    ("1 && q", 'unbound name "q"'),
+    ("false || true || 1", "logical operands are not booleans"),
+])
+def test_a_constant_expression_failure_is_reported_where_it_is_read(value, reason):
+    src = (f"struct S {{ static constexpr bool f = {value}; }};\n"
+           "int main() { if( S::f ) { } return 0; }\n")
+    analysis = analyze(src, "u.mcu")
+    diag = f"u.mcu:2:18: error[E0101]: {reason}"
+    assert [format_diagnostic(d, "machine") for d in analysis.all_diagnostics] == [diag]
+    result = run_program(analysis)
+    assert result.exit_code == 101
+    assert [format_diagnostic(d, "machine") for d in result.notes] == [
+        f"u.mcu:2:18: note[N0001]: execution halted on a stray call: {reason}"
+    ]

@@ -795,6 +795,13 @@ def test_one_trait_configuration_governs_every_evaluation(
     pytest.param("int main() { (1).call(); return 0; }\n",
                  'f.mcu:1:15: error[E0101]: type "int" has no member "call"',
                  "a member call needs a struct value", id="builtin-receiver"),
+    # A logical run sits at its last operator, whatever the nesting.
+    pytest.param("int main() { bool a; (a && a && a).g(); return 0; }\n",
+                 'f.mcu:1:30: error[E0101]: type "bool" has no member "g"',
+                 "a member call needs a struct value", id="and-run-receiver"),
+    pytest.param("int main() { bool a; (a || a && a).g(); return 0; }\n",
+                 'f.mcu:1:25: error[E0101]: type "bool" has no member "g"',
+                 "a member call needs a struct value", id="or-run-receiver"),
     pytest.param("int main() { x.call(); return 0; }\n",
                  'f.mcu:1:14: error[E0101]: undefined name "x"', 'undefined name "x"',
                  id="undefined-receiver"),
