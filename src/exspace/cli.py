@@ -67,10 +67,8 @@ def _want_color() -> bool:
 
 def _print_diags(diags, style, source):
     color = _want_color()
-    for d in diags:
-        line = format_diagnostic(d, style, source if style == "human" else None, color)
-        if line is not None:
-            print(line)
+    for d in diags:  # none is suppressed: analysis.diagnostics and notes omit those
+        print(format_diagnostic(d, style, source if style == "human" else None, color))
 
 
 def _read(path: str) -> str:

@@ -135,7 +135,7 @@ class Interpreter:
     def run(self) -> RunResult:
         host = self.analysis.walks.get(HOST)
         main = host and host.instances.get(host.main_key)
-        if main is None or main.decl.body is None:
+        if main is None:  # _Walk._seed_roots roots no main without a body
             raise ValueError("the unit has no main function")
         ub = False
         code = 0
@@ -357,9 +357,7 @@ class Interpreter:
             return device_synchronize(m)
         if name == "release_assert" and args[0]:
             return None
-        if name in ("release_assert", "__trap", "abort", "std::abort"):
-            raise _Trap()
-        raise AssertionError(f"unhandled builtin {name}")
+        raise _Trap()  # release_assert( false ), __trap, abort or std::abort
 
 
 _STMT = {

@@ -202,7 +202,7 @@ def signature_key(decl: n.FunctionDecl, include_spaces: bool) -> tuple:
 
 def _unowned(struct: n.StructDecl) -> n.StructDecl:
     """A copy of struct whose member functions have no owner."""
-    return replace(struct, declared=None, members=[
+    return replace(struct, members=[
         replace(m, owner=None) if isinstance(m, n.FunctionDecl) else m
         for m in struct.declared
     ])
@@ -338,10 +338,7 @@ def struct_bindings(struct: n.StructDecl, t: Type) -> Bindings:
 
 
 def resolve_type(tref: n.TypeRef, env: Bindings, table: SymbolTable) -> Type:
-    if tref.name in ("int", "bool", "void"):
-        if tref.targs:
-            raise SemaError("E0001", table.loc(tref.pos),
-                            f"{tref.name} takes no template arguments")
+    if tref.name in ("int", "bool", "void"):  # keywords: the parser gives them no targs
         return Type(tref.name)
     if tref.name in env:
         bound = env[tref.name]

@@ -379,7 +379,7 @@ class _Walk:
                 inner = dict(locals_)
                 inner[s.var] = Type("int")
                 self._walk_stmts(inst, s.body, inner)
-            elif isinstance(s, n.LaunchStmt):
+            else:  # the last Stmt class, LaunchStmt
                 self._walk_launch(inst, s, locals_)
 
     def _walk_launch(self, inst, s: n.LaunchStmt, locals_):
@@ -466,9 +466,7 @@ class _Walk:
             self._walk_expr(inst, e.lhs, locals_)
             self._walk_expr(inst, e.rhs, locals_)
             return Type("bool")
-        if isinstance(e, n.StaticCallExpr):
-            return self._walk_static_call(inst, e, locals_)
-        raise TypeError(f"unknown expression {e!r}")
+        return self._walk_static_call(inst, e, locals_)  # the last Expr class
 
     def _constant(self, inst, e, fn, *args):
         """Record at e the compile-time value fn(*args), or why a run halts there."""

@@ -309,12 +309,11 @@ class StructDecl:
     members: list  # as parsed; resolve() drops duplicate member functions
     # The members as parsed, which resolve() reads, so that it may run once
     # per compile pass on an item both passes share.
-    declared: list = field(default=None, compare=False, repr=False)
+    declared: list = field(init=False, compare=False, repr=False)
     pos: int = _pos_field()
 
     def __post_init__(self):
-        if self.declared is None:
-            self.declared = self.members
+        self.declared = self.members
 
     def member_functions(self) -> list:
         return [m for m in self.members if isinstance(m, FunctionDecl)]

@@ -52,7 +52,8 @@ BUILTIN_ARITY = {
 
 
 # Deepest syntactic nesting accepted: each block, expression, "!" operand and
-# template argument list opens one level; a run of && or || operands, one node
+# template argument list opens one level, and so does each member-call link
+# whose receiver is the link before it; a run of && or || operands, one node
 # that every stage loops over, opens none.  Every stage after the parser
 # recurses over the tree, so the limit keeps all of them inside Python's
 # default recursion limit.
@@ -401,8 +402,6 @@ class _Parser:
                     break
                 self.i += 1
         self.expect(")")
-        if requires is not None and not tparams:
-            raise self.error(name, "a requires clause needs a template header")
         if spec.global_ and ret.name != "void":
             raise self.error(name, "a __global__ function must return void")
         if text == "main" and owner is None:
@@ -613,12 +612,16 @@ class _Parser:
         return args
 
     def _maybe_member_call(self, recv):
+        depth = self.depth
         while self.tags[self.i] == ".":
+            if type(recv) is n.MemberCallExpr:
+                self.nest()  # this link's receiver is the link before it
             self.i += 1
             name = self.texts[self.expect_ident("member name")]
             targs = self.parse_targ_list() if self.at("<") else []
             args = self.parse_call_args()
             recv = n.MemberCallExpr(recv, name, targs, args, pos=recv.pos)
+        self.depth = depth
         return recv
 
     def _validate_call(self, name: str, args: list, i: int):

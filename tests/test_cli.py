@@ -204,6 +204,28 @@ def test_corpus_failure_reported(tmp_path, capsys):
     assert "failed 1" in out
 
 
+def test_corpus_prints_each_way_a_file_fails(tmp_path, capsys):
+    # The expectation is on line 5 but not a warning; stdout is one byte short.
+    f = tmp_path / "mixed.mcu"
+    f.write_text(
+        "//! force\n"
+        "//! expect-stdout: ab\n"
+        "struct D { __device__ void call() {} };\n"
+        "void f() { D{}.call(); }\n"
+        'int main() { printf( "a" ); D{}.call(); return 0; }  //~ warning E1001\n'
+    )
+    assert main(["corpus", str(tmp_path)]) == 1
+    stray = "error[E1001]: calling a device function from a host function is not allowed"
+    assert capsys.readouterr().out == (
+        f"FAIL {f} (0 expectation(s) matched)\n"
+        "     missing: line 5: warning[E1001]\n"
+        f"     unexpected: 4:12: {stray}\n"
+        f"     unexpected: 5:29: {stray}\n"
+        "     run: stdout b'a', expected b'ab'\n"
+        "passed 0 / failed 1\n"
+    )
+
+
 @pytest.mark.parametrize(
     "header, line, reason",
     [
@@ -218,6 +240,7 @@ def test_corpus_failure_reported(tmp_path, capsys):
                      id="directive"),
         pytest.param("//! profile: plain\n//! relaxed-constexpr", 3,
                      "relaxed constexpr is an nvcc-only flag", id="profile"),
+        pytest.param("//! profile: foo", 2, "unknown compiler 'foo'", id="compiler"),
     ],
 )
 def test_corpus_bad_header_exits_two(tmp_path, capsys, header, line, reason):

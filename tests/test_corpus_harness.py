@@ -44,6 +44,11 @@ def test_header_directives():
     assert cfg.expect_stdout == b"ab\ncd"
 
 
+def test_an_unquoted_expected_stdout_is_read_as_written():
+    cfg = parse_header('//! expect-stdout: say "hi"\\n\n', Mode.CLASSIC, NVCC)
+    assert cfg.expect_stdout == b'say "hi"\n'
+
+
 def test_unknown_directive_rejected():
     with pytest.raises(ValueError):
         parse_header("//! what: ever\n", Mode.CLASSIC, NVCC)

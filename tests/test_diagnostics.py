@@ -1,9 +1,12 @@
 """The SrcLoc contract (1-based, immutable, hashable, ordered, printable)
 and the Failure contract (one diagnostic per failure)."""
+import copy
+import pickle
+
 import pytest
 
 from exspace import CompileProfile, Diagnostic, SrcLoc, parse, preprocess
-from exspace.diagnostics import Failure
+from exspace.diagnostics import Failure, format_diagnostic
 from exspace.interp import BUDGET_EXIT, OUTPUT_EXIT, UB_EXIT, Halt
 from exspace.sema import SemaError
 
@@ -41,6 +44,22 @@ def test_sorting_is_by_file_then_line_then_column():
 
 def test_str_is_file_line_col():
     assert str(SrcLoc("dir/f.mcu", 12, 7)) == "dir/f.mcu:12:7"
+
+
+def test_copies_and_pickles_are_equal_locations():
+    loc = SrcLoc("f.mcu", 2, 3)
+    for twin in (copy.copy(loc), pickle.loads(pickle.dumps(loc))):
+        assert type(twin) is SrcLoc and twin == loc and twin.col == 3
+    assert repr(loc) == "SrcLoc(file='f.mcu', line=2, col=3)"
+
+
+def test_a_location_past_the_source_formats_without_an_excerpt():
+    d = Diagnostic.make("E0001", SrcLoc("f.mcu", 3, 1), "parse error")
+    line = "f.mcu:3:1: error[E0001]: parse error"
+    assert format_diagnostic(d, "human", source="one\ntwo") == line
+    assert format_diagnostic(d, "human", source="one\ntwo\n") == f"{line}\n\n^"
+    d.suppressed = True
+    assert format_diagnostic(d, "human", source="one\ntwo") is None
 
 
 

@@ -4,6 +4,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from exspace.cli import main
+from exspace.diagnostics import format_diagnostic
 from exspace.interp import run_program
 from exspace.spacecheck import analyze
 from exspace.syntax import nodes as n
@@ -284,6 +286,30 @@ def test_only_ascii_digits_lex_as_integers():
     assert (exc.value.loc.line, exc.value.loc.col) == (1, 19)
 
 
+@pytest.mark.parametrize("src, at, message", [
+    ("#pragma hd_warning_disable\nstatic_assert( true );\n", "2:1",
+     "a pragma must precede a function"),
+    ("template< HDC h > requires( true ) struct S {};\n", "1:36",
+     "a requires clause cannot constrain a struct"),
+    ("template< int N > void f() {}\n", "1:11",
+     "expected 'typename' or 'HDC' template parameter"),
+    ("constexpr struct S {};\n", "1:18", "invalid specifier on a struct"),
+    ("struct S { template< HDC h > static constexpr int n = 1; };\n", "1:51",
+     "invalid declaration of a member constant"),
+    ("struct S { static constexpr S n = 1; };\n", "1:31",
+     "member constants must have type HDC, bool, or int"),
+    ("struct S { __host__ static constexpr int n = 1; };\n", "1:42",
+     "invalid specifier on a member constant"),
+    ("void f() { for( int i = 0; j < 1; ++i ) {} }\n", "1:12",
+     "the loop condition and increment must use the loop variable"),
+    ("int f() { return x< HDC::Hst >; }\n", "1:31", "unexpected template arguments on 'x'"),
+])
+def test_declaration_and_statement_errors(src, at, message):
+    assert [format_diagnostic(d) for d in analyze(src, "p.mcu").diagnostics] == [
+        f"p.mcu:{at}: error[E0001]: {message}"
+    ]
+
+
 def test_integer_literal_beyond_int_conversion_is_a_parse_error():
     with pytest.raises(ParseError) as exc:
         parse("int f() { return " + "9" * 5000 + "; }", "d.mcu")
@@ -310,6 +336,11 @@ _NESTED = {
     "template-args": (31, lambda k: "template< HDC H > struct S "
                       "{ static constexpr int n = 1; };\nint main() { return "
                       + "S< hdc< " * k + "int" + " > >" * k + "::n; }"),
+    # Each link after the first opens a level.  A chain of two or more links
+    # is an E0001 wherever a walk reaches it, so it sits in a template that
+    # main does not call.
+    "member-chain": (63, lambda k: "template< typename T > void f() { T{}" + ".g()" * k
+                     + "; }\nint main() { return 0; }"),
 }
 
 
@@ -323,6 +354,35 @@ def test_nesting_limit_holds_for_every_later_stage(shape):
     analysis = analyze(make(deepest), "n.mcu")
     assert analysis.diagnostics == []
     run_program(analysis)
+
+
+@pytest.mark.parametrize("links", [64, 10_000])
+def test_a_long_member_call_chain_is_a_nesting_error_in_every_stage(links, tmp_path, capsys):
+    src = ("struct S { __host__ __device__ S g() { return S{}; } };\n"
+           "int main() { S{}" + ".g()" * links + "; return 0; }\n")
+    # main's body and the statement's expression are levels 1 and 2; link
+    # 64 opens level 65, at its dot.
+    error = "c.mcu:2:269: error[E0001]: nesting exceeds 64 levels"
+    analysis = analyze(src, "c.mcu")
+    assert [format_diagnostic(d) for d in analysis.diagnostics] == [error]
+    with pytest.raises(ValueError, match="the unit has no main function"):
+        run_program(analysis)
+    unit = tmp_path / "c.mcu"
+    unit.write_text(src)
+    assert main(["check", str(unit)]) == 1
+    assert capsys.readouterr().out == error.replace("c.mcu", str(unit)) + "\n"
+
+
+def test_a_template_argument_list_at_the_limit_fails_where_the_expression_does():
+    # The statement is tried as a declaration first; when its template
+    # argument list passes the limit, the parser backtracks, and the error
+    # comes from the expression parse, whose own level is open: two columns
+    # before where the declaration parse would have put it.
+    src = ("template< HDC H > struct S { static constexpr int n = 1; };\nint main() { "
+           + "S< hdc< " * 32 + "int" + " > >" * 32 + "::n; return 0; }\n")
+    assert [format_diagnostic(d) for d in analyze(src, "t.mcu").diagnostics] == [
+        "t.mcu:2:263: error[E0001]: nesting exceeds 64 levels"
+    ]
 
 
 def test_nesting_error_sits_at_the_token_that_passes_the_limit():

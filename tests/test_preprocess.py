@@ -101,6 +101,18 @@ def test_unbalanced_and_stray_directives():
         preprocess("#include <cstdio>\n", HOST)
 
 
+@pytest.mark.parametrize("text, line, message", [
+    ("#ifdef\n#endif\n", 1, "#ifdef expects exactly one macro name"),
+    ("#ifndef __CUDACC__ __CUDA_ARCH__\n#endif\n", 1,
+     "#ifndef expects exactly one macro name"),
+    ("#ifdef __CUDACC__\n#else\n#else\n#endif\n", 3, "second #else in one conditional"),
+])
+def test_malformed_conditionals(text, line, message):
+    with pytest.raises(PreprocessorError) as exc:
+        preprocess(text, HOST, "m.mcu")
+    assert str(exc.value) == f"E0002 m.mcu:{line}:1: {message}"
+
+
 def test_error_in_inactive_region_is_silent():
     text = '#ifdef __CUDA_ARCH__\n#error "nope"\n#endif\n'
     assert "#error" not in preprocess(text, HOST)
@@ -155,6 +167,15 @@ def test_profile_invariants():
         CompileProfile(compiler="nvcc", erase_specifiers=True)
     with pytest.raises(ValueError):
         CompileProfile(cuda_version=8)
+    with pytest.raises(ValueError, match="unknown compiler 'clang'"):
+        CompileProfile(compiler="clang")
+
+
+def test_a_pass_is_host_or_device_and_defines_only_builtin_macros():
+    with pytest.raises(ValueError, match="unknown pass kind 'link'"):
+        PpPass("link", frozenset())
+    with pytest.raises(ValueError, match=r"not built-in macros: \['NDEBUG'\]"):
+        PpPass(HOST_PASS, frozenset({"__CUDACC__", "NDEBUG"}))
 
 
 def test_profile_passes():

@@ -7,20 +7,24 @@ from exspace.sema import (
     ExecSpace,
     OverloadError,
     SemaError,
+    SubstFailure,
     SymbolTable,
     TraitConfig,
     Type,
+    _targ_as_hdc,
+    _try_candidate,
     compute_hdc,
     declared_spaces,
     effective_spaces,
     evaluate_conditional_spec,
     resolve,
     resolve_overload,
+    targ_as_type,
 )
 from exspace.diagnostics import format_diagnostic
 from exspace.interp import run_program
 from exspace.spacecheck import Mode, analyze
-from exspace.syntax.nodes import NOPOS, HdcLit
+from exspace.syntax.nodes import NOPOS, HdcLit, TypeRef
 from exspace.syntax.parser import parse
 from exspace.syntax.preprocess import CompileProfile
 
@@ -498,6 +502,7 @@ int main() { w< S >(); return 0; }
     ("true && 1 && q", "logical operands are not booleans"),
     ("1 && q", 'unbound name "q"'),
     ("false || true || 1", "logical operands are not booleans"),
+    ("cuda_arch", "cuda_arch is not usable in constant expressions"),
 ])
 def test_a_constant_expression_failure_is_reported_where_it_is_read(value, reason):
     src = (f"struct S {{ static constexpr bool f = {value}; }};\n"
@@ -510,3 +515,155 @@ def test_a_constant_expression_failure_is_reported_where_it_is_read(value, reaso
     assert [format_diagnostic(d, "machine") for d in result.notes] == [
         f"u.mcu:2:18: note[N0001]: execution halted on a stray call: {reason}"
     ]
+
+
+# -- discard reasons ------------------------------------------------------------
+
+
+# resolve_overload drops a candidate for the first reason _try_candidate
+# finds, in this order: too many explicit template arguments, each explicit
+# argument of the wrong kind, the argument count, each template parameter
+# that deduction left unbound with no default or a default that is no HDC
+# constant, each parameter type that does not resolve or does not match its
+# argument, and the requires clause.  The check reports only the E1301 that
+# an empty set becomes.
+@pytest.mark.parametrize("decl, call, arg_types, reason", [
+    ("template< HDC h > void f() {}", "f< HDC::Hst, HDC::Dev >()", [],
+     "too many template arguments"),
+    ("template< typename T > void f() {}", "f< HDC::Hst >()", [], "expected a type argument"),
+    ("template< HDC h > void f() {}", "f< true >()", [], "expected an HDC constant"),
+    ("template< HDC h > void f() {}", "f< HDC::Hst >( 1 )", ["int"], "argument count mismatch"),
+    ("template< typename T > void f() {}", "f()", [],
+     'could not bind template parameter "T"'),
+    ("template< HDC h = true > void f() {}", "f()", [], "default is not an HDC constant"),
+    ("template< typename T > void f( T x, U y ) {}", "f( 1, 1 )", ["int", "int"],
+     "parameter type does not resolve"),
+    ("void f( bool b ) {}", "f( 1 )", ["int"], "argument type mismatch"),
+    ("template< HDC h > requires( HDC::Hst ) void f() {}", "f< HDC::Hst >()", [],
+     "requires clause is not boolean"),
+    ("template< HDC h > requires( h == HDC::Dev ) void f() {}", "f< HDC::Hst >()", [],
+     "requires clause is false"),
+    ("template< typename T > requires( T ) void f() {}", "f< int >()", [],
+     '"T" is a type, not a constant'),
+])
+def test_each_discard_reason_of_a_candidate(decl, call, arg_types, reason):
+    src = f"{decl}\nint main() {{ {call}; return 0; }}\n"
+    analysis = analyze(src, "d.mcu")
+    assert [format_diagnostic(d) for d in analysis.diagnostics] == [
+        'd.mcu:2:14: error[E1301]: no viable candidate for call to "f"'
+    ]
+    table = analysis.passes["host"].table
+    [candidate] = table.overloads("f")
+    node = table.overloads("main")[0].body[0].expr
+    with pytest.raises(SubstFailure) as exc:
+        _try_candidate(candidate, node.targs, [Type(a) for a in arg_types], {}, table, None, None)
+    assert str(exc.value) == reason
+
+
+@pytest.mark.parametrize("targ, env, reason", [
+    (TypeRef("X", [HdcLit("Hst")]), {}, "expected an HDC constant"),
+    (TypeRef("T", []), {"T": Type("int")}, "expected an HDC constant"),
+    (TypeRef("Foo", []), {}, '"Foo" is not an HDC constant'),
+])
+def test_each_reason_a_name_is_no_hdc_argument(targ, env, reason):
+    table = _table("")
+    with pytest.raises(SubstFailure) as exc:
+        _targ_as_hdc(targ, env, table)
+    assert str(exc.value) == reason
+    assert _targ_as_hdc(TypeRef("h", []), {"h": HDC.Dev}, table) is HDC.Dev
+    with pytest.raises(SubstFailure, match="^expected a type argument$"):
+        targ_as_type(HdcLit("Hst"), {}, table)
+
+
+_S = "template< HDC h > struct S {};\n"
+_HALT = "note[N0001]: execution halted on a stray call: "
+
+
+# Units that check and run forms no other input reaches: a type that does
+# not resolve, conditional and propagated spaces, a call with no body, and
+# valid forms.  Each is checked, then run even when the check failed.
+@pytest.mark.parametrize("src, mode, diags, exit_code, notes", [
+    pytest.param("template< typename T > void f() { T< HDC::Hst > x; }\n"
+                 "int main() { f< int >(); return 0; }\n", Mode.CLASSIC,
+                 ['u.mcu:1:35: error[E0101]: "T" does not name a type here'], 101,
+                 [f"u.mcu:1:35: {_HALT}unresolvable type: T is not a template"],
+                 id="not-a-template"),
+    pytest.param(_S + "int main() { S{}; return 0; }\n", Mode.CLASSIC,
+                 ['u.mcu:2:14: error[E0001]: missing template arguments for "S"'], 101,
+                 [f'u.mcu:2:14: {_HALT}unresolvable type: E0001 u.mcu:2:14: '
+                  'missing template arguments for "S"'], id="missing-targs"),
+    pytest.param(_S + "\nint main() { S< HDC::Hst, HDC::Dev >{}; return 0; }\n", Mode.CLASSIC,
+                 ['u.mcu:3:14: error[E0001]: too many template arguments for "S"'], 101,
+                 [f'u.mcu:3:14: {_HALT}unresolvable type: E0001 u.mcu:3:14: '
+                  'too many template arguments for "S"'], id="too-many-targs"),
+    pytest.param(_S + "int main() { S< true >{}; return 0; }\n", Mode.CLASSIC,
+                 ['u.mcu:2:14: error[E0101]: "S" does not name a type here'], 101,
+                 [f"u.mcu:2:14: {_HALT}unresolvable type: "
+                  "struct template arguments must be HDC constants"], id="bool-targ"),
+    pytest.param(_S + "struct X {};\nint main() { S< X< HDC::Hst > >{}; return 0; }\n",
+                 Mode.CLASSIC, ['u.mcu:3:14: error[E0101]: "S" does not name a type here'],
+                 101, [f"u.mcu:3:14: {_HALT}unresolvable type: expected an HDC constant"],
+                 id="template-targ"),
+    pytest.param(_S + "template< typename T > void f() { S< T >{}; }\n"
+                 "int main() { f< int >(); return 0; }\n", Mode.CLASSIC,
+                 ['u.mcu:2:35: error[E0101]: "S" does not name a type here'], 101,
+                 [f"u.mcu:2:35: {_HALT}unresolvable type: expected an HDC constant"],
+                 id="type-parameter-targ"),
+    pytest.param(_S + "int main() { S< Foo >{}; return 0; }\n", Mode.CLASSIC,
+                 ['u.mcu:2:14: error[E0101]: "S" does not name a type here'], 101,
+                 [f'u.mcu:2:14: {_HALT}unresolvable type: "Foo" is not an HDC constant'],
+                 id="unknown-targ"),
+    pytest.param("template< typename T > void f() { if( T::x == 1 ) {} }\n"
+                 "int main() { f< int >(); return 0; }\n", Mode.CLASSIC,
+                 ['u.mcu:1:39: error[E0101]: "int" has no members'], 101,
+                 [f'u.mcu:1:39: {_HALT}"int" has no members'], id="builtin-member"),
+    pytest.param("__host__( HDC::Hst ) void g() {}\nint main() { g(); return 0; }\n",
+                 Mode.PROPOSAL1,
+                 ["u.mcu:1:27: error[E0001]: specifier predicate is not a constant",
+                  "u.mcu:2:14: error[E0001]: specifier predicate is not a constant"], 101,
+                 [f"u.mcu:2:14: {_HALT}unresolvable execution space: "
+                  "specifier predicate is not boolean"], id="hdc-predicate"),
+    pytest.param("__host__( false ) __device__( false ) void g() {}\n"
+                 "int main() { return 0; }\n", Mode.PROPOSAL1,
+                 ['u.mcu:1:44: error[E1401]: all execution-space predicates of "g" are false; '
+                  "the instance has no execution space"], 0, [], id="no-space-root"),
+    pytest.param("template< typename T > __host__( false ) __device__( false ) void g() {}\n"
+                 "int main() { g< int >(); return 0; }\n", Mode.PROPOSAL1,
+                 ['u.mcu:2:14: error[E1401]: all execution-space predicates of "g" are false; '
+                  "the instance has no execution space"], 101,
+                 [f'u.mcu:2:14: {_HALT}unresolvable execution space: E1401 u.mcu:2:14: '
+                  'all execution-space predicates of "g" are false; '
+                  "the instance has no execution space"], id="no-space-template"),
+    # Neither viable overload has code on the host: both stay, and tie.
+    pytest.param("__device__ void f( int x ) {}\n"
+                 "template< typename T > __device__ void f( T x ) {}\n"
+                 "int main() { f( 1 ); return 0; }\n", Mode.PROPOSAL2,
+                 ['u.mcu:3:14: error[E1302]: call to "f" is ambiguous (2 candidates survive)'],
+                 101, [f'u.mcu:3:14: {_HALT}unresolvable call: E1302 u.mcu:3:14: '
+                       'call to "f" is ambiguous (2 candidates survive)'],
+                 id="proposal2-tie-off-side"),
+    pytest.param("void g();\nint main() { g(); return 0; }\n", Mode.CLASSIC, [], 101,
+                 [f'u.mcu:2:14: {_HALT}"g" has no body to execute'], id="declared-only"),
+    pytest.param(_S + "template< HDC g > void f() { S< g >{}; }\n"
+                 "int main() { f< HDC::Dev >(); return 0; }\n", Mode.CLASSIC, [], 0, [],
+                 id="hdc-parameter-targ"),
+    pytest.param("struct B {};\ntemplate< typename T, HDC h > void f() {}\n"
+                 "int main() { f< B, HDC::Dev >(); return 0; }\n", Mode.CLASSIC, [], 0, [],
+                 id="two-explicit-targs"),
+    # A member constant no body reads may fail to evaluate.
+    pytest.param("struct S { static constexpr bool b = y; __host__ __device__ void g() {} };\n"
+                 "int main() { S{}.g(); return 0; }\n", Mode.CLASSIC, [], 0, [],
+                 id="unread-member-constant"),
+    pytest.param("__host__ __device__( true ) int g() { return 3; }\n"
+                 "int main() { return g(); }\n", Mode.PROPOSAL1, [], 3, [],
+                 id="one-predicate"),
+    pytest.param("struct S { static constexpr static int n = 4; };\n"
+                 "int main() { return S::n; }\n", Mode.CLASSIC, [], 4, [],
+                 id="repeated-static"),
+])
+def test_check_and_forced_run_of_rare_forms(src, mode, diags, exit_code, notes):
+    analysis = analyze(src, "u.mcu", NVCC, mode)
+    assert [format_diagnostic(d) for d in analysis.diagnostics] == diags
+    result = run_program(analysis)
+    assert result.exit_code == exit_code
+    assert [format_diagnostic(d) for d in result.notes] == notes
