@@ -268,12 +268,10 @@ def resolve(
         if isinstance(item, n.StaticAssertDecl):
             try:
                 value = eval_const_expr(item.expr, {}, table)
-            except SubstFailure:
-                diags.append(
-                    Diagnostic.make(
-                        "E0104", table.loc(item.pos), "static assertion cannot be evaluated"
-                    )
-                )
+            except SubstFailure as e:
+                diags.append(Diagnostic.make(
+                    "E0104", table.loc(item.pos), f"static assertion cannot be evaluated: {e}"
+                ))
             except SemaError as e:
                 diags.append(e.diagnostic())
             else:

@@ -10,8 +10,9 @@ compilation: host-side bodies are what the host compiler sees, device-side
 bodies what the device front end sees.
 
 Each instance's body is walked with its own bindings and side, which
-decide its site entries, call verdicts, the callees it demands and the
-launch and stray bookkeeping.  One call memo per analyze, shared by its
+decide its site entries, call verdicts, the callees it demands, and the
+launches and stray calls it records; _Walk._resolve_pending decides each
+stray call once the walk ends.  One call memo per analyze, shared by its
 walks, holds each call that resolved (_Walk._resolve_call), so an equal
 call is resolved once.  Every sema call reads the walk's own SymbolTable,
 which notes a read of a name that another table of the analyze answers
@@ -39,7 +40,6 @@ from .sema import (  # Mode is re-exported from here
     Type,
     _differing,
     builtin_spaces,
-    compute_hdc,
     declared_spaces,
     effective_spaces,
     eval_const_expr,
@@ -175,13 +175,6 @@ class Instance:
         return self.spaces is ExecSpace.HostDevice
 
 
-@dataclass
-class _Pending:
-    caller: Instance
-    callee_space: ExecSpace
-    pos: int
-
-
 def _bindings_key(bindings: dict) -> tuple:
     return tuple(sorted(bindings.items()))  # the names are distinct
 
@@ -214,7 +207,7 @@ class _Walk:
         # whether it touched that table)
         self.calls = calls
         self.diags: list[Diagnostic] = []
-        self.pending: list[_Pending] = []
+        self.pending: list[tuple] = []  # (caller, callee space, position)
         self.instances: dict[tuple, Instance] = {}
         self.queue: deque = deque()
         self.demands: dict = {}  # ("decl", signature key) or demand -> (display, position)
@@ -273,12 +266,10 @@ class _Walk:
     def _sema(self, inst, node, halt: str, failure: tuple, fn, *args, **kwargs):
         """fn(*args, **kwargs) with its failure diagnosed; None on failure.
 
-        A SemaError is reported as it is; a SubstFailure as the diagnostic
-        failure names, (code, position, template, *arguments), whose message
-        is the template formatted with the arguments, or the failure's own
-        text for a None template.  Given node, the reason a run halts there
-        (halt followed by the failure) goes into inst's site entries; a site
-        that records a value records it itself.
+        A SemaError is reported as it is; a SubstFailure with its own text,
+        as the diagnostic failure names, (code, position).  Given node, the
+        reason a run halts there (halt followed by the failure) goes into
+        inst's site entries; a site that records a value records it itself.
         """
         try:
             return fn(*args, **kwargs)
@@ -286,16 +277,15 @@ class _Walk:
             if isinstance(err, SemaError):
                 self.diags.append(err.diagnostic())
             else:
-                code, pos, template, *targs = failure
-                self._emit(code, pos, str(err) if template is None else template.format(*targs))
+                self._emit(*failure, str(err))
             if node is not None:
                 inst.sites[id(node)] = f"{halt}{err}"
             return None
 
     def _spaces(self, decl, bindings, side, owner_struct, pos, inst=None, node=None):
+        # A failing predicate is reported once, at decl; an empty space at pos.
         return self._sema(
-            inst, node, "unresolvable execution space: ",
-            ("E0001", pos, "specifier predicate is not a constant"),
+            inst, node, "unresolvable execution space: ", ("E0001", decl.pos),
             effective_spaces, decl, bindings, self.mode, side, self.table, pos, owner_struct,
         )
 
@@ -350,11 +340,8 @@ class _Walk:
         self._walk_stmts(inst, inst.decl.body, locals_)
 
     def _resolve_type_soft(self, inst, tref: n.TypeRef, pos, node=None) -> Optional[Type]:
-        t = self._sema(
-            inst, node, "unresolvable type: ",
-            ("E0101", pos, '"{}" does not name a type here', tref.name),
-            resolve_type, tref, inst.env, self.table,
-        )
+        t = self._sema(inst, node, "unresolvable type: ", ("E0101", pos),
+                       resolve_type, tref, inst.env, self.table)
         if node is not None and t is not None:
             inst.sites[id(node)] = t
         return t
@@ -451,12 +438,7 @@ class _Walk:
             self._emit("E0101", e.pos, reason)
             inst.sites[id(e)] = reason
             return None
-        if isinstance(e, n.HdcTrait):
-            t = self._resolve_type_soft(inst, e.type, e.pos, e)
-            if t is not None:
-                self._constant(inst, e, compute_hdc, t, self.table)
-            return None
-        if isinstance(e, n.MemberConst):
+        if isinstance(e, (n.HdcTrait, n.MemberConst)):
             self._constant(inst, e, eval_const_expr, e, inst.env, self.table)
             return None
         if isinstance(e, n.UnaryExpr):
@@ -470,7 +452,7 @@ class _Walk:
 
     def _constant(self, inst, e, fn, *args):
         """Record at e the compile-time value fn(*args), or why a run halts there."""
-        value = self._sema(inst, e, "", ("E0101", e.pos, None), fn, *args)
+        value = self._sema(inst, e, "", ("E0101", e.pos), fn, *args)
         if value is not None:
             inst.sites[id(e)] = value
 
@@ -587,7 +569,7 @@ class _Walk:
             inst.sites[id(e)] = None
         else:
             inst.sites[id(e)] = f'"{e.name}" is not available in {inst.side.value} code'
-            self._report_stray(inst, space, e.pos)
+            self.pending.append((inst, space, e.pos))
 
     def _call(self, inst, node, sel: Selected, spaces, owner_bindings, owner_type, demand):
         pos = node.pos
@@ -611,7 +593,7 @@ class _Walk:
             inst.sites[id(node)] = (
                 f'"{sel.decl.display_name()}" is not compiled for {inst.side.value} code'
             )
-            self._report_stray(inst, spaces, pos)
+            self.pending.append((inst, spaces, pos))
         if (
             self.nvcc_sides
             and spaces is ExecSpace.HostDevice
@@ -624,31 +606,7 @@ class _Walk:
                     demand, sel.decl, sel.bindings, side, spaces, owner_bindings, owner_type, pos,
                 )
 
-    def _report_stray(self, inst, callee_space, pos):
-        """Report a call to a callee without code on inst's side.
-
-        A host-device caller's verdict waits for reachability; any other
-        caller's is the mode-aware row of the matrix.
-        """
-        if inst.from_hd:
-            self.pending.append(_Pending(inst, callee_space, pos))
-        else:
-            self._emit_stray(inst, callee_space, pos, reachable=True)
-
-    def _emit_stray(self, inst, callee_space, pos, reachable):
-        code = legality(
-            inst.side, callee_space, caller_from_hd=inst.from_hd, mode=self.mode,
-            mismatched_side_reachable=reachable,
-        )
-        if code is None:
-            return
-        message = _stray_message(code, inst.side, callee_space, inst.from_hd)
-        d = Diagnostic.make(code, self.table.loc(pos), message)
-        if not d.is_error and inst.decl.spec.pragma_suppress:
-            d.suppressed = True
-        self.diags.append(d)
-
-    # -- pending warnings, reachability, promotion ------------------------------
+    # -- stray calls and reachability -------------------------------------------
 
     def _reachable(self) -> set:
         """Instance keys reachable on a native side.
@@ -671,11 +629,30 @@ class _Walk:
         return seen
 
     def _resolve_pending(self):
+        """Decide every call to a callee without code on its caller's side.
+
+        A host-device caller's verdict depends on reachability, and the
+        pass compiling its side reports it; any other caller's is the
+        mode-aware row of the matrix, which ignores reachability.
+        """
         reach = self._reachable()
-        for pm in self.pending:
-            if pm.caller.side not in self.natives:
+        for caller, callee_space, pos in self.pending:
+            if caller.from_hd and caller.side not in self.natives:
                 continue  # the other pass compiles that side
-            self._emit_stray(pm.caller, pm.callee_space, pm.pos, pm.caller.key in reach)
+            self._emit_stray(caller, callee_space, pos, caller.key in reach)
+
+    def _emit_stray(self, inst, callee_space, pos, reachable):
+        code = legality(
+            inst.side, callee_space, caller_from_hd=inst.from_hd, mode=self.mode,
+            mismatched_side_reachable=reachable,
+        )
+        if code is None:
+            return
+        message = _stray_message(code, inst.side, callee_space, inst.from_hd)
+        d = Diagnostic.make(code, self.table.loc(pos), message)
+        if not d.is_error and inst.decl.spec.pragma_suppress:
+            d.suppressed = True
+        self.diags.append(d)
 
 
 # --------------------------------------------------------------------------

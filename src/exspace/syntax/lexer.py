@@ -27,16 +27,15 @@ class Tokens:
     A kind is ident | int | string | punct | pragma | eof, or error, whose
     text is the message.  A tag is the text of an ident or punct token and
     None for every other kind: the parser matches keywords and punctuators
-    by comparing tags alone.  ids holds each token's index in the unit's
-    stream, its identity across the passes of the unit (see pass_tokens).
-    lines is the unit's LineTable.  The stream ends in its end of input.
+    by comparing tags alone.  A position is also the token's identity
+    across the passes of the unit (see pass_tokens).  lines is the unit's
+    LineTable.  The stream ends in its end of input.
     """
 
     kinds: list
     texts: list
     tags: list
     positions: list
-    ids: list
     lines: LineTable
 
     def __len__(self):
@@ -110,8 +109,7 @@ def tokenize(text: str, file: str = "<unit>") -> Tokens:
     token_text("")
     tag(None)
     position(len(text))
-    return Tokens(kinds, texts, tags, positions, list(range(len(kinds))),
-                  LineTable(file, text))
+    return Tokens(kinds, texts, tags, positions, LineTable(file, text))
 
 
 def pass_tokens(tokens: Tokens, prepared: str, text: str) -> Tokens:
@@ -122,8 +120,9 @@ def pass_tokens(tokens: Tokens, prepared: str, text: str) -> Tokens:
     The pass keeps the tokens of each run of lines it does not drop, a
     range of indices found by bisecting the positions at the run's ends.
     The end of input is the one of tokens unless the pass blanked a last
-    line that is not empty; it then sits at that line's start and has the
-    index len(tokens), an identity of its own.
+    line that is not empty; it then sits at that line's start.  That line
+    is a directive other than #pragma, since an inactive region ends in a
+    later #endif, and every pass blanks it: no pass keeps a token there.
     """
     if text == prepared:
         return tokens
@@ -142,7 +141,7 @@ def pass_tokens(tokens: Tokens, prepared: str, text: str) -> Tokens:
         offset += len(line) + 1
     if begin is not None:
         ranges.append((begin, offset))
-    kinds, texts, tags, kept_positions, ids = [], [], [], [], []
+    kinds, texts, tags, kept_positions = [], [], [], []
     for start, end in ranges:
         a = bisect_left(positions, start, 0, last)
         b = bisect_left(positions, end, a, last)
@@ -150,13 +149,11 @@ def pass_tokens(tokens: Tokens, prepared: str, text: str) -> Tokens:
         texts += tokens.texts[a:b]
         tags += tokens.tags[a:b]
         kept_positions += positions[a:b]
-        ids += range(a, b)
-    eof, eof_id = positions[last], last
+    eof = positions[last]
     if begin is None:  # the last line is dropped
-        eof, eof_id = prepared.rfind("\n") + 1, last + 1
+        eof = prepared.rfind("\n") + 1
     kinds.append("eof")
     texts.append("")
     tags.append(None)
     kept_positions.append(eof)
-    ids.append(eof_id)
-    return Tokens(kinds, texts, tags, kept_positions, ids, tokens.lines)
+    return Tokens(kinds, texts, tags, kept_positions, tokens.lines)

@@ -71,35 +71,34 @@ class ParsedItems:
     """The top-level items parsed from the passes of one unit, by first token.
 
     The passes of a unit keep tokens of one tokenize() result, so an item
-    both passes keep starts with the token of the same id in both.  An
-    item's parse reads its own tokens and the one after it, nothing else;
-    so when a later pass reaches a recorded first token followed by the
-    same tokens, the recorded node, or ParseError, is its outcome too.
-    Each pass has an end of input of its own, whose id is the same
-    wherever it sits at the same place (see pass_tokens).  A pass whose
-    tokens are the very stream the last Ast was built from gets that Ast
-    without a check per item.
+    both passes keep starts with the token at the same position in both.
+    An item's parse reads its own tokens and the one after it, nothing
+    else; so when a later pass reaches a recorded first token followed by
+    the same tokens, the recorded node, or ParseError, is its outcome too.
+    Each pass has an end of input of its own, at a position no pass keeps
+    a token at (see pass_tokens).  A pass whose tokens are the very stream
+    the last Ast was built from gets that Ast without a check per item.
     """
 
     def __init__(self):
-        self.nodes: dict = {}  # first id -> (ids of its tokens and the next one, node)
-        self.failures: dict = {}  # first id -> (ids to the end of input, ParseError)
+        self.nodes: dict = {}  # first position -> (positions of its tokens and the next, node)
+        self.failures: dict = {}  # first position -> (positions to the end, ParseError)
         self.ast: Optional[n.Ast] = None  # the last Ast parse() built
         self.tokens: Optional[Tokens] = None  # the stream ast was built from
 
-    def reuse(self, ids: list, start: int):
-        """(node, next index) recorded for the item at ids[start], or None.
+    def reuse(self, positions: list, start: int):
+        """(node, next index) recorded for the item at positions[start], or None.
 
         A recorded failure is raised.
         """
-        known = self.nodes.get(ids[start])
+        known = self.nodes.get(positions[start])
         if known is not None:
             span, node = known
             end = start + len(span) - 1
-            if ids[start:end + 1] == span:
+            if positions[start:end + 1] == span:
                 return node, end
-        failed = self.failures.get(ids[start])
-        if failed is not None and ids[start:] == failed[0]:
+        failed = self.failures.get(positions[start])
+        if failed is not None and positions[start:] == failed[0]:
             raise failed[1]
         return None
 
@@ -118,7 +117,6 @@ class _Parser:
         # of input keeps tags[i + 1] in range.
         self.tags = toks.tags + [None]
         self.positions = toks.positions
-        self.ids = toks.ids
         self.lines = toks.lines
         self.i = 0
         self.depth = 0
@@ -164,11 +162,11 @@ class _Parser:
     # -- unit --------------------------------------------------------------
 
     def parse_unit(self, seen: ParsedItems) -> n.Ast:
-        kinds, ids = self.kinds, self.ids
+        kinds, positions = self.kinds, self.positions
         items = []
         while kinds[self.i] != "eof":
             start = self.i
-            reused = seen.reuse(ids, start)
+            reused = seen.reuse(positions, start)
             if reused is not None:
                 node, self.i = reused
             else:
@@ -176,9 +174,9 @@ class _Parser:
                     node = self.parse_item()
                 except ParseError as e:
                     err = self.first_lex_error(start) or e
-                    seen.failures[ids[start]] = (ids[start:], err)
+                    seen.failures[positions[start]] = (positions[start:], err)
                     raise err from None
-                seen.nodes[ids[start]] = (ids[start:self.i + 1], node)
+                seen.nodes[positions[start]] = (positions[start:self.i + 1], node)
             items.append(node)
         last = seen.ast
         if last is not None and len(last.items) == len(items) and all(

@@ -430,8 +430,8 @@ int main() {
   return 0;
 }
 """,
-            '"h" does not name a type here',
-            "unresolvable type: h does not name a type",
+            "h does not name a type",
+            "h does not name a type",
             id="hdc-parameter",
         ),
         pytest.param(

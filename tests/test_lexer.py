@@ -36,14 +36,14 @@ def test_tokens_sit_where_they_were_read(text):
     toks = tokenize(text, "t")
     n = len(toks)
     assert [len(toks.kinds), len(toks.texts), len(toks.tags), len(toks.positions)] == [n] * 4
-    assert toks.ids == list(range(n))
     assert toks.kinds[-1] == "eof"
     assert toks.kinds.count("eof") == 1
     lines = text.split("\n")
     locs = [toks.lines.loc(pos) for pos in toks.positions]
     assert all(loc.file == "t" for loc in locs)
-    # Offsets order exactly as (line, col) does.
-    assert toks.positions == sorted(toks.positions)
+    # Offsets are distinct, since a position is a token's identity, and
+    # order exactly as (line, col) does.
+    assert all(a < b for a, b in zip(toks.positions, toks.positions[1:]))
     assert [(loc.line, loc.col) for loc in locs] == sorted((loc.line, loc.col) for loc in locs)
     for kind, token_text, tag, pos, loc in zip(
             toks.kinds, toks.texts, toks.tags, toks.positions, locs):
@@ -116,9 +116,10 @@ def test_a_pass_keeps_the_tokens_of_its_lines_and_their_ids():
         ("int", 1), ("a", 1), (";", 1), ("int", 5), ("c", 5), (";", 5),
         ("int", 7), ("d", 7), (";", 7), ("", 8),
     ]
-    # Each kept token keeps its index in the unit's stream as its id.
-    assert host.ids == [0, 1, 2, 8, 9, 10, 12, 13, 14, 15]
-    assert [toks.texts[i] for i in host.ids] == host.texts
+    # Each kept token keeps its position in the unit's stream as its id.
+    kept = [0, 1, 2, 8, 9, 10, 12, 13, 14, 15]
+    assert host.positions == [toks.positions[i] for i in kept]
+    assert [toks.texts[i] for i in kept] == host.texts
     assert host.lines is toks.lines
     assert pass_tokens(toks, prepared, prepared) is toks
 
@@ -133,8 +134,13 @@ def test_a_pass_that_blanks_the_last_line_ends_at_its_start(tail, eof, moved):
     toks = tokenize(prepared, "e.mcu")
     host = pass_tokens(toks, prepared, preprocess(prepared, CompileProfile().passes()[0]))
     assert _tokens(host)[-1][2:] == eof
-    # A moved end of input has an id no token of the unit has.
-    assert host.ids[-1] == (len(toks) if moved else len(toks) - 1)
+    # A moved end of input sits at the start of the blanked directive, a
+    # position at which no pass keeps a token.
+    line_start = prepared.rfind("\n") + 1
+    assert host.positions[-1] == (line_start if moved else toks.positions[-1])
+    for pp in CompileProfile().passes():
+        kept = pass_tokens(toks, prepared, preprocess(prepared, pp))
+        assert line_start not in kept.positions[:-1]
 
 
 def test_tokenize_and_parse_stay_public_module_functions():

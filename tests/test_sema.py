@@ -585,7 +585,7 @@ _HALT = "note[N0001]: execution halted on a stray call: "
 @pytest.mark.parametrize("src, mode, diags, exit_code, notes", [
     pytest.param("template< typename T > void f() { T< HDC::Hst > x; }\n"
                  "int main() { f< int >(); return 0; }\n", Mode.CLASSIC,
-                 ['u.mcu:1:35: error[E0101]: "T" does not name a type here'], 101,
+                 ['u.mcu:1:35: error[E0101]: T is not a template'], 101,
                  [f"u.mcu:1:35: {_HALT}unresolvable type: T is not a template"],
                  id="not-a-template"),
     pytest.param(_S + "int main() { S{}; return 0; }\n", Mode.CLASSIC,
@@ -597,20 +597,20 @@ _HALT = "note[N0001]: execution halted on a stray call: "
                  [f'u.mcu:3:14: {_HALT}unresolvable type: E0001 u.mcu:3:14: '
                   'too many template arguments for "S"'], id="too-many-targs"),
     pytest.param(_S + "int main() { S< true >{}; return 0; }\n", Mode.CLASSIC,
-                 ['u.mcu:2:14: error[E0101]: "S" does not name a type here'], 101,
-                 [f"u.mcu:2:14: {_HALT}unresolvable type: "
-                  "struct template arguments must be HDC constants"], id="bool-targ"),
+                 ["u.mcu:2:14: error[E0101]: struct template arguments must be HDC constants"],
+                 101, [f"u.mcu:2:14: {_HALT}unresolvable type: "
+                       "struct template arguments must be HDC constants"], id="bool-targ"),
     pytest.param(_S + "struct X {};\nint main() { S< X< HDC::Hst > >{}; return 0; }\n",
-                 Mode.CLASSIC, ['u.mcu:3:14: error[E0101]: "S" does not name a type here'],
+                 Mode.CLASSIC, ["u.mcu:3:14: error[E0101]: expected an HDC constant"],
                  101, [f"u.mcu:3:14: {_HALT}unresolvable type: expected an HDC constant"],
                  id="template-targ"),
     pytest.param(_S + "template< typename T > void f() { S< T >{}; }\n"
                  "int main() { f< int >(); return 0; }\n", Mode.CLASSIC,
-                 ['u.mcu:2:35: error[E0101]: "S" does not name a type here'], 101,
+                 ["u.mcu:2:35: error[E0101]: expected an HDC constant"], 101,
                  [f"u.mcu:2:35: {_HALT}unresolvable type: expected an HDC constant"],
                  id="type-parameter-targ"),
     pytest.param(_S + "int main() { S< Foo >{}; return 0; }\n", Mode.CLASSIC,
-                 ['u.mcu:2:14: error[E0101]: "S" does not name a type here'], 101,
+                 ['u.mcu:2:14: error[E0101]: "Foo" is not an HDC constant'], 101,
                  [f'u.mcu:2:14: {_HALT}unresolvable type: "Foo" is not an HDC constant'],
                  id="unknown-targ"),
     pytest.param("template< typename T > void f() { if( T::x == 1 ) {} }\n"
@@ -619,10 +619,21 @@ _HALT = "note[N0001]: execution halted on a stray call: "
                  [f'u.mcu:1:39: {_HALT}"int" has no members'], id="builtin-member"),
     pytest.param("__host__( HDC::Hst ) void g() {}\nint main() { g(); return 0; }\n",
                  Mode.PROPOSAL1,
-                 ["u.mcu:1:27: error[E0001]: specifier predicate is not a constant",
-                  "u.mcu:2:14: error[E0001]: specifier predicate is not a constant"], 101,
+                 ["u.mcu:1:27: error[E0001]: specifier predicate is not boolean"], 101,
                  [f"u.mcu:2:14: {_HALT}unresolvable execution space: "
                   "specifier predicate is not boolean"], id="hdc-predicate"),
+    # A failing predicate is reported once, at the declaration, however
+    # many sites call it.
+    pytest.param("template< typename T > __host__( T::v ) void g() {}\n"
+                 "struct S { static constexpr int v = 1; };\n"
+                 "int main() { g< S >(); g< S >(); return 0; }\n", Mode.PROPOSAL1,
+                 ["u.mcu:1:46: error[E0001]: specifier predicate is not boolean"], 101,
+                 [f"u.mcu:3:14: {_HALT}unresolvable execution space: "
+                  "specifier predicate is not boolean"], id="predicate-called-twice"),
+    pytest.param("int main() { if( hdc< Foo > == HDC::Hst ) {} return 0; }\n", Mode.CLASSIC,
+                 ['u.mcu:1:23: error[E0101]: undefined type "Foo"'], 101,
+                 [f'u.mcu:1:18: {_HALT}E0101 u.mcu:1:23: undefined type "Foo"'],
+                 id="hdc-undefined-type"),
     pytest.param("__host__( false ) __device__( false ) void g() {}\n"
                  "int main() { return 0; }\n", Mode.PROPOSAL1,
                  ['u.mcu:1:44: error[E1401]: all execution-space predicates of "g" are false; '

@@ -609,6 +609,33 @@ int main() {
     assert [c for c, _ in codes(src, Mode.CLASSIC)] == ["E1001"]
 
 
+# A one-sided caller whose side is not the walk's native side: only the
+# host pass keeps d's call, and the host walk decides it all the same.
+_E1002 = ("E1002", "calling a host function from a device function is not allowed")
+
+
+@pytest.mark.parametrize("mode, expected", [
+    (Mode.CLASSIC, [_E1002]),
+    (Mode.SOUND, [_E1002]),
+    (Mode.PROPOSAL2, [("E1501", "stray call: calling a host function from device code")]),
+    (Mode.FIDELITY, []),
+], ids=["classic", "sound", "proposal2", "fidelity"])
+def test_a_host_pass_stray_call_of_a_device_function_is_decided(mode, expected):
+    src = """__host__ void h() {}
+__device__ void d() {
+#ifndef __CUDA_ARCH__
+  h();
+#endif
+}
+int main() { return 0; }
+"""
+    analysis = analyze(src, "s.mcu", NVCC, mode)
+    assert analysis.walks[HOST] is not analysis.walks[DEVICE]
+    got = [(d.code, d.message) for d in analysis.diagnostics]
+    assert got == expected
+    assert all(str(d.loc) == "s.mcu:4:3" for d in analysis.diagnostics)
+
+
 def test_plain_profile_erase_checks_single_pass():
     src = """__host__ __device__ void f() {}
 int main() { f(); return 0; }
