@@ -23,6 +23,8 @@ CODE_REGISTRY: dict[str, tuple[Severity, str]] = {
     "E0102": (Severity.ERROR, "duplicate definition"),
     "E0103": (Severity.ERROR, "hdc member is not an HDC constant"),
     "E0104": (Severity.ERROR, "static assertion failed"),
+    "E0105": (Severity.ERROR, "member constant depends on itself"),
+    "E0106": (Severity.ERROR, "member constants nest too deep"),
     "E1001": (Severity.ERROR, "host code calls a device function"),
     "E1002": (Severity.ERROR, "device code calls a host function"),
     "E1003": (Severity.ERROR, "kernel launch from device code"),

@@ -120,6 +120,8 @@ class SymbolTable:
     # answers differently (_differing); struct and overloads touch on reading one.
     differing: tuple = field(default=((), ()), repr=False, compare=False)
     touched: bool = field(default=False, repr=False, compare=False)
+    # The member constants being evaluated, innermost last (_member_value).
+    evaluating: dict = field(default_factory=dict, repr=False, compare=False)
 
     def loc(self, pos: int) -> SrcLoc:
         """The SrcLoc of a position in the unit this table was resolved from."""
@@ -330,6 +332,11 @@ def _check_free_call_names(ast: n.Ast, table: SymbolTable, profile) -> list:
 
 Bindings = dict  # name -> Type | HDC
 
+# How deep member constants may nest in one evaluation, T::m and hdc< T >
+# alike: a chain S0::v = S1::v = ... ends in E0106 past it, well inside
+# Python's default recursion limit.
+MAX_CONST_DEPTH = 200
+
 
 def struct_bindings(struct: n.StructDecl, t: Type) -> Bindings:
     return {tp.name: v for tp, v in zip(struct.tparams, t.targs)}
@@ -404,8 +411,30 @@ def compute_hdc(t: Type, table: SymbolTable) -> HDC:
 
 
 def _member_value(struct: n.StructDecl, mv: n.MemberVar, t: Type, table: SymbolTable):
-    """The value of struct's member constant mv in t; E0103 if an HDC one is not an HDC."""
-    value = eval_const_expr(mv.value, struct_bindings(struct, t), table)
+    """The value of struct's member constant mv in t; E0103 if an HDC one is not an HDC.
+
+    table.evaluating holds the member constants being evaluated, by their
+    node and t's arguments.  Re-entering one is E0105, and entering one more
+    than MAX_CONST_DEPTH deep is E0106, both at mv.  They are SemaErrors,
+    not substitution failures, so a requires clause that reads such a
+    member reports it rather than discarding its candidate.
+    """
+    key = (id(mv), t.targs)
+    evaluating = table.evaluating
+    if key in evaluating:
+        raise SemaError("E0105", table.loc(mv.pos),
+                        f'the value of "{t.display()}::{mv.name}" depends on itself')
+    if len(evaluating) == MAX_CONST_DEPTH:
+        raise SemaError("E0106", table.loc(mv.pos),
+                        f"member constants nest deeper than {MAX_CONST_DEPTH} levels")
+    evaluating[key] = None
+    try:
+        # The rule is called here, not through eval_const_expr: one Python
+        # frame less per nesting level.
+        value = _CONST_RULES.get(type(mv.value), _not_constant)(
+            mv.value, struct_bindings(struct, t), table)
+    finally:
+        del evaluating[key]
     if mv.type_name == "HDC" and not isinstance(value, HDC):
         raise SemaError("E0103", table.loc(mv.pos),
                         f'member "{mv.name}" of "{t.name}" is not an HDC constant')
@@ -415,58 +444,99 @@ def _member_value(struct: n.StructDecl, mv: n.MemberVar, t: Type, table: SymbolT
 def eval_const_expr(expr, env: Bindings, table: SymbolTable):
     """Evaluate a compile-time expression to an HDC, bool, or int value.
 
-    Unbound names and absent members raise SubstFailure so overload
-    filtering stays silent; malformed constructs raise SemaError.
+    The rule _CONST_RULES maps the node's class to evaluates it; a class
+    with no rule is not a constant expression.  Unbound names and absent
+    members raise SubstFailure so overload filtering stays silent;
+    malformed constructs raise SemaError.
     """
-    if isinstance(expr, n.IntLit):
-        return expr.value
-    if isinstance(expr, n.BoolLit):
-        return expr.value
-    if isinstance(expr, n.HdcLit):
-        return HDC[expr.value]
-    if isinstance(expr, n.CudaArchRef):
-        raise SubstFailure("cuda_arch is not usable in constant expressions")
-    if isinstance(expr, n.NameRef):
-        if expr.name not in env:
-            raise SubstFailure(f'unbound name "{expr.name}"')
-        val = env[expr.name]
-        if isinstance(val, Type):
-            raise SubstFailure(f'"{expr.name}" is a type, not a constant')
-        return val
-    if isinstance(expr, n.HdcTrait):
-        t = resolve_type(expr.type, env, table)
-        return compute_hdc(t, table)
-    if isinstance(expr, n.MemberConst):
-        t = resolve_type(expr.type, env, table)
-        struct = table.struct(t.name)
-        if struct is None:
-            raise SubstFailure(f'"{t.name}" has no members')
-        mv = SymbolTable.member_var(struct, expr.name)
-        if mv is None:
-            raise SubstFailure(f'"{t.name}" has no member "{expr.name}"')
-        return _member_value(struct, mv, t, table)
-    if isinstance(expr, n.UnaryExpr):
-        val = eval_const_expr(expr.operand, env, table)
-        if not isinstance(val, bool):
-            raise SubstFailure("operand of ! is not a boolean")
-        return not val
-    if isinstance(expr, n.BinaryExpr):
-        lhs = eval_const_expr(expr.lhs, env, table)
-        rhs = eval_const_expr(expr.rhs, env, table)
-        if type(lhs) is not type(rhs):
-            raise SubstFailure("comparison between unrelated kinds")
-        return (lhs == rhs) == (expr.op == "==")
-    if isinstance(expr, n.LogicalExpr):
-        # Every operand, left to right; the first is checked with the second.
-        values = [eval_const_expr(expr.operands[0], env, table)]
-        for operand in expr.operands[1:]:
-            values.append(eval_const_expr(operand, env, table))
-            if not isinstance(values[0], bool) or not isinstance(values[-1], bool):
-                raise SubstFailure("logical operands are not booleans")
-        return all(values) if expr.op == "&&" else any(values)
-    if isinstance(expr, n.StringLit):
-        raise SubstFailure("a string literal is not a constant expression")
+    return _CONST_RULES.get(type(expr), _not_constant)(expr, env, table)
+
+
+def _literal(expr, env, table):
+    return expr.value
+
+
+_HDC_NAMED = {h.name: h for h in HDC}
+
+
+def _hdc_literal(expr: n.HdcLit, env, table):
+    return _HDC_NAMED[expr.value]  # the parser admits HDC names alone
+
+
+def _cuda_arch(expr, env, table):
+    raise SubstFailure("cuda_arch is not usable in constant expressions")
+
+
+def _string(expr, env, table):
+    raise SubstFailure("a string literal is not a constant expression")
+
+
+def _not_constant(expr, env, table):
     raise SubstFailure("not a constant expression")
+
+
+def _name(expr: n.NameRef, env, table):
+    if expr.name not in env:
+        raise SubstFailure(f'unbound name "{expr.name}"')
+    val = env[expr.name]
+    if isinstance(val, Type):
+        raise SubstFailure(f'"{expr.name}" is a type, not a constant')
+    return val
+
+
+def _hdc_trait(expr: n.HdcTrait, env, table):
+    return compute_hdc(resolve_type(expr.type, env, table), table)
+
+
+def _member_const(expr: n.MemberConst, env, table):
+    t = resolve_type(expr.type, env, table)
+    struct = table.struct(t.name)
+    if struct is None:
+        raise SubstFailure(f'"{t.name}" has no members')
+    mv = SymbolTable.member_var(struct, expr.name)
+    if mv is None:
+        raise SubstFailure(f'"{t.name}" has no member "{expr.name}"')
+    return _member_value(struct, mv, t, table)
+
+
+def _not(expr: n.UnaryExpr, env, table):
+    val = eval_const_expr(expr.operand, env, table)
+    if not isinstance(val, bool):
+        raise SubstFailure("operand of ! is not a boolean")
+    return not val
+
+
+def _compare(expr: n.BinaryExpr, env, table):
+    lhs = eval_const_expr(expr.lhs, env, table)
+    rhs = eval_const_expr(expr.rhs, env, table)
+    if type(lhs) is not type(rhs):
+        raise SubstFailure("comparison between unrelated kinds")
+    return (lhs == rhs) == (expr.op == "==")
+
+
+def _logical(expr: n.LogicalExpr, env, table):
+    # Every operand, left to right; the first is checked with the second.
+    values = [eval_const_expr(expr.operands[0], env, table)]
+    for operand in expr.operands[1:]:
+        values.append(eval_const_expr(operand, env, table))
+        if not isinstance(values[0], bool) or not isinstance(values[-1], bool):
+            raise SubstFailure("logical operands are not booleans")
+    return all(values) if expr.op == "&&" else any(values)
+
+
+_CONST_RULES = {
+    n.IntLit: _literal,
+    n.BoolLit: _literal,
+    n.HdcLit: _hdc_literal,
+    n.CudaArchRef: _cuda_arch,
+    n.StringLit: _string,
+    n.NameRef: _name,
+    n.HdcTrait: _hdc_trait,
+    n.MemberConst: _member_const,
+    n.UnaryExpr: _not,
+    n.BinaryExpr: _compare,
+    n.LogicalExpr: _logical,
+}
 
 
 # --------------------------------------------------------------------------

@@ -17,7 +17,15 @@ walks, holds each call that resolved (_Walk._resolve_call), so an equal
 call is resolved once.  Every sema call reads the walk's own SymbolTable,
 which notes a read of a name that another table of the analyze answers
 differently (sema._differing); an entry made over one table is reused
-over another only if its resolution read no such name.
+over another only if its resolution read no such name.  Beside the memo,
+each walk keeps the verdict of each call key on each calling side
+(_Walk.verdicts): the site entry, and the edge or stray call a site with
+that key adds at its own position.  A call with explicit template
+arguments keeps none, since its key holds its node.
+
+A walk's demands hold the declaration or the first instance of each
+signature and template demand; detect_arch_divergence formats the names
+of the few that E1201 reports.
 """
 from __future__ import annotations
 
@@ -63,7 +71,8 @@ _DIVERGENCE_MODES = (Mode.SOUND, Mode.PROPOSAL1, Mode.PROPOSAL2)
 # Codes the plain host compiler can produce; everything space-related is
 # invisible to it, which is what the fidelity mode replicates.
 _HARD_CODES = frozenset(
-    {"E0001", "E0002", "E0101", "E0102", "E0103", "E0104", "E1301", "E1302"}
+    {"E0001", "E0002", "E0101", "E0102", "E0103", "E0104", "E0105", "E0106", "E1301",
+     "E1302"}
 )
 
 
@@ -206,11 +215,16 @@ class _Walk:
         # call key -> (the _call tail of its resolution, the table it read,
         # whether it touched that table)
         self.calls = calls
+        # (call key, side) -> what _call decided there, for the calls
+        # without explicit template arguments (_resolve_call)
+        self.verdicts: dict = {}
         self.diags: list[Diagnostic] = []
         self.pending: list[tuple] = []  # (caller, callee space, position)
         self.instances: dict[tuple, Instance] = {}
         self.queue: deque = deque()
-        self.demands: dict = {}  # ("decl", signature key) or demand -> (display, position)
+        # ("decl", signature key) -> (FunctionDecl, position), and
+        # demand -> (Instance, position); detect_arch_divergence names them
+        self.demands: dict = {}
         self.edges: dict[tuple, list] = {}
         self.launch_seeds: list[tuple] = []
         self.main_key: Optional[tuple] = None
@@ -233,9 +247,7 @@ class _Walk:
     def _seed_roots(self):
         """Demand every declaration, and instantiate each that is a root."""
         for decl, owner in self.table.ast.decls():
-            self.demands.setdefault(
-                ("decl", self.table.keys[id(decl)]), (decl.display_name(), decl.pos)
-            )
+            self.demands.setdefault(("decl", self.table.keys[id(decl)]), (decl, decl.pos))
             if decl.is_template or (owner is not None and owner.tparams):
                 continue
             if decl.body is None:
@@ -326,7 +338,7 @@ class _Walk:
         inst = Instance(decl, bindings, env, side, spaces, owner_type, key)
         self.instances[key] = inst
         if (decl.is_template or owner_type is not None) and demand not in self.demands:
-            self.demands[demand] = (inst.display(), at_pos)
+            self.demands[demand] = (inst, at_pos)
         if decl.body is not None:
             self.queue.append(inst)
         return inst
@@ -502,7 +514,8 @@ class _Walk:
         return None
 
     def _resolve_call(self, inst, node, key, dispatch, *args):
-        """Resolve node by dispatch(inst, node, *args) once per key, then check it.
+        """Resolve node by dispatch(inst, node, *args) once per key, and check
+        it once per key and side.
 
         A call without explicit template arguments resolves alike wherever
         it has key, its callee set and argument types; one with them
@@ -514,22 +527,42 @@ class _Walk:
         resolved before the reset, are in every key, so what they read
         shows there.  A failure returns None and records nothing, so it is
         reported at each site.
+
+        What _call decides from the resolution and the calling side, the
+        site entry and the edge or the stray call, is kept per walk in
+        verdicts, since the callee instances are the walk's.  An E1004
+        keeps no verdict, so each site reports its own; nor does a call
+        with explicit template arguments, whose key no other site of its
+        side shares.
         """
         if node.targs:
             key += (id(node), inst.key[0])
         if self.mode is Mode.PROPOSAL2:
             key += (inst.side,)
-        table = self.table
-        hit = self.calls.get(key)
-        if hit is not None and (hit[1] is table or not hit[2]):
-            tail = hit[0]
-        else:
-            table.touched = False  # before every table read the entry depends on
-            tail = dispatch(inst, node, *args)
-            if tail is None:
+        verdict_key = None if node.targs else (key, inst.side)
+        verdict = self.verdicts.get(verdict_key)
+        if verdict is None:
+            table = self.table
+            hit = self.calls.get(key)
+            if hit is not None and (hit[1] is table or not hit[2]):
+                tail = hit[0]
+            else:
+                table.touched = False  # before every table read the entry depends on
+                tail = dispatch(inst, node, *args)
+                if tail is None:
+                    return
+                self.calls[key] = (tail, table, table.touched)
+            verdict = self._call(inst, node, *tail)
+            if verdict is None:
                 return
-            self.calls[key] = (tail, table, table.touched)
-        self._call(inst, node, *tail)
+            if verdict_key is not None:
+                self.verdicts[verdict_key] = verdict
+        site, stray_space = verdict
+        inst.sites[id(node)] = site
+        if stray_space is None:
+            self.edges.setdefault(inst.key, []).append(site.key)
+        else:
+            self.pending.append((inst, stray_space, node.pos))
 
     def _member_dispatch(self, inst, node, recv_type: Type, arg_types):
         struct = self.table.struct(recv_type.name)
@@ -572,6 +605,10 @@ class _Walk:
             self.pending.append((inst, space, e.pos))
 
     def _call(self, inst, node, sel: Selected, spaces, owner_bindings, owner_type, demand):
+        """The verdict of a call from inst's side, (site entry, None) for a
+        legal call, whose entry is the callee instance, and (site entry,
+        callee space) for a stray one; None after an E1004, which it
+        reports.  It demands the callee's instances."""
         pos = node.pos
         code = legality(
             inst.side, spaces, relaxed_constexpr=self.profile.relaxed_constexpr,
@@ -581,19 +618,16 @@ class _Walk:
             self._emit(code, pos,
                        "a __global__ function must be launched with <<< >>>, not called directly")
             inst.sites[id(node)] = "a __global__ function was called directly"
-            return
+            return None
         demanded_side = inst.side if code is None else SIDES[spaces][0]
         callee = self._instantiate(
             demand, sel.decl, sel.bindings, demanded_side, spaces, owner_bindings, owner_type, pos,
         )
         if code is None:
-            inst.sites[id(node)] = callee
-            self.edges.setdefault(inst.key, []).append(callee.key)
+            verdict = (callee, None)
         else:
-            inst.sites[id(node)] = (
-                f'"{sel.decl.display_name()}" is not compiled for {inst.side.value} code'
-            )
-            self.pending.append((inst, spaces, pos))
+            verdict = (f'"{sel.decl.display_name()}" is not compiled for {inst.side.value} code',
+                       spaces)
         if (
             self.nvcc_sides
             and spaces is ExecSpace.HostDevice
@@ -605,6 +639,7 @@ class _Walk:
                 self._instantiate(
                     demand, sel.decl, sel.bindings, side, spaces, owner_bindings, owner_type, pos,
                 )
+        return verdict
 
     # -- stray calls and reachability -------------------------------------------
 
@@ -791,11 +826,14 @@ def detect_arch_divergence(host_demands: dict, device_demands: dict,
                            lines: LineTable) -> list:
     """Report every signature or instantiation present in exactly one pass.
 
-    A demand maps to its display name and the position lines locates.
+    A demand maps to its FunctionDecl or Instance, which this names, and
+    the position lines locates.
     """
     diags = []
     for key in set(host_demands) ^ set(device_demands):
-        display, pos = host_demands.get(key) or device_demands.get(key)
+        demanded, pos = host_demands.get(key) or device_demands.get(key)
+        display = (demanded.display() if isinstance(demanded, Instance)
+                   else demanded.display_name())
         diags.append(
             Diagnostic.make(
                 "E1201",

@@ -137,6 +137,19 @@ def test_run_of_unbounded_recursion_prints_a_note_not_a_traceback(tmp_path, caps
     assert "Traceback" not in captured.err
 
 
+def test_a_member_constant_that_refers_to_itself_ends_in_a_diagnostic(tmp_path, capsys):
+    p = tmp_path / "cycle.mcu"
+    p.write_text("struct S { static constexpr bool a = S::a; };\n"
+                 "int main() { if( S::a ) {} return 0; }\n")
+    diag = f'{p}:1:34: error[E0105]: the value of "S::a" depends on itself'
+    assert main(["check", str(p)]) == 1
+    assert capsys.readouterr() == (diag + "\n", "")
+    assert main(["run", "--force", str(p)]) == 101
+    assert capsys.readouterr() == (
+        f"{diag}\n{p}:2:18: note[N0001]: execution halted on a stray call: "
+        f'E0105 {p}:1:34: the value of "S::a" depends on itself\n', "")
+
+
 def test_run_of_a_launch_over_the_thread_budget_halts_before_any_thread(tmp_path, capsys):
     p = tmp_path / "big.mcu"
     p.write_text('__global__ void k() { printf( "t" ); }\n'

@@ -4,6 +4,7 @@ from exspace.sema import (
     DEVICE,
     HOST,
     HDC,
+    MAX_CONST_DEPTH,
     ExecSpace,
     OverloadError,
     SemaError,
@@ -517,6 +518,89 @@ def test_a_constant_expression_failure_is_reported_where_it_is_read(value, reaso
     ]
 
 
+# -- member constants that refer to themselves or nest too deep -----------------
+
+
+_HALT = "note[N0001]: execution halted on a stray call: "
+
+
+def _cycle(loc: str, member: str) -> str:
+    return f'u.mcu:{loc}: error[E0105]: the value of "{member}" depends on itself'
+
+
+# Each form re-enters a member constant under evaluation, which is E0105 at
+# that member's declaration.  It is a SemaError: in the requires form a
+# SubstFailure would discard g silently and leave E1301 instead.
+@pytest.mark.parametrize("src, diags, exit_code, notes", [
+    pytest.param("struct S { static constexpr bool a = S::a; };\n"
+                 "static_assert( S::a );\nint main() { if( S::a ) {} return 0; }\n",
+                 [_cycle("1:34", "S::a")], 101,
+                 [f'u.mcu:3:18: {_HALT}E0105 u.mcu:1:34: the value of "S::a" depends on itself'],
+                 id="self"),
+    pytest.param("struct A { static constexpr bool v = B::v; };\n"
+                 "struct B { static constexpr bool v = A::v; };\n"
+                 "static_assert( A::v );\nint main() { return B::v; }\n",
+                 [_cycle("1:34", "A::v"), _cycle("2:34", "B::v")], 101,
+                 [f'u.mcu:4:21: {_HALT}E0105 u.mcu:2:34: the value of "B::v" depends on itself'],
+                 id="mutual"),
+    pytest.param("struct S { static constexpr HDC hdc = hdc< S >; };\n"
+                 "static_assert( hdc< S > == HDC::Hst );\nint main() { return 0; }\n",
+                 [_cycle("1:33", "S::hdc")], 0, [], id="hdc"),
+    pytest.param("struct S { static constexpr bool a = S::a; };\n"
+                 "template< typename T > requires( T::a ) void g() {}\n"
+                 "int main() { g< S >(); return 0; }\n",
+                 [_cycle("1:34", "S::a")], 101,
+                 [f"u.mcu:3:14: {_HALT}unresolvable call: E0105 u.mcu:1:34: "
+                  'the value of "S::a" depends on itself'], id="requires"),
+    pytest.param("template< HDC h > struct S { static constexpr bool a = S< h >::a; };\n"
+                 "int main() { if( S< HDC::Dev >::a ) {} return 0; }\n",
+                 [_cycle("1:52", "S<Dev>::a")], 101,
+                 [f'u.mcu:2:18: {_HALT}E0105 u.mcu:1:52: the value of "S<Dev>::a" '
+                  "depends on itself"], id="template"),
+])
+def test_a_member_constant_that_refers_to_itself_is_e0105(src, diags, exit_code, notes):
+    analysis = analyze(src, "u.mcu")
+    assert [format_diagnostic(d) for d in analysis.diagnostics] == diags
+    assert analysis.passes["host"].table.evaluating == {}  # every failure unwound it
+    result = run_program(analysis)
+    assert result.exit_code == exit_code
+    assert [format_diagnostic(d) for d in result.notes] == notes
+
+
+def _member_chain(depth: int, shape: str) -> str:
+    """depth member constants, each reading the next; the last is a literal."""
+    if shape == "hdc":
+        lines = [f"struct S{i} {{ static constexpr HDC hdc = hdc< S{i + 1} >; }};"
+                 for i in range(depth - 1)]
+        lines.append(f"struct S{depth - 1} {{ static constexpr HDC hdc = HDC::Dev; }};")
+        read = "hdc< S0 > == HDC::Dev"
+    else:
+        lines = [f"struct S{i} {{ static constexpr bool v = S{i + 1}::v; }};"
+                 for i in range(depth - 1)]
+        lines.append(f"struct S{depth - 1} {{ static constexpr bool v = true; }};")
+        read = "S0::v"
+    return "\n".join(lines) + f"\nint main() {{ if( {read} ) {{}} return 0; }}\n"
+
+
+@pytest.mark.parametrize("shape, col", [("member", 37), ("hdc", 36)])
+def test_member_constants_nest_at_most_max_const_depth(shape, col):
+    assert MAX_CONST_DEPTH == 200
+    analysis = analyze(_member_chain(MAX_CONST_DEPTH, shape), "u.mcu")
+    assert analysis.diagnostics == []
+    assert run_program(analysis).exit_code == 0
+
+    # One more level: the member that would nest past the limit is E0106.
+    analysis = analyze(_member_chain(MAX_CONST_DEPTH + 1, shape), "u.mcu")
+    diag = f"u.mcu:201:{col}: error[E0106]: member constants nest deeper than 200 levels"
+    assert [format_diagnostic(d) for d in analysis.diagnostics] == [diag]
+    result = run_program(analysis)
+    assert result.exit_code == 101
+    assert [format_diagnostic(d) for d in result.notes] == [
+        f"u.mcu:202:18: {_HALT}E0106 u.mcu:201:{col}: "
+        "member constants nest deeper than 200 levels"
+    ]
+
+
 # -- discard reasons ------------------------------------------------------------
 
 
@@ -576,7 +660,6 @@ def test_each_reason_a_name_is_no_hdc_argument(targ, env, reason):
 
 
 _S = "template< HDC h > struct S {};\n"
-_HALT = "note[N0001]: execution halted on a stray call: "
 
 
 # Units that check and run forms no other input reaches: a type that does

@@ -325,6 +325,22 @@ int main() { ra( true ); return 0; }
         assert codes(src, mode) == []
 
 
+def test_a_member_of_a_struct_template_instance_diverges_by_its_instance_name():
+    src = """template< HDC h > struct S { __host__ __device__ void call() {} };
+__host__ __device__ void g() {
+#ifdef __CUDA_ARCH__
+  S< HDC::Dev >{}.call();
+#endif
+}
+int main() { g(); return 0; }
+"""
+    analysis = analyze(src, "u.mcu", NVCC, Mode.SOUND)
+    assert [format_diagnostic(d, "machine") for d in analysis.all_diagnostics] == [
+        'u.mcu:4:3: error[E1201]: the instantiation of "S<Dev>::call" must not depend '
+        "on whether __CUDA_ARCH__ is defined"
+    ]
+
+
 def test_template_demand_inside_guarded_branch_diverges():
     src = """struct S {};
 template< typename T > __host__ __device__ void w() { T{}; }
@@ -587,6 +603,48 @@ int main() { h(); return 0; }
     assert len(walk.calls) == 2  # main's h() and S{}.f( 1 ): no failure is memoized
 
 
+def _site_chain(pick: int) -> str:
+    """Four host-device templates, each with a T{}.call() site that runs
+    when n names it; main picks the site over a device-only struct."""
+    fns = []
+    for k in range(4):
+        nxt = f"  f{k + 1}< T >( n );\n" if k < 3 else ""
+        fns.append(f"template< typename T > __host__ __device__ void f{k}( int n ) {{\n"
+                   f"  if( n == {k} ) {{ T{{}}.call(); }}\n{nxt}}}\n")
+    return ("struct D { static constexpr HDC hdc = HDC::Dev; __device__ void call() {} };\n"
+            + "".join(fns) + f"int main() {{ f0< D >( {pick} ); return 0; }}\n")
+
+
+@pytest.mark.parametrize("pick", range(4))
+def test_a_verdict_made_once_per_call_key_and_side_holds_at_each_site(pick):
+    analysis = analyze(_site_chain(pick), "v.mcu")
+    walk = analysis.walks[HOST]
+    # One verdict for D{}.call() per side, however many sites share its key;
+    # the calls with explicit template arguments keep none.
+    assert [(key[0], side) for key, side in walk.verdicts] == [
+        ("member", HOST), ("member", DEVICE)]
+    assert [format_diagnostic(d, "machine") for d in analysis.all_diagnostics] == [
+        f"v.mcu:{line}:18: warning[W1102]: calling a device function from a host device "
+        "function is not allowed" for line in (3, 7, 11, 15)
+    ]
+    # The run halts at the site it reaches, whichever instance made the verdict.
+    result = run_program(analysis)
+    assert result.exit_code == 101
+    assert [format_diagnostic(d, "machine") for d in result.notes] == [
+        f"v.mcu:{3 + 4 * pick}:18: note[N0001]: execution halted on a stray call: "
+        '"D::call" is not compiled for host code'
+    ]
+
+
+def test_each_direct_call_of_a_kernel_reports_its_own_e1004():
+    src = "__global__ void k() {}\nint main() { k(); k(); return 0; }\n"
+    analysis = analyze(src, "g.mcu")
+    assert [(d.code, str(d.loc)) for d in analysis.all_diagnostics] == [
+        ("E1004", "g.mcu:2:14"), ("E1004", "g.mcu:2:19"),
+    ]
+    assert analysis.walks[HOST].verdicts == {}
+
+
 def test_fidelity_still_reports_host_pass_hard_errors():
     src = """int main() {
   #ifndef __CUDA_ARCH__
@@ -595,6 +653,18 @@ def test_fidelity_still_reports_host_pass_hard_errors():
 }
 """
     assert [c for c, _ in codes(src, Mode.FIDELITY)] == ["E0101"]
+    # A member constant the host compiler cannot evaluate is one too.
+    src = "struct S { static constexpr bool a = S::a; };\n" + "".join(
+        f"struct T{i} {{ static constexpr bool a = T{i + 1}::a; }};\n" for i in range(201)
+    ) + "struct T201 { static constexpr bool a = true; };\n" + """int main() {
+  #ifndef __CUDA_ARCH__
+  if( S::a ) {}
+  if( T0::a ) {}
+  #endif
+  return 0;
+}
+"""
+    assert codes(src, Mode.FIDELITY) == [("E0105", 1), ("E0106", 202)]
 
 
 def test_fidelity_drops_host_pass_space_errors():
