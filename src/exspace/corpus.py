@@ -7,7 +7,6 @@ directives selecting the mode, profile, and an expected run outcome.
 from __future__ import annotations
 
 import re
-from dataclasses import astuple, dataclass, field
 from pathlib import Path
 from typing import Optional
 
@@ -22,12 +21,14 @@ _EXPECT_RE = re.compile(
 _HEADER_RE = re.compile(r"^\s*//!\s*(?P<key>[a-z-]+)(?:\s*:\s*(?P<value>.*?))?\s*$")
 
 
-@dataclass
 class Expectation:
-    line: int
-    severity: str
-    code: str
-    substring: Optional[str]
+    __slots__ = ("line", "severity", "code", "substring")
+
+    def __init__(self, line: int, severity: str, code: str, substring: Optional[str]):
+        self.line = line
+        self.severity = severity
+        self.code = code
+        self.substring = substring
 
     def describe(self) -> str:
         extra = f' "{self.substring}"' if self.substring else ""
@@ -41,22 +42,33 @@ class Expectation:
         return self.substring is None or self.substring in diag.message
 
 
-@dataclass
 class FileConfig:
-    mode: Mode
-    profile: CompileProfile
-    force: bool = False
-    expect_exit: Optional[int] = None
-    expect_stdout: Optional[bytes] = None
+    __slots__ = ("mode", "profile", "force", "expect_exit", "expect_stdout")
+
+    def __init__(self, mode: Mode, profile: CompileProfile, force: bool = False,
+                 expect_exit: Optional[int] = None, expect_stdout: Optional[bytes] = None):
+        self.mode = mode
+        self.profile = profile
+        self.force = force
+        self.expect_exit = expect_exit
+        self.expect_stdout = expect_stdout
 
 
-@dataclass
 class CorpusResult:
-    file: str
-    matched: int = 0
-    unmatched_expectations: list = field(default_factory=list)
-    unexpected_diagnostics: list = field(default_factory=list)
-    run_check: Optional[str] = None  # failure description, None if ok/absent
+    __slots__ = ("file", "matched", "unmatched_expectations", "unexpected_diagnostics",
+                 "run_check")
+
+    def __init__(self, file: str, matched: int = 0,
+                 unmatched_expectations: Optional[list] = None,
+                 unexpected_diagnostics: Optional[list] = None,
+                 run_check: Optional[str] = None):
+        self.file = file
+        self.matched = matched
+        self.unmatched_expectations = (
+            [] if unmatched_expectations is None else unmatched_expectations)
+        self.unexpected_diagnostics = (
+            [] if unexpected_diagnostics is None else unexpected_diagnostics)
+        self.run_check = run_check  # failure description, None if ok/absent
 
     @property
     def passed(self) -> bool:
@@ -106,7 +118,7 @@ _PROFILE_KEYS = ("profile", "cuda-version", "relaxed-constexpr", "erase-specifie
 def parse_header(
     text: str, default_mode: Mode, default_profile: CompileProfile, path: str = "<unit>"
 ) -> FileConfig:
-    got = dict(zip(_PROFILE_KEYS, astuple(default_profile)))
+    got = dict(zip(_PROFILE_KEYS, default_profile))  # a profile is the tuple of its fields
     got.update({"mode": default_mode, "force": False, "expect-exit": None, "expect-stdout": None})
     profile_line = 0  # the last directive that set a profile field
     for lineno, line in enumerate(text.split("\n"), start=1):

@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 from itertools import accumulate
@@ -46,29 +45,57 @@ CODE_REGISTRY: dict[str, tuple[Severity, str]] = {
 }
 
 
-class SrcLoc(tuple):
-    """1-based position in a source file: the tuple (file, line, col).
+class Record:
+    """A mutable record, equal to a record of its class whose fields named
+    in _compared are equal, and shown by its class and those fields."""
 
-    Being a tuple, it is immutable, hashable and ordered by (file, line,
-    col), and it equals the plain tuple of the same three values.
+    __slots__ = ()
+    _compared: tuple = ()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name) for name in self._compared)
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._compared)
+        return f"{type(self).__name__}({fields})"
+
+
+class FrozenRecord(tuple):
+    """An immutable record: the tuple of the fields _fields names.
+
+    Being a tuple, a record is hashable and equal by value (to the plain
+    tuple of its values too), and ordered as its fields are.  Each field
+    is also an attribute of its name.  A subclass declares empty
+    __slots__, lists _fields and builds itself in __new__.
     """
 
     __slots__ = ()
+    _fields: tuple = ()
+
+    def __init_subclass__(cls):
+        for i, name in enumerate(cls._fields):
+            setattr(cls, name, property(itemgetter(i)))
+
+    def __getnewargs__(self):
+        return tuple(self)
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self))
+        return f"{type(self).__name__}({fields})"
+
+
+class SrcLoc(FrozenRecord):
+    """1-based position in a source file: the record (file, line, col)."""
+
+    __slots__ = ()
+    _fields = ("file", "line", "col")
 
     def __new__(cls, file: str, line: int, col: int):
         if line < 1 or col < 1:
             raise ValueError(f"source positions are 1-based: {line}:{col}")
         return tuple.__new__(cls, (file, line, col))
-
-    def __getnewargs__(self):
-        return tuple(self)
-
-    file = property(itemgetter(0))
-    line = property(itemgetter(1))
-    col = property(itemgetter(2))
-
-    def __repr__(self):
-        return f"SrcLoc(file={self[0]!r}, line={self[1]!r}, col={self[2]!r})"
 
     def __str__(self):
         return f"{self[0]}:{self[1]}:{self[2]}"
@@ -101,13 +128,16 @@ class LineTable:
         return SrcLoc(self.path, line, pos - starts[line - 1] + 1)
 
 
-@dataclass
-class Diagnostic:
-    code: str
-    severity: Severity
-    loc: SrcLoc
-    message: str
-    suppressed: bool = field(default=False)
+class Diagnostic(Record):
+    __slots__ = _compared = ("code", "severity", "loc", "message", "suppressed")
+
+    def __init__(self, code: str, severity: Severity, loc: SrcLoc, message: str,
+                 suppressed: bool = False):
+        self.code = code
+        self.severity = severity
+        self.loc = loc
+        self.message = message
+        self.suppressed = suppressed
 
     @classmethod
     def make(cls, code: str, loc: SrcLoc, message: str) -> "Diagnostic":

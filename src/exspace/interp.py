@@ -14,8 +14,6 @@ past its budget halt it with a note and a reserved code of their own.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .diagnostics import Diagnostic, Failure, SrcLoc
 from .sema import DEVICE, HOST, HDC, Type
 from .spacecheck import Analysis, Instance
@@ -37,24 +35,27 @@ MAX_LAUNCH_THREADS = 1 << 20
 MAX_OUTPUT_BYTES = 1 << 24
 
 
-@dataclass
 class Machine:
-    sticky_error: int = 0
-    out: bytearray = field(default_factory=bytearray)
+    __slots__ = ("sticky_error", "out")
+
+    def __init__(self, sticky_error: int = 0, out: bytearray | None = None):
+        self.sticky_error = sticky_error
+        self.out = bytearray() if out is None else out
 
 
-@dataclass
 class RunResult:
-    exit_code: int
-    stdout: bytes
-    ub_halt: bool
-    notes: list
-    calls: int = 0  # user bodies entered from a call site; main and threads excluded
-    threads: int = 0  # logical threads launched, replayed ones included
+    __slots__ = ("exit_code", "stdout", "ub_halt", "notes", "calls", "threads")
 
-    def __post_init__(self):
-        if self.ub_halt and self.exit_code != UB_EXIT:
+    def __init__(self, exit_code: int, stdout: bytes, ub_halt: bool, notes: list,
+                 calls: int = 0, threads: int = 0):
+        if ub_halt and exit_code != UB_EXIT:
             raise ValueError("a UB halt always exits with the reserved code")
+        self.exit_code = exit_code
+        self.stdout = stdout
+        self.ub_halt = ub_halt
+        self.notes = notes
+        self.calls = calls  # user bodies entered from a call site; main and threads excluded
+        self.threads = threads  # logical threads launched, replayed ones included
 
 
 def _default_value(t: Type):

@@ -1,11 +1,10 @@
 """Name resolution, the compatibility trait, and overload selection."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, is_dataclass, replace
 from enum import Enum
 from typing import Optional
 
-from .diagnostics import Diagnostic, Failure, SrcLoc
+from .diagnostics import Diagnostic, Failure, FrozenRecord, SrcLoc
 from .syntax import nodes as n
 
 
@@ -50,12 +49,14 @@ class Mode(Enum):
     PROPOSAL2 = "proposal2"
 
 
-@dataclass(frozen=True)
-class Type:
+class Type(FrozenRecord):
     """A fully resolved type: builtin or struct with bound HDC arguments."""
 
-    name: str
-    targs: tuple = ()
+    __slots__ = ()
+    _fields = ("name", "targs")
+
+    def __new__(cls, name: str, targs: tuple = ()):
+        return tuple.__new__(cls, (name, targs))
 
     def display(self) -> str:
         if self.targs:
@@ -63,15 +64,18 @@ class Type:
         return self.name
 
 
-@dataclass(frozen=True)
-class TraitConfig:
+class TraitConfig(FrozenRecord):
     """Configuration of the compatibility trait.
 
     fundamentals_hstdev makes int/bool report HstDev instead of the
     default Hst.
     """
 
-    fundamentals_hstdev: bool = False
+    __slots__ = ()
+    _fields = ("fundamentals_hstdev",)
+
+    def __new__(cls, fundamentals_hstdev: bool = False):
+        return tuple.__new__(cls, (fundamentals_hstdev,))
 
 
 class SemaError(Failure):
@@ -109,19 +113,25 @@ def builtin_spaces(name: str, profile) -> Optional[ExecSpace]:
 # Symbol table
 
 
-@dataclass
 class SymbolTable:
-    ast: n.Ast
-    cfg: TraitConfig  # the one trait configuration every evaluation reads
-    structs: dict = field(default_factory=dict)
-    functions: dict = field(default_factory=dict)  # name -> [FunctionDecl]
-    keys: dict = field(default_factory=dict)  # id(FunctionDecl) -> its signature_key
-    # The struct names and the function names another table of the analyze
-    # answers differently (_differing); struct and overloads touch on reading one.
-    differing: tuple = field(default=((), ()), repr=False, compare=False)
-    touched: bool = field(default=False, repr=False, compare=False)
-    # The member constants being evaluated, innermost last (_member_value).
-    evaluating: dict = field(default_factory=dict, repr=False, compare=False)
+    __slots__ = ("ast", "cfg", "structs", "functions", "keys", "differing", "touched",
+                 "evaluating")
+
+    def __init__(self, ast: n.Ast, cfg: TraitConfig, structs: Optional[dict] = None,
+                 functions: Optional[dict] = None, keys: Optional[dict] = None,
+                 differing: tuple = ((), ()), touched: bool = False,
+                 evaluating: Optional[dict] = None):
+        self.ast = ast
+        self.cfg = cfg  # the one trait configuration every evaluation reads
+        self.structs = {} if structs is None else structs
+        self.functions = {} if functions is None else functions  # name -> [FunctionDecl]
+        self.keys = {} if keys is None else keys  # id(FunctionDecl) -> its signature_key
+        # The struct names and the function names another table of the analyze
+        # answers differently (_differing); struct and overloads touch on reading one.
+        self.differing = differing
+        self.touched = touched
+        # The member constants being evaluated, innermost last (_member_value).
+        self.evaluating = {} if evaluating is None else evaluating
 
     def loc(self, pos: int) -> SrcLoc:
         """The SrcLoc of a position in the unit this table was resolved from."""
@@ -170,21 +180,13 @@ def _differing(tables: list) -> tuple:
     return structs, functions
 
 
-# Node class -> the names of its compared fields, which exclude locations.
-_COMPARED = {
-    cls: tuple(f.name for f in fields(cls) if f.compare)
-    for cls in vars(n).values() if isinstance(cls, type) and is_dataclass(cls)
-}
-
-
 def _shape(node):
     """node as a hashable tuple of its class and compared fields, recursively.
 
     Nodes that are equal as nodes.py defines, locations aside, have one shape.
     """
-    names = _COMPARED.get(type(node))
-    if names is not None:
-        return (type(node), *[_shape(getattr(node, name)) for name in names])
+    if isinstance(node, n.Node):
+        return (type(node), *[_shape(getattr(node, name)) for name in node._compared])
     if isinstance(node, list):
         return tuple(map(_shape, node))
     return node
@@ -204,10 +206,13 @@ def signature_key(decl: n.FunctionDecl, include_spaces: bool) -> tuple:
 
 def _unowned(struct: n.StructDecl) -> n.StructDecl:
     """A copy of struct whose member functions have no owner."""
-    return replace(struct, members=[
-        replace(m, owner=None) if isinstance(m, n.FunctionDecl) else m
+    members = [
+        n.FunctionDecl(m.name, m.tparams, m.requires, m.spec, m.ret, m.params, m.body,
+                       pos=m.pos)
+        if isinstance(m, n.FunctionDecl) else m
         for m in struct.declared
-    ])
+    ]
+    return n.StructDecl(struct.name, struct.tparams, struct.spec, members, pos=struct.pos)
 
 
 def resolve(
@@ -330,7 +335,9 @@ def _check_free_call_names(ast: n.Ast, table: SymbolTable, profile) -> list:
 # --------------------------------------------------------------------------
 # Types, traits, constant evaluation
 
-Bindings = dict  # name -> Type | HDC
+# name -> Type | HDC; a candidate's env also binds its struct's member
+# constants, each to its value or its SemaError (_candidate_env).
+Bindings = dict
 
 # How deep member constants may nest in one evaluation, T::m and hdc< T >
 # alike: a chain S0::v = S1::v = ... ends in E0106 past it, well inside
@@ -382,6 +389,8 @@ def _targ_as_hdc(targ, env: Bindings, table: SymbolTable):
             val = env[targ.name]
             if isinstance(val, HDC):
                 return val
+            if isinstance(val, SemaError):  # as in _name
+                raise val.with_traceback(None)
             raise SubstFailure("expected an HDC constant")
         raise SubstFailure(f'"{targ.name}" is not an HDC constant')
     return eval_const_expr(targ, env, table)
@@ -481,6 +490,8 @@ def _name(expr: n.NameRef, env, table):
     val = env[expr.name]
     if isinstance(val, Type):
         raise SubstFailure(f'"{expr.name}" is a type, not a constant')
+    if isinstance(val, SemaError):  # a broken member constant (_candidate_env)
+        raise val.with_traceback(None)
     return val
 
 
@@ -543,22 +554,31 @@ _CONST_RULES = {
 # Overload resolution
 
 
-@dataclass
 class Selected:
-    decl: n.FunctionDecl
-    bindings: Bindings
+    __slots__ = ("decl", "bindings")
+
+    def __init__(self, decl: n.FunctionDecl, bindings: Bindings):
+        self.decl = decl
+        self.bindings = bindings
 
 
 def _candidate_env(bindings: Bindings, owner_struct, owner_bindings, table):
-    """Names visible to defaults and requires clauses of one candidate."""
+    """Names visible to defaults and requires clauses of one candidate.
+
+    Member constants of the enclosing struct are usable by name.  One whose
+    evaluation fails substitution is unbound; one that raises a SemaError is
+    bound to it, which reading its value raises, so a member nothing reads
+    stays silent.
+    """
     env = dict(owner_bindings or {})
     if owner_struct is not None:
-        # Member constants of the enclosing struct are usable by name.
         for mv in owner_struct.member_vars():
             try:
                 env[mv.name] = eval_const_expr(mv.value, owner_bindings or {}, table)
-            except (SubstFailure, SemaError):
+            except SubstFailure:
                 pass
+            except SemaError as e:
+                env[mv.name] = e
     env.update(bindings)
     return env
 

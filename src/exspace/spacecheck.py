@@ -30,7 +30,6 @@ of the few that E1201 reports.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 from typing import Optional
 
 from .diagnostics import Diagnostic, Failure, LineTable, finish_diagnostics
@@ -148,24 +147,27 @@ def _stray_message(code: str, caller_side: ExecSpace, callee_space: ExecSpace,
 # Instances
 
 
-@dataclass
 class Instance:
-    decl: n.FunctionDecl
-    bindings: dict
-    env: dict  # the receiver struct's bindings overlaid with bindings
-    side: ExecSpace
-    spaces: ExecSpace  # the space it is compiled for
-    owner_type: Optional[Type]
-    key: tuple  # (demand number, side), equal across the walks of one analyze
-    # The site table: id(node) -> what a run of this instance finds there,
-    # or the reason (a str; no recorded value is a str) it halts there.
-    # Call sites map to the callee Instance, and a free call of a builtin
-    # with code on the instance's side to None.  TempObj and VarDeclStmt map
-    # to their Type, HdcTrait and MemberConst to their value, and a NameRef
-    # that is not a local to the value of its template parameter.  The walk
-    # of this instance's body writes every entry.  Recursion makes this
-    # cyclic, so it stays out of repr and equality.
-    sites: dict = field(default_factory=dict, repr=False, compare=False)
+    __slots__ = ("decl", "bindings", "env", "side", "spaces", "owner_type", "key", "sites")
+
+    def __init__(self, decl: n.FunctionDecl, bindings: dict, env: dict, side: ExecSpace,
+                 spaces: ExecSpace, owner_type: Optional[Type], key: tuple,
+                 sites: Optional[dict] = None):
+        self.decl = decl
+        self.bindings = bindings
+        self.env = env  # the receiver struct's bindings overlaid with bindings
+        self.side = side
+        self.spaces = spaces  # the space it is compiled for
+        self.owner_type = owner_type
+        self.key = key  # (demand number, side), equal across the walks of one analyze
+        # The site table: id(node) -> what a run of this instance finds there,
+        # or the reason (a str; no recorded value is a str) it halts there.
+        # Call sites map to the callee Instance, and a free call of a builtin
+        # with code on the instance's side to None.  TempObj and VarDeclStmt
+        # map to their Type, HdcTrait and MemberConst to their value, and a
+        # NameRef that is not a local to the value of its template parameter.
+        # The walk of this instance's body writes every entry.
+        self.sites = {} if sites is None else sites
 
     def display(self) -> str:
         name = self.decl.display_name()
@@ -694,23 +696,31 @@ class _Walk:
 # Unit-level driver
 
 
-@dataclass
 class PassArtifacts:
-    text: str
-    ast: n.Ast
-    table: SymbolTable
+    __slots__ = ("text", "ast", "table")
+
+    def __init__(self, text: str, ast: n.Ast, table: SymbolTable):
+        self.text = text
+        self.ast = ast
+        self.table = table
 
 
-@dataclass
 class Analysis:
-    path: str
-    profile: CompileProfile
-    mode: Mode
-    lines: LineTable  # turns the positions nodes carry into SrcLocs
-    diagnostics: list  # ordered, suppression applied
-    all_diagnostics: list = field(default_factory=list)  # includes suppressed
-    passes: dict = field(default_factory=dict)  # pass kind -> PassArtifacts
-    walks: dict = field(default_factory=dict)  # side -> the _Walk whose natives hold it
+    __slots__ = ("path", "profile", "mode", "lines", "diagnostics", "all_diagnostics",
+                 "passes", "walks")
+
+    def __init__(self, path: str, profile: CompileProfile, mode: Mode, lines: LineTable,
+                 diagnostics: list, all_diagnostics: Optional[list] = None,
+                 passes: Optional[dict] = None, walks: Optional[dict] = None):
+        self.path = path
+        self.profile = profile
+        self.mode = mode
+        self.lines = lines  # turns the positions nodes carry into SrcLocs
+        self.diagnostics = diagnostics  # ordered, suppression applied
+        # Suppressed ones included.
+        self.all_diagnostics = [] if all_diagnostics is None else all_diagnostics
+        self.passes = {} if passes is None else passes  # pass kind -> PassArtifacts
+        self.walks = {} if walks is None else walks  # side -> the _Walk whose natives hold it
 
     @property
     def has_errors(self) -> bool:

@@ -15,12 +15,10 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left
-from dataclasses import dataclass
 
 from ..diagnostics import LineTable
 
 
-@dataclass(eq=False, slots=True)
 class Tokens:
     """A token stream: token i is entry i of kinds, texts, tags and positions.
 
@@ -32,11 +30,15 @@ class Tokens:
     LineTable.  The stream ends in its end of input.
     """
 
-    kinds: list
-    texts: list
-    tags: list
-    positions: list
-    lines: LineTable
+    __slots__ = ("kinds", "texts", "tags", "positions", "lines")
+
+    def __init__(self, kinds: list, texts: list, tags: list, positions: list,
+                 lines: LineTable):
+        self.kinds = kinds
+        self.texts = texts
+        self.tags = tags
+        self.positions = positions
+        self.lines = lines
 
     def __len__(self):
         return len(self.kinds)

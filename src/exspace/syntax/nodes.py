@@ -6,145 +6,202 @@ declaration's name or a binary operator.  The Ast holds the unit's
 LineTable, which turns a position into a SrcLoc when a diagnostic needs
 one.  Positions are excluded from equality so that two parses of
 differently formatted but structurally identical units compare equal.
+
+Every node class derives from Node, a diagnostics.Record, and is a plain
+class with __slots__ and a constructor whose parameters are its fields,
+pos keyword-only.  Its _compared tuple names the fields equality and repr
+read, in constructor order: all but pos, a StructDecl's declared and an
+Ast's lines.  sema._shape reads it too.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional, Union
 
-from ..diagnostics import LineTable
+from ..diagnostics import LineTable, Record
 
 
 NOPOS = 0  # the position of a node built without one
 
 
-def _pos_field():
-    return field(compare=False, kw_only=True, default=NOPOS)
+class Node(Record):
+    """An AST node."""
+
+    __slots__ = ()
 
 
 # --------------------------------------------------------------------------
 # Types and expressions
 
 
-@dataclass
-class TypeRef:
+class TypeRef(Node):
     """A syntactic type: builtin, struct, or template parameter name."""
 
-    name: str
-    targs: list = field(default_factory=list)  # HDC-valued expressions
-    pos: int = _pos_field()
+    __slots__ = ("name", "targs", "pos")
+    _compared = ("name", "targs")
+
+    def __init__(self, name: str, targs: Optional[list] = None, *, pos: int = NOPOS):
+        self.name = name
+        self.targs = [] if targs is None else targs  # HDC-valued expressions
+        self.pos = pos
 
 
-@dataclass
-class IntLit:
-    value: int
-    pos: int = _pos_field()
+class IntLit(Node):
+    __slots__ = ("value", "pos")
+    _compared = ("value",)
+
+    def __init__(self, value: int, *, pos: int = NOPOS):
+        self.value = value
+        self.pos = pos
 
 
-@dataclass
-class StringLit:
+class StringLit(Node):
     """A double-quoted literal; only printf format strings use these."""
 
-    value: str
-    pos: int = _pos_field()
+    __slots__ = ("value", "pos")
+    _compared = ("value",)
+
+    def __init__(self, value: str, *, pos: int = NOPOS):
+        self.value = value
+        self.pos = pos
 
 
-@dataclass
-class BoolLit:
-    value: bool
-    pos: int = _pos_field()
+class BoolLit(Node):
+    __slots__ = ("value", "pos")
+    _compared = ("value",)
+
+    def __init__(self, value: bool, *, pos: int = NOPOS):
+        self.value = value
+        self.pos = pos
 
 
-@dataclass
-class HdcLit:
-    value: str  # Hst | Dev | HstDev
-    pos: int = _pos_field()
+class HdcLit(Node):
+    __slots__ = ("value", "pos")
+    _compared = ("value",)
+
+    def __init__(self, value: str, *, pos: int = NOPOS):
+        self.value = value  # Hst | Dev | HstDev
+        self.pos = pos
 
 
-@dataclass
-class CudaArchRef:
+class CudaArchRef(Node):
     """The builtin constant that is true only in device code."""
 
-    pos: int = _pos_field()
+    __slots__ = ("pos",)
+
+    def __init__(self, *, pos: int = NOPOS):
+        self.pos = pos
 
 
-@dataclass
-class NameRef:
-    name: str
-    pos: int = _pos_field()
+class NameRef(Node):
+    __slots__ = ("name", "pos")
+    _compared = ("name",)
+
+    def __init__(self, name: str, *, pos: int = NOPOS):
+        self.name = name
+        self.pos = pos
 
 
-@dataclass
-class TempObj:
+class TempObj(Node):
     """A value-constructed temporary, ``T{}``."""
 
-    type: TypeRef
-    pos: int = _pos_field()
+    __slots__ = ("type", "pos")
+    _compared = ("type",)
+
+    def __init__(self, type: TypeRef, *, pos: int = NOPOS):
+        self.type = type
+        self.pos = pos
 
 
-@dataclass
-class HdcTrait:
+class HdcTrait(Node):
     """The compatibility trait applied to a type, ``hdc< T >``."""
 
-    type: TypeRef
-    pos: int = _pos_field()
+    __slots__ = ("type", "pos")
+    _compared = ("type",)
+
+    def __init__(self, type: TypeRef, *, pos: int = NOPOS):
+        self.type = type
+        self.pos = pos
 
 
-@dataclass
-class MemberConst:
+class MemberConst(Node):
     """A direct member-constant reference, ``T::hdc`` (requires clauses)."""
 
-    type: TypeRef
-    name: str
-    pos: int = _pos_field()
+    __slots__ = ("type", "name", "pos")
+    _compared = ("type", "name")
+
+    def __init__(self, type: TypeRef, name: str, *, pos: int = NOPOS):
+        self.type = type
+        self.name = name
+        self.pos = pos
 
 
-@dataclass
-class CallExpr:
-    name: str
-    targs: list = field(default_factory=list)
-    args: list = field(default_factory=list)
-    pos: int = _pos_field()
+class CallExpr(Node):
+    __slots__ = ("name", "targs", "args", "pos")
+    _compared = ("name", "targs", "args")
+
+    def __init__(self, name: str, targs: Optional[list] = None,
+                 args: Optional[list] = None, *, pos: int = NOPOS):
+        self.name = name
+        self.targs = [] if targs is None else targs
+        self.args = [] if args is None else args
+        self.pos = pos
 
 
-@dataclass
-class MemberCallExpr:
-    recv: "Expr"
-    name: str
-    targs: list = field(default_factory=list)
-    args: list = field(default_factory=list)
-    pos: int = _pos_field()
+class MemberCallExpr(Node):
+    __slots__ = ("recv", "name", "targs", "args", "pos")
+    _compared = ("recv", "name", "targs", "args")
+
+    def __init__(self, recv: "Expr", name: str, targs: Optional[list] = None,
+                 args: Optional[list] = None, *, pos: int = NOPOS):
+        self.recv = recv
+        self.name = name
+        self.targs = [] if targs is None else targs
+        self.args = [] if args is None else args
+        self.pos = pos
 
 
-@dataclass
-class StaticCallExpr:
-    type: TypeRef
-    name: str
-    targs: list = field(default_factory=list)
-    args: list = field(default_factory=list)
-    pos: int = _pos_field()
+class StaticCallExpr(Node):
+    __slots__ = ("type", "name", "targs", "args", "pos")
+    _compared = ("type", "name", "targs", "args")
+
+    def __init__(self, type: TypeRef, name: str, targs: Optional[list] = None,
+                 args: Optional[list] = None, *, pos: int = NOPOS):
+        self.type = type
+        self.name = name
+        self.targs = [] if targs is None else targs
+        self.args = [] if args is None else args
+        self.pos = pos
 
 
-@dataclass
-class UnaryExpr:
-    op: str  # !
-    operand: "Expr"
-    pos: int = _pos_field()
+class UnaryExpr(Node):
+    __slots__ = ("op", "operand", "pos")
+    _compared = ("op", "operand")
+
+    def __init__(self, op: str, operand: "Expr", *, pos: int = NOPOS):
+        self.op = op  # !
+        self.operand = operand
+        self.pos = pos
 
 
-@dataclass
-class BinaryExpr:
-    op: str  # == !=
-    lhs: "Expr"
-    rhs: "Expr"
-    pos: int = _pos_field()
+class BinaryExpr(Node):
+    __slots__ = ("op", "lhs", "rhs", "pos")
+    _compared = ("op", "lhs", "rhs")
+
+    def __init__(self, op: str, lhs: "Expr", rhs: "Expr", *, pos: int = NOPOS):
+        self.op = op  # == !=
+        self.lhs = lhs
+        self.rhs = rhs
+        self.pos = pos
 
 
-@dataclass
-class LogicalExpr:
-    op: str  # && ||, one node per run of one operator
-    operands: list  # in source order
-    pos: int = _pos_field()  # the last operator's
+class LogicalExpr(Node):
+    __slots__ = ("op", "operands", "pos")
+    _compared = ("op", "operands")
+
+    def __init__(self, op: str, operands: list, *, pos: int = NOPOS):
+        self.op = op  # && ||, one node per run of one operator
+        self.operands = operands  # in source order
+        self.pos = pos  # the last operator's
 
 
 Expr = Union[
@@ -170,54 +227,73 @@ Expr = Union[
 # Statements
 
 
-@dataclass
-class ExprStmt:
-    expr: Expr
-    pos: int = _pos_field()
+class ExprStmt(Node):
+    __slots__ = ("expr", "pos")
+    _compared = ("expr",)
+
+    def __init__(self, expr: Expr, *, pos: int = NOPOS):
+        self.expr = expr
+        self.pos = pos
 
 
-@dataclass
-class ReturnStmt:
-    expr: Optional[Expr]
-    pos: int = _pos_field()
+class ReturnStmt(Node):
+    __slots__ = ("expr", "pos")
+    _compared = ("expr",)
+
+    def __init__(self, expr: Optional[Expr], *, pos: int = NOPOS):
+        self.expr = expr
+        self.pos = pos
 
 
-@dataclass
-class VarDeclStmt:
-    type: TypeRef
-    name: str
-    pos: int = _pos_field()
+class VarDeclStmt(Node):
+    __slots__ = ("type", "name", "pos")
+    _compared = ("type", "name")
+
+    def __init__(self, type: TypeRef, name: str, *, pos: int = NOPOS):
+        self.type = type
+        self.name = name
+        self.pos = pos
 
 
-@dataclass
-class IfStmt:
-    cond: Expr
-    then: list
-    orelse: Optional[list]
-    pos: int = _pos_field()
+class IfStmt(Node):
+    __slots__ = ("cond", "then", "orelse", "pos")
+    _compared = ("cond", "then", "orelse")
+
+    def __init__(self, cond: Expr, then: list, orelse: Optional[list], *, pos: int = NOPOS):
+        self.cond = cond
+        self.then = then
+        self.orelse = orelse
+        self.pos = pos
 
 
-@dataclass
-class ForStmt:
+class ForStmt(Node):
     """Counting loop: ``for( int v = init; v < bound; ++v )``."""
 
-    var: str
-    init: Expr
-    bound: Expr
-    body: list
-    pos: int = _pos_field()
+    __slots__ = ("var", "init", "bound", "body", "pos")
+    _compared = ("var", "init", "bound", "body")
+
+    def __init__(self, var: str, init: Expr, bound: Expr, body: list, *, pos: int = NOPOS):
+        self.var = var
+        self.init = init
+        self.bound = bound
+        self.body = body
+        self.pos = pos
 
 
-@dataclass
-class LaunchStmt:
+class LaunchStmt(Node):
     """Triple-chevron kernel launch."""
 
-    name: str
-    targs: list
-    grid: Expr
-    block: Expr
-    args: list
-    pos: int = _pos_field()
+    __slots__ = ("name", "targs", "grid", "block", "args", "pos")
+    _compared = ("name", "targs", "grid", "block", "args")
+
+    def __init__(self, name: str, targs: list, grid: Expr, block: Expr, args: list,
+                 *, pos: int = NOPOS):
+        self.name = name
+        self.targs = targs
+        self.grid = grid
+        self.block = block
+        self.args = args
+        self.pos = pos
 
 
 Stmt = Union[ExprStmt, ReturnStmt, VarDeclStmt, IfStmt, ForStmt, LaunchStmt]
@@ -227,29 +303,45 @@ Stmt = Union[ExprStmt, ReturnStmt, VarDeclStmt, IfStmt, ForStmt, LaunchStmt]
 # Declarations
 
 
-@dataclass
-class TemplateParam:
-    kind: str  # type | hdc
-    name: str
-    default: Optional[Expr]
-    pos: int = _pos_field()
+class TemplateParam(Node):
+    __slots__ = ("kind", "name", "default", "pos")
+    _compared = ("kind", "name", "default")
+
+    def __init__(self, kind: str, name: str, default: Optional[Expr], *, pos: int = NOPOS):
+        self.kind = kind  # type | hdc
+        self.name = name
+        self.default = default
+        self.pos = pos
 
 
-@dataclass
-class SpecifierSet:
+class SpecifierSet(Node):
     """Execution-space specifiers attached to a declaration.
 
     host/device predicates are the optional boolean arguments of the
     conditional-specifier extension; None means unconditional.
     """
 
-    host: bool = False
-    host_pred: Optional[Expr] = None
-    device: bool = False
-    device_pred: Optional[Expr] = None
-    global_: bool = False
-    constexpr: bool = False
-    pragma: Optional[str] = None
+    __slots__ = _compared = (
+        "host", "host_pred", "device", "device_pred", "global_", "constexpr", "pragma",
+    )
+
+    def __init__(
+        self,
+        host: bool = False,
+        host_pred: Optional[Expr] = None,
+        device: bool = False,
+        device_pred: Optional[Expr] = None,
+        global_: bool = False,
+        constexpr: bool = False,
+        pragma: Optional[str] = None,
+    ):
+        self.host = host
+        self.host_pred = host_pred
+        self.device = device
+        self.device_pred = device_pred
+        self.global_ = global_
+        self.constexpr = constexpr
+        self.pragma = pragma
 
     @property
     def pragma_suppress(self) -> bool:
@@ -263,24 +355,42 @@ class SpecifierSet:
         return self.host_pred is not None or self.device_pred is not None
 
 
-@dataclass
-class Param:
-    type: TypeRef
-    name: str
-    pos: int = _pos_field()
+class Param(Node):
+    __slots__ = ("type", "name", "pos")
+    _compared = ("type", "name")
+
+    def __init__(self, type: TypeRef, name: str, *, pos: int = NOPOS):
+        self.type = type
+        self.name = name
+        self.pos = pos
 
 
-@dataclass
-class FunctionDecl:
-    name: str
-    tparams: list
-    requires: Optional[Expr]
-    spec: SpecifierSet
-    ret: TypeRef
-    params: list
-    body: Optional[list]  # None for a declaration without a body
-    owner: Optional[str] = None
-    pos: int = _pos_field()
+class FunctionDecl(Node):
+    __slots__ = ("name", "tparams", "requires", "spec", "ret", "params", "body", "owner", "pos")
+    _compared = ("name", "tparams", "requires", "spec", "ret", "params", "body", "owner")
+
+    def __init__(
+        self,
+        name: str,
+        tparams: list,
+        requires: Optional[Expr],
+        spec: SpecifierSet,
+        ret: TypeRef,
+        params: list,
+        body: Optional[list],
+        owner: Optional[str] = None,
+        *,
+        pos: int = NOPOS,
+    ):
+        self.name = name
+        self.tparams = tparams
+        self.requires = requires
+        self.spec = spec
+        self.ret = ret
+        self.params = params
+        self.body = body  # None for a declaration without a body
+        self.owner = owner
+        self.pos = pos
 
     @property
     def is_template(self) -> bool:
@@ -291,29 +401,33 @@ class FunctionDecl:
         return base
 
 
-@dataclass
-class MemberVar:
+class MemberVar(Node):
     """A static constexpr member constant (HDC, bool, or int)."""
 
-    name: str
-    type_name: str
-    value: Expr
-    pos: int = _pos_field()
+    __slots__ = ("name", "type_name", "value", "pos")
+    _compared = ("name", "type_name", "value")
+
+    def __init__(self, name: str, type_name: str, value: Expr, *, pos: int = NOPOS):
+        self.name = name
+        self.type_name = type_name
+        self.value = value
+        self.pos = pos
 
 
-@dataclass
-class StructDecl:
-    name: str
-    tparams: list
-    spec: SpecifierSet  # struct-level decoration (propagation extension)
-    members: list  # as parsed; resolve() drops duplicate member functions
-    # The members as parsed, which resolve() reads, so that it may run once
-    # per compile pass on an item both passes share.
-    declared: list = field(init=False, compare=False, repr=False)
-    pos: int = _pos_field()
+class StructDecl(Node):
+    __slots__ = ("name", "tparams", "spec", "members", "declared", "pos")
+    _compared = ("name", "tparams", "spec", "members")
 
-    def __post_init__(self):
-        self.declared = self.members
+    def __init__(self, name: str, tparams: list, spec: SpecifierSet, members: list,
+                 *, pos: int = NOPOS):
+        self.name = name
+        self.tparams = tparams
+        self.spec = spec  # struct-level decoration (propagation extension)
+        self.members = members  # as parsed; resolve() drops duplicate member functions
+        # The members as parsed, which resolve() reads, so that it may run
+        # once per compile pass on an item both passes share.
+        self.declared = members
+        self.pos = pos
 
     def member_functions(self) -> list:
         return [m for m in self.members if isinstance(m, FunctionDecl)]
@@ -322,26 +436,34 @@ class StructDecl:
         return [m for m in self.members if isinstance(m, MemberVar)]
 
 
-@dataclass
-class EnumHdcDecl:
+class EnumHdcDecl(Node):
     """The canonical compatibility enum declaration; a no-op item."""
 
-    pos: int = _pos_field()
+    __slots__ = ("pos",)
+
+    def __init__(self, *, pos: int = NOPOS):
+        self.pos = pos
 
 
-@dataclass
-class StaticAssertDecl:
-    expr: Expr
-    pos: int = _pos_field()
+class StaticAssertDecl(Node):
+    __slots__ = ("expr", "pos")
+    _compared = ("expr",)
+
+    def __init__(self, expr: Expr, *, pos: int = NOPOS):
+        self.expr = expr
+        self.pos = pos
 
 
 Item = Union[StructDecl, FunctionDecl, EnumHdcDecl, StaticAssertDecl]
 
 
-@dataclass
-class Ast:
-    items: list
-    lines: LineTable = field(compare=False, repr=False)  # the unit's positions
+class Ast(Node):
+    __slots__ = ("items", "lines")
+    _compared = ("items",)
+
+    def __init__(self, items: list, lines: LineTable):
+        self.items = items
+        self.lines = lines  # the unit's positions
 
     def decls(self):
         """Every function declaration with its struct, None for a free function."""

@@ -8,9 +8,8 @@ line/column structure of the input so later diagnostics stay accurate.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
-from ..diagnostics import Failure, SrcLoc
+from ..diagnostics import Failure, FrozenRecord, SrcLoc
 
 BUILTIN_MACROS = frozenset(
     {"__CUDACC__", "__CUDA_ARCH__", "__CUDACC_RELAXED_CONSTEXPR__"}
@@ -27,39 +26,38 @@ class PreprocessorError(Failure):
         super().__init__("E0002", loc, message)
 
 
-@dataclass(frozen=True)
-class PpPass:
+class PpPass(FrozenRecord):
     """One compile pass: the device pass defines __CUDA_ARCH__."""
 
-    kind: str
-    defined: frozenset
+    __slots__ = ()
+    _fields = ("kind", "defined")
 
-    def __post_init__(self):
-        if self.kind not in (HOST_PASS, DEVICE_PASS):
-            raise ValueError(f"unknown pass kind {self.kind!r}")
-        unknown = set(self.defined) - BUILTIN_MACROS
+    def __new__(cls, kind: str, defined: frozenset):
+        if kind not in (HOST_PASS, DEVICE_PASS):
+            raise ValueError(f"unknown pass kind {kind!r}")
+        unknown = set(defined) - BUILTIN_MACROS
         if unknown:
             raise ValueError(f"not built-in macros: {sorted(unknown)}")
+        return tuple.__new__(cls, (kind, defined))
 
 
-@dataclass(frozen=True)
-class CompileProfile:
+class CompileProfile(FrozenRecord):
     """Compiler identity and flags a check/run is performed under."""
 
-    compiler: str = "nvcc"
-    cuda_version: int = 12
-    relaxed_constexpr: bool = False
-    erase_specifiers: bool = False
+    __slots__ = ()
+    _fields = ("compiler", "cuda_version", "relaxed_constexpr", "erase_specifiers")
 
-    def __post_init__(self):
-        if self.compiler not in ("nvcc", "plain"):
-            raise ValueError(f"unknown compiler {self.compiler!r}")
-        if self.cuda_version not in (9, 10, 11, 12):
-            raise ValueError(f"unsupported cuda version {self.cuda_version}")
-        if self.relaxed_constexpr and self.compiler != "nvcc":
+    def __new__(cls, compiler: str = "nvcc", cuda_version: int = 12,
+                relaxed_constexpr: bool = False, erase_specifiers: bool = False):
+        if compiler not in ("nvcc", "plain"):
+            raise ValueError(f"unknown compiler {compiler!r}")
+        if cuda_version not in (9, 10, 11, 12):
+            raise ValueError(f"unsupported cuda version {cuda_version}")
+        if relaxed_constexpr and compiler != "nvcc":
             raise ValueError("relaxed constexpr is an nvcc-only flag")
-        if self.erase_specifiers and self.compiler != "plain":
+        if erase_specifiers and compiler != "plain":
             raise ValueError("specifier erasure applies to the plain profile only")
+        return tuple.__new__(cls, (compiler, cuda_version, relaxed_constexpr, erase_specifiers))
 
     def passes(self) -> list[PpPass]:
         if self.compiler == "plain":

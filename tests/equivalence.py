@@ -29,7 +29,6 @@ purpose updates DIGESTS with it.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import hashlib
 import random
 import re
@@ -166,7 +165,7 @@ def one_sided_inputs():
 def outputs(path: str, text: str, profile: CompileProfile):
     profiles = [profile]
     if profile.compiler == "nvcc" and not profile.relaxed_constexpr:
-        profiles.append(dataclasses.replace(profile, relaxed_constexpr=True))
+        profiles.append(CompileProfile("nvcc", profile.cuda_version, relaxed_constexpr=True))
     for prof in profiles:
         for mode in Mode:
             out = [f"== {path} {prof} --mode={mode.value}"]

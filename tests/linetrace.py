@@ -33,7 +33,7 @@ ALLOWED = {
     # Interpreter.run's RecursionError arm.  Tracing stops when the trace
     # function itself overflows the stack, so the arm is never recorded;
     # test_interp's test_unbounded_recursion_ends_in_a_note pins its note.
-    ("interp.py", 152, 155),
+    ("interp.py", 153, 156),
 }
 
 _LEAVE = 0  # the line a step out of the frame goes to

@@ -389,6 +389,16 @@ def _exspace(*args) -> subprocess.CompletedProcess:
                           text=True, encoding="utf-8", env={**os.environ, "PYTHONPATH": path})
 
 
+def test_importing_exspace_loads_neither_dataclasses_nor_inspect():
+    # Its records are plain classes, so a start generates no code for them.
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    probe = ("import sys; before = set(sys.modules); import exspace, exspace.cli; "
+             "print(sorted({'dataclasses', 'inspect'} & (sys.modules.keys() - before)))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
 def test_console_script_entry_point(tmp_path):
     p = tmp_path / "k.mcu"
     p.write_text(KERNEL)

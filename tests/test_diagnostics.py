@@ -1,14 +1,20 @@
-"""The SrcLoc contract (1-based, immutable, hashable, ordered, printable)
-and the Failure contract (one diagnostic per failure)."""
+"""The SrcLoc contract (1-based, immutable, hashable, ordered, printable),
+the record contract SrcLoc shares with Type, TraitConfig, PpPass and
+CompileProfile, Diagnostic equality, and the Failure contract (one
+diagnostic per failure)."""
 import copy
 import pickle
 
 import pytest
 
-from exspace import CompileProfile, Diagnostic, SrcLoc, parse, preprocess
+from exspace import (
+    HDC, CompileProfile, Diagnostic, PpPass, Severity, SrcLoc, TraitConfig, Type, parse,
+    preprocess,
+)
 from exspace.diagnostics import Failure, format_diagnostic
 from exspace.interp import BUDGET_EXIT, OUTPUT_EXIT, UB_EXIT, Halt
 from exspace.sema import SemaError
+from exspace.syntax import HOST_PASS
 
 
 @pytest.mark.parametrize("line, col", [(0, 1), (1, 0), (-1, 5)])
@@ -51,6 +57,44 @@ def test_copies_and_pickles_are_equal_locations():
     for twin in (copy.copy(loc), pickle.loads(pickle.dumps(loc))):
         assert type(twin) is SrcLoc and twin == loc and twin.col == 3
     assert repr(loc) == "SrcLoc(file='f.mcu', line=2, col=3)"
+
+
+# Each record is the tuple of its fields: immutable, hashable, equal by
+# value, and shown by its fields.  The profile's repr is part of
+# tests/equivalence.py's output, so it stays as it reads.
+@pytest.mark.parametrize("record, shown", [
+    (Type("S", (HDC.Dev,)), "Type(name='S', targs=(<HDC.Dev: 'Dev'>,))"),
+    (TraitConfig(fundamentals_hstdev=True), "TraitConfig(fundamentals_hstdev=True)"),
+    (PpPass(kind=HOST_PASS, defined=frozenset()), "PpPass(kind='host', defined=frozenset())"),
+    (CompileProfile(), "CompileProfile(compiler='nvcc', cuda_version=12, "
+                       "relaxed_constexpr=False, erase_specifiers=False)"),
+    (CompileProfile("plain", 9, erase_specifiers=True),
+     "CompileProfile(compiler='plain', cuda_version=9, "
+     "relaxed_constexpr=False, erase_specifiers=True)"),
+], ids=["Type", "TraitConfig", "PpPass", "CompileProfile", "plain-CompileProfile"])
+def test_records_are_immutable_values_shown_by_their_fields(record, shown):
+    assert repr(record) == str(record) == shown
+    twin = type(record)(*record)
+    assert twin is not record and twin == record and hash(twin) == hash(record)
+    for copied in (copy.copy(record), pickle.loads(pickle.dumps(record))):
+        assert type(copied) is type(record) and copied == record
+    for i, name in enumerate(type(record)._fields):
+        assert getattr(record, name) is record[i]
+        with pytest.raises(AttributeError):
+            setattr(record, name, record[i])
+
+
+def test_diagnostics_are_equal_by_every_field_and_shown_by_them():
+    loc = SrcLoc("f.mcu", 1, 2)
+    d = Diagnostic.make("E0101", loc, 'undefined name "g"')
+    assert d == Diagnostic("E0101", Severity.ERROR, loc, 'undefined name "g"', False)
+    assert d != Diagnostic("E0101", Severity.ERROR, loc, 'undefined name "g"', True)
+    assert d != ("E0101", Severity.ERROR, loc, 'undefined name "g"', False)
+    assert repr(d) == ("Diagnostic(code='E0101', severity=<Severity.ERROR: 'error'>, "
+                       "loc=SrcLoc(file='f.mcu', line=1, col=2), "
+                       "message='undefined name \"g\"', suppressed=False)")
+    with pytest.raises(TypeError):
+        hash(d)  # it is mutable: suppression is set after it is made
 
 
 def test_a_location_past_the_source_formats_without_an_excerpt():

@@ -10,11 +10,10 @@ to keep behaviour leaves it byte-identical.  Regenerate it with:
 """
 from __future__ import annotations
 
-import dataclasses
 from pathlib import Path
 
 from exspace.corpus import parse_header
-from exspace.diagnostics import format_diagnostic
+from exspace.diagnostics import Diagnostic, format_diagnostic
 from exspace.interp import run_program
 from exspace.spacecheck import Mode, analyze
 from exspace.syntax.preprocess import CompileProfile
@@ -24,7 +23,7 @@ GOLDEN = Path(__file__).resolve().parent / "golden" / "corpus.txt"
 
 
 def _line(d) -> str:
-    shown = format_diagnostic(dataclasses.replace(d, suppressed=False))
+    shown = format_diagnostic(Diagnostic(d.code, d.severity, d.loc, d.message))
     return shown + " [suppressed]" if d.suppressed else shown
 
 

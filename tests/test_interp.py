@@ -121,6 +121,10 @@ int main() {
 def test_run_result_invariant():
     with pytest.raises(ValueError):
         RunResult(0, b"", True, [])
+    result = RunResult(UB_EXIT, b"x", True, [], calls=3, threads=4)
+    assert (result.exit_code, result.stdout, result.ub_halt, result.notes,
+            result.calls, result.threads) == (UB_EXIT, b"x", True, [], 3, 4)
+    assert (RunResult(0, b"", False, []).calls, RunResult(0, b"", False, []).threads) == (0, 0)
 
 
 TRAP_SRC = """struct S {

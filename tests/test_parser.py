@@ -53,6 +53,24 @@ def test_empty_unit():
     assert ast.items == []
 
 
+def test_nodes_compare_and_show_their_fields_but_not_their_positions():
+    call = n.CallExpr("f", [n.HdcLit("Dev", pos=4)], [n.IntLit(1, pos=9)], pos=2)
+    assert call == n.CallExpr("f", [n.HdcLit("Dev")], [n.IntLit(1)])
+    assert call.pos == 2 and n.IntLit(1).pos == n.NOPOS
+    assert call != n.CallExpr("f", [n.HdcLit("Hst")], [n.IntLit(1)])
+    assert n.IntLit(1) != n.BoolLit(1)  # a node equals only a node of its class
+    assert repr(call) == "CallExpr(name='f', targs=[HdcLit(value='Dev')], args=[IntLit(value=1)])"
+    assert repr(n.CudaArchRef(pos=3)) == "CudaArchRef()"
+    # A list field left out is a fresh empty list.
+    assert n.CallExpr("g").targs == n.CallExpr("g").args == []
+    assert n.CallExpr("g").args is not n.CallExpr("g").args
+    # A struct's members as parsed are no field of it.
+    struct = parse("struct S { static constexpr bool a = true; };", "s.mcu").items[0]
+    struct.declared = []
+    assert struct == parse("struct S {\n  static constexpr bool a = true;\n};", "t.mcu").items[0]
+    assert "declared" not in repr(struct) and "pos" not in repr(struct)
+
+
 # Oracle: enumerate every subset of the three specifiers; the valid ones
 # are {}, {H}, {D}, {H,D}, and {G}.
 _VALID = [(), ("__host__",), ("__device__",), ("__host__", "__device__"), ("__global__",)]

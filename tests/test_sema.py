@@ -601,6 +601,51 @@ def test_member_constants_nest_at_most_max_const_depth(shape, col):
     ]
 
 
+# -- a broken member constant of a member template's struct -----------------------
+
+
+# Line 1 is Y, line 2 X, whose hdc is no HDC, lines 3-203 a chain of 201
+# member constants, line 204 S and line 205 main.
+_OWNER_PRELUDE = ("template< HDC k > struct Y {};\n"
+                  "struct X { static constexpr bool hdc = true; };\n"
+                  + _member_chain(MAX_CONST_DEPTH + 1, "member").rsplit("\n", 2)[0] + "\n")
+
+
+# A member template's defaults and requires clause read its struct's member
+# constants by name.  A member whose value is a SemaError reports it where
+# it is read, as a read through T::a does; one that nothing reads stays
+# silent.
+@pytest.mark.parametrize("value, at, code, message", [
+    ("S::a", "204:33", "E0105", 'the value of "S::a" depends on itself'),
+    ("S0::v", "203:37", "E0106", "member constants nest deeper than 200 levels"),
+    ("hdc< X >", "2:34", "E0103", 'member "hdc" of "X" is not an HDC constant'),
+], ids=["E0105", "E0106", "E0103"])
+@pytest.mark.parametrize("tparam, requires, reads", [
+    ("HDC h = HDC::Hst", "requires( a == HDC::Dev )", True),
+    ("HDC h = a", "", True),
+    ("HDC h = hdc< Y< a > >", "", True),
+    ("HDC h = HDC::Hst", "", False),
+], ids=["requires", "default", "struct-argument", "unread"])
+def test_a_broken_member_constant_is_reported_where_a_member_template_reads_it(
+        value, at, code, message, tparam, requires, reads):
+    src = (_OWNER_PRELUDE
+           + f"struct S {{ static constexpr HDC a = {value}; "
+             f"template< {tparam} > {requires} __host__ __device__ void f() {{}} }};\n"
+           + "int main() { S{}.f(); return 0; }\n")
+    analysis = analyze(src, "u.mcu")
+    result = run_program(analysis)
+    if not reads:
+        assert (analysis.diagnostics, result.exit_code, result.notes) == ([], 0, [])
+        return
+    assert [format_diagnostic(d) for d in analysis.diagnostics] == [
+        f"u.mcu:{at}: error[{code}]: {message}"
+    ]
+    assert result.exit_code == 101
+    assert [format_diagnostic(d) for d in result.notes] == [
+        f"u.mcu:205:14: {_HALT}unresolvable call: {code} u.mcu:{at}: {message}"
+    ]
+
+
 # -- discard reasons ------------------------------------------------------------
 
 
