@@ -58,17 +58,12 @@ class CorpusResult:
     __slots__ = ("file", "matched", "unmatched_expectations", "unexpected_diagnostics",
                  "run_check")
 
-    def __init__(self, file: str, matched: int = 0,
-                 unmatched_expectations: Optional[list] = None,
-                 unexpected_diagnostics: Optional[list] = None,
-                 run_check: Optional[str] = None):
+    def __init__(self, file: str):
         self.file = file
-        self.matched = matched
-        self.unmatched_expectations = (
-            [] if unmatched_expectations is None else unmatched_expectations)
-        self.unexpected_diagnostics = (
-            [] if unexpected_diagnostics is None else unexpected_diagnostics)
-        self.run_check = run_check  # failure description, None if ok/absent
+        self.matched = 0
+        self.unmatched_expectations: list = []
+        self.unexpected_diagnostics: list = []
+        self.run_check: Optional[str] = None  # failure description, None if ok/absent
 
     @property
     def passed(self) -> bool:

@@ -38,9 +38,9 @@ MAX_OUTPUT_BYTES = 1 << 24
 class Machine:
     __slots__ = ("sticky_error", "out")
 
-    def __init__(self, sticky_error: int = 0, out: bytearray | None = None):
-        self.sticky_error = sticky_error
-        self.out = bytearray() if out is None else out
+    def __init__(self):
+        self.sticky_error = 0
+        self.out = bytearray()
 
 
 class RunResult:
@@ -108,15 +108,15 @@ def device_synchronize(m: Machine) -> int:
 class Interpreter:
     """Executes the instances the check chose.
 
-    Host code runs the instances of the walk whose natives hold the host,
-    and device code those of the walk whose natives hold the device; passes
-    that share a symbol table share that walk.  Every call site executes
-    the callee its instance recorded during the walk, or the builtin the
-    walk found available there; a site recorded as stray, or not recorded,
-    is a UB halt.  The run evaluates no type, trait or constant itself: a
-    temporary, a variable declaration, hdc< T >, T::member and a template
-    parameter used as a value read what the walk recorded in the site
-    table, and a failure recorded there is a UB halt.
+    Host code runs the instances analysis.walks keeps for the host, and
+    device code those it keeps for the device: the Walked record of the walk
+    whose natives hold that side, one record for passes that share a symbol
+    table.  Every call site executes the callee its instance recorded during
+    the walk, or the builtin the walk found available there; a site recorded
+    as stray, or not recorded, is a UB halt.  The run evaluates no type,
+    trait or constant itself: a temporary, a variable declaration, hdc< T >,
+    T::member and a template parameter used as a value read what the walk
+    recorded in the site table, and a failure recorded there is a UB halt.
 
     Statements and expressions are executed by the handlers that _STMT and
     _EVAL map their node class to.  Each handler takes the executing

@@ -117,21 +117,18 @@ class SymbolTable:
     __slots__ = ("ast", "cfg", "structs", "functions", "keys", "differing", "touched",
                  "evaluating")
 
-    def __init__(self, ast: n.Ast, cfg: TraitConfig, structs: Optional[dict] = None,
-                 functions: Optional[dict] = None, keys: Optional[dict] = None,
-                 differing: tuple = ((), ()), touched: bool = False,
-                 evaluating: Optional[dict] = None):
+    def __init__(self, ast: n.Ast, cfg: TraitConfig):
         self.ast = ast
         self.cfg = cfg  # the one trait configuration every evaluation reads
-        self.structs = {} if structs is None else structs
-        self.functions = {} if functions is None else functions  # name -> [FunctionDecl]
-        self.keys = {} if keys is None else keys  # id(FunctionDecl) -> its signature_key
+        self.structs: dict = {}
+        self.functions: dict = {}  # name -> [FunctionDecl]
+        self.keys: dict = {}  # id(FunctionDecl) -> its signature_key
         # The struct names and the function names another table of the analyze
         # answers differently (_differing); struct and overloads touch on reading one.
-        self.differing = differing
-        self.touched = touched
+        self.differing: tuple = ((), ())
+        self.touched = False
         # The member constants being evaluated, innermost last (_member_value).
-        self.evaluating = {} if evaluating is None else evaluating
+        self.evaluating: dict = {}
 
     def loc(self, pos: int) -> SrcLoc:
         """The SrcLoc of a position in the unit this table was resolved from."""
@@ -390,7 +387,7 @@ def _targ_as_hdc(targ, env: Bindings, table: SymbolTable):
             if isinstance(val, HDC):
                 return val
             if isinstance(val, SemaError):  # as in _name
-                raise val.with_traceback(None)
+                raise type(val)(val.code, val.loc, val.message)
             raise SubstFailure("expected an HDC constant")
         raise SubstFailure(f'"{targ.name}" is not an HDC constant')
     return eval_const_expr(targ, env, table)
@@ -491,7 +488,7 @@ def _name(expr: n.NameRef, env, table):
     if isinstance(val, Type):
         raise SubstFailure(f'"{expr.name}" is a type, not a constant')
     if isinstance(val, SemaError):  # a broken member constant (_candidate_env)
-        raise val.with_traceback(None)
+        raise type(val)(val.code, val.loc, val.message)
     return val
 
 
@@ -567,8 +564,8 @@ def _candidate_env(bindings: Bindings, owner_struct, owner_bindings, table):
 
     Member constants of the enclosing struct are usable by name.  One whose
     evaluation fails substitution is unbound; one that raises a SemaError is
-    bound to it, which reading its value raises, so a member nothing reads
-    stays silent.
+    bound to it, kept without a traceback, and reading its value raises a
+    copy, so no frame is tied to the env; a member nothing reads stays silent.
     """
     env = dict(owner_bindings or {})
     if owner_struct is not None:
@@ -578,7 +575,7 @@ def _candidate_env(bindings: Bindings, owner_struct, owner_bindings, table):
             except SubstFailure:
                 pass
             except SemaError as e:
-                env[mv.name] = e
+                env[mv.name] = e.with_traceback(None)
     env.update(bindings)
     return env
 

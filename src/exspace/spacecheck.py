@@ -25,7 +25,9 @@ arguments keeps none, since its key holds its node.
 
 A walk's demands hold the declaration or the first instance of each
 signature and template demand; detect_arch_divergence formats the names
-of the few that E1201 reports.
+of the few that E1201 reports.  The memo, the verdicts and the demands
+live only while analyze runs: it keeps a Walked record of each walk's
+instances, main and edges, and drops the walk.
 """
 from __future__ import annotations
 
@@ -80,21 +82,21 @@ def legality(
     callee_space: ExecSpace,
     kind: str = "direct",
     *,
-    caller_from_hd: bool = False,
     relaxed_constexpr: bool = False,
     callee_is_constexpr: bool = False,
     mode: Mode = Mode.CLASSIC,
-    mismatched_side_reachable: bool = True,
+    hd_reachable: Optional[bool] = None,
 ) -> Optional[str]:
     """The call-legality matrix; total over every argument combination.
 
     A verdict is the code of its diagnostic, whose severity CODE_REGISTRY
     holds, or None when the call is legal.  The walk takes every call and
-    launch verdict from here.  caller_side is the side the call occurs on
-    (host-device callers are checked once per side, with caller_from_hd
-    set).  Launches are legal only host-to-global; the walk asks a launch
-    as two questions, whether its side may launch at all and whether the
-    target is launchable from the host.  The relaxed-constexpr flag makes
+    launch verdict from here.  caller_side is the side the call occurs on.
+    A host-device caller is checked once per side, with hd_reachable set
+    to whether that side of it is reachable; None is a one-sided caller.
+    Launches are legal only host-to-global; the walk asks a launch as two
+    questions, whether its side may launch at all and whether the target
+    is launchable from the host.  The relaxed-constexpr flag makes
     constexpr callees callable from either side.
     """
     if caller_side not in (HOST, DEVICE):
@@ -110,17 +112,17 @@ def legality(
     if callee_space is ExecSpace.HostDevice or callee_space is caller_side:
         return None
     # A one-sided callee on the mismatched side.
-    if not caller_from_hd:
+    if hd_reachable is None:
         if mode is Mode.PROPOSAL2:
             return "E1501"
         return "E1001" if caller_side is HOST else "E1002"
     host_only_callee = callee_space is HOST
     if mode is Mode.FIDELITY and not host_only_callee:
         return None  # replicated inconsistency: no warning for this direction
-    if mode is Mode.SOUND and mismatched_side_reachable:
+    if mode is Mode.SOUND and hd_reachable:
         return "E1101" if host_only_callee else "E1102"
     if mode is Mode.PROPOSAL2:
-        return "E1501" if mismatched_side_reachable else "W1502"
+        return "E1501" if hd_reachable else "W1502"
     return "W1101" if host_only_callee else "W1102"
 
 
@@ -151,8 +153,7 @@ class Instance:
     __slots__ = ("decl", "bindings", "env", "side", "spaces", "owner_type", "key", "sites")
 
     def __init__(self, decl: n.FunctionDecl, bindings: dict, env: dict, side: ExecSpace,
-                 spaces: ExecSpace, owner_type: Optional[Type], key: tuple,
-                 sites: Optional[dict] = None):
+                 spaces: ExecSpace, owner_type: Optional[Type], key: tuple):
         self.decl = decl
         self.bindings = bindings
         self.env = env  # the receiver struct's bindings overlaid with bindings
@@ -167,7 +168,7 @@ class Instance:
         # map to their Type, HdcTrait and MemberConst to their value, and a
         # NameRef that is not a local to the value of its template parameter.
         # The walk of this instance's body writes every entry.
-        self.sites = {} if sites is None else sites
+        self.sites: dict = {}
 
     def display(self) -> str:
         name = self.decl.display_name()
@@ -196,7 +197,7 @@ class _Walk:
     natives are the sides of the passes that share the table.  Each
     instance's body is walked with its own bindings and side.  The walks of
     one analyze share the interned demands and the call memo, calls (see
-    _resolve_call).
+    _resolve_call).  analyze keeps only a Walked record of each walk.
     """
 
     def __init__(self, table: SymbolTable, natives: tuple,
@@ -679,10 +680,8 @@ class _Walk:
             self._emit_stray(caller, callee_space, pos, caller.key in reach)
 
     def _emit_stray(self, inst, callee_space, pos, reachable):
-        code = legality(
-            inst.side, callee_space, caller_from_hd=inst.from_hd, mode=self.mode,
-            mismatched_side_reachable=reachable,
-        )
+        code = legality(inst.side, callee_space, mode=self.mode,
+                        hd_reachable=reachable if inst.from_hd else None)
         if code is None:
             return
         message = _stray_message(code, inst.side, callee_space, inst.from_hd)
@@ -705,22 +704,37 @@ class PassArtifacts:
         self.table = table
 
 
+class Walked:
+    """What analyze keeps of one walk: its instances by key, main's key
+    (None if it has no main), and its call edges.
+
+    A run reads instances and main_key; edges, caller key -> callee keys,
+    stays only because bench/run.py's traced run sums it.
+    """
+    __slots__ = ("instances", "main_key", "edges")
+
+    def __init__(self, walk: _Walk):
+        self.instances = walk.instances
+        self.main_key = walk.main_key
+        self.edges = walk.edges
+
+
 class Analysis:
     __slots__ = ("path", "profile", "mode", "lines", "diagnostics", "all_diagnostics",
                  "passes", "walks")
 
     def __init__(self, path: str, profile: CompileProfile, mode: Mode, lines: LineTable,
-                 diagnostics: list, all_diagnostics: Optional[list] = None,
-                 passes: Optional[dict] = None, walks: Optional[dict] = None):
+                 diagnostics: list, all_diagnostics: list, passes: dict, walks: dict):
         self.path = path
         self.profile = profile
         self.mode = mode
         self.lines = lines  # turns the positions nodes carry into SrcLocs
         self.diagnostics = diagnostics  # ordered, suppression applied
-        # Suppressed ones included.
-        self.all_diagnostics = [] if all_diagnostics is None else all_diagnostics
-        self.passes = {} if passes is None else passes  # pass kind -> PassArtifacts
-        self.walks = {} if walks is None else walks  # side -> the _Walk whose natives hold it
+        self.all_diagnostics = all_diagnostics  # suppressed ones included
+        self.passes = passes  # pass kind -> PassArtifacts
+        # side -> the Walked of the walk whose natives hold it; the sides of
+        # one walk share one record.
+        self.walks = walks
 
     @property
     def has_errors(self) -> bool:
@@ -787,38 +801,31 @@ def analyze(
     """
     diags: list[Diagnostic] = []
     passes, lines = _front_end(text, path, profile, mode, cfg, diags)
-    analysis = Analysis(path, profile, mode, lines, [], passes=passes)
 
     tables: dict = {}  # id(symbol table) -> (PassArtifacts, sides of the passes sharing it)
-    for kind, art in analysis.passes.items():
+    for kind, art in passes.items():
         tables.setdefault(id(art.table), (art, []))[1].append(_PASS_SIDE[kind])
     interned: dict = {}  # demand numbers, one table per analyze so the walks agree
     calls: dict = {}  # the call memo, shared by the walks (_Walk._resolve_call)
     _differing([art.table for art, _ in tables.values()])
+    walks: dict = {}  # side -> Walked
+    demands: dict = {}  # side -> the demands of the walk whose natives hold it
     for art, sides in tables.values():
         walk = _Walk(art.table, tuple(sides), mode, profile, interned, calls)
         walk.run()
-        analysis.walks.update(dict.fromkeys(sides, walk))
+        walks.update(dict.fromkeys(sides, Walked(walk)))
+        demands.update(dict.fromkeys(sides, walk.demands))
         if mode is Mode.FIDELITY and sides == [HOST]:
             diags.extend(d for d in walk.diags if d.code in _HARD_CODES)
         else:
             diags.extend(walk.diags)
 
-    if (
-        mode in _DIVERGENCE_MODES
-        and HOST in analysis.walks
-        and DEVICE in analysis.walks
-    ):
-        diags.extend(
-            detect_arch_divergence(
-                analysis.walks[HOST].demands, analysis.walks[DEVICE].demands, lines
-            )
-        )
+    if mode in _DIVERGENCE_MODES and HOST in demands and DEVICE in demands:
+        diags.extend(detect_arch_divergence(demands[HOST], demands[DEVICE], lines))
 
     ordered = finish_diagnostics(diags)
-    analysis.all_diagnostics = ordered
-    analysis.diagnostics = [d for d in ordered if not d.suppressed]
-    return analysis
+    return Analysis(path, profile, mode, lines, [d for d in ordered if not d.suppressed],
+                    ordered, passes, walks)
 
 
 def check_unit(

@@ -14,7 +14,9 @@ if a direct, repeatable input reaches it.  A condition is the test of an
 ``if``, ``elif`` or ``while`` statement; it is one-sided when its test ran
 but control never went from it into its body, or never went anywhere else.
 Lines that run only after a RecursionError, or in a subprocess, are not
-recorded; ALLOWED names those, each with what runs it.
+recorded; ALLOWED names those, each with what runs it.  It names each
+by statement, not by line number, so an edit elsewhere in the file leaves
+it in place.
 """
 import ast
 import sys
@@ -24,16 +26,19 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "exspace"
 
-# Lines the trace cannot see run, by path under src/exspace and first and
-# last line.  Keep each entry's comment: it says what runs the lines.
+# Blocks the trace cannot see run: (path under src/exspace, the qualified
+# name of the function enclosing the statement or "<module>", the
+# statement's head as ast.unparse writes it).  The lines allowed are an
+# if's body and an except clause whole.  Keep each entry's comment: it says
+# what runs the lines.
 ALLOWED = {
     # The module's __main__ guard body; test_cli's
     # test_console_script_entry_point runs it as `python -m exspace.cli`.
-    ("cli.py", 146, 146),
+    ("cli.py", "<module>", "if __name__ == '__main__'"),
     # Interpreter.run's RecursionError arm.  Tracing stops when the trace
     # function itself overflows the stack, so the arm is never recorded;
     # test_interp's test_unbounded_recursion_ends_in_a_note pins its note.
-    ("interp.py", 153, 156),
+    ("interp.py", "Interpreter.run", "except RecursionError"),
 }
 
 _LEAVE = 0  # the line a step out of the frame goes to
@@ -44,6 +49,20 @@ def _code_lines(code, out: set):
     for const in code.co_consts:
         if hasattr(const, "co_lines"):
             _code_lines(const, out)
+
+
+def _allowed_lines(tree, function: str, head: str) -> range:
+    """The lines of the block ALLOWED names by function and head."""
+    scope = tree
+    for name in [] if function == "<module>" else function.split("."):
+        scope = next(x for x in ast.iter_child_nodes(scope)
+                     if isinstance(x, (ast.ClassDef, ast.FunctionDef)) and x.name == name)
+    for node in ast.walk(scope):
+        if isinstance(node, ast.If) and head == f"if {ast.unparse(node.test)}":
+            return range(node.body[0].lineno, node.body[-1].end_lineno + 1)
+        if isinstance(node, ast.ExceptHandler) and head == f"except {ast.unparse(node.type)}":
+            return range(node.lineno, node.end_lineno + 1)
+    raise LookupError(f"{function} has no statement {head!r}")
 
 
 def _conditions(tree) -> list:
@@ -60,12 +79,18 @@ def _conditions(tree) -> list:
 
 class LineTrace:
     def __init__(self):
-        self.executable, self.conditions = {}, {}
+        self.executable, self.conditions, self.allowed = {}, {}, {}
         for path in sorted(SRC.rglob("*.py")):
             text = path.read_text(encoding="utf-8")
             self.executable[str(path)] = found = set()
             _code_lines(compile(text, str(path), "exec"), found)
-            self.conditions[str(path)] = _conditions(ast.parse(text))
+            tree = ast.parse(text)
+            self.conditions[str(path)] = _conditions(tree)
+            self.allowed[str(path)] = {
+                line for file, function, head in ALLOWED
+                if file == path.relative_to(SRC).as_posix()
+                for line in _allowed_lines(tree, function, head)
+            }
         self.ran = {path: set() for path in self.executable}
         self.arcs = {path: set() for path in self.executable}  # (line, next line)
         self.report = []
@@ -102,8 +127,7 @@ class LineTrace:
         sys.settrace(self.trace_calls)
 
     def _allowed(self, path: str, line: int) -> bool:
-        name = Path(path).relative_to(SRC).as_posix()
-        return any(name == f and a <= line <= b for f, a, b in ALLOWED)
+        return line in self.allowed[path]
 
     def _one_sided(self, path: str) -> list:
         """(test line, the side never taken) of each one-sided condition

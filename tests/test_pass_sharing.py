@@ -4,11 +4,15 @@ A unit is lexed once; each pass parses only the top-level items whose
 tokens differ from an earlier pass's, and passes that share every item
 share one AST, one symbol table and one walk.  Walks over tables of their
 own share the calls they resolve, unless a table read answers
-differently.  The trace test runs the front end under the benchmark's own
-tracer, so a change that hides an entry point from it, or runs a stage
-more often than that, fails here as well as in the benchmark.
+differently.  The Analysis keeps a record of each walk's instances, not
+the walk, so every walk dies by reference count when analyze returns.
+The trace test runs the front end under the benchmark's own tracer, so a
+change that hides an entry point from it, or runs a stage more often than
+that, fails here as well as in the benchmark.
 """
+import gc
 import sys
+import weakref
 from collections import Counter
 from itertools import islice
 from pathlib import Path
@@ -17,6 +21,7 @@ import pytest
 
 import exspace.corpus  # noqa: F401  (run_corpus_file is a traced entry point)
 from exspace import spacecheck
+from exspace.corpus import parse_header
 from exspace.interp import UB_EXIT, run_program
 from exspace.sema import DEVICE, HOST
 from exspace.spacecheck import Mode, analyze
@@ -305,7 +310,7 @@ def test_the_names_two_tables_answer_differently():
     assert spacecheck._differing([host]) == (set(), set())
 
 
-def test_a_call_is_resolved_once_per_analyze_unless_a_read_differs(monkeypatch):
+def test_a_call_is_resolved_once_per_analyze_unless_a_read_differs(monkeypatch, walks):
     # A fanout unit's pass texts always differ, so each pass has a table
     # and a walk of its own; most calls are the same in both, and the walks
     # share one call memo.
@@ -329,8 +334,8 @@ def test_a_call_is_resolved_once_per_analyze_unless_a_read_differs(monkeypatch):
 
     monkeypatch.setattr(spacecheck, "resolve_overload", counting)
     monkeypatch.setattr(spacecheck._Walk, "_resolve_call", noting)
-    analysis = analyze(unit.text, unit.path, CompileProfile(), Mode(unit.mode))
-    host, device = analysis.walks[HOST], analysis.walks[DEVICE]
+    analyze(unit.text, unit.path, CompileProfile(), Mode(unit.mode))
+    host, device = walks[HOST], walks[DEVICE]
     assert host is not device and host.table is not device.table
     assert host.calls is device.calls
     # The device walk reuses most of the host walk's calls.
@@ -367,3 +372,53 @@ def test_shared_calls_check_and_run_as_calls_of_each_walk_alone(monkeypatch):
 
     monkeypatch.setattr(spacecheck._Walk, "__init__", own_memo)
     assert outputs() == shared
+
+
+# A member constant that needs its own value is E0105 where a requires
+# clause reads it, and silent where nothing does; either way the candidate's
+# env holds the error.
+_SELF_MEMBER = ("struct S { static constexpr bool a = S::a; "
+                "template< HDC h = HDC::Hst > %s__host__ __device__ void f() {} }; "
+                "int main() { S{}.f(); return 0; }")
+
+
+def _units_of_every_kind(corpus_dir):
+    """(text, path, profile, mode): the first nine units of three pools,
+    every corpus file in every mode, and the self-reading member constants."""
+    for workload in ("chain", "fanout", "kernel"):
+        for index in range(9):
+            unit = gen.make_unit(workload, ROOT, 1, index)
+            yield unit.text, unit.path, CompileProfile(), Mode(unit.mode)
+    for path in sorted(corpus_dir.glob("*.mcu")):
+        text = path.read_text(encoding="utf-8")
+        for mode in Mode:
+            profile = parse_header(text, mode, CompileProfile(), path.name).profile
+            yield text, path.name, profile, mode
+    for requires in ("requires( a ) ", ""):
+        yield _SELF_MEMBER % requires, "e.mcu", CompileProfile(), Mode.CLASSIC
+
+
+def test_analyze_keeps_no_walk(monkeypatch, corpus_dir):
+    # With the collector off, a walk that anything the Analysis holds
+    # reached, or that a cycle of its own kept, would outlive analyze.
+    made = []
+    run = spacecheck._Walk.run
+
+    def recording(walk):
+        made.append(weakref.ref(walk))
+        run(walk)
+
+    monkeypatch.setattr(spacecheck._Walk, "run", recording)
+    codes = []
+    gc.disable()
+    try:
+        for text, path, profile, mode in _units_of_every_kind(corpus_dir):
+            del made[:]
+            analysis = analyze(text, path, profile, mode)
+            assert [ref() for ref in made] == [None] * len(made), (path, mode)
+            assert not any(isinstance(w, spacecheck._Walk) for w in analysis.walks.values())
+            codes.append([d.code for d in analysis.all_diagnostics])
+    finally:
+        gc.enable()
+    assert codes[-2:] == [["E0105"], []]
+    assert len(codes) == 27 + 5 * len(list(corpus_dir.glob("*.mcu"))) + 2

@@ -119,13 +119,13 @@ def test_preprocess_idempotent_over_generated_and_corpus(corpus_dir):
             assert preprocess(once, pp) == once
 
 
-def test_instantiation_sets_agree_without_directives():
+def test_instantiation_sets_agree_without_directives(walks):
     for seed in range(30):
         unit = gen_unit(random.Random(seed))
         for mode in Mode:
-            analysis = analyze(unit.without_pragmas, "g.mcu", NVCC, mode)
-            host = set(analysis.walks[HOST].demands)
-            device = set(analysis.walks[DEVICE].demands)
+            analyze(unit.without_pragmas, "g.mcu", NVCC, mode)
+            host = set(walks[HOST].demands)
+            device = set(walks[DEVICE].demands)
             assert host == device, seed
 
 

@@ -472,7 +472,7 @@ int main() { a(); b(); return 0; }
         assert sides <= {HOST, DEVICE}
 
 
-def test_instantiation_sets_agree_across_passes_without_directives():
+def test_instantiation_sets_agree_across_passes_without_directives(walks):
     src = """struct S {};
 struct D { static constexpr HDC hdc = HDC::Dev; };
 template< typename T >
@@ -482,9 +482,9 @@ __device__ void dev_side() { w< D >(); }
 int main() { w< S >(); return 0; }
 """
     for mode in (Mode.CLASSIC, Mode.SOUND):
-        analysis = analyze(src, "i.mcu", mode=mode)
-        host = set(analysis.walks[HOST].demands)
-        device = set(analysis.walks[DEVICE].demands)
+        analyze(src, "i.mcu", mode=mode)
+        host = set(walks[HOST].demands)
+        device = set(walks[DEVICE].demands)
         assert host == device
 
 

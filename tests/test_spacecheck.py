@@ -99,10 +99,7 @@ def test_legality_matrix_matches_brute_force_table():
 )
 def test_legality_for_host_device_callers(mode, callee, reachable, expected):
     caller = DEVICE if callee is HOST else HOST  # the mismatched side
-    assert legality(
-        caller, callee, caller_from_hd=True, mode=mode,
-        mismatched_side_reachable=reachable,
-    ) == expected
+    assert legality(caller, callee, mode=mode, hd_reachable=reachable) == expected
 
 
 def test_legality_rejects_bad_caller():
@@ -571,7 +568,7 @@ int main() { h(); k<<< 1, 1 >>>(); return cudaDeviceSynchronize(); }
     assert (result.exit_code, result.notes) == (0, [])
 
 
-def test_a_failing_call_is_resolved_and_reported_at_each_site(monkeypatch):
+def test_a_failing_call_is_resolved_and_reported_at_each_site(monkeypatch, walks):
     src = """struct S { void f( int x ) {} };
 void h() {
   S{}.f();
@@ -591,7 +588,7 @@ int main() { h(); return 0; }
     ]
     assert len(resolved) == 2 + 1 + 1  # each S::f() site, one S::f( 1 ), main's h()
     # Each failing site records its own reason; each resolved one its callee.
-    walk = analysis.walks[HOST]
+    walk = walks[HOST]
     h = next(i for i in walk.instances.values() if i.decl.name == "h")
     sites = [x for x in n.walk(h.decl.body) if isinstance(x, n.MemberCallExpr)]
     assert [h.sites[id(x)] for x in sites[:4]] == [
@@ -616,9 +613,9 @@ def _site_chain(pick: int) -> str:
 
 
 @pytest.mark.parametrize("pick", range(4))
-def test_a_verdict_made_once_per_call_key_and_side_holds_at_each_site(pick):
+def test_a_verdict_made_once_per_call_key_and_side_holds_at_each_site(pick, walks):
     analysis = analyze(_site_chain(pick), "v.mcu")
-    walk = analysis.walks[HOST]
+    walk = walks[HOST]
     # One verdict for D{}.call() per side, however many sites share its key;
     # the calls with explicit template arguments keep none.
     assert [(key[0], side) for key, side in walk.verdicts] == [
@@ -636,13 +633,13 @@ def test_a_verdict_made_once_per_call_key_and_side_holds_at_each_site(pick):
     ]
 
 
-def test_each_direct_call_of_a_kernel_reports_its_own_e1004():
+def test_each_direct_call_of_a_kernel_reports_its_own_e1004(walks):
     src = "__global__ void k() {}\nint main() { k(); k(); return 0; }\n"
     analysis = analyze(src, "g.mcu")
     assert [(d.code, str(d.loc)) for d in analysis.all_diagnostics] == [
         ("E1004", "g.mcu:2:14"), ("E1004", "g.mcu:2:19"),
     ]
-    assert analysis.walks[HOST].verdicts == {}
+    assert walks[HOST].verdicts == {}
 
 
 def test_fidelity_still_reports_host_pass_hard_errors():
