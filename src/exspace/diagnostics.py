@@ -14,6 +14,9 @@ class Severity(Enum):
     NOTE = "note"
 
 
+ERROR = Severity.ERROR  # per-diagnostic code reads it so, as sema.HOST
+
+
 # Stable code registry: code -> (default severity, summary).
 CODE_REGISTRY: dict[str, tuple[Severity, str]] = {
     "E0001": (Severity.ERROR, "parse error"),
@@ -146,7 +149,7 @@ class Diagnostic(Record):
 
     @property
     def is_error(self) -> bool:
-        return self.severity is Severity.ERROR
+        return self.severity is ERROR
 
     def sort_key(self):
         return (self.loc.file, self.loc.line, self.loc.col, self.code, self.message)

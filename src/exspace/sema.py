@@ -29,15 +29,20 @@ class ExecSpace(Enum):
     __hash__ = object.__hash__  # as for HDC
 
 
+# Code that runs per call site reads enum members as these module
+# constants: on CPython 3.11 a read through the class, such as
+# ExecSpace.Host, runs EnumType.__getattr__, about ten times a global read.
 HOST = ExecSpace.Host
 DEVICE = ExecSpace.Device
+HOST_DEVICE = ExecSpace.HostDevice
+GLOBAL = ExecSpace.Global
 
 # The sides each space has code on; a kernel's code is on the device.
 SIDES = {
     HOST: (HOST,),
     DEVICE: (DEVICE,),
-    ExecSpace.HostDevice: (HOST, DEVICE),
-    ExecSpace.Global: (DEVICE,),
+    HOST_DEVICE: (HOST, DEVICE),
+    GLOBAL: (DEVICE,),
 }
 
 
@@ -47,6 +52,13 @@ class Mode(Enum):
     SOUND = "sound"
     PROPOSAL1 = "proposal1"
     PROPOSAL2 = "proposal2"
+
+
+CLASSIC = Mode.CLASSIC
+FIDELITY = Mode.FIDELITY
+SOUND = Mode.SOUND
+PROPOSAL1 = Mode.PROPOSAL1
+PROPOSAL2 = Mode.PROPOSAL2
 
 
 class Type(FrozenRecord):
@@ -62,6 +74,11 @@ class Type(FrozenRecord):
         if self.targs:
             return f"{self.name}<{', '.join(a.value for a in self.targs)}>"
         return self.name
+
+
+INT = Type("int")
+BOOL = Type("bool")
+_KEYWORD_TYPES = {"int": INT, "bool": BOOL, "void": Type("void")}
 
 
 class TraitConfig(FrozenRecord):
@@ -93,8 +110,8 @@ class OverloadError(SemaError):
 # Builtin callables and the space each is usable from.  The plain profile
 # lacks the runtime-API entry points.
 BUILTIN_FUNCTIONS = {
-    "printf": ExecSpace.HostDevice,
-    "release_assert": ExecSpace.HostDevice,
+    "printf": HOST_DEVICE,
+    "release_assert": HOST_DEVICE,
     "__trap": DEVICE,
     "abort": HOST,
     "std::abort": HOST,
@@ -115,7 +132,7 @@ def builtin_spaces(name: str, profile) -> Optional[ExecSpace]:
 
 class SymbolTable:
     __slots__ = ("ast", "cfg", "structs", "functions", "keys", "differing", "touched",
-                 "evaluating")
+                 "evaluating", "values")
 
     def __init__(self, ast: n.Ast, cfg: TraitConfig):
         self.ast = ast
@@ -127,8 +144,10 @@ class SymbolTable:
         # answers differently (_differing); struct and overloads touch on reading one.
         self.differing: tuple = ((), ())
         self.touched = False
-        # The member constants being evaluated, innermost last (_member_value).
+        # The member constants being evaluated, innermost last, and the
+        # values of those read at top level (_member_value).
         self.evaluating: dict = {}
+        self.values: dict = {}
 
     def loc(self, pos: int) -> SrcLoc:
         """The SrcLoc of a position in the unit this table was resolved from."""
@@ -145,15 +164,19 @@ class SymbolTable:
         return self.functions.get(name, [])
 
     @staticmethod
-    def member_functions(struct: n.StructDecl, name: str) -> list:
-        return [m for m in struct.member_functions() if m.name == name]
+    def member_functions(struct: n.StructDecl, name: str):
+        """The member functions of struct named name, from its index."""
+        return struct.functions.get(name, ())
 
     @staticmethod
     def member_var(struct: n.StructDecl, name: str) -> Optional[n.MemberVar]:
-        for m in struct.member_vars():
-            if m.name == name:
-                return m
-        return None
+        """struct's member constant named name, or None.
+
+        It reads the name -> member index resolve() builds, which holds the
+        first definition of each name, so a lookup costs the same at any
+        number of members.
+        """
+        return struct.constants.get(name)
 
 
 def _differing(tables: list) -> tuple:
@@ -174,6 +197,8 @@ def _differing(tables: list) -> tuple:
                 functions.add(name)
     for table in tables:
         table.differing = (structs, functions)
+        # A value kept before the differing names were known noted no touch.
+        table.values.clear()
     return structs, functions
 
 
@@ -222,19 +247,16 @@ def resolve(
     """
     table = SymbolTable(ast, cfg)
     diags: list[Diagnostic] = []
-    include_spaces = mode is Mode.PROPOSAL2
+    include_spaces = mode is PROPOSAL2
     seen: set = set()  # the signature keys declared so far
+
+    def duplicate(name: str, pos: int):
+        diags.append(Diagnostic.make("E0102", table.loc(pos), f'duplicate definition of "{name}"'))
 
     def is_duplicate(decl: n.FunctionDecl) -> bool:
         key = table.keys[id(decl)] = signature_key(decl, include_spaces)
         if key in seen:
-            diags.append(
-                Diagnostic.make(
-                    "E0102",
-                    table.loc(decl.pos),
-                    f'duplicate definition of "{decl.display_name()}"',
-                )
-            )
+            duplicate(decl.display_name(), decl.pos)
             return True
         seen.add(key)
         return False
@@ -242,11 +264,7 @@ def resolve(
     for i, item in enumerate(ast.items):
         if isinstance(item, n.StructDecl):
             if item.name in table.structs:
-                diags.append(
-                    Diagnostic.make(
-                        "E0102", table.loc(item.pos), f'duplicate definition of "{item.name}"'
-                    )
-                )
+                duplicate(item.name, item.pos)
                 # Ast.decls() still yields the members of a dropped struct,
                 # all of them and with no owner.  The node may be another
                 # pass's kept struct, so this Ast gets a copy of its own.
@@ -255,12 +273,22 @@ def resolve(
                     table.keys[id(m)] = signature_key(m, include_spaces)
                 continue
             table.structs[item.name] = item
-            # Later phases see the first definition only.  Reading the
-            # members as parsed makes this the same write in every pass.
-            item.members = [
-                m for m in item.declared
-                if not (isinstance(m, n.FunctionDecl) and is_duplicate(m))
-            ]
+            # Later phases see the first definition only, and look members
+            # up by name in the index built here.  Reading the members as
+            # parsed makes these the same writes in every pass.
+            members, functions, constants = [], {}, {}
+            for m in item.declared:
+                if isinstance(m, n.FunctionDecl):
+                    if is_duplicate(m):
+                        continue
+                    functions.setdefault(m.name, []).append(m)
+                elif m.name in constants:
+                    duplicate(f"{item.name}::{m.name}", m.pos)
+                    continue
+                else:
+                    constants[m.name] = m
+                members.append(m)
+            item.members, item.functions, item.constants = members, functions, constants
         elif isinstance(item, n.FunctionDecl):
             if not is_duplicate(item):
                 table.functions.setdefault(item.name, []).append(item)
@@ -288,7 +316,7 @@ def resolve(
 
 def _check_mode_gated_syntax(ast: n.Ast, mode) -> list:
     diags = []
-    if mode is not Mode.PROPOSAL2:
+    if mode is not PROPOSAL2:
         for item in ast.items:
             if isinstance(item, n.StructDecl) and not item.spec.undecorated:
                 diags.append(
@@ -298,7 +326,7 @@ def _check_mode_gated_syntax(ast: n.Ast, mode) -> list:
                         "struct-level execution-space specifiers require --mode=proposal2",
                     )
                 )
-    if mode is not Mode.PROPOSAL1:
+    if mode is not PROPOSAL1:
         for fn, _ in ast.decls():
             if fn.spec.has_conditionals():
                 diags.append(
@@ -347,8 +375,9 @@ def struct_bindings(struct: n.StructDecl, t: Type) -> Bindings:
 
 
 def resolve_type(tref: n.TypeRef, env: Bindings, table: SymbolTable) -> Type:
-    if tref.name in ("int", "bool", "void"):  # keywords: the parser gives them no targs
-        return Type(tref.name)
+    keyword = _KEYWORD_TYPES.get(tref.name)  # the parser gives keywords no targs
+    if keyword is not None:
+        return keyword
     if tref.name in env:
         bound = env[tref.name]
         if isinstance(bound, Type):
@@ -424,13 +453,29 @@ def _member_value(struct: n.StructDecl, mv: n.MemberVar, t: Type, table: SymbolT
     than MAX_CONST_DEPTH deep is E0106, both at mv.  They are SemaErrors,
     not substitution failures, so a requires clause that reads such a
     member reports it rather than discarding its candidate.
+
+    A read at top level, with nothing being evaluated, is computed once per
+    table: table.values keeps its value under the same key, with whether
+    computing it touched the table (SymbolTable.touched), and a later read
+    returns it and touches the table if that did.  A nested read evaluates
+    in full, so every read finds a cycle or too deep a chain, whichever
+    member it starts from.  A failure is never kept.
     """
     key = (id(mv), t.targs)
     evaluating = table.evaluating
-    if key in evaluating:
+    top = not evaluating
+    if top:
+        kept = table.values.get(key)
+        if kept is not None:
+            if kept[1]:
+                table.touched = True
+            return kept[0]
+        touched = table.touched
+        table.touched = False  # to note what this value's computation reads
+    elif key in evaluating:
         raise SemaError("E0105", table.loc(mv.pos),
                         f'the value of "{t.display()}::{mv.name}" depends on itself')
-    if len(evaluating) == MAX_CONST_DEPTH:
+    elif len(evaluating) == MAX_CONST_DEPTH:
         raise SemaError("E0106", table.loc(mv.pos),
                         f"member constants nest deeper than {MAX_CONST_DEPTH} levels")
     evaluating[key] = None
@@ -439,11 +484,15 @@ def _member_value(struct: n.StructDecl, mv: n.MemberVar, t: Type, table: SymbolT
         # frame less per nesting level.
         value = _CONST_RULES.get(type(mv.value), _not_constant)(
             mv.value, struct_bindings(struct, t), table)
+        if mv.type_name == "HDC" and not isinstance(value, HDC):
+            raise SemaError("E0103", table.loc(mv.pos),
+                            f'member "{mv.name}" of "{t.name}" is not an HDC constant')
+        if top:
+            table.values[key] = (value, table.touched)
     finally:
         del evaluating[key]
-    if mv.type_name == "HDC" and not isinstance(value, HDC):
-        raise SemaError("E0103", table.loc(mv.pos),
-                        f'member "{mv.name}" of "{t.name}" is not an HDC constant')
+        if top:
+            table.touched |= touched
     return value
 
 
@@ -569,7 +618,7 @@ def _candidate_env(bindings: Bindings, owner_struct, owner_bindings, table):
     """
     env = dict(owner_bindings or {})
     if owner_struct is not None:
-        for mv in owner_struct.member_vars():
+        for mv in owner_struct.constants.values():
             try:
                 env[mv.name] = eval_const_expr(mv.value, owner_bindings or {}, table)
             except SubstFailure:
@@ -611,7 +660,7 @@ def resolve_overload(
         except SubstFailure:
             continue
         viable.append(sel)
-    if mode is Mode.PROPOSAL2 and len(viable) > 1:
+    if mode is PROPOSAL2 and len(viable) > 1:
         compatible = [
             s for s in viable
             if _space_compatible(s.decl, context_side, owner_struct)
@@ -712,12 +761,12 @@ def member_spec(decl: n.FunctionDecl, owner_struct) -> n.SpecifierSet:
 def _space(host: bool, device: bool) -> ExecSpace:
     """The space with code on the sides given; neither means host."""
     if device:
-        return ExecSpace.HostDevice if host else DEVICE
+        return HOST_DEVICE if host else DEVICE
     return HOST
 
 
 def declared_spaces(spec: n.SpecifierSet) -> ExecSpace:
-    return ExecSpace.Global if spec.global_ else _space(spec.host, spec.device)
+    return GLOBAL if spec.global_ else _space(spec.host, spec.device)
 
 
 def evaluate_conditional_spec(
@@ -766,10 +815,10 @@ def effective_spaces(
     decorations distribute to undecorated members.
     """
     spec = decl.spec
-    if mode is Mode.PROPOSAL1 and spec.has_conditionals():
+    if mode is PROPOSAL1 and spec.has_conditionals():
         env = _candidate_env(bindings, owner_struct, bindings, table)
         return evaluate_conditional_spec(spec, env, table, at_pos, decl.display_name())
-    if mode is Mode.PROPOSAL2:
+    if mode is PROPOSAL2:
         if decl.name == "main" and owner_struct is None:
             return HOST
         spec = member_spec(decl, owner_struct)

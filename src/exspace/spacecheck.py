@@ -36,9 +36,18 @@ from typing import Optional
 
 from .diagnostics import Diagnostic, Failure, LineTable, finish_diagnostics
 from .sema import (  # Mode is re-exported from here
+    BOOL,
+    CLASSIC,
     DEVICE,
+    FIDELITY,
+    GLOBAL,
     HOST,
+    HOST_DEVICE,
+    INT,
+    PROPOSAL1,
+    PROPOSAL2,
     SIDES,
+    SOUND,
     ExecSpace,
     Mode,
     Selected,
@@ -66,8 +75,8 @@ from .syntax.preprocess import DEVICE_PASS, HOST_PASS, CompileProfile, prepare, 
 
 # Modes replicating the real compiler's habit of instantiating both sides
 # of a host-device template whenever it is called.
-_NVCC_INSTANTIATION = (Mode.CLASSIC, Mode.FIDELITY, Mode.PROPOSAL1)
-_DIVERGENCE_MODES = (Mode.SOUND, Mode.PROPOSAL1, Mode.PROPOSAL2)
+_NVCC_INSTANTIATION = (CLASSIC, FIDELITY, PROPOSAL1)
+_DIVERGENCE_MODES = (SOUND, PROPOSAL1, PROPOSAL2)
 
 # Codes the plain host compiler can produce; everything space-related is
 # invisible to it, which is what the fidelity mode replicates.
@@ -84,7 +93,7 @@ def legality(
     *,
     relaxed_constexpr: bool = False,
     callee_is_constexpr: bool = False,
-    mode: Mode = Mode.CLASSIC,
+    mode: Mode = CLASSIC,
     hd_reachable: Optional[bool] = None,
 ) -> Optional[str]:
     """The call-legality matrix; total over every argument combination.
@@ -104,24 +113,24 @@ def legality(
     if kind == "launch":
         if caller_side is DEVICE:
             return "E1003"
-        return None if callee_space is ExecSpace.Global else "E1004"
-    if callee_space is ExecSpace.Global:
+        return None if callee_space is GLOBAL else "E1004"
+    if callee_space is GLOBAL:
         return "E1004"
     if relaxed_constexpr and callee_is_constexpr:
         return None
-    if callee_space is ExecSpace.HostDevice or callee_space is caller_side:
+    if callee_space is HOST_DEVICE or callee_space is caller_side:
         return None
     # A one-sided callee on the mismatched side.
     if hd_reachable is None:
-        if mode is Mode.PROPOSAL2:
+        if mode is PROPOSAL2:
             return "E1501"
         return "E1001" if caller_side is HOST else "E1002"
     host_only_callee = callee_space is HOST
-    if mode is Mode.FIDELITY and not host_only_callee:
+    if mode is FIDELITY and not host_only_callee:
         return None  # replicated inconsistency: no warning for this direction
-    if mode is Mode.SOUND and hd_reachable:
+    if mode is SOUND and hd_reachable:
         return "E1101" if host_only_callee else "E1102"
-    if mode is Mode.PROPOSAL2:
+    if mode is PROPOSAL2:
         return "E1501" if hd_reachable else "W1502"
     return "W1101" if host_only_callee else "W1102"
 
@@ -150,7 +159,8 @@ def _stray_message(code: str, caller_side: ExecSpace, callee_space: ExecSpace,
 
 
 class Instance:
-    __slots__ = ("decl", "bindings", "env", "side", "spaces", "owner_type", "key", "sites")
+    __slots__ = ("decl", "bindings", "env", "side", "spaces", "from_hd", "owner_type", "key",
+                 "sites")
 
     def __init__(self, decl: n.FunctionDecl, bindings: dict, env: dict, side: ExecSpace,
                  spaces: ExecSpace, owner_type: Optional[Type], key: tuple):
@@ -159,6 +169,7 @@ class Instance:
         self.env = env  # the receiver struct's bindings overlaid with bindings
         self.side = side
         self.spaces = spaces  # the space it is compiled for
+        self.from_hd = spaces is HOST_DEVICE
         self.owner_type = owner_type
         self.key = key  # (demand number, side), equal across the walks of one analyze
         # The site table: id(node) -> what a run of this instance finds there,
@@ -181,10 +192,6 @@ class Instance:
             )
             name = f"{name}<{args}>"
         return name
-
-    @property
-    def from_hd(self) -> bool:
-        return self.spaces is ExecSpace.HostDevice
 
 
 def _bindings_key(bindings: dict) -> tuple:
@@ -210,7 +217,7 @@ class _Walk:
         # host-side instantiation makes could add nothing but those.
         self.nvcc_sides = tuple(
             s for s in natives
-            if mode in _NVCC_INSTANTIATION and not (s is HOST and mode is Mode.FIDELITY)
+            if mode in _NVCC_INSTANTIATION and not (s is HOST and mode is FIDELITY)
         )
         self.mode = mode
         self.profile = profile
@@ -251,11 +258,11 @@ class _Walk:
         """Demand every declaration, and instantiate each that is a root."""
         for decl, owner in self.table.ast.decls():
             self.demands.setdefault(("decl", self.table.keys[id(decl)]), (decl, decl.pos))
-            if decl.is_template or (owner is not None and owner.tparams):
+            if decl.tparams or (owner is not None and owner.tparams):
                 continue
             if decl.body is None:
                 continue
-            if self.mode is Mode.PROPOSAL2 and not self._p2_rooted(decl, owner):
+            if self.mode is PROPOSAL2 and not self._p2_rooted(decl, owner):
                 continue
             # A root's spaces never depend on the calling side: undecorated
             # roots under propagation are main or take their struct's spaces.
@@ -340,7 +347,7 @@ class _Walk:
         env = {**owner_bindings, **bindings}
         inst = Instance(decl, bindings, env, side, spaces, owner_type, key)
         self.instances[key] = inst
-        if (decl.is_template or owner_type is not None) and demand not in self.demands:
+        if (decl.tparams or owner_type is not None) and demand not in self.demands:
             self.demands[demand] = (inst, at_pos)
         if decl.body is not None:
             self.queue.append(inst)
@@ -379,7 +386,7 @@ class _Walk:
                 self._walk_expr(inst, s.init, locals_)
                 self._walk_expr(inst, s.bound, locals_)
                 inner = dict(locals_)
-                inner[s.var] = Type("int")
+                inner[s.var] = INT
                 self._walk_stmts(inst, s.body, inner)
             else:  # the last Stmt class, LaunchStmt
                 self._walk_launch(inst, s, locals_)
@@ -388,7 +395,7 @@ class _Walk:
         self._walk_expr(inst, s.grid, locals_)
         self._walk_expr(inst, s.block, locals_)
         arg_types = [self._walk_expr(inst, a, locals_) for a in s.args]
-        code = legality(inst.side, ExecSpace.Global, "launch")
+        code = legality(inst.side, GLOBAL, "launch")
         if code is not None:
             self._emit(code, s.pos, "a kernel launch is not allowed from device code")
         candidates = self.table.overloads(s.name)
@@ -405,7 +412,7 @@ class _Walk:
             return
         target = self._instantiate(
             self._demand(sel.decl, sel.bindings, None), sel.decl, sel.bindings,
-            DEVICE, ExecSpace.Global, {}, None, s.pos,
+            DEVICE, GLOBAL, {}, None, s.pos,
         )
         inst.sites[id(s)] = target
         if inst.side is HOST:
@@ -430,13 +437,13 @@ class _Walk:
         if isinstance(e, n.LogicalExpr):
             for operand in e.operands:
                 self._walk_expr(inst, operand, locals_)
-            return Type("bool")
+            return BOOL
         if isinstance(e, n.TempObj):
             return self._resolve_type_soft(inst, e.type, e.pos, e)
         if isinstance(e, n.IntLit):
-            return Type("int")
+            return INT
         if isinstance(e, (n.BoolLit, n.CudaArchRef)):
-            return Type("bool")
+            return BOOL
         if isinstance(e, (n.StringLit, n.HdcLit)):
             return None
         if isinstance(e, n.NameRef):
@@ -458,11 +465,11 @@ class _Walk:
             return None
         if isinstance(e, n.UnaryExpr):
             self._walk_expr(inst, e.operand, locals_)
-            return Type("bool")
+            return BOOL
         if isinstance(e, n.BinaryExpr):
             self._walk_expr(inst, e.lhs, locals_)
             self._walk_expr(inst, e.rhs, locals_)
-            return Type("bool")
+            return BOOL
         return self._walk_static_call(inst, e, locals_)  # the last Expr class
 
     def _constant(self, inst, e, fn, *args):
@@ -482,7 +489,7 @@ class _Walk:
             inst.sites[id(e)] = f'undefined name "{e.name}"'
             return None
         self._builtin(inst, e, spaces)
-        return Type("int") if e.name == "cudaDeviceSynchronize" else None
+        return INT if e.name == "cudaDeviceSynchronize" else None
 
     def _free_dispatch(self, inst, e: n.CallExpr, arg_types):
         # overloads() is read again here, where the memo notes its touch.
@@ -540,7 +547,7 @@ class _Walk:
         """
         if node.targs:
             key += (id(node), inst.key[0])
-        if self.mode is Mode.PROPOSAL2:
+        if self.mode is PROPOSAL2:
             key += (inst.side,)
         verdict_key = None if node.targs else (key, inst.side)
         verdict = self.verdicts.get(verdict_key)
@@ -633,8 +640,8 @@ class _Walk:
                        spaces)
         if (
             self.nvcc_sides
-            and spaces is ExecSpace.HostDevice
-            and (sel.decl.is_template or owner_type is not None)
+            and spaces is HOST_DEVICE
+            and (sel.decl.tparams or owner_type is not None)
         ):
             for side in self.nvcc_sides:
                 if side is demanded_side:
@@ -791,7 +798,7 @@ def analyze(
     text: str,
     path: str = "<unit>",
     profile: CompileProfile = CompileProfile(),
-    mode: Mode = Mode.CLASSIC,
+    mode: Mode = CLASSIC,
     cfg: TraitConfig = TraitConfig(),
 ) -> Analysis:
     """Preprocess, parse, resolve, and space-check one unit for all passes.
@@ -815,7 +822,7 @@ def analyze(
         walk.run()
         walks.update(dict.fromkeys(sides, Walked(walk)))
         demands.update(dict.fromkeys(sides, walk.demands))
-        if mode is Mode.FIDELITY and sides == [HOST]:
+        if mode is FIDELITY and sides == [HOST]:
             diags.extend(d for d in walk.diags if d.code in _HARD_CODES)
         else:
             diags.extend(walk.diags)
@@ -832,7 +839,7 @@ def check_unit(
     text: str,
     path: str = "<unit>",
     profile: CompileProfile = CompileProfile(),
-    mode: Mode = Mode.CLASSIC,
+    mode: Mode = CLASSIC,
     cfg: TraitConfig = TraitConfig(),
 ) -> list:
     """The ordered diagnostic list for one unit (suppressed entries omitted)."""

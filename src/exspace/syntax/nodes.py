@@ -10,8 +10,8 @@ differently formatted but structurally identical units compare equal.
 Every node class derives from Node, a diagnostics.Record, and is a plain
 class with __slots__ and a constructor whose parameters are its fields,
 pos keyword-only.  Its _compared tuple names the fields equality and repr
-read, in constructor order: all but pos, a StructDecl's declared and an
-Ast's lines.  sema._shape reads it too.
+read, in constructor order: all but pos, a StructDecl's declared and
+member index, and an Ast's lines.  sema._shape reads it too.
 """
 from __future__ import annotations
 
@@ -392,10 +392,6 @@ class FunctionDecl(Node):
         self.owner = owner
         self.pos = pos
 
-    @property
-    def is_template(self) -> bool:
-        return bool(self.tparams)
-
     def display_name(self) -> str:
         base = f"{self.owner}::{self.name}" if self.owner else self.name
         return base
@@ -415,7 +411,8 @@ class MemberVar(Node):
 
 
 class StructDecl(Node):
-    __slots__ = ("name", "tparams", "spec", "members", "declared", "pos")
+    __slots__ = ("name", "tparams", "spec", "members", "declared", "functions", "constants",
+                 "pos")
     _compared = ("name", "tparams", "spec", "members")
 
     def __init__(self, name: str, tparams: list, spec: SpecifierSet, members: list,
@@ -423,17 +420,18 @@ class StructDecl(Node):
         self.name = name
         self.tparams = tparams
         self.spec = spec  # struct-level decoration (propagation extension)
-        self.members = members  # as parsed; resolve() drops duplicate member functions
+        self.members = members  # as parsed; resolve() drops duplicate members
         # The members as parsed, which resolve() reads, so that it may run
         # once per compile pass on an item both passes share.
         self.declared = members
+        # The index of members by name that resolve() builds beside members:
+        # name -> [FunctionDecl], and name -> MemberVar.
+        self.functions: dict = {}
+        self.constants: dict = {}
         self.pos = pos
 
     def member_functions(self) -> list:
         return [m for m in self.members if isinstance(m, FunctionDecl)]
-
-    def member_vars(self) -> list:
-        return [m for m in self.members if isinstance(m, MemberVar)]
 
 
 class EnumHdcDecl(Node):

@@ -134,9 +134,13 @@ def preprocess(text: str, pp: PpPass, file: str = "<unit>") -> str:
 
     Inactive regions and directive lines become blank lines.  A #error in an
     active region raises PreprocessorError carrying its message text, as do
-    unbalanced or unknown directives and unknown macro names.
+    unbalanced or unknown directives and unknown macro names.  Prepared text
+    that holds no # at all comes back as it is: every line of it is active
+    and kept, as the line loop would find.
     """
     prepared = prepare(text)
+    if "#" not in prepared:
+        return prepared
     out = []
     # Stack entries: (parent_active, taken_branch, else_seen, open_loc).
     stack: list[list] = []

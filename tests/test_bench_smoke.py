@@ -58,6 +58,34 @@ def test_the_chain_cycle_resolves_each_distinct_call_once_per_walk(monkeypatch):
     assert len(resolved) == 1937
 
 
+@pytest.mark.parametrize("workload, evaluations", [("chain", 33), ("fanout", 627)])
+def test_a_pool_cycle_evaluates_each_member_constant_once_per_table_and_arguments(
+        monkeypatch, workload, evaluations):
+    # Each evaluation of a member constant binds its struct's arguments
+    # once; a read at top level names its (table, member, arguments).
+    from exspace import sema
+
+    evaluated, read = [0], set()
+    struct_bindings, member_value = sema.struct_bindings, sema._member_value
+
+    def binding(struct, t):
+        evaluated[0] += 1
+        return struct_bindings(struct, t)
+
+    def reading(struct, mv, t, table):
+        if not table.evaluating:
+            read.add((id(table), id(mv), t.targs))
+        return member_value(struct, mv, t, table)
+
+    monkeypatch.setattr(sema, "struct_bindings", binding)
+    monkeypatch.setattr(sema, "_member_value", reading)
+    # Kept, so that no table's id is reused.
+    analyses = [analyze(u.text, u.path, CompileProfile(), Mode(u.mode))
+                for u in gen.make_cycle(workload, ROOT, 1)]
+    assert len(analyses) > 1
+    assert evaluated[0] == len(read) == evaluations
+
+
 def test_an_analysis_keeps_no_srcloc_but_its_diagnostics_locations():
     # Nodes, demands and pending strays hold int positions; a SrcLoc is
     # built only for a diagnostic.

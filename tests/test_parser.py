@@ -154,7 +154,7 @@ void wrap() { T{}.call(); }
 
 def test_member_constant_forms():
     ast = parse("struct D { static constexpr HDC hdc = HDC::Dev; };", "m.mcu")
-    mv = ast.items[0].member_vars()[0]
+    mv = ast.items[0].members[0]
     assert mv.type_name == "HDC"
     assert mv.value == n.HdcLit("Dev")
     # both keyword orders are accepted

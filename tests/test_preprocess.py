@@ -7,6 +7,7 @@ from exspace.syntax.preprocess import (
     PpPass,
     PreprocessorError,
     join_continuations,
+    prepare,
     preprocess,
     strip_comments,
 )
@@ -62,6 +63,23 @@ def test_error_directive_triggers_with_message():
 def test_text_without_directives_is_pass_independent():
     text = "int main() {\n  return 0;\n}\n"
     assert preprocess(text, HOST) == preprocess(text, DEV)
+
+
+def test_a_unit_without_a_hash_comes_back_from_every_pass_as_its_prepared_text():
+    text = "// one\nint main() { /* two */\n  return \\\n0;\n}\n"
+    prepared = prepare(text)
+    assert prepared == "      \nint main() {          \n  return 0;\n\n}\n"
+    for pp in (HOST, DEV, *CompileProfile(compiler="plain").passes()):
+        assert preprocess(text, pp) == prepared
+        assert preprocess(prepared, pp) is prepared  # no line is scanned or copied
+
+
+def test_a_hash_only_in_a_string_literal_goes_through_the_line_loop():
+    # The line does not start with #, so the loop keeps it as it is.
+    text = 'int main() {\n  printf( "#" );\n  return 0;\n}\n'
+    for pp in (HOST, DEV):
+        out = preprocess(text, pp)
+        assert out == text and out is not text
 
 
 def test_idempotent_on_own_output():

@@ -25,7 +25,7 @@ from exspace.sema import (
 from exspace.diagnostics import format_diagnostic
 from exspace.interp import run_program
 from exspace.spacecheck import Mode, analyze
-from exspace.syntax.nodes import NOPOS, HdcLit, TypeRef
+from exspace.syntax.nodes import NOPOS, HdcLit, StructDecl, TypeRef
 from exspace.syntax.parser import parse
 from exspace.syntax.preprocess import CompileProfile
 
@@ -63,6 +63,65 @@ int main() { return wrap< H >(); }
 def test_undefined_free_call_is_reported():
     _, diags = build("void f() { gone(); }")
     assert [d.code for d in diags] == ["E0101"]
+
+
+# S::a is defined twice.  The second definition is E0102 and dropped, so the
+# static_assert and the requires clause both read the first, and f is viable.
+_DUPLICATE_MEMBER = (
+    "struct S { static constexpr bool a = true; static constexpr bool a = false; "
+    "template< HDC h = HDC::Hst > requires( a ) __host__ void f() {} };\n"
+    "static_assert( S::a );\nint main() { S{}.f(); return 0; }\n"
+)
+
+
+def test_a_duplicate_member_constant_is_e0102_and_every_read_sees_the_first():
+    analysis = analyze(_DUPLICATE_MEMBER, "u.mcu")
+    assert [format_diagnostic(d) for d in analysis.diagnostics] == [
+        'u.mcu:1:66: error[E0102]: duplicate definition of "S::a"'
+    ]
+    struct = analysis.passes["host"].table.struct("S")
+    assert struct.members == [struct.declared[0], struct.declared[2]]
+    assert SymbolTable.member_var(struct, "a") is struct.declared[0]
+    result = run_program(analysis)
+    assert (result.exit_code, result.stdout, result.notes) == (0, b"", [])
+
+
+def _members_unit(count: int) -> str:
+    """A struct of count host-device members f<i>, each called once."""
+    members = "".join(f"  __host__ __device__ int f{i}() {{ return {i}; }}\n"
+                      for i in range(count))
+    calls = "".join(f"  S{{}}.f{i}();\n" for i in range(count))
+    return f"struct S {{\n{members}}};\nint main() {{\n{calls}  return 0;\n}}\n"
+
+
+def test_member_lookups_examine_members_linearly_in_their_number(monkeypatch):
+    # Every member list a struct filters, and every index entry a lookup
+    # returns, counts as examined.
+    examined = [0]
+    member_functions = StructDecl.member_functions
+
+    def scanning(struct):
+        examined[0] += len(struct.members)
+        return member_functions(struct)
+
+    def returning(lookup, size):
+        def look(struct, name):
+            found = lookup(struct, name)
+            examined[0] += size(found)
+            return found
+        return staticmethod(look)
+
+    monkeypatch.setattr(StructDecl, "member_functions", scanning)
+    monkeypatch.setattr(SymbolTable, "member_functions",
+                        returning(SymbolTable.member_functions, len))
+    monkeypatch.setattr(SymbolTable, "member_var",
+                        returning(SymbolTable.member_var, lambda found: found is not None))
+    counts = []
+    for count in (500, 2000):
+        examined[0] = 0
+        assert analyze(_members_unit(count), "m.mcu").diagnostics == []
+        counts.append(examined[0])
+    assert counts[1] <= 4.5 * counts[0]
 
 
 # The body goes into a function template and a member template; neither is
@@ -643,6 +702,105 @@ def test_a_broken_member_constant_is_reported_where_a_member_template_reads_it(
     assert result.exit_code == 101
     assert [format_diagnostic(d) for d in result.notes] == [
         f"u.mcu:205:14: {_HALT}unresolvable call: {code} u.mcu:{at}: {message}"
+    ]
+
+
+# -- member constants computed once per table ----------------------------------
+
+
+def _outputs(src: str) -> dict:
+    """Per mode: the check's machine lines, and the forced run's exit code,
+    stdout and notes."""
+    outputs = {}
+    for mode in Mode:
+        analysis = analyze(src, "u.mcu", mode=mode)
+        result = run_program(analysis)
+        outputs[mode.value] = (
+            [format_diagnostic(d, "machine") for d in analysis.diagnostics],
+            result.exit_code, result.stdout,
+            [format_diagnostic(d, "machine") for d in result.notes])
+    return outputs
+
+
+def _e1201(line: int, col: int, *instances: str) -> list:
+    return [f'u.mcu:{line}:{col}: error[E1201]: the instantiation of "{i}" must not depend '
+            "on whether __CUDA_ARCH__ is defined" for i in instances]
+
+
+# S's hdc is Hst in the host pass and Dev in the device pass, and each pass's
+# table answers hdc< S > with its own value, so g's default picks a
+# different overload in each pass.
+_SPLIT_HDC = """struct S {
+#ifdef __CUDA_ARCH__
+  static constexpr HDC hdc = HDC::Dev;
+#else
+  static constexpr HDC hdc = HDC::Hst;
+#endif
+};
+template< typename T, HDC h = hdc< T > > requires( h == HDC::Hst )
+__host__ __device__ int g( T t ) { return 1; }
+template< typename T, HDC h = hdc< T > > requires( h == HDC::Dev )
+__host__ __device__ int g( T t ) { return 2; }
+__global__ void k() { g( S{} ); }
+int main() { k<<< 1, 1 >>>(); return g( S{} ); }
+"""
+
+
+def test_each_pass_reads_the_member_constant_of_its_own_table():
+    split = (_e1201(12, 23, "g<S, Dev>", "g<S, Hst>"), 1, b"", [])
+    assert _outputs(_SPLIT_HDC) == {
+        "classic": ([], 1, b"", []), "fidelity": ([], 1, b"", []),
+        "sound": split, "proposal1": split, "proposal2": split,
+    }
+
+
+# X differs between the passes and S, shared by both, reads it.  main reads
+# hdc< S > first, so the call g( S{} ) reads it through a kept value; that
+# value touched the table, so the call memo's host entry for g( S{} ) is not
+# reused by the device walk, which picks the __device__ g.  The
+# static_assert keeps hdc< S > before the passes' differing names are known.
+_TOUCHING_HDC = """#ifdef __CUDA_ARCH__
+struct X { static constexpr HDC hdc = HDC::Dev; };
+#else
+struct X { static constexpr HDC hdc = HDC::Hst; };
+#endif
+struct S { static constexpr HDC hdc = hdc< X >; };
+%s
+template< typename T, HDC h = hdc< T > > requires( h == HDC::Hst ) __host__ int g( T t ) { return 1; }
+template< typename T, HDC h = hdc< T > > requires( h == HDC::Dev ) __device__ int g( T t ) { return 2; }
+int main() { if( hdc< S > == HDC::Hst ) {} return g( S{} ); }
+"""
+
+
+@pytest.mark.parametrize("assertion", [
+    "", "static_assert( hdc< S > == HDC::Hst || hdc< S > == HDC::Dev );",
+], ids=["walk", "static_assert"])
+def test_a_call_that_reads_a_differing_struct_through_a_kept_value_resolves_per_walk(
+        assertion):
+    e1001 = "u.mcu:10:51: error[E1001]: calling a device function from a host function is not allowed"
+    e1201 = _e1201(10, 51, "g<S, Dev>", "g<S, Hst>")
+    e1501 = "u.mcu:10:51: error[E1501]: stray call: calling a device function from host code"
+    assert _outputs(_TOUCHING_HDC % assertion) == {
+        "classic": ([e1001], 1, b"", []), "fidelity": ([e1001], 1, b"", []),
+        "sound": ([e1001, *e1201], 1, b"", []), "proposal1": ([e1001, *e1201], 1, b"", []),
+        "proposal2": ([*e1201, e1501], 1, b"", []),
+    }
+
+
+def test_a_kept_value_does_not_hide_a_chain_too_deep_from_a_later_read():
+    # S100::v is kept after its 150-member chain; S0::v, read second, nests
+    # through S100 and past the limit, which a full evaluation finds at S200.
+    lines = [f"struct S{i} {{ static constexpr bool v = S{i + 1}::v; }};" for i in range(249)]
+    lines.append("struct S249 { static constexpr bool v = true; };")
+    src = "\n".join(lines) + "\nint main() { if( S100::v ) {} if( S0::v ) {} return 0; }\n"
+    analysis = analyze(src, "u.mcu")
+    diag = "u.mcu:201:37: error[E0106]: member constants nest deeper than 200 levels"
+    assert [format_diagnostic(d) for d in analysis.diagnostics] == [diag]
+    result = run_program(analysis)
+    assert result.exit_code == 101
+    assert [format_diagnostic(d) for d in result.notes] == [
+        f"u.mcu:251:35: {_HALT}E0106 u.mcu:201:37: "
+        "member constants nest deeper than 200 levels"
     ]
 
 
