@@ -75,8 +75,11 @@ def _read(path: str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
     except OSError as e:
-        print(f"exspace: cannot read {path}: {e.strerror}", file=sys.stderr)
-        raise SystemExit(2)
+        reason = e.strerror
+    except UnicodeDecodeError as e:
+        reason = str(e)
+    print(f"exspace: cannot read {path}: {reason}", file=sys.stderr)
+    raise SystemExit(2)
 
 
 def cmd_check(args, parser) -> int:
@@ -108,7 +111,7 @@ def cmd_run(args, parser) -> int:
     sys.stdout.buffer.write(result.stdout)
     sys.stdout.buffer.flush()
     _print_diags(result.notes, args.emit, text)
-    return result.exit_code
+    return result.exit_code % 256  # the low 8 bits, as POSIX exit() keeps
 
 
 def cmd_corpus(args, parser) -> int:

@@ -92,7 +92,8 @@ def parse_expectations(text: str) -> list:
 
 
 class HeaderError(ValueError):
-    """A //! directive that cannot be applied, as "<path>:<line>: <reason>"."""
+    """A //! directive that cannot be applied, as "<path>:<line>: <reason>",
+    or a file that is not UTF-8, as "<path>: <reason>"."""
 
 
 # Each //! directive and the reader of its value, or None for a flag.
@@ -145,7 +146,10 @@ def parse_header(
 def run_corpus_file(
     path: Path, default_mode: Mode, default_profile: CompileProfile
 ) -> CorpusResult:
-    text = path.read_text(encoding="utf-8")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise HeaderError(f"{path}: {e}") from None
     cfg = parse_header(text, default_mode, default_profile, str(path))
     expectations = parse_expectations(text)
     result = CorpusResult(str(path))

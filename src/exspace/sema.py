@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 from enum import Enum
+from functools import partial
 from typing import Optional
 
 from .diagnostics import Diagnostic, Failure, FrozenRecord, SrcLoc
@@ -361,7 +362,8 @@ def _check_free_call_names(ast: n.Ast, table: SymbolTable, profile) -> list:
 # Types, traits, constant evaluation
 
 # name -> Type | HDC; a candidate's env also binds its struct's member
-# constants, each to its value or its SemaError (_candidate_env).
+# constants, each to a partial that reads it with _member_value given the
+# table (_candidate_env).
 Bindings = dict
 
 # How deep member constants may nest in one evaluation, T::m and hdc< T >
@@ -413,10 +415,10 @@ def _targ_as_hdc(targ, env: Bindings, table: SymbolTable):
             raise SubstFailure("expected an HDC constant")
         if targ.name in env:
             val = env[targ.name]
+            if type(val) is partial:  # as in _name
+                val = val(table)
             if isinstance(val, HDC):
                 return val
-            if isinstance(val, SemaError):  # as in _name
-                raise type(val)(val.code, val.loc, val.message)
             raise SubstFailure("expected an HDC constant")
         raise SubstFailure(f'"{targ.name}" is not an HDC constant')
     return eval_const_expr(targ, env, table)
@@ -534,10 +536,10 @@ def _name(expr: n.NameRef, env, table):
     if expr.name not in env:
         raise SubstFailure(f'unbound name "{expr.name}"')
     val = env[expr.name]
+    if type(val) is partial:  # a member constant of the candidate's struct
+        return val(table)
     if isinstance(val, Type):
         raise SubstFailure(f'"{expr.name}" is a type, not a constant')
-    if isinstance(val, SemaError):  # a broken member constant (_candidate_env)
-        raise type(val)(val.code, val.loc, val.message)
     return val
 
 
@@ -608,23 +610,20 @@ class Selected:
         self.bindings = bindings
 
 
-def _candidate_env(bindings: Bindings, owner_struct, owner_bindings, table):
+def _candidate_env(bindings: Bindings, owner_struct, owner_bindings):
     """Names visible to defaults and requires clauses of one candidate.
 
-    Member constants of the enclosing struct are usable by name.  One whose
-    evaluation fails substitution is unbound; one that raises a SemaError is
-    bound to it, kept without a traceback, and reading its value raises a
-    copy, so no frame is tied to the env; a member nothing reads stays silent.
+    Member constants of the enclosing struct are usable by name, each bound
+    to a read through _member_value that runs where the name is read, so a
+    read by name is a read through S::m: its value, or its failure, there;
+    a member nothing reads stays silent.
     """
     env = dict(owner_bindings or {})
     if owner_struct is not None:
-        for mv in owner_struct.constants.values():
-            try:
-                env[mv.name] = eval_const_expr(mv.value, owner_bindings or {}, table)
-            except SubstFailure:
-                pass
-            except SemaError as e:
-                env[mv.name] = e.with_traceback(None)
+        owner = Type(owner_struct.name,
+                     tuple(owner_bindings[tp.name] for tp in owner_struct.tparams))
+        for name, mv in owner_struct.constants.items():
+            env[name] = partial(_member_value, owner_struct, mv, owner)
     env.update(bindings)
     return env
 
@@ -709,7 +708,7 @@ def _try_candidate(
             if p.type.name == tp.name and not p.type.targs and at is not None:
                 bindings[tp.name] = at
                 break
-    cand_env = _candidate_env(bindings, owner_struct, owner_bindings, table)
+    cand_env = _candidate_env(bindings, owner_struct, owner_bindings)
     for tp in tps:
         if tp.name in bindings:
             continue
@@ -816,7 +815,7 @@ def effective_spaces(
     """
     spec = decl.spec
     if mode is PROPOSAL1 and spec.has_conditionals():
-        env = _candidate_env(bindings, owner_struct, bindings, table)
+        env = _candidate_env(bindings, owner_struct, bindings)
         return evaluate_conditional_spec(spec, env, table, at_pos, decl.display_name())
     if mode is PROPOSAL2:
         if decl.name == "main" and owner_struct is None:

@@ -760,8 +760,8 @@ def _front_end(text: str, path: str, profile: CompileProfile, mode: Mode,
     the unit is prepared and lexed once, each pass keeps the tokens on the
     lines it keeps, and a pass reuses each top-level item node an earlier
     pass parsed from the same tokens.  Passes that share every item share
-    one Ast, symbol table and resolve(); so does a parse failure both
-    passes reach from the same tokens, which is reported once.  resolve()
+    one Ast, symbol table and resolve().  Each pass that fails reports its
+    failure, and finish_diagnostics keeps one of two equal ones.  resolve()
     writes to a shared item only what it writes in every pass, and the
     walks key what they record by node identity per instance (its site
     table) and in the call memo, whose entries a walk reuses only when its
@@ -775,17 +775,15 @@ def _front_end(text: str, path: str, profile: CompileProfile, mode: Mode,
     tokens = tokenize(prepared, path)
     seen = ParsedItems()
     passes: dict[str, PassArtifacts] = {}
-    last = None  # the last pass's PassArtifacts, or the Failure it failed with
+    last = None  # the PassArtifacts of the last pass that parsed
     for pp in profile.passes():
         try:
             ptext = preprocess(prepared, pp, path)
             ast = parse(pass_tokens(tokens, prepared, ptext), path, specifier_mode, seen)
         except Failure as e:
-            if e is not last:
-                diags.append(e.diagnostic())
-            last = e
+            diags.append(e.diagnostic())
             continue
-        if isinstance(last, PassArtifacts) and last.ast is ast:
+        if last is not None and last.ast is ast:
             table = last.table
         else:
             table, rdiags = resolve(ast, profile, mode, cfg)

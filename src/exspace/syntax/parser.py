@@ -74,7 +74,9 @@ class ParsedItems:
     both passes keep starts with the token at the same position in both.
     An item's parse reads its own tokens and the one after it, nothing
     else; so when a later pass reaches a recorded first token followed by
-    the same tokens, the recorded node, or ParseError, is its outcome too.
+    the same tokens, the recorded node is its outcome too.  Only parsed
+    items are recorded: a pass that reaches an item that failed in an
+    earlier pass parses it again and fails alike.
     Each pass has an end of input of its own, at a position no pass keeps
     a token at (see pass_tokens).  A pass whose tokens are the very stream
     the last Ast was built from gets that Ast without a check per item.
@@ -82,24 +84,17 @@ class ParsedItems:
 
     def __init__(self):
         self.nodes: dict = {}  # first position -> (positions of its tokens and the next, node)
-        self.failures: dict = {}  # first position -> (positions to the end, ParseError)
         self.ast: Optional[n.Ast] = None  # the last Ast parse() built
         self.tokens: Optional[Tokens] = None  # the stream ast was built from
 
     def reuse(self, positions: list, start: int):
-        """(node, next index) recorded for the item at positions[start], or None.
-
-        A recorded failure is raised.
-        """
+        """(node, next index) recorded for the item at positions[start], or None."""
         known = self.nodes.get(positions[start])
         if known is not None:
             span, node = known
             end = start + len(span) - 1
             if positions[start:end + 1] == span:
                 return node, end
-        failed = self.failures.get(positions[start])
-        if failed is not None and positions[start:] == failed[0]:
-            raise failed[1]
         return None
 
 
@@ -173,9 +168,7 @@ class _Parser:
                 try:
                     node = self.parse_item()
                 except ParseError as e:
-                    err = self.first_lex_error(start) or e
-                    seen.failures[positions[start]] = (positions[start:], err)
-                    raise err from None
+                    raise self.first_lex_error(start) or e from None
                 seen.nodes[positions[start]] = (positions[start:self.i + 1], node)
             items.append(node)
         last = seen.ast
@@ -738,8 +731,9 @@ def parse(
     tokens: "keep" records them, "erase" parses and discards them, and
     "reject" treats them as parse errors.  Given the ParsedItems of the
     unit's earlier passes, items they parsed from the same tokens are
-    reused, and the earlier Ast itself when every item is.  A lex error is
-    reported before any parse error.
+    reused, and the earlier Ast itself when every item is; an item that
+    failed is parsed again, and fails alike.  A lex error is reported before
+    any parse error.
     """
     toks = tokenize(source, file) if isinstance(source, str) else source
     seen = seen or ParsedItems()

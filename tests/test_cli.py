@@ -88,6 +88,26 @@ def test_check_unreadable_file_exits_two(tmp_path, capsys):
     assert exc.value.code == 2
 
 
+_NOT_UTF8 = "'utf-8' codec can't decode byte 0xff in position 25: invalid start byte"
+
+
+@pytest.mark.parametrize("command", ["check", "run"])
+def test_a_source_that_is_not_utf8_is_unreadable(tmp_path, capsys, command):
+    p = tmp_path / "latin.mcu"
+    p.write_bytes(b"int main() { return 0; }\n\xff\n")
+    with pytest.raises(SystemExit) as exc:
+        main([command, str(p)])
+    assert exc.value.code == 2
+    assert capsys.readouterr() == ("", f"exspace: cannot read {p}: {_NOT_UTF8}\n")
+
+
+def test_a_corpus_file_that_is_not_utf8_stops_the_corpus(tmp_path, capsys):
+    p = tmp_path / "latin.mcu"
+    p.write_bytes(b"int main() { return 0; }\n\xff\n")
+    assert main(["corpus", str(tmp_path)]) == 2
+    assert capsys.readouterr() == ("", f"exspace: {p}: {_NOT_UTF8}\n")
+
+
 def test_flag_combination_validation(problem_t):
     with pytest.raises(SystemExit) as exc:
         main(["check", "--profile=plain", "--relaxed-constexpr", str(problem_t)])
@@ -99,6 +119,16 @@ def test_run_passes_program_exit_through(problem_t, capsys):
     assert rc == 3
     out = capsys.readouterr().out
     assert "W1101" in out  # the check phase still reports
+
+
+@pytest.mark.parametrize("value, status", [
+    ("357", 101), ("256", 0), ("1180591620717411303431", 7),  # 2**70 + 7
+])
+def test_run_exits_with_the_low_8_bits_of_mains_value(tmp_path, capsys, value, status):
+    p = tmp_path / "exit.mcu"
+    p.write_text(f"int main() {{ return {value}; }}\n")
+    assert main(["run", str(p)]) == status
+    assert capsys.readouterr() == ("", "")  # no note: not a halt
 
 
 def test_run_prints_program_output(tmp_path, capsys):

@@ -121,8 +121,10 @@ def test_a_shared_text_reports_each_front_end_error_once(monkeypatch):
     analyze("void f() {}\nvoid f() {}\nint main() { return 0; }\n")
     assert [d.code for d in raw] == ["E0102"]
     raw.clear()
-    analyze("int main() { return ( ; }\n")
-    assert [d.code for d in raw] == ["E0001"]
+    # Both passes fail alike, each reports it, and the output keeps one.
+    analysis = analyze("int main() { return ( ; }\n")
+    assert [(d.code, d.loc.line, d.loc.col) for d in analysis.diagnostics] == [("E0001", 1, 23)]
+    assert len(raw) == 2 and all(d == analysis.diagnostics[0] for d in raw)
 
 
 def test_trace_sees_one_front_end_per_distinct_pass_text():
@@ -212,7 +214,8 @@ def test_a_lex_error_fails_only_the_passes_that_keep_its_line(
 def test_a_lex_error_both_passes_keep_is_reported_once(monkeypatch):
     raw = _raw_diagnostics(monkeypatch)
     analysis = analyze("int main() {\n#ifdef __CUDA_ARCH__\n#endif\n  return 1 @ 2;\n}\n")
-    assert [(d.code, d.loc.line, d.loc.col) for d in raw] == [("E0001", 4, 12)]
+    assert [(d.code, d.loc.line, d.loc.col) for d in analysis.diagnostics] == [("E0001", 4, 12)]
+    assert len(raw) == 2 and all(d == analysis.diagnostics[0] for d in raw)
     assert analysis.passes == {}
 
 
