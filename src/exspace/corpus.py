@@ -93,7 +93,7 @@ def parse_expectations(text: str) -> list:
 
 class HeaderError(ValueError):
     """A //! directive that cannot be applied, as "<path>:<line>: <reason>",
-    or a file that is not UTF-8, as "<path>: <reason>"."""
+    or a file that cannot be read or is not UTF-8, as "<path>: <reason>"."""
 
 
 # Each //! directive and the reader of its value, or None for a flag.
@@ -150,6 +150,8 @@ def run_corpus_file(
         text = path.read_text(encoding="utf-8")
     except UnicodeDecodeError as e:
         raise HeaderError(f"{path}: {e}") from None
+    except OSError as e:  # a directory, a symlink loop or a dangling symlink
+        raise HeaderError(f"{path}: {e.strerror}") from None
     cfg = parse_header(text, default_mode, default_profile, str(path))
     expectations = parse_expectations(text)
     result = CorpusResult(str(path))

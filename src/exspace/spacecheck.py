@@ -12,16 +12,19 @@ bodies what the device front end sees.
 Each instance's body is walked with its own bindings and side, which
 decide its site entries, call verdicts, the callees it demands, and the
 launches and stray calls it records; _Walk._resolve_pending decides each
-stray call once the walk ends.  One call memo per analyze, shared by its
-walks, holds each call that resolved (_Walk._resolve_call), so an equal
-call is resolved once.  Every sema call reads the walk's own SymbolTable,
-which notes a read of a name that another table of the analyze answers
-differently (sema._differing); an entry made over one table is reused
-over another only if its resolution read no such name.  Beside the memo,
-each walk keeps the verdict of each call key on each calling side
-(_Walk.verdicts): the site entry, and the edge or stray call a site with
-that key adds at its own position.  A call with explicit template
-arguments keeps none, since its key holds its node.
+stray call once the walk ends.  Free, member and static calls resolve in
+_Walk._resolve to a Callee, from which each side's instance of its demand
+is made; roots and launches build their own.  One call memo per analyze,
+shared by its walks, holds the Callee of each call that resolved
+(_Walk._resolve_call), so an equal call is resolved once, and the
+instances of one demand share its env.  Every sema call reads the walk's
+own SymbolTable, which notes a read of a name that another table of the
+analyze answers differently (sema._differing); an entry made over one
+table is reused over another only if its resolution read no such name.
+Beside the memo, each walk keeps the verdict of each call key on each
+calling side (_Walk.verdicts): the site entry, and the edge or stray call
+a site with that key adds at its own position.  A call with explicit
+template arguments keeps none, since its key holds its node.
 
 A walk's demands hold the declaration or the first instance of each
 signature and template demand; detect_arch_divergence formats the names
@@ -158,19 +161,45 @@ def _stray_message(code: str, caller_side: ExecSpace, callee_space: ExecSpace,
 # Instances
 
 
+class Callee:
+    """A resolved call: its demand, and what each side's instance of that
+    demand is made from.
+
+    env, the receiver struct's bindings overlaid with bindings, or bindings
+    itself when the struct binds none, is built once per resolution; the
+    instances of the demand share it, as nothing writes to an env.  spaces
+    is the space the callee is compiled for; owner_type the receiver's
+    type, None for a free function.
+    """
+    __slots__ = ("demand", "decl", "bindings", "env", "spaces", "owner_type")
+
+    def __init__(self, demand: int, decl: n.FunctionDecl, bindings: dict, env: dict,
+                 spaces: ExecSpace, owner_type: Optional[Type]):
+        self.demand = demand
+        self.decl = decl
+        self.bindings = bindings
+        self.env = env
+        self.spaces = spaces
+        self.owner_type = owner_type
+
+    def instantiated(self) -> bool:
+        """Whether the callee is a template's or a struct member's instance:
+        the demands E1201 names, and those the nvcc instantiation adds."""
+        return bool(self.decl.tparams) or self.owner_type is not None
+
+
 class Instance:
     __slots__ = ("decl", "bindings", "env", "side", "spaces", "from_hd", "owner_type", "key",
                  "sites")
 
-    def __init__(self, decl: n.FunctionDecl, bindings: dict, env: dict, side: ExecSpace,
-                 spaces: ExecSpace, owner_type: Optional[Type], key: tuple):
-        self.decl = decl
-        self.bindings = bindings
-        self.env = env  # the receiver struct's bindings overlaid with bindings
+    def __init__(self, callee: Callee, side: ExecSpace, key: tuple):
+        self.decl = callee.decl
+        self.bindings = callee.bindings
+        self.env = callee.env  # shared by the instances of one demand; see Callee
         self.side = side
-        self.spaces = spaces  # the space it is compiled for
-        self.from_hd = spaces is HOST_DEVICE
-        self.owner_type = owner_type
+        self.spaces = callee.spaces  # the space it is compiled for
+        self.from_hd = self.spaces is HOST_DEVICE
+        self.owner_type = callee.owner_type
         self.key = key  # (demand number, side), equal across the walks of one analyze
         # The site table: id(node) -> what a run of this instance finds there,
         # or the reason (a str; no recorded value is a str) it halts there.
@@ -192,10 +221,6 @@ class Instance:
             )
             name = f"{name}<{args}>"
         return name
-
-
-def _bindings_key(bindings: dict) -> tuple:
-    return tuple(sorted(bindings.items()))  # the names are distinct
 
 
 class _Walk:
@@ -222,8 +247,8 @@ class _Walk:
         self.mode = mode
         self.profile = profile
         self.interned = interned  # (signature key, bindings, owner type) -> demand
-        # call key -> (the _call tail of its resolution, the table it read,
-        # whether it touched that table)
+        # call key -> (the Callee it resolved to, the table it read, whether it
+        # touched that table)
         self.calls = calls
         # (call key, side) -> what _call decided there, for the calls
         # without explicit template arguments (_resolve_call)
@@ -266,13 +291,14 @@ class _Walk:
                 continue
             # A root's spaces never depend on the calling side: undecorated
             # roots under propagation are main or take their struct's spaces.
-            spaces = self._spaces(decl, {}, HOST, owner, decl.pos)
+            bindings: dict = {}
+            spaces = self._spaces(decl, bindings, HOST, owner, decl.pos)
             if spaces is None:
                 continue
             owner_type = Type(owner.name) if owner is not None else None
-            demand = self._demand(decl, {}, owner_type)
+            callee = self._callee(decl, bindings, bindings, spaces, owner_type)
             for side in SIDES[spaces]:
-                inst = self._instantiate(demand, decl, {}, side, spaces, {}, owner_type, decl.pos)
+                inst = self._instantiate(callee, side, decl.pos)
             # Only here is the owner known: a dropped duplicate struct's
             # members keep none (sema._unowned), yet they are no main.
             if decl.name == "main" and owner is None:
@@ -313,43 +339,34 @@ class _Walk:
 
     # -- instantiation ---------------------------------------------------------
 
-    def _demand(self, decl: n.FunctionDecl, bindings: dict,
-                owner_type: Optional[Type]) -> int:
-        """The number of (decl, bindings, owner_type), the same in every pass.
+    def _callee(self, decl: n.FunctionDecl, bindings: dict, env: dict, spaces: ExecSpace,
+                owner_type: Optional[Type]) -> Callee:
+        """The Callee of (decl, bindings, owner_type), whose demand number is
+        the same in every pass.
 
         Numbered once per analyze, a demand keys instances and memo entries
         without hashing a Type or an enum in Python.
         """
-        key = (self.table.keys[id(decl)], _bindings_key(bindings), owner_type)
-        return self.interned.setdefault(key, len(self.interned))
+        key = (self.table.keys[id(decl)], tuple(sorted(bindings.items())), owner_type)
+        demand = self.interned.setdefault(key, len(self.interned))  # the names are distinct
+        return Callee(demand, decl, bindings, env, spaces, owner_type)
 
-    def _instantiate(
-        self,
-        demand: int,
-        decl: n.FunctionDecl,
-        bindings: dict,
-        side: ExecSpace,
-        spaces,
-        owner_bindings: dict,
-        owner_type: Optional[Type],
-        at_pos: int,
-    ) -> Instance:
-        """The instance of demand for side, made on first demand.
+    def _instantiate(self, callee: Callee, side: ExecSpace, at_pos: int) -> Instance:
+        """The instance of callee's demand for side, made from callee on first
+        demand, at_pos the position E1201 names it at.
 
-        The caller has computed its spaces; only undecorated callees under
-        propagation take them from the calling side, and those are always
-        demanded on that side.
+        callee holds its spaces and env; only undecorated callees under
+        propagation take their spaces from the calling side, and those are
+        always demanded on that side.
         """
-        key = (demand, side)
+        key = (callee.demand, side)
         inst = self.instances.get(key)
         if inst is not None:
             return inst
-        env = {**owner_bindings, **bindings}
-        inst = Instance(decl, bindings, env, side, spaces, owner_type, key)
-        self.instances[key] = inst
-        if (decl.tparams or owner_type is not None) and demand not in self.demands:
-            self.demands[demand] = (inst, at_pos)
-        if decl.body is not None:
+        inst = self.instances[key] = Instance(callee, side, key)
+        if callee.instantiated() and callee.demand not in self.demands:
+            self.demands[callee.demand] = (inst, at_pos)
+        if callee.decl.body is not None:
             self.queue.append(inst)
         return inst
 
@@ -410,10 +427,8 @@ class _Walk:
             inst.sites[id(s)] = f'"{s.name}" is not a __global__ function'
             self._emit(code, s.pos, "only __global__ functions can be launched with <<< >>>")
             return
-        target = self._instantiate(
-            self._demand(sel.decl, sel.bindings, None), sel.decl, sel.bindings,
-            DEVICE, GLOBAL, {}, None, s.pos,
-        )
+        callee = self._callee(sel.decl, sel.bindings, sel.bindings, GLOBAL, None)
+        target = self._instantiate(callee, DEVICE, s.pos)
         inst.sites[id(s)] = target
         if inst.side is HOST:
             self.launch_seeds.append(target.key)
@@ -481,8 +496,7 @@ class _Walk:
     def _walk_free_call(self, inst, e: n.CallExpr, locals_):
         arg_types = [self._walk_expr(inst, a, locals_) for a in e.args]
         if self.table.overloads(e.name):
-            self._resolve_call(inst, e, ("free", e.name, *arg_types),
-                               self._free_dispatch, arg_types)
+            self._resolve_call(inst, e, ("free", e.name, *arg_types), None, arg_types)
             return None
         spaces = builtin_spaces(e.name, self.profile)
         if spaces is None:  # resolve reported the E0101
@@ -490,12 +504,6 @@ class _Walk:
             return None
         self._builtin(inst, e, spaces)
         return INT if e.name == "cudaDeviceSynchronize" else None
-
-    def _free_dispatch(self, inst, e: n.CallExpr, arg_types):
-        # overloads() is read again here, where the memo notes its touch.
-        candidates = self.table.overloads(e.name)
-        sel = self._select(inst, e, e.name, candidates, arg_types, context_side=inst.side)
-        return None if sel is None else self._dispatch(inst, e, sel)
 
     def _receiver_type(self, inst, recv, locals_) -> Optional[Type]:
         t = self._walk_expr(inst, recv, locals_)
@@ -505,13 +513,12 @@ class _Walk:
         return t
 
     def _walk_member_call(self, inst, e: n.MemberCallExpr, locals_):
-        recv_type = self._receiver_type(inst, e.recv, locals_)
+        t = self._receiver_type(inst, e.recv, locals_)
         arg_types = [self._walk_expr(inst, a, locals_) for a in e.args]
-        if recv_type is None:
+        if t is None:
             inst.sites[id(e)] = "a member call needs a struct value"
             return None
-        self._resolve_call(inst, e, ("member", recv_type, e.name, *arg_types),
-                           self._member_dispatch, recv_type, arg_types)
+        self._resolve_call(inst, e, ("member", t, e.name, *arg_types), t, arg_types)
         return None
 
     def _walk_static_call(self, inst, e: n.StaticCallExpr, locals_):
@@ -519,31 +526,30 @@ class _Walk:
         t = self._resolve_type_soft(inst, e.type, e.pos)
         if t is None:
             return None
-        self._resolve_call(inst, e, ("member", t, e.name, *arg_types),
-                           self._member_dispatch, t, arg_types)
+        self._resolve_call(inst, e, ("member", t, e.name, *arg_types), t, arg_types)
         return None
 
-    def _resolve_call(self, inst, node, key, dispatch, *args):
-        """Resolve node by dispatch(inst, node, *args) once per key, and check
-        it once per key and side.
+    def _resolve_call(self, inst, node, key, owner: Optional[Type], arg_types):
+        """Resolve node by _resolve once per key, and check it once per key
+        and side.
 
         A call without explicit template arguments resolves alike wherever
         it has key, its callee set and argument types; one with them
         resolves in inst.env, which the demand fixes, so its key adds
         (id(node), demand).  Under PROPOSAL2 either key adds the calling
-        side.  dispatch returns the tail of the _call it resolved to; an
-        entry made over another table is reused only if its resolution
-        touched no name the tables answer differently.  The argument types,
-        resolved before the reset, are in every key, so what they read
-        shows there.  A failure returns None and records nothing, so it is
-        reported at each site.
+        side.  A memo entry holds the Callee the call resolved to; one made
+        over another table is reused only if its resolution touched no name
+        the tables answer differently.  The argument types, resolved before
+        the reset, are in every key, so what they read shows there.  A
+        failure returns None and records nothing, so it is reported at each
+        site.
 
-        What _call decides from the resolution and the calling side, the
-        site entry and the edge or the stray call, is kept per walk in
-        verdicts, since the callee instances are the walk's.  An E1004
-        keeps no verdict, so each site reports its own; nor does a call
-        with explicit template arguments, whose key no other site of its
-        side shares.
+        What _call decides from the Callee and the calling side, the site
+        entry and the edge or the stray call, is kept per walk in verdicts,
+        since the callee instances are the walk's.  An E1004 keeps no
+        verdict, so each site reports its own; nor does a call with
+        explicit template arguments, whose key no other site of its side
+        shares.
         """
         if node.targs:
             key += (id(node), inst.key[0])
@@ -555,14 +561,14 @@ class _Walk:
             table = self.table
             hit = self.calls.get(key)
             if hit is not None and (hit[1] is table or not hit[2]):
-                tail = hit[0]
+                callee = hit[0]
             else:
                 table.touched = False  # before every table read the entry depends on
-                tail = dispatch(inst, node, *args)
-                if tail is None:
+                callee = self._resolve(inst, node, owner, arg_types)
+                if callee is None:
                     return
-                self.calls[key] = (tail, table, table.touched)
-            verdict = self._call(inst, node, *tail)
+                self.calls[key] = (callee, table, table.touched)
+            verdict = self._call(inst, node, callee)
             if verdict is None:
                 return
             if verdict_key is not None:
@@ -574,36 +580,36 @@ class _Walk:
         else:
             self.pending.append((inst, stray_space, node.pos))
 
-    def _member_dispatch(self, inst, node, recv_type: Type, arg_types):
-        struct = self.table.struct(recv_type.name)
-        candidates = [] if struct is None else SymbolTable.member_functions(struct, node.name)
-        if not candidates:
-            missing = f'type "{recv_type.display()}" has no member "{node.name}"'
-            self._emit("E0101", node.pos, missing)
-            # Only builtin types name no struct.
-            inst.sites[id(node)] = (
-                missing if struct is not None else "a member call needs a struct value"
-            )
-            return None
-        owner_bindings = struct_bindings(struct, recv_type)
-        sel = self._select(
-            inst, node, f"{recv_type.display()}::{node.name}", candidates, arg_types,
-            context_side=inst.side, owner_struct=struct, owner_bindings=owner_bindings,
-        )
+    def _resolve(self, inst, node, owner: Optional[Type], arg_types) -> Optional[Callee]:
+        """The Callee of a call from inst, owner the receiver type of a member
+        or static call and None for a free call; None with the failure
+        reported and the reason a run halts at node."""
+        table = self.table
+        if owner is None:
+            struct = owner_bindings = None
+            name = node.name
+            # overloads() is read again here, where the memo notes its touch.
+            candidates = table.overloads(name)
+        else:
+            struct = table.struct(owner.name)
+            candidates = [] if struct is None else SymbolTable.member_functions(struct, node.name)
+            if not candidates:
+                missing = f'type "{owner.display()}" has no member "{node.name}"'
+                self._emit("E0101", node.pos, missing)
+                # Only builtin types name no struct.
+                inst.sites[id(node)] = missing if struct else "a member call needs a struct value"
+                return None
+            owner_bindings = struct_bindings(struct, owner)
+            name = f"{owner.display()}::{node.name}"
+        sel = self._select(inst, node, name, candidates, arg_types, context_side=inst.side,
+                           owner_struct=struct, owner_bindings=owner_bindings)
         if sel is None:
             return None
-        return self._dispatch(inst, node, sel, owner_struct=struct,
-                              owner_bindings=owner_bindings, owner_type=recv_type)
-
-    def _dispatch(self, inst, node, sel: Selected, *,
-                  owner_struct=None, owner_bindings=None, owner_type=None):
-        owner_bindings = owner_bindings or {}
-        merged = {**owner_bindings, **sel.bindings}
-        spaces = self._spaces(sel.decl, merged, inst.side, owner_struct, node.pos, inst, node)
+        env = {**owner_bindings, **sel.bindings} if owner_bindings else sel.bindings
+        spaces = self._spaces(sel.decl, env, inst.side, struct, node.pos, inst, node)
         if spaces is None:
             return None
-        return (sel, spaces, owner_bindings, owner_type,
-                self._demand(sel.decl, sel.bindings, owner_type))
+        return self._callee(sel.decl, sel.bindings, env, spaces, owner)
 
     # -- call legality and demand ----------------------------------------------
 
@@ -614,15 +620,15 @@ class _Walk:
             inst.sites[id(e)] = f'"{e.name}" is not available in {inst.side.value} code'
             self.pending.append((inst, space, e.pos))
 
-    def _call(self, inst, node, sel: Selected, spaces, owner_bindings, owner_type, demand):
+    def _call(self, inst, node, callee: Callee):
         """The verdict of a call from inst's side, (site entry, None) for a
         legal call, whose entry is the callee instance, and (site entry,
         callee space) for a stray one; None after an E1004, which it
         reports.  It demands the callee's instances."""
-        pos = node.pos
+        pos, spaces = node.pos, callee.spaces
         code = legality(
             inst.side, spaces, relaxed_constexpr=self.profile.relaxed_constexpr,
-            callee_is_constexpr=sel.decl.spec.constexpr,
+            callee_is_constexpr=callee.decl.spec.constexpr,
         )
         if code == "E1004":
             self._emit(code, pos,
@@ -630,25 +636,16 @@ class _Walk:
             inst.sites[id(node)] = "a __global__ function was called directly"
             return None
         demanded_side = inst.side if code is None else SIDES[spaces][0]
-        callee = self._instantiate(
-            demand, sel.decl, sel.bindings, demanded_side, spaces, owner_bindings, owner_type, pos,
-        )
+        target = self._instantiate(callee, demanded_side, pos)
         if code is None:
-            verdict = (callee, None)
+            verdict = (target, None)
         else:
-            verdict = (f'"{sel.decl.display_name()}" is not compiled for {inst.side.value} code',
+            verdict = (f'"{callee.decl.display_name()}" is not compiled for {inst.side.value} code',
                        spaces)
-        if (
-            self.nvcc_sides
-            and spaces is HOST_DEVICE
-            and (sel.decl.tparams or owner_type is not None)
-        ):
+        if self.nvcc_sides and spaces is HOST_DEVICE and callee.instantiated():
             for side in self.nvcc_sides:
-                if side is demanded_side:
-                    continue  # demanded above
-                self._instantiate(
-                    demand, sel.decl, sel.bindings, side, spaces, owner_bindings, owner_type, pos,
-                )
+                if side is not demanded_side:  # demanded above
+                    self._instantiate(callee, side, pos)
         return verdict
 
     # -- stray calls and reachability -------------------------------------------

@@ -181,6 +181,21 @@ def outputs(path: str, text: str, profile: CompileProfile):
             yield "\n".join(out) + "\n"
 
 
+def digest(units, dump=None) -> tuple[str, dict]:
+    """The sha256 of the outputs of units, (group, path, text, profile)
+    each, and the number of outputs per group; dump, an open text file,
+    also gets the outputs themselves."""
+    sha = hashlib.sha256()
+    counts: dict[str, int] = {}
+    for group, path, text, profile in units:
+        for block in outputs(path, text, profile):
+            counts[group] = counts.get(group, 0) + 1
+            sha.update(block.encode())
+            if dump:
+                dump.write(block)
+    return sha.hexdigest(), counts
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--dump", type=Path, help="also write every output to this file")
@@ -192,35 +207,30 @@ def main(argv=None) -> int:
         args.expect = DIGESTS
     if args.expect is not None and len(args.expect) not in (2, 3):
         ap.error("--expect takes no, two or three digests")
-    digests = {"": hashlib.sha256(), "split ": hashlib.sha256(),
-               "one-sided ": hashlib.sha256()}
+    digests: dict[str, str] = {}
     counts: dict[str, int] = {}
     dump = args.dump.open("w", encoding="utf-8") if args.dump else None
     try:
         for name, units in (("", inputs()), ("split ", split_inputs()),
                             ("one-sided ", one_sided_inputs())):
-            for group, path, text, profile in units:
-                for block in outputs(path, text, profile):
-                    counts[group] = counts.get(group, 0) + 1
-                    digests[name].update(block.encode())
-                    if dump:
-                        dump.write(block)
+            digests[name], group_counts = digest(units, dump)
+            counts.update(group_counts)
     finally:
         if dump:
             dump.close()
     for group, count in counts.items():
         print(f"{group} {count}")
     print(f"total {sum(counts.values()) - counts['split'] - counts['one-sided']}")
-    for name, digest in digests.items():
-        print(f"{name}sha256 {digest.hexdigest()}")
+    for name, sha in digests.items():
+        print(f"{name}sha256 {sha}")
     if args.expect is None:
         return 0
     labels = {"": "the first set", "split ": "the split group",
               "one-sided ": "the one-sided group"}
     differing = [
         f"{labels[name]} differs: expected sha256 {want}"
-        for (name, digest), want in zip(digests.items(), args.expect)
-        if digest.hexdigest() != want
+        for (name, sha), want in zip(digests.items(), args.expect)
+        if sha != want
     ]
     for line in differing:
         print(line)

@@ -1,3 +1,4 @@
+import errno
 import os
 import re
 import subprocess
@@ -106,6 +107,18 @@ def test_a_corpus_file_that_is_not_utf8_stops_the_corpus(tmp_path, capsys):
     p.write_bytes(b"int main() { return 0; }\n\xff\n")
     assert main(["corpus", str(tmp_path)]) == 2
     assert capsys.readouterr() == ("", f"exspace: {p}: {_NOT_UTF8}\n")
+
+
+@pytest.mark.parametrize("make, err", [
+    pytest.param(lambda p: p.mkdir(), errno.EISDIR, id="directory"),
+    pytest.param(lambda p: p.symlink_to(p.name), errno.ELOOP, id="symlink-loop"),
+    pytest.param(lambda p: p.symlink_to("gone.mcu"), errno.ENOENT, id="dangling-symlink"),
+])
+def test_a_corpus_entry_that_cannot_be_read_stops_the_corpus(tmp_path, capsys, make, err):
+    p = tmp_path / "x.mcu"
+    make(p)
+    assert main(["corpus", str(tmp_path)]) == 2
+    assert capsys.readouterr() == ("", f"exspace: {p}: {os.strerror(err)}\n")
 
 
 def test_flag_combination_validation(problem_t):

@@ -377,6 +377,15 @@ def test_shared_calls_check_and_run_as_calls_of_each_walk_alone(monkeypatch):
     assert outputs() == shared
 
 
+def test_the_split_and_one_sided_groups_keep_their_digests():
+    # The groups where walks over tables of their own reuse memo entries
+    # across tables; tests/equivalence.py --expect checks all three sets.
+    assert equivalence.digest(equivalence.split_inputs()) == (
+        equivalence.DIGESTS[1], {"split": 3000})
+    assert equivalence.digest(equivalence.one_sided_inputs()) == (
+        equivalence.DIGESTS[2], {"one-sided": 130})
+
+
 # A member constant that needs its own value is E0105 where a requires
 # clause reads it, and silent where nothing does; either way the candidate's
 # env holds the error.

@@ -6,7 +6,7 @@ from exspace import spacecheck
 from exspace.corpus import parse_header
 from exspace.diagnostics import CODE_REGISTRY, Severity, format_diagnostic
 from exspace.interp import run_program
-from exspace.sema import DEVICE, HOST, ExecSpace, TraitConfig
+from exspace.sema import DEVICE, HDC, HOST, ExecSpace, TraitConfig
 from exspace.spacecheck import Mode, analyze, check_unit, legality
 from exspace.syntax import nodes as n
 from exspace.syntax.preprocess import CompileProfile
@@ -424,6 +424,18 @@ __host__ void hh() { dv(); }
     monkeypatch.setattr("exspace.spacecheck.legality", lambda *a, **kw: None)
     for mode in Mode:
         assert analyze(src, "u.mcu", NVCC, mode).all_diagnostics == [], mode
+
+
+def test_the_instances_of_one_demand_share_its_env():
+    # The host instance of S< Dev >::f comes from main's call, the device
+    # one from the nvcc instantiation; both are made from one resolution.
+    src = ("template< HDC h > struct S { __host__ __device__ int f() { return 0; } };\n"
+           "int main() { return S< HDC::Dev >{}.f(); }\n")
+    analysis = analyze(src, "e.mcu", NVCC, Mode.CLASSIC)
+    host, device = sorted((i for i in analysis.walks[HOST].instances.values()
+                           if i.decl.name == "f"), key=lambda i: i.side is DEVICE)
+    assert (host.side, device.side, host.display()) == (HOST, DEVICE, "S<Dev>::f")
+    assert host.env is device.env and host.env == {"h": HDC.Dev}
 
 
 def test_a_body_is_resolved_once_per_demand_not_per_instance_and_pass(monkeypatch):
