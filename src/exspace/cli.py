@@ -7,7 +7,7 @@ import sys
 from pathlib import Path
 
 from .corpus import HeaderError, run_corpus
-from .diagnostics import format_diagnostic
+from .diagnostics import SourceError, format_diagnostic, read_source
 from .interp import run_program
 from .spacecheck import Mode, analyze
 from .syntax.preprocess import CompileProfile
@@ -73,13 +73,10 @@ def _print_diags(diags, style, source):
 
 def _read(path: str) -> str:
     try:
-        return Path(path).read_text(encoding="utf-8")
-    except OSError as e:
-        reason = e.strerror
-    except UnicodeDecodeError as e:
-        reason = str(e)
-    print(f"exspace: cannot read {path}: {reason}", file=sys.stderr)
-    raise SystemExit(2)
+        return read_source(path)
+    except SourceError as e:
+        print(f"exspace: {e}", file=sys.stderr)
+        raise SystemExit(2)
 
 
 def cmd_check(args, parser) -> int:
@@ -119,7 +116,7 @@ def cmd_corpus(args, parser) -> int:
     mode = Mode(args.mode)
     try:
         results, summary = run_corpus(Path(args.dir), mode, profile)
-    except (FileNotFoundError, HeaderError) as e:
+    except (FileNotFoundError, HeaderError, SourceError) as e:
         print(f"exspace: {e}", file=sys.stderr)
         return 2
     for r in results:

@@ -10,6 +10,7 @@ import re
 from pathlib import Path
 from typing import Optional
 
+from .diagnostics import read_source
 from .interp import run_program
 from .spacecheck import Mode, analyze
 from .syntax.preprocess import CompileProfile
@@ -92,8 +93,7 @@ def parse_expectations(text: str) -> list:
 
 
 class HeaderError(ValueError):
-    """A //! directive that cannot be applied, as "<path>:<line>: <reason>",
-    or a file that cannot be read or is not UTF-8, as "<path>: <reason>"."""
+    """A //! directive that cannot be applied, as "<path>:<line>: <reason>"."""
 
 
 # Each //! directive and the reader of its value, or None for a flag.
@@ -146,12 +146,8 @@ def parse_header(
 def run_corpus_file(
     path: Path, default_mode: Mode, default_profile: CompileProfile
 ) -> CorpusResult:
-    try:
-        text = path.read_text(encoding="utf-8")
-    except UnicodeDecodeError as e:
-        raise HeaderError(f"{path}: {e}") from None
-    except OSError as e:  # a directory, a symlink loop or a dangling symlink
-        raise HeaderError(f"{path}: {e.strerror}") from None
+    """One entry's result; a SourceError if its file cannot be read."""
+    text = read_source(path)
     cfg = parse_header(text, default_mode, default_profile, str(path))
     expectations = parse_expectations(text)
     result = CorpusResult(str(path))
@@ -170,21 +166,22 @@ def run_corpus_file(
         for d in unclaimed
     ]
 
-    wants_run = cfg.expect_exit is not None or cfg.expect_stdout is not None
-    if wants_run:
-        if analysis.has_errors and not cfg.force:
-            result.run_check = "not run: the check reported errors"
-        else:
-            run = run_program(analysis)
-            problems = []
-            if cfg.expect_exit is not None and run.exit_code != cfg.expect_exit:
-                problems.append(f"exit {run.exit_code}, expected {cfg.expect_exit}")
-            if cfg.expect_stdout is not None and run.stdout != cfg.expect_stdout:
-                problems.append(
-                    f"stdout {run.stdout!r}, expected {cfg.expect_stdout!r}"
-                )
-            if problems:
-                result.run_check = "; ".join(problems)
+    if cfg.expect_exit is None and cfg.expect_stdout is None:
+        return result
+    if analysis.has_errors and not cfg.force:
+        result.run_check = "not run: the check reported errors"
+        return result
+    try:
+        run = run_program(analysis)
+    except ValueError as e:  # the unit has no main function
+        result.run_check = f"not run: {e}"
+        return result
+    problems = []
+    if cfg.expect_exit is not None and run.exit_code != cfg.expect_exit:
+        problems.append(f"exit {run.exit_code}, expected {cfg.expect_exit}")
+    if cfg.expect_stdout is not None and run.stdout != cfg.expect_stdout:
+        problems.append(f"stdout {run.stdout!r}, expected {cfg.expect_stdout!r}")
+    result.run_check = "; ".join(problems) or None
     return result
 
 

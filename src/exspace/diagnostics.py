@@ -1,6 +1,8 @@
-"""Diagnostic codes, source locations, and output formatting."""
+"""Diagnostic codes, source locations, output formatting, and the source reader."""
 from __future__ import annotations
 
+import os
+import stat
 from bisect import bisect_right
 from enum import Enum
 from functools import lru_cache
@@ -216,3 +218,34 @@ def finish_diagnostics(diags: list[Diagnostic]) -> list[Diagnostic]:
     for d in diags:
         seen.setdefault(d.dedup_key(), d)
     return sorted(seen.values(), key=Diagnostic.sort_key)
+
+
+MAX_SOURCE_BYTES = 1 << 24  # the largest source any command reads
+
+
+class SourceError(Exception):
+    """A source read_source refuses, as "cannot read <path>: <reason>"."""
+
+
+def read_source(path) -> str:
+    """The text of the regular UTF-8 file at path, of at most MAX_SOURCE_BYTES.
+    A FIFO opens without blocking; the file opened is the file checked."""
+    try:
+        fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            st = os.fstat(fd)
+            if not stat.S_ISREG(st.st_mode):
+                reason = "not a regular file"
+            elif st.st_size > MAX_SOURCE_BYTES:
+                reason = f"larger than {MAX_SOURCE_BYTES} bytes"
+            elif len(data := open(fd, "rb", buffering=0, closefd=False).read()) > MAX_SOURCE_BYTES:
+                reason = f"larger than {MAX_SOURCE_BYTES} bytes"  # it grew after the fstat
+            else:
+                return data.decode("utf-8")
+        finally:
+            os.close(fd)
+    except OSError as e:  # such as ENOENT or ELOOP
+        reason = e.strerror
+    except UnicodeDecodeError as e:
+        reason = str(e)
+    raise SourceError(f"cannot read {path}: {reason}")

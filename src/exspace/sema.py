@@ -603,11 +603,12 @@ _CONST_RULES = {
 
 
 class Selected:
-    __slots__ = ("decl", "bindings")
+    __slots__ = ("decl", "bindings", "env")
 
-    def __init__(self, decl: n.FunctionDecl, bindings: Bindings):
+    def __init__(self, decl: n.FunctionDecl, bindings: Bindings, env: Bindings):
         self.decl = decl
         self.bindings = bindings
+        self.env = env  # the owner struct's bindings overlaid with bindings
 
 
 def _candidate_env(bindings: Bindings, owner_struct, owner_bindings):
@@ -721,8 +722,7 @@ def _try_candidate(
         else:
             raise SubstFailure(f'could not bind template parameter "{tp.name}"')
     # Check arguments against the resolved parameter types.
-    full_env = dict(owner_bindings or {})
-    full_env.update(bindings)
+    full_env = {**owner_bindings, **bindings} if owner_bindings else bindings
     for p, at in zip(decl.params, arg_types):
         if at is None:
             continue
@@ -738,7 +738,7 @@ def _try_candidate(
             raise SubstFailure("requires clause is not boolean")
         if not ok:
             raise SubstFailure("requires clause is false")
-    return Selected(decl, bindings)
+    return Selected(decl, bindings, full_env)
 
 
 def _space_compatible(decl: n.FunctionDecl, side: ExecSpace, owner_struct) -> bool:

@@ -427,7 +427,7 @@ class _Walk:
             inst.sites[id(s)] = f'"{s.name}" is not a __global__ function'
             self._emit(code, s.pos, "only __global__ functions can be launched with <<< >>>")
             return
-        callee = self._callee(sel.decl, sel.bindings, sel.bindings, GLOBAL, None)
+        callee = self._callee(sel.decl, sel.bindings, sel.env, GLOBAL, None)
         target = self._instantiate(callee, DEVICE, s.pos)
         inst.sites[id(s)] = target
         if inst.side is HOST:
@@ -605,11 +605,10 @@ class _Walk:
                            owner_struct=struct, owner_bindings=owner_bindings)
         if sel is None:
             return None
-        env = {**owner_bindings, **sel.bindings} if owner_bindings else sel.bindings
-        spaces = self._spaces(sel.decl, env, inst.side, struct, node.pos, inst, node)
+        spaces = self._spaces(sel.decl, sel.env, inst.side, struct, node.pos, inst, node)
         if spaces is None:
             return None
-        return self._callee(sel.decl, sel.bindings, env, spaces, owner)
+        return self._callee(sel.decl, sel.bindings, sel.env, spaces, owner)
 
     # -- call legality and demand ----------------------------------------------
 

@@ -8,12 +8,16 @@ from pathlib import Path
 
 import pytest
 
+from exspace import diagnostics
 from exspace.cli import main
 from exspace.diagnostics import (
     CODE_REGISTRY,
+    MAX_SOURCE_BYTES,
     Diagnostic,
+    SourceError,
     SrcLoc,
     format_diagnostic,
+    read_source,
 )
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -92,6 +96,26 @@ def test_check_unreadable_file_exits_two(tmp_path, capsys):
 _NOT_UTF8 = "'utf-8' codec can't decode byte 0xff in position 25: invalid start byte"
 
 
+def _sparse(p):
+    p.touch()
+    os.truncate(p, MAX_SOURCE_BYTES + 1)  # no block is written
+
+
+# Each source read_source refuses, and why.  None is /dev/zero, which a
+# reader without a size bound would read until memory runs out.
+_REFUSED = [
+    pytest.param(os.mkfifo, "not a regular file", id="fifo"),
+    pytest.param(lambda p: p.mkdir(), "not a regular file", id="directory"),
+    pytest.param(lambda p: p.symlink_to(p.name), os.strerror(errno.ELOOP), id="symlink-loop"),
+    pytest.param(lambda p: p.symlink_to("gone.mcu"), os.strerror(errno.ENOENT),
+                 id="dangling-symlink"),
+    pytest.param(lambda p: p.symlink_to(os.devnull), "not a regular file", id="device"),
+    pytest.param(lambda p: p.write_bytes(b"int main() { return 0; }\n\xff\n"), _NOT_UTF8,
+                 id="not-utf8"),
+    pytest.param(_sparse, f"larger than {MAX_SOURCE_BYTES} bytes", id="over-budget"),
+]
+
+
 @pytest.mark.parametrize("command", ["check", "run"])
 def test_a_source_that_is_not_utf8_is_unreadable(tmp_path, capsys, command):
     p = tmp_path / "latin.mcu"
@@ -106,19 +130,62 @@ def test_a_corpus_file_that_is_not_utf8_stops_the_corpus(tmp_path, capsys):
     p = tmp_path / "latin.mcu"
     p.write_bytes(b"int main() { return 0; }\n\xff\n")
     assert main(["corpus", str(tmp_path)]) == 2
-    assert capsys.readouterr() == ("", f"exspace: {p}: {_NOT_UTF8}\n")
+    assert capsys.readouterr() == ("", f"exspace: cannot read {p}: {_NOT_UTF8}\n")
 
 
-@pytest.mark.parametrize("make, err", [
-    pytest.param(lambda p: p.mkdir(), errno.EISDIR, id="directory"),
-    pytest.param(lambda p: p.symlink_to(p.name), errno.ELOOP, id="symlink-loop"),
-    pytest.param(lambda p: p.symlink_to("gone.mcu"), errno.ENOENT, id="dangling-symlink"),
-])
-def test_a_corpus_entry_that_cannot_be_read_stops_the_corpus(tmp_path, capsys, make, err):
+@pytest.mark.parametrize("make, reason", _REFUSED[1:4])  # a directory and two symlinks
+def test_a_corpus_entry_that_cannot_be_read_stops_the_corpus(tmp_path, capsys, make, reason):
     p = tmp_path / "x.mcu"
     make(p)
     assert main(["corpus", str(tmp_path)]) == 2
-    assert capsys.readouterr() == ("", f"exspace: {p}: {os.strerror(err)}\n")
+    assert capsys.readouterr() == ("", f"exspace: cannot read {p}: {reason}\n")
+
+
+@pytest.mark.parametrize("command", ["check", "run", "corpus"])
+@pytest.mark.parametrize("make, reason", _REFUSED)
+def test_every_command_refuses_a_source_in_one_form(tmp_path, capsys, make, reason, command):
+    p = tmp_path / "x.mcu"
+    make(p)
+    target = str(tmp_path if command == "corpus" else p)
+    if make is os.mkfifo:  # a reader that blocks on it fails here instead of hanging
+        proc = _exspace(command, target, timeout=5)
+        got = (proc.returncode, proc.stdout, proc.stderr)
+    else:
+        try:
+            status = main([command, target])
+        except SystemExit as e:
+            status = e.code
+        got = (status, *capsys.readouterr())
+    assert got == (2, "", f"exspace: cannot read {p}: {reason}\n")
+
+
+def test_a_source_over_the_budget_is_refused_before_any_of_it_is_read(tmp_path, monkeypatch):
+    p = tmp_path / "x.mcu"
+    _sparse(p)
+    monkeypatch.setattr(diagnostics, "open", None, raising=False)  # a read raises TypeError
+    with pytest.raises(SourceError):
+        read_source(p)
+
+
+def test_a_source_that_grows_past_the_budget_after_its_fstat_is_refused(tmp_path, monkeypatch):
+    p = tmp_path / "x.mcu"
+    _sparse(p)
+    fstat = os.fstat  # the size it reports is the size before the growth, 0
+    monkeypatch.setattr(os, "fstat", lambda fd: os.stat_result(fstat(fd)[:6] + (0, 0, 0, 0)))
+    with pytest.raises(SourceError) as exc:
+        read_source(p)
+    assert str(exc.value) == f"cannot read {p}: larger than {MAX_SOURCE_BYTES} bytes"
+
+
+def test_a_corpus_entry_that_expects_a_run_of_a_unit_without_main_fails(tmp_path, capsys):
+    (tmp_path / "a.mcu").write_text("//! expect-exit: 0\n__host__ void f() {}\n")
+    (tmp_path / "b.mcu").write_text("int main() { return 0; }\n")
+    assert main(["corpus", str(tmp_path)]) == 1
+    assert capsys.readouterr() == (
+        f"FAIL {tmp_path / 'a.mcu'} (0 expectation(s) matched)\n"
+        "     run: not run: the unit has no main function\n"
+        f"ok   {tmp_path / 'b.mcu'} (0 expectation(s) matched)\n"
+        "passed 1 / failed 1\n", "")
 
 
 def test_flag_combination_validation(problem_t):
@@ -425,11 +492,12 @@ def test_color_env_toggle(problem_t, capsys, monkeypatch):
     assert "\x1b[" not in plain
 
 
-def _exspace(*args) -> subprocess.CompletedProcess:
+def _exspace(*args, timeout=None) -> subprocess.CompletedProcess:
     """The CLI run in a child process, which finds the package under src."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-m", "exspace.cli", *args], capture_output=True,
-                          text=True, encoding="utf-8", env={**os.environ, "PYTHONPATH": path})
+                          text=True, encoding="utf-8", env={**os.environ, "PYTHONPATH": path},
+                          timeout=timeout)
 
 
 def test_importing_exspace_loads_neither_dataclasses_nor_inspect():

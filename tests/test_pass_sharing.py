@@ -11,6 +11,8 @@ change that hides an entry point from it, or runs a stage more often than
 that, fails here as well as in the benchmark.
 """
 import gc
+import os
+import subprocess
 import sys
 import weakref
 from collections import Counter
@@ -384,6 +386,24 @@ def test_the_split_and_one_sided_groups_keep_their_digests():
         equivalence.DIGESTS[1], {"split": 3000})
     assert equivalence.digest(equivalence.one_sided_inputs()) == (
         equivalence.DIGESTS[2], {"one-sided": 130})
+
+
+# Prints the digests of the one-sided group and of the split group's 300 units.
+_SEEDED_DIGESTS = ("import sys; from itertools import islice; sys.path.insert(0, {!r}); "
+                   "import equivalence as e; print(e.digest(e.one_sided_inputs())[0], "
+                   "e.digest(islice(e.split_inputs(), 300))[0])")
+
+
+def test_the_digests_do_not_depend_on_the_hash_seed():
+    # The order of a set or dict of strings follows PYTHONHASHSEED; no output may.
+    probe = _SEEDED_DIGESTS.format(str(ROOT / "tests"))
+    runs = [subprocess.Popen([sys.executable, "-c", probe], stdout=subprocess.PIPE, text=True,
+                             env={**os.environ, "PYTHONHASHSEED": seed})
+            for seed in ("0", "4242")]
+    (zero, _), (other, _) = (run.communicate(timeout=60) for run in runs)
+    assert [run.returncode for run in runs] == [0, 0]
+    assert zero == other
+    assert zero.split()[0] == equivalence.DIGESTS[2]
 
 
 # A member constant that needs its own value is E0105 where a requires
