@@ -67,6 +67,20 @@ def _default_value(t: Type):
     return t
 
 
+def _bind(decl: n.FunctionDecl, args) -> dict:
+    """The locals decl's body starts with: its parameters bound to args."""
+    locals_ = {}
+    for p, a in zip(decl.params, args):
+        locals_[p.name] = a
+    return locals_
+
+
+# What Interpreter._run hands back when its statements ran out without a
+# return, and the halt text of a site the walk recorded nothing for.
+_END = object()
+_NO_CALLEE = "the check resolved no callee here"
+
+
 class _Trap(Exception):
     """__trap, abort or a false release_assert stops the executing thread.
 
@@ -94,6 +108,10 @@ class Halt(Failure):
         return cls("N0001", loc, f"execution halted on a stray call: {reason}", UB_EXIT)
 
     @classmethod
+    def no_body(cls, loc: SrcLoc, decl: n.FunctionDecl) -> "Halt":
+        return cls.stray(loc, f'"{decl.display_name()}" has no body to execute')
+
+    @classmethod
     def output(cls, loc: SrcLoc, size: int) -> "Halt":
         message = (f"execution halted: the output would reach {size} bytes, "
                    f"over the budget of {MAX_OUTPUT_BYTES} bytes per run")
@@ -118,10 +136,11 @@ class Interpreter:
     T::member and a template parameter used as a value read what the walk
     recorded in the site table, and a failure recorded there is a UB halt.
 
-    Statements and expressions are executed by the handlers that _STMT and
-    _EVAL map their node class to.  Each handler takes the executing
-    Instance and the locals of its block; a statement handler returns
-    (value,) when a return statement ran and None otherwise.
+    Statements run in one loop, _run, which hands back the value of the
+    return statement that ran, or _END when the statements ran out.
+    Expressions are executed by the handlers that _EVAL maps their node
+    class to; a call's handler, _call, runs its callee's body in _run.  Both
+    take the executing Instance and the locals of its block.
     """
 
     def __init__(self, analysis: Analysis):
@@ -141,7 +160,7 @@ class Interpreter:
         ub = False
         code = 0
         try:
-            value = self._body(main, [], main.decl.pos)
+            value = self._run(main.decl.body, main, {})
             if isinstance(value, int):  # a bool too
                 code = int(value)
         except _Trap:
@@ -162,60 +181,50 @@ class Interpreter:
         """The SrcLoc of a node's position, for a halt or a note."""
         return self.analysis.lines.loc(pos)
 
-    # -- bodies and statements ------------------------------------------------
+    # -- statements ---------------------------------------------------------------
 
-    def _body(self, inst: Instance, args, pos):
-        # Bodies and blocks run their statements inline: each Python frame
-        # saved per call level is more levels of MiniCU calls before N0002.
-        decl = inst.decl
-        if decl.body is None:
-            raise Halt.stray(self.loc(pos), f'"{decl.display_name()}" has no body to execute')
-        locals_ = {}
-        for p, a in zip(decl.params, args):
-            locals_[p.name] = a
-        for s in decl.body:
-            r = _STMT[type(s)](self, s, inst, locals_)
-            if r is not None:
-                return r[0]
-        return None
+    def _run(self, stmts, inst: Instance, locals_):
+        """Run stmts in locals_: the value of the return that ran, else _END.
 
-    def _expr_stmt(self, s: n.ExprStmt, inst, locals_):
-        e = s.expr
-        _EVAL[type(e)](self, e, inst, locals_)
-
-    def _return(self, s: n.ReturnStmt, inst, locals_):
-        e = s.expr
-        return (None if e is None else _EVAL[type(e)](self, e, inst, locals_),)
-
-    def _var_decl(self, s: n.VarDeclStmt, inst, locals_):
-        locals_[s.name] = _default_value(self._site(s, inst))
-
-    def _if(self, s: n.IfStmt, inst, locals_):
-        c = s.cond
-        if _EVAL[type(c)](self, c, inst, locals_):
-            block = s.then
-        elif s.orelse is not None:
-            block = s.orelse
-        else:
-            return None
-        inner = dict(locals_)
-        for st in block:
-            r = _STMT[type(st)](self, st, inst, inner)
-            if r is not None:
-                return r
-        return None
-
-    def _for(self, s: n.ForStmt, inst, locals_):
-        v = self._loop_bound(s, s.init, inst, locals_)
-        while v < self._loop_bound(s, s.bound, inst, locals_):
-            inner = dict(locals_)
-            inner[s.var] = v
-            for st in s.body:
-                r = _STMT[type(st)](self, st, inst, inner)
-                if r is not None:
+        Every statement kind runs here, and a call runs its callee's body
+        from _call, so that each Python frame saved per call level is more
+        levels of MiniCU calls before N0002.
+        """
+        for s in stmts:
+            kind = type(s)
+            if kind is n.ExprStmt:
+                e = s.expr
+                _EVAL[type(e)](self, e, inst, locals_)
+            elif kind is n.ReturnStmt:
+                e = s.expr
+                return None if e is None else _EVAL[type(e)](self, e, inst, locals_)
+            elif kind is n.IfStmt:
+                c = s.cond
+                if _EVAL[type(c)](self, c, inst, locals_):
+                    block = s.then
+                elif s.orelse is not None:
+                    block = s.orelse
+                else:
+                    continue
+                r = self._run(block, inst, dict(locals_))
+                if r is not _END:
                     return r
-            v += 1
-        return None
+            elif kind is n.ForStmt:
+                v = self._loop_bound(s, s.init, inst, locals_)
+                while v < self._loop_bound(s, s.bound, inst, locals_):
+                    inner = dict(locals_)
+                    inner[s.var] = v
+                    r = self._run(s.body, inst, inner)
+                    if r is not _END:
+                        return r
+                    v += 1
+            elif kind is n.VarDeclStmt:
+                locals_[s.name] = _default_value(self._site(s, inst))
+            else:
+                # A launch.  Looked up on the class, so that a wrapper
+                # installed there sees every launch, skipped ones included.
+                self.launch_kernel(s, inst, locals_)
+        return _END
 
     def _loop_bound(self, s: n.ForStmt, e, inst, locals_) -> int:
         value = _EVAL[type(e)](self, e, inst, locals_)
@@ -264,8 +273,11 @@ class Interpreter:
             return
         out, calls = len(m.out), self.calls
         self.threads += 1
+        decl = kernel.decl
+        if decl.body is None:
+            raise Halt.no_body(self.loc(s.pos), decl)
         try:
-            self._body(kernel, args, s.pos)
+            self._run(decl.body, kernel, _bind(decl, args))
         except _Trap:
             m.sticky_error = self.analysis.profile.trap_error_code()
             return  # the trap abandons all remaining threads
@@ -286,25 +298,29 @@ class Interpreter:
         It is also the handler of a temporary, whose value is its Type, and of
         hdc< T > and T::member, hence locals_.
         """
-        recorded = inst.sites.get(id(node), "the check resolved no callee here")
+        recorded = inst.sites.get(id(node), _NO_CALLEE)
         if isinstance(recorded, str):
             raise Halt.stray(self.loc(node.pos), recorded)
         return recorded
 
     def _call(self, e, inst: Instance, locals_):
-        args = []
-        for a in e.args:
-            args.append(_EVAL[type(a)](self, a, inst, locals_))
-        callee = self._site(e, inst)
+        if type(e) is n.MemberCallExpr:
+            r = e.recv
+            _EVAL[type(r)](self, r, inst, locals_)  # for its halts; the walk chose the callee
+        args = e.args
+        if args:
+            args = [_EVAL[type(a)](self, a, inst, locals_) for a in args]
+        callee = inst.sites.get(id(e), _NO_CALLEE)
+        if isinstance(callee, str):
+            raise Halt.stray(self.loc(e.pos), callee)
         if callee is None:
             return self._builtin(e, args)
         self.calls += 1
-        return self._body(callee, args, e.pos)
-
-    def _member_call(self, e: n.MemberCallExpr, inst, locals_):
-        r = e.recv
-        _EVAL[type(r)](self, r, inst, locals_)  # for its halts; the walk chose the callee
-        return self._call(e, inst, locals_)
+        decl = callee.decl
+        if decl.body is None:
+            raise Halt.no_body(self.loc(e.pos), decl)
+        r = self._run(decl.body, callee, _bind(decl, args) if args else {})
+        return None if r is _END else r
 
     # -- expressions ------------------------------------------------------------------
 
@@ -361,17 +377,6 @@ class Interpreter:
         raise _Trap()  # release_assert( false ), __trap, abort or std::abort
 
 
-_STMT = {
-    n.ExprStmt: Interpreter._expr_stmt,
-    n.ReturnStmt: Interpreter._return,
-    n.VarDeclStmt: Interpreter._var_decl,
-    n.IfStmt: Interpreter._if,
-    n.ForStmt: Interpreter._for,
-    # Looked up on the class at each launch, so that a wrapper installed
-    # there sees every launch statement, skipped launches included.
-    n.LaunchStmt: lambda self, s, inst, locals_: self.launch_kernel(s, inst, locals_),
-}
-
 _EVAL = {
     n.IntLit: Interpreter._literal,
     n.BoolLit: Interpreter._literal,
@@ -387,7 +392,7 @@ _EVAL = {
     n.LogicalExpr: Interpreter._logical,
     n.CallExpr: Interpreter._call,
     n.StaticCallExpr: Interpreter._call,
-    n.MemberCallExpr: Interpreter._member_call,
+    n.MemberCallExpr: Interpreter._call,
 }
 
 

@@ -24,7 +24,8 @@ writes the outputs themselves, for a diff of two trees.  --expect takes the
 digests of the parent tree, the one-sided group's optional, and exits 1,
 naming the set, when one differs; a bare --expect compares with DIGESTS,
 the digests of the current outputs.  A change that changes an output on
-purpose updates DIGESTS with it.
+purpose updates DIGESTS with it, and RUN_DIGEST, the digest of the part of
+the first set that tier-1 checks, run_inputs(), where that part changes.
 """
 from __future__ import annotations
 
@@ -41,6 +42,8 @@ DIGESTS = (
     "d31498cc6cefed38c4a4f21cb506b42f9f554dbbdc8587f6ceb8b14d4581a398",
     "8837e4f964fc7aca1b25c0a8a0b08ce0c323cc26592009951c0fc53da9a5cc1c",
 )
+# The digest of run_inputs(), a part of the first set that tier-1 checks.
+RUN_DIGEST = "05fa3fd48263f0adc88959698479012cd761db55fa599a0c45bac3c341511949"
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "bench")]
@@ -59,17 +62,32 @@ def inputs():
         text = path.read_text(encoding="utf-8")
         cfg = parse_header(text, Mode.CLASSIC, CompileProfile(), path.name)
         yield "corpus", path.name, text, cfg.profile
-    for seed in range(300):
-        unit = gen_unit(random.Random(seed))
-        yield "gen_unit", f"gen_{seed}_p.mcu", unit.with_pragmas, CompileProfile()
-        yield "gen_unit", f"gen_{seed}.mcu", unit.without_pragmas, CompileProfile()
-    for seed in range(50):
-        sched = gen_trap_schedule(random.Random(seed))
-        yield "trap", f"trap_{seed}.mcu", sched.text, CompileProfile()
+    yield from _gen_unit_inputs(range(300))
+    yield from _trap_inputs()
     for workload in ("chain", "fanout", "kernel"):
         for seed in (1, 11):
             for unit in gen.make_cycle(workload, ROOT, seed):
                 yield workload, unit.path, unit.text, CompileProfile()
+
+
+def _gen_unit_inputs(seeds):
+    for seed in seeds:
+        unit = gen_unit(random.Random(seed))
+        yield "gen_unit", f"gen_{seed}_p.mcu", unit.with_pragmas, CompileProfile()
+        yield "gen_unit", f"gen_{seed}.mcu", unit.without_pragmas, CompileProfile()
+
+
+def _trap_inputs():
+    for seed in range(50):
+        sched = gen_trap_schedule(random.Random(seed))
+        yield "trap", f"trap_{seed}.mcu", sched.text, CompileProfile()
+
+
+def run_inputs():
+    """The gen_unit units of seeds 0-49 and the trap group, in inputs()
+    order: units whose forced runs trap, launch and halt."""
+    yield from _gen_unit_inputs(range(50))
+    yield from _trap_inputs()
 
 
 # Lines with a lex error: a stray character, an open string, a malformed

@@ -25,6 +25,7 @@ from exspace.syntax.preprocess import CompileProfile
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "bench"))
+import equivalence  # noqa: E402
 import gen  # noqa: E402
 
 NVCC = CompileProfile()
@@ -515,6 +516,40 @@ def test_forced_run_halts_where_the_check_rejected_a_call(src, profile, stdout, 
     assert [d.message for d in result.notes] == [f"execution halted on a stray call: {reason}"]
 
 
+@pytest.mark.parametrize(
+    "src, stdout, column, reason",
+    [
+        pytest.param('int main() { return Q{}.v( printf( "x" ) ); }\n',
+                     b"", 21, 'unresolvable type: E0101 r.mcu:1:21: undefined type "Q"',
+                     id="receiver-before-arguments"),
+        pytest.param('struct S { int c() { return 1; } };\n'
+                     'int main() { return S{}.gone( printf( "x" ) ); }\n',
+                     b"x", 21, 'type "S" has no member "gone"', id="member-after-arguments"),
+        pytest.param('int f( int a );\nint main() { return f( printf( "x" ) ); }\n',
+                     b"x", 21, '"f" has no body to execute', id="declared-only-call"),
+        pytest.param('__global__ void k( int n );\n'
+                     'int main() { k<<< 1, 1 >>>( printf( "x" ) ); return 0; }\n',
+                     b"x", 14, '"k" has no body to execute', id="declared-only-kernel"),
+    ],
+)
+def test_a_call_halts_after_what_it_evaluates_first(src, stdout, column, reason):
+    # A member call evaluates its receiver, then its arguments, then reads
+    # its callee; a call or a launch of a callee without a body halts then,
+    # on the last line.
+    result = run(src)
+    assert (result.exit_code, result.stdout) == (UB_EXIT, stdout)
+    assert [(d.code, str(d.loc), d.message) for d in result.notes] == [
+        ("N0001", f"r.mcu:{len(src.splitlines())}:{column}",
+         f"execution halted on a stray call: {reason}")]
+
+
+def test_forced_runs_of_generated_and_trap_units_keep_their_digest():
+    # The units of the first set of tests/equivalence.py whose runs trap,
+    # launch and halt; its --expect checks the whole set.
+    assert equivalence.digest(equivalence.run_inputs()) == (
+        equivalence.RUN_DIGEST, {"gen_unit": 1000, "trap": 500})
+
+
 def test_type_parameter_used_as_a_value_is_rejected_and_halts():
     src = """struct S {};
 template< typename T >
@@ -667,6 +702,32 @@ def test_a_256_deep_host_chain_runs_to_its_value():
     assert (result.exit_code, result.stdout) == (0, unit.run.stdout)
     assert (result.calls, result.threads) == (256, 0)
     assert not result.notes
+
+
+# How each level of a chain calls the next, and how many levels run with no
+# note.  A level costs two Python frames, three inside an if or a for.
+_CHAIN_SHAPES = {
+    "return": ("return {next};", 400),
+    "statement": ("{next}; return 7;", 400),
+    "member": ("return {next};", 400),
+    "if": ("if( true ) {{ return {next}; }} return 0;", 280),
+    "for": ("for( int k = 0; k < 1; ++k ) {{ return {next}; }} return 0;", 280),
+}
+
+
+@pytest.mark.parametrize("shape", list(_CHAIN_SHAPES))
+def test_a_chain_of_each_shape_runs_its_levels_to_the_value(shape):
+    template, levels = _CHAIN_SHAPES[shape]
+    member = shape == "member"
+    lines = []
+    for i in range(levels, 0, -1):
+        nxt = f"S{i + 1}{{}}.c()" if member else f"c{i + 1}()"
+        body = "return 7;" if i == levels else template.format(next=nxt)
+        lines.append(f"struct S{i} {{ int c() {{ {body} }} }};" if member
+                     else f"int c{i}() {{ {body} }}")
+    lines.append(f"int main() {{ return {'S1{}.c()' if member else 'c1()'}; }}")
+    result = run("\n".join(lines) + "\n")
+    assert (result.exit_code, result.calls, result.notes) == (7, levels, [])
 
 
 def test_unbounded_recursion_ends_in_a_note():
